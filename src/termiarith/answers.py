@@ -19,7 +19,6 @@ stays internal to the fixpoint."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -85,11 +84,6 @@ class AnswerDomain:
     pieces: dict[PredKey, tuple[Conjunction, ...]]
     exposed: dict[PredKey, dict[Conjunction, Conjunction]]
     notes: tuple[str, ...] = ()
-
-
-@cache
-def _sat(conj: Conjunction) -> bool:
-    return is_satisfiable(conj)
 
 
 def _refinement_atoms(
@@ -180,7 +174,7 @@ def build_answer_domain(
                     piece = conjunction(
                         list(element) + [a if s else negate_atom(a) for a, s in zip(atoms, signs)]
                     )
-                    if FALSE in piece or piece in origin or not _sat(piece):
+                    if FALSE in piece or piece in origin or not is_satisfiable(piece):
                         continue
                     kept.append(piece)
                     origin[piece] = element
@@ -204,7 +198,7 @@ def widen(conj: Iterable[LinAtom], pieces: Iterable[Conjunction]) -> tuple[Conju
     conj = conjunction(conj)
     if FALSE in conj:
         return ()
-    return tuple(p for p in pieces if _sat(conjunction(conj | p)))
+    return tuple(p for p in pieces if is_satisfiable(conjunction(conj | p)))
 
 
 def instantiate_element(element: Conjunction, args: Sequence[Term]) -> list[LinAtom]:
@@ -246,12 +240,12 @@ def _candidates(
         options = list(live[atom.key]) if published is None else published
         for element in options:
             grown = conjunction(conj | frozenset(instantiate_element(element, atom.args)))
-            if FALSE in grown or not _sat(grown):
+            if FALSE in grown or not is_satisfiable(grown):
                 continue
             yield from extend(index + 1, grown)
 
     start = conjunction(base)
-    if FALSE in start or not _sat(start):
+    if FALSE in start or not is_satisfiable(start):
         return
     yield from extend(0, start)
 
@@ -295,7 +289,7 @@ def compute_abstract_answers(
                     for piece in pieces[key]:
                         if piece in seen[key]:
                             continue
-                        if _sat(conjunction(candidate | piece)):
+                        if is_satisfiable(conjunction(candidate | piece)):
                             table[key].append(piece)
                             seen[key].add(piece)
                             changed = True

@@ -4,6 +4,7 @@ Exit codes: 0 termination proved, 1 no proof found, 2 bad input,
 3 timeout.  The report goes to stdout, diagnostics go to stderr."""
 
 import argparse
+import math
 import signal
 import sys
 from typing import Optional
@@ -76,13 +77,21 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="give up on the whole analysis after this long",
+        help="give up on the whole analysis after this long (a positive number)",
     )
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.timeout is not None and not (
+        math.isfinite(args.timeout) and args.timeout > 0
+    ):
+        print(
+            f"error: --timeout must be a positive number of seconds, not {args.timeout}",
+            file=sys.stderr,
+        )
+        return EXIT_INPUT
     try:
         with open(args.program, encoding="utf-8") as handle:
             source = handle.read()

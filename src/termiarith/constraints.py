@@ -5,8 +5,10 @@ handles is a conjunction of linear atoms ``expr rel 0`` with ``rel`` one
 of ``<``, ``=<``, ``=``.  Satisfiability and projection are decided by
 Gaussian elimination of equalities followed by Fourier-Motzkin
 elimination of inequalities; implication is decided by refuting the
-negated claim.  All coefficients are `fractions.Fraction` values, so
-there is no floating point anywhere.
+negated claim.  Every atom is scaled to coprime integer coefficients,
+and both elimination phases combine two atoms with positive integer
+multipliers, so all arithmetic is on Python ints: exact, with no
+floating point and no rational numbers anywhere.
 
 Rational reasoning is what the callers in this package need: they rely
 only on the direction "unsatisfiable over the rationals implies
@@ -19,17 +21,15 @@ not-implied for `implies`, a weaker conjunction for `project`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import floor, gcd, lcm
+from math import gcd, lcm
 from typing import FrozenSet, Iterable, Mapping, Optional, Union
 
 LT = "<"
 LE = "=<"
 EQ = "="
 
-Rational = Union[int, Fraction]
-ExprLike = Union["LinExpr", str, int, Fraction]
+ExprLike = Union["LinExpr", str, int]
 
 #: Cap on the working set of one elimination; past this the result is
 #: "unknown" and public entry points degrade to their sound answer.
@@ -41,36 +41,36 @@ class LinExpr:
     """A linear expression: a sum of ``coeff*var`` terms plus a constant.
 
     Terms are kept sorted by variable name with no zero coefficients, so
-    structural equality coincides with mathematical equality.
+    structural equality coincides with mathematical equality.  Numbers
+    are stored as given; the package only ever passes ints.
     """
 
-    terms: tuple[tuple[str, Fraction], ...] = ()
-    const: Fraction = Fraction(0)
+    terms: tuple[tuple[str, int], ...] = ()
+    const: int = 0
 
     @staticmethod
-    def build(coeffs: Mapping[str, Rational], const: Rational = 0) -> "LinExpr":
-        terms = tuple((v, Fraction(c)) for v, c in sorted(coeffs.items()) if c != 0)
-        return LinExpr(terms, Fraction(const))
+    def build(coeffs: Mapping[str, int], const: int = 0) -> "LinExpr":
+        terms = tuple((v, c) for v, c in sorted(coeffs.items()) if c != 0)
+        return LinExpr(terms, const)
 
     @staticmethod
     def var(name: str) -> "LinExpr":
-        return LinExpr(((name, Fraction(1)),), Fraction(0))
+        return LinExpr(((name, 1),), 0)
 
     @staticmethod
-    def of(value: Rational) -> "LinExpr":
-        return LinExpr((), Fraction(value))
+    def of(value: int) -> "LinExpr":
+        return LinExpr((), value)
 
-    def coeff(self, var: str) -> Fraction:
+    def coeff(self, var: str) -> int:
         for v, c in self.terms:
             if v == var:
                 return c
-        return Fraction(0)
+        return 0
 
     def variables(self) -> frozenset[str]:
         return frozenset(v for v, _ in self.terms)
 
-    def scale(self, k: Rational) -> "LinExpr":
-        k = Fraction(k)
+    def scale(self, k: int) -> "LinExpr":
         if k == 0:
             return LinExpr()
         return LinExpr(tuple((v, c * k) for v, c in self.terms), self.const * k)
@@ -86,7 +86,7 @@ class LinExpr:
         other = to_expr(other)
         coeffs = dict(self.terms)
         for v, c in other.terms:
-            coeffs[v] = coeffs.get(v, Fraction(0)) + c
+            coeffs[v] = coeffs.get(v, 0) + c
         return LinExpr.build(coeffs, self.const + other.const)
 
     def __sub__(self, other: ExprLike) -> "LinExpr":
@@ -127,18 +127,18 @@ def make_atom(expr: ExprLike, rel: str) -> LinAtom:
     if rel not in (LT, LE, EQ):
         raise ValueError(f"unknown relation {rel!r}")
     expr = to_expr(expr)
-    numbers = [c for _, c in expr.terms] + [expr.const]
-    mult = lcm(*(n.denominator for n in numbers))
-    if mult != 1:
-        expr = expr.scale(mult)
-    ints = [c.numerator for _, c in expr.terms] + [expr.const.numerator]
-    g = gcd(*(abs(i) for i in ints))
+    terms, const = expr.terms, expr.const
+    if type(const) is not int or any(type(c) is not int for _, c in terms):
+        # Rational input (numbers with a denominator): clear denominators.
+        mult = lcm(const.denominator, *(c.denominator for _, c in terms))
+        terms = tuple((v, int(c * mult)) for v, c in terms)
+        const = int(const * mult)
+        expr = LinExpr(terms, const)
+    g = gcd(const, *(c for _, c in terms))
     if g > 1:
-        expr = expr.scale(Fraction(1, g))
-    if rel == EQ:
-        lead = expr.terms[0][1] if expr.terms else expr.const
-        if lead < 0:
-            expr = expr.scale(-1)
+        expr = LinExpr(tuple((v, c // g) for v, c in terms), const // g)
+    if rel == EQ and (expr.terms[0][1] if expr.terms else expr.const) < 0:
+        expr = expr.scale(-1)
     return LinAtom(expr, rel)
 
 
@@ -220,10 +220,10 @@ def conjunction_variables(conj: Iterable[LinAtom]) -> frozenset[str]:
 
 
 def rename_expr(expr: LinExpr, mapping: Mapping[str, str]) -> LinExpr:
-    coeffs: dict[str, Fraction] = {}
+    coeffs: dict[str, int] = {}
     for v, c in expr.terms:
         w = mapping.get(v, v)
-        coeffs[w] = coeffs.get(w, Fraction(0)) + c
+        coeffs[w] = coeffs.get(w, 0) + c
     return LinExpr.build(coeffs, expr.const)
 
 
@@ -251,47 +251,64 @@ def _eliminate(
         if not atom_is_true(a):
             work.add(a)
 
-    # Gaussian phase: substitute out each equality that mentions a
-    # variable scheduled for elimination.
+    # Gaussian phase: the least equality (in canonical order) that
+    # mentions a variable scheduled for elimination eliminates the least
+    # such variable v from every other atom.  With c*v in the pivot a
+    # and c_b*v in b, |c|*b - sign(c)*c_b*a is free of v and is a
+    # positive multiple of b with v substituted out.
     while True:
-        pivot = None
-        for a in sorted(work):
-            if a.rel == EQ:
-                gone = sorted(a.expr.variables() - keep)
-                if gone:
-                    pivot = (a, gone[0])
-                    break
-        if pivot is None:
+        pivots = [a for a in work if a.rel == EQ and a.expr.variables() - keep]
+        if not pivots:
             break
-        a, v = pivot
+        a = min(pivots)
+        v = min(a.expr.variables() - keep)
         work.discard(a)
         c = a.expr.coeff(v)
-        rest = LinExpr(tuple(t for t in a.expr.terms if t[0] != v), a.expr.const)
-        replacement = rest.scale(Fraction(-1) / c)
         nxt: set[LinAtom] = set()
         for b in work:
-            nb = make_atom(b.expr.substitute(v, replacement), b.rel)
+            cb = b.expr.coeff(v)
+            if cb == 0:
+                nxt.add(b)
+                continue
+            nb = make_atom(
+                b.expr.scale(abs(c)) + a.expr.scale(-cb if c > 0 else cb), b.rel
+            )
             if atom_is_false(nb):
                 return None
             if not atom_is_true(nb):
                 nxt.add(nb)
         work = nxt
 
-    # Fourier-Motzkin phase, cheapest variable first.
+    # Fourier-Motzkin phase, cheapest variable first: the one whose
+    # elimination combines the fewest pairs, ties broken by name.
     while True:
-        remaining = sorted({v for a in work for v in a.expr.variables()} - keep)
-        if not remaining:
+        ups: dict[str, int] = {}
+        downs: dict[str, int] = {}
+        for a in work:
+            for v, c in a.expr.terms:
+                if v not in keep:
+                    side = ups if c > 0 else downs
+                    side[v] = side.get(v, 0) + 1
+        if not ups and not downs:
             break
-
-        def cost(v: str) -> tuple[int, str]:
-            ups = sum(1 for a in work if a.expr.coeff(v) > 0)
-            downs = sum(1 for a in work if a.expr.coeff(v) < 0)
-            return (ups * downs, v)
-
-        v = min(remaining, key=cost)
-        upper = sorted(a for a in work if a.expr.coeff(v) > 0)
-        lower = sorted(a for a in work if a.expr.coeff(v) < 0)
-        work = {a for a in work if a.expr.coeff(v) == 0}
+        v = min(
+            ups.keys() | downs.keys(),
+            key=lambda w: (ups.get(w, 0) * downs.get(w, 0), w),
+        )
+        upper: list[LinAtom] = []
+        lower: list[LinAtom] = []
+        untouched: set[LinAtom] = set()
+        for a in work:
+            c = a.expr.coeff(v)
+            if c > 0:
+                upper.append(a)
+            elif c < 0:
+                lower.append(a)
+            else:
+                untouched.add(a)
+        upper.sort()
+        lower.sort()
+        work = untouched
         for up in upper:
             for lo in lower:
                 alpha = up.expr.coeff(v)
@@ -311,16 +328,12 @@ def _eliminate(
 def _tighten(atom: LinAtom) -> LinAtom:
     """Integer sharpening of a strict atom.  Every variable this solver
     sees ranges over the integers (argument values, term sizes and their
-    renamed copies), so when the coefficients are integral, a.x + c < 0
-    can be replaced by the stronger a.x <= -c - 1 without losing any
-    integer point."""
+    renamed copies), and every atom has integer coefficients, so
+    a.x + c < 0 can be replaced by the stronger a.x + c + 1 =< 0 without
+    losing any integer point."""
     if atom.rel != LT or not atom.expr.terms:
         return atom
-    if any(c.denominator != 1 for _, c in atom.expr.terms):
-        return atom
-    bound = -atom.expr.const
-    limit = bound - 1 if bound.denominator == 1 else Fraction(floor(bound))
-    return make_atom(LinExpr(atom.expr.terms, -limit), LE)
+    return make_atom(LinExpr(atom.expr.terms, atom.expr.const + 1), LE)
 
 
 @lru_cache(maxsize=None)
@@ -408,7 +421,7 @@ def simplify(conj: Iterable[LinAtom]) -> Conjunction:
     return frozenset(kept)
 
 
-def _format_term(var: str, coeff: Fraction) -> str:
+def _format_term(var: str, coeff: int) -> str:
     if coeff == 1:
         return var
     return f"{coeff}*{var}"
@@ -448,7 +461,7 @@ def render_atom(atom: LinAtom) -> str:
     return f"{lhs} {op} {rhs}"
 
 
-def _render_sum(terms: list[tuple[str, Fraction]], const: Optional[Fraction]) -> str:
+def _render_sum(terms: list[tuple[str, int]], const: Optional[int]) -> str:
     parts = [_format_term(v, c) for v, c in terms]
     if const:
         parts.append(str(const))

@@ -18,8 +18,6 @@ from domain to range."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cache
 from typing import Iterable, Iterator, Mapping as MappingType, Optional, Sequence
 
 from .answers import AnswerTable, instantiate_element
@@ -147,7 +145,7 @@ class TerminationFunction:
     a pair once the domain constraint implies expr >= lower_bound."""
 
     expr: LinExpr
-    lower_bound: Fraction = Fraction(0)
+    lower_bound: int = 0
 
     def describe(self) -> str:
         return f"{render_expr(self.expr)} (bound {self.lower_bound})"
@@ -165,16 +163,6 @@ class PairProof:
         if self.method == "structural":
             return "structural norm decrease"
         return f"decreasing function {self.function.describe()}"
-
-
-@cache
-def _sat(conj: Conjunction) -> bool:
-    return is_satisfiable(conj)
-
-
-@cache
-def _implied(conj: Conjunction, atom: LinAtom) -> bool:
-    return implies(conj, atom)
 
 
 def _row_var(row: str, position: int) -> str:
@@ -258,11 +246,11 @@ def _prefix_choices(
             return
         for atoms in _answer_options(priors[index], answers):
             grown = conjunction(conj | frozenset(atoms))
-            if FALSE in grown or not _sat(grown):
+            if FALSE in grown or not is_satisfiable(grown):
                 continue
             yield from extend(index + 1, grown)
 
-    if FALSE in base or not _sat(base):
+    if FALSE in base or not is_satisfiable(base):
         return
     yield from extend(0, base)
 
@@ -295,11 +283,11 @@ def _numeric_relations(
                 continue
             rvar = LinExpr.var(_row_var(ROW_RANGE, j))
             rnode = Node(j, rmode, ROW_RANGE)
-            if _implied(constraint, atom_eq(dvar, rvar)):
+            if implies(constraint, atom_eq(dvar, rvar)):
                 edges.add((dnode, rnode))
-            elif _implied(constraint, atom_gt(dvar, rvar)):
+            elif implies(constraint, atom_gt(dvar, rvar)):
                 arcs.add((dnode, rnode))
-            elif _implied(constraint, atom_gt(rvar, dvar)):
+            elif implies(constraint, atom_gt(rvar, dvar)):
                 arcs.add((rnode, dnode))
     return edges, arcs
 
@@ -328,11 +316,11 @@ def _norm_relations(
             cvar = LinExpr.var(call_size_var(j))
             rnode = Node(j, rmode, ROW_RANGE)
             if dmode == MODE_BOUND and rmode == MODE_BOUND:
-                if _implied(sizes, atom_eq(hvar, cvar)):
+                if implies(sizes, atom_eq(hvar, cvar)):
                     edges.add((dnode, rnode))
-                elif _implied(sizes, atom_gt(hvar, cvar)):
+                elif implies(sizes, atom_gt(hvar, cvar)):
                     arcs.add((dnode, rnode))
-                elif _implied(sizes, atom_gt(cvar, hvar)):
+                elif implies(sizes, atom_gt(cvar, hvar)):
                     arcs.add((rnode, dnode))
     return edges, arcs
 
@@ -403,15 +391,15 @@ def generate_pairs(
                 )
                 for chosen in _prefix_choices(prefix, priors if numeric else [], answers):
                     grown = conjunction(chosen | frozenset(bindings))
-                    if FALSE in grown or not _sat(grown):
+                    if FALSE in grown or not is_satisfiable(grown):
                         continue
                     for d_elem, d_row in row_options(query.key, ROW_DOMAIN):
                         with_domain = conjunction(grown | d_row)
-                        if FALSE in with_domain or not _sat(with_domain):
+                        if FALSE in with_domain or not is_satisfiable(with_domain):
                             continue
                         for r_elem, r_row in row_options(literal.key, ROW_RANGE):
                             full = conjunction(with_domain | r_row)
-                            if FALSE in full or not _sat(full):
+                            if FALSE in full or not is_satisfiable(full):
                                 continue
                             edges, arcs = set(norm_edges), set(norm_arcs)
                             if numeric:
@@ -477,6 +465,27 @@ def _half_relations(mapping: Mapping, anchor_row: str) -> list[tuple[Node, int, 
     return out
 
 
+def _chain_blocks(mapping: Mapping) -> tuple[Conjunction, Conjunction]:
+    """The mapping's row constraints and integer relations renamed for
+    a composition through the shared middle row m1, m2, ...: as the
+    first step (domain on d*, relations and range on m*) and as the
+    second step (domain and relations on m*, range on r*)."""
+    domain_arity = mapping.domain_atom.key[1]
+    range_arity = mapping.range_atom.key[1]
+    relations = conjunction(_relation_atoms(mapping))
+    domain_row = _rename_onto_row(mapping.domain_constraint, domain_arity, ROW_DOMAIN)
+    range_row = _rename_onto_row(mapping.range_constraint, range_arity, ROW_RANGE)
+    range_middle = {_row_var(ROW_RANGE, j): f"m{j + 1}" for j in range(range_arity)}
+    domain_middle = {_row_var(ROW_DOMAIN, j): f"m{j + 1}" for j in range(domain_arity)}
+    as_first = (
+        domain_row | rename(relations, range_middle) | rename(range_row, range_middle)
+    )
+    as_second = (
+        rename(domain_row, domain_middle) | rename(relations, domain_middle) | range_row
+    )
+    return conjunction(as_first), conjunction(as_second)
+
+
 def compose_pair(
     first: QueryMappingPair, second: QueryMappingPair
 ) -> Optional[QueryMappingPair]:
@@ -485,37 +494,20 @@ def compose_pair(
     combined constraints are unsatisfiable."""
     if first.mapping.range_atom != second.query:
         return None
-    shared_arity = first.mapping.range_atom.key[1]
-    middle = {_row_var(ROW_RANGE, j): f"m{j + 1}" for j in range(shared_arity)}
-    check = list(
-        _rename_onto_row(
-            first.mapping.domain_constraint,
-            first.mapping.domain_atom.key[1],
-            ROW_DOMAIN,
-        )
-    )
-    check += list(rename(conjunction(_relation_atoms(first.mapping)), middle))
-    check += list(
-        rename(
-            _rename_onto_row(first.mapping.range_constraint, shared_arity, ROW_RANGE),
-            middle,
-        )
-    )
-    middle_domain = {_row_var(ROW_DOMAIN, j): f"m{j + 1}" for j in range(shared_arity)}
-    check += list(
-        rename(
-            _rename_onto_row(second.mapping.domain_constraint, shared_arity, ROW_DOMAIN),
-            middle_domain,
-        )
-    )
-    check += list(rename(conjunction(_relation_atoms(second.mapping)), middle_domain))
-    check += list(
-        _rename_onto_row(
-            second.mapping.range_constraint, second.mapping.range_atom.key[1], ROW_RANGE
-        )
-    )
-    combined = conjunction(check)
-    if FALSE in combined or not _sat(combined):
+    as_first, _ = _chain_blocks(first.mapping)
+    _, as_second = _chain_blocks(second.mapping)
+    return _compose_blocks(first, as_first, second, as_second)
+
+
+def _compose_blocks(
+    first: QueryMappingPair,
+    as_first: Conjunction,
+    second: QueryMappingPair,
+    as_second: Conjunction,
+) -> Optional[QueryMappingPair]:
+    """`compose_pair` for chaining pairs, given their `_chain_blocks`."""
+    combined = conjunction(as_first | as_second)
+    if FALSE in combined or not is_satisfiable(combined):
         return None
     left = _half_relations(first.mapping, ROW_RANGE)
     right = _half_relations(second.mapping, ROW_DOMAIN)
@@ -567,31 +559,32 @@ def compose_until_fixpoint(
     """Closure of the pairs under composition.  Raises PairCapExceeded
     past `cap` pairs."""
     closure: set[QueryMappingPair] = set()
-    by_query: dict[AbstractQuery, list[QueryMappingPair]] = {}
-    by_range: dict[AbstractQuery, list[QueryMappingPair]] = {}
-    queue = sorted(pairs, key=pair_sort_key)
-    for pair in queue:
+    # Each pair is filed with its `_chain_blocks`, built once when the
+    # pair joins the closure: by its query as a second step, by its
+    # range as a first step, and in `pending` with both.
+    by_query: dict[AbstractQuery, list[tuple[QueryMappingPair, Conjunction]]] = {}
+    by_range: dict[AbstractQuery, list[tuple[QueryMappingPair, Conjunction]]] = {}
+    pending: list[tuple[QueryMappingPair, Conjunction, Conjunction]] = []
+
+    def add(pair: QueryMappingPair) -> None:
+        as_first, as_second = _chain_blocks(pair.mapping)
         closure.add(pair)
-        by_query.setdefault(pair.query, []).append(pair)
-        by_range.setdefault(pair.mapping.range_atom, []).append(pair)
-    pending = list(queue)
+        by_query.setdefault(pair.query, []).append((pair, as_second))
+        by_range.setdefault(pair.mapping.range_atom, []).append((pair, as_first))
+        pending.append((pair, as_first, as_second))
+
+    for pair in sorted(pairs, key=pair_sort_key):
+        add(pair)
     while pending:
-        pair = pending.pop(0)
-        partners = list(by_query.get(pair.mapping.range_atom, ()))
-        for second in partners:
-            composed = compose_pair(pair, second)
+        pair, as_first, as_second = pending.pop(0)
+        for second, second_block in list(by_query.get(pair.mapping.range_atom, ())):
+            composed = _compose_blocks(pair, as_first, second, second_block)
             if composed is not None and composed not in closure:
-                closure.add(composed)
-                by_query.setdefault(composed.query, []).append(composed)
-                by_range.setdefault(composed.mapping.range_atom, []).append(composed)
-                pending.append(composed)
-        for first in list(by_range.get(pair.query, ())):
-            composed = compose_pair(first, pair)
+                add(composed)
+        for first, first_block in list(by_range.get(pair.query, ())):
+            composed = _compose_blocks(first, first_block, pair, as_second)
             if composed is not None and composed not in closure:
-                closure.add(composed)
-                by_query.setdefault(composed.query, []).append(composed)
-                by_range.setdefault(composed.mapping.range_atom, []).append(composed)
-                pending.append(composed)
+                add(composed)
         if len(closure) > cap:
             raise PairCapExceeded(
                 f"query-mapping closure passed {cap} pairs;"
@@ -661,7 +654,7 @@ def guess_termination_functions(
     for j, mode in enumerate(pair.mapping.domain_atom.modes):
         if mode == MODE_INT:
             expr = LinExpr.var(position_var(j))
-            if _implied(domain, make_atom(-expr, LE)):
+            if implies(domain, make_atom(-expr, LE)):
                 suggest(expr)
     ordered = sorted(
         suggestions, key=lambda e: (len(e.variables()), render_expr(e))
@@ -687,7 +680,7 @@ def verify_decrease(pair: QueryMappingPair, function: TerminationFunction) -> bo
     f_range = rename_expr(function.expr, u)
     decrease = make_atom(f_range - f_domain, LT)
     bounded = make_atom(LinExpr.of(function.lower_bound) - f_domain, LE)
-    return _implied(collection, decrease) and _implied(collection, bounded)
+    return implies(collection, decrease) and implies(collection, bounded)
 
 
 def prove_pair(

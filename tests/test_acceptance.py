@@ -7,6 +7,7 @@ public entry points; expected values are stated inline and exact."""
 import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
@@ -71,6 +72,9 @@ CORPUS = [
     ("ex2_p", "p(i)", NO),
     ("ex2_q", "q(i)", NO),
 ]
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def analyse(name, query):
@@ -319,3 +323,22 @@ def test_ac12_corpus_reports_are_byte_identical_across_runs():
     for chunk in first:
         json.loads(chunk)
     assert "\n".join(first).encode() == "\n".join(second).encode()
+
+
+def golden_stem(name, query):
+    """File stem of a corpus task's reports, e.g. ``gcd--gcd_iif``."""
+    return f"{name}--{query.replace('(', '_').replace(',', '').rstrip(')')}"
+
+
+def test_ac13_corpus_reports_match_the_golden_files():
+    # The fixtures hold the default text report and the JSON report of
+    # every corpus task, each as the CLI prints it (one trailing newline).
+    mismatched = []
+    for name, query, _ in CORPUS:
+        verdict = analyse(name, query)
+        for fmt, suffix in (("text", "txt"), ("json", "json")):
+            path = GOLDEN / f"{golden_stem(name, query)}.{suffix}"
+            report = render_report(verdict, format=fmt) + "\n"
+            if report.encode() != path.read_bytes():
+                mismatched.append(path.name)
+    assert mismatched == []

@@ -59,6 +59,15 @@ class TestExitCodes:
             main([str(corpus_path("mod")), "--query", "mod(i,i,f)", "--answers", "x"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("seconds", ["-1", "nan", "inf", "0"])
+    def test_timeout_that_is_not_a_positive_number_is_two(self, capsys, seconds):
+        argv = (str(corpus_path("mod")), "--query", "mod(i,i,f)", "--timeout", seconds)
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: --timeout")
+        assert err.count("\n") == 1
+
     def test_cap_abort_is_still_one(self, capsys):
         code, _, err = run(
             capsys,

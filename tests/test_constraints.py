@@ -132,6 +132,15 @@ class TestProjection:
         got = project({atom_gt("X", 5), atom_lt("X", 2)}, {"Y"})
         assert got == frozenset([FALSE])
 
+    def test_eliminated_equality_keeps_the_direction(self):
+        # The canonical equality is 3*X - Y = 0, so X is eliminated with
+        # a positive pivot here and with a negative one (X - 3*Y = 0,
+        # eliminating Y) in the mirrored case.
+        got = project({atom_eq(X("Y") - X().scale(3), 0), atom_lt("X", 2)}, {"Y"})
+        assert got == frozenset([atom_lt("Y", 6)])
+        got = project({atom_eq(X() - X("Y").scale(3), 0), atom_lt("Y", 2)}, {"X"})
+        assert got == frozenset([atom_lt("X", 6)])
+
     def test_cap_falls_back_to_weaker(self, monkeypatch):
         monkeypatch.setattr(lc, "ATOM_LIMIT", 1)
         conj = {
@@ -271,3 +280,17 @@ def test_rename_round_trip(conj):
     fwd = {"X": "d1", "Y": "d2", "Z": "d3"}
     back = {v: k for k, v in fwd.items()}
     assert rename(rename(conj, fwd), back) == lc.conjunction(conj)
+
+
+def _int_coefficients(conj):
+    numbers = [c for a in conj for c in (a.expr.const, *dict(a.expr.terms).values())]
+    return all(type(c) is int for c in numbers)
+
+
+@settings(deadline=None)
+@given(_conjunctions())
+def test_solver_output_has_int_coefficients(conj):
+    assert _int_coefficients(conj)
+    assert _int_coefficients(rename(conj, {"X": "d1", "Y": "X"}))
+    for keep in (set(), {"X"}, {"X", "Y"}):
+        assert _int_coefficients(project(conj, keep))
