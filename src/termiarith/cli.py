@@ -22,6 +22,10 @@ EXIT_NO = 1
 EXIT_INPUT = 2
 EXIT_TIMEOUT = 3
 
+# Terms are read and walked recursively, so nesting thousands deep runs
+# out of interpreter stack: bad input, not a failed proof.
+_TOO_DEEP = "the program nests terms too deeply to be analysed"
+
 
 class _Timeout(Exception):
     pass
@@ -82,22 +86,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _input_error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_INPUT
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.timeout is not None and not (
         math.isfinite(args.timeout) and args.timeout > 0
     ):
-        print(
-            f"error: --timeout must be a positive number of seconds, not {args.timeout}",
-            file=sys.stderr,
+        return _input_error(
+            f"--timeout must be a positive number of seconds, not {args.timeout}"
         )
-        return EXIT_INPUT
     try:
         with open(args.program, encoding="utf-8") as handle:
             source = handle.read()
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _input_error(exc)
     try:
         program = normalize_program(parse_program(source))
         pattern = parse_query_pattern(args.query)
@@ -105,12 +111,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             max_unfold=args.max_unfold,
             answer_abstraction=args.answers,
             pair_cap=args.pair_cap,
-            trace=args.trace,
-            format=args.format,
         )
     except (ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _input_error(exc)
+    except RecursionError:
+        return _input_error(_TOO_DEEP)
 
     timed = args.timeout is not None and hasattr(signal, "SIGALRM")
     if timed:
@@ -124,12 +129,14 @@ def main(argv: Optional[list[str]] = None) -> int:
             file=sys.stderr,
         )
         return EXIT_TIMEOUT
+    except RecursionError:
+        return _input_error(_TOO_DEEP)
     finally:
         if timed:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
 
-    print(render_report(verdict, options.format, trace=options.trace))
+    print(render_report(verdict, args.format, trace=args.trace))
     for line in verdict.diagnostics:
         print(line, file=sys.stderr)
     return EXIT_YES if verdict.answer == "YES" else EXIT_NO

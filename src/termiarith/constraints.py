@@ -35,6 +35,10 @@ ExprLike = Union["LinExpr", str, int]
 #: "unknown" and public entry points degrade to their sound answer.
 ATOM_LIMIT = 10_000
 
+#: Conjunctions whose satisfiability verdict is kept, least recently
+#: used first out, so a long-lived process does not grow without bound.
+SAT_CACHE_SIZE = 1 << 16
+
 
 @dataclass(frozen=True, order=True)
 class LinExpr:
@@ -336,7 +340,7 @@ def _tighten(atom: LinAtom) -> LinAtom:
     return make_atom(LinExpr(atom.expr.terms, atom.expr.const + 1), LE)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SAT_CACHE_SIZE)
 def _solve_sat(conj: Conjunction) -> Optional[bool]:
     """True = satisfiable, False = unsatisfiable, None = cap exceeded."""
     try:

@@ -424,22 +424,22 @@ def infer_comparisons(
 # The partition.
 
 
-def build_domain(comparisons: ComparisonSet) -> Domain:
+def build_domain(comparisons: ComparisonSet, cap: int = COMPARISON_CAP) -> Domain:
     """All satisfiable sign assignments of each predicate's comparison
     set, as simplified conjunctions.  The result is a partition: elements
     are satisfiable, pairwise disjoint, and every assignment of the
-    comparisons lands in exactly one element."""
+    comparisons lands in exactly one element.  Raises DomainTooLarge for
+    a set of more than `cap` atoms."""
     out: Domain = {}
     for key in sorted(comparisons):
         atoms = sorted_atoms(comparisons[key])
         if any(a.rel == EQ for a in atoms):
             raise ValueError("comparison sets hold inequalities only")
-        if len(atoms) > COMPARISON_CAP:
+        if len(atoms) > cap:
             name, arity = key
             raise DomainTooLarge(
                 f"comparison set of {name}/{arity} has {len(atoms)} atoms,"
-                f" past the cap of {COMPARISON_CAP}; the comparisons need"
-                " simplification before a domain this fine can be built"
+                f" past the configured cap of {cap}"
             )
         elements: list[Conjunction] = []
         for signs in product((True, False), repeat=len(atoms)):

@@ -5,10 +5,22 @@ attempt with structural norms only, the integer-basedness gates, then
 an escalation ladder over comparison sources (collected, inferred,
 inferred after unfolding), optionally re-run with answer abstraction.
 The verdict carries per-loop, per-pair evidence and feeds the text and
-JSON report emitters."""
+JSON report emitters.
+
+Every attempt is one `_attempt`: generate pairs, close them, prove the
+circular ones, report per loop.  The structural attempt goes through
+`prove_pair` too: its pairs carry empty row constraints, so no
+termination function is suggested and the proof is the structural test.
+
+Modes, loops and the size table depend only on the rung program, so
+each distinct program (the input and each unfolding, built only when
+its rung is reached) is analysed once.  A rung's query domains are built
+once and shared by both answer passes; a rung stopped by a cap or by
+disabled inference logs its lines again in the second pass."""
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .answers import build_answer_domain, compute_abstract_answers
@@ -23,12 +35,12 @@ from .domain import (
 )
 from .graph import LoopInfo, find_integer_loops
 from .modes import infer_argument_modes
+from .norms import infer_size_relations
 from .pairs import (
     CANDIDATE_CAP,
     PAIR_CAP,
     PairCapExceeded,
     PairProof,
-    check_forward_positive_cycle,
     compose_until_fixpoint,
     generate_pairs,
     is_circular,
@@ -55,14 +67,10 @@ class AnalysisOptions:
     candidate_cap: int = CANDIDATE_CAP
     pair_cap: int = PAIR_CAP
     comparison_cap: int = COMPARISON_CAP
-    trace: bool = False
-    format: str = "text"
 
     def __post_init__(self):
         if self.answer_abstraction not in ("on", "off", "auto"):
             raise ValueError("answer_abstraction must be on, off or auto")
-        if self.format not in ("text", "json"):
-            raise ValueError("format must be text or json")
         if min(self.candidate_cap, self.pair_cap, self.comparison_cap) <= 0:
             raise ValueError("caps must be positive")
         if self.max_unfold < 0:
@@ -109,24 +117,10 @@ def _pred_name(key) -> str:
     return f"{name}/{arity}"
 
 
-def _proof_summaries(circular, candidate_cap, structural_only):
-    """(pair, proof text or None) for every circular pair, sorted."""
-    out = []
-    for pair in sorted(circular, key=pair_sort_key):
-        if structural_only:
-            passed = check_forward_positive_cycle(pair)
-            found = PairProof(method="structural") if passed else None
-        else:
-            found = prove_pair(pair, candidate_cap=candidate_cap)
-        proof = found.describe() if found is not None else None
-        out.append((pair, proof, found))
-    return out
-
-
 def _loop_reports(
     loops: list[LoopInfo],
     domains: dict,
-    summaries,
+    proofs: list,
 ) -> tuple[LoopReport, ...]:
     reports = []
     for loop in loops:
@@ -139,7 +133,7 @@ def _loop_reports(
             if key in domains
         }
         pairs = []
-        for pair, proof, found in summaries:
+        for pair, found in proofs:
             if pair.query.key not in loop.predicates:
                 continue
             name, _ = pair.query.key
@@ -148,7 +142,7 @@ def _loop_reports(
                 PairEvidence(
                     query=query,
                     constraint=render_conjunction(pair.query.constraint),
-                    proof=proof,
+                    proof=found.describe() if found is not None else None,
                     trace=render_pair(pair, found),
                 )
             )
@@ -163,110 +157,84 @@ def _loop_reports(
     return tuple(reports)
 
 
-def _structural_stage(program, pattern, modes, loops, options, log):
-    """The first attempt: pairs over structural norms only.  Returns the
-    loop reports and whether every circular pair passed."""
-    try:
-        base = generate_pairs(program, pattern, modes, None, numeric=False)
-        closure = compose_until_fixpoint(base, cap=options.pair_cap)
-    except PairCapExceeded as exc:
-        log(f"resource cap: {exc}")
-        log("structural attempt (simplified norm analysis): aborted by resource cap")
-        return (), False
-    circular = [p for p in closure if is_circular(p)]
-    summaries = _proof_summaries(circular, options.candidate_cap, structural_only=True)
-    proved = sum(1 for _, proof, _ in summaries if proof is not None)
-    log(
-        "structural attempt (simplified norm analysis):"
-        f" {proved} of {len(summaries)} circular pairs proved"
-    )
-    reports = _loop_reports(loops, {}, summaries)
-    return reports, proved == len(summaries)
+class _ProgramStages:
+    """A program the ladder analyses, with the stages that depend only
+    on it and the query pattern, each computed once."""
+
+    def __init__(self, program: Program, pattern: QueryPattern):
+        self.program = program
+        self.pattern = pattern
+        self.modes = infer_argument_modes(program, pattern)
+        self.loops = find_integer_loops(program, pattern, self.modes)
+
+    @cached_property
+    def size_table(self):
+        return infer_size_relations(self.program, self.modes)
+
+    def unfolded(self) -> "_ProgramStages":
+        """The program with the first in-loop body atom of each recursive
+        clause unfolded once, last clause first so that unfolding one
+        clause does not shift the next."""
+        component = {key: loop.predicates for loop in self.loops for key in loop.predicates}
+        program = self.program
+        for i in reversed(range(len(program.clauses))):
+            clause = self.program.clauses[i]
+            preds = component.get(clause.key, ())
+            for j, lit in enumerate(clause.body):
+                if isinstance(lit, UserAtom) and lit.key in preds:
+                    program = unfold_once(program, i, j)
+                    break
+        return _ProgramStages(program, self.pattern)
 
 
-def _first_recursive_targets(program: Program, loops: list[LoopInfo]):
-    """(clause index, body index) of the first in-loop body atom of each
-    recursive clause, in descending clause order so unfolding one target
-    does not shift the next."""
-    component = {}
-    for loop in loops:
-        for key in loop.predicates:
-            component[key] = loop.predicates
-    targets = []
-    for i, clause in enumerate(program.clauses):
-        preds = component.get(clause.key)
-        if preds is None:
-            continue
-        for j, lit in enumerate(clause.body):
-            if isinstance(lit, UserAtom) and lit.key in preds:
-                targets.append((i, j))
-                break
-    return sorted(targets, reverse=True)
-
-
-def _unfold_recursive_clauses(program: Program, pattern: QueryPattern) -> Program:
-    modes = infer_argument_modes(program, pattern)
-    loops = find_integer_loops(program, pattern, modes)
-    for i, j in _first_recursive_targets(program, loops):
-        program = unfold_once(program, i, j)
-    return program
-
-
-def _check_comparison_cap(comparisons, cap: int):
-    for key, atoms in comparisons.items():
-        if len(atoms) > cap:
-            raise DomainTooLarge(
-                f"comparison set of {_pred_name(key)} has {len(atoms)} atoms,"
-                f" past the configured cap of {cap}"
-            )
-
-
-def _numeric_stage(program, pattern, options, prefer_inference, with_answers):
-    """One rung of the ladder.  Raises DomainTooLarge or PairCapExceeded
-    when a resource cap is hit."""
-    modes = infer_argument_modes(program, pattern)
-    loops = find_integer_loops(program, pattern, modes)
-    domains: dict = {}
-    answer_domains = []
-    notes: list[str] = []
-    for loop in loops:
-        comparisons = None
-        used_inference = False
-        if not prefer_inference:
-            comparisons = collect_comparisons(loop, modes)
-        if comparisons is None:
+def _query_domains(stages: _ProgramStages, options: AnalysisOptions, prefer_inference):
+    """Each loop's query domain on one rung, with whether inference built
+    it, up to the first loop that stops the rung; and what stopped it:
+    None, a note, or the DomainTooLarge a resource cap raised."""
+    built = []
+    for loop in stages.loops:
+        comparisons = None if prefer_inference else collect_comparisons(loop, stages.modes)
+        used_inference = comparisons is None
+        if used_inference:
             if not options.use_inference:
-                notes.append(
+                return built, (
                     f"comparisons of loop {loop.describe()} cannot be read off"
                     " directly and inference is disabled"
                 )
-                return False, (), notes
-            comparisons = infer_comparisons(loop, modes)
-            used_inference = True
-        _check_comparison_cap(comparisons, options.comparison_cap)
-        query_domain = build_domain(comparisons)
-        domains.update(query_domain)
-        if with_answers:
-            answer_domains.append(
-                build_answer_domain(
-                    loop, modes, query_domain, used_inference=used_inference
-                )
-            )
-    table = (
-        compute_abstract_answers(loops, modes, answer_domains)
-        if with_answers
-        else None
+            comparisons = infer_comparisons(loop, stages.modes)
+        try:
+            domain = build_domain(comparisons, cap=options.comparison_cap)
+        except DomainTooLarge as exc:
+            return built, exc
+        built.append((loop, domain, used_inference))
+    return built, None
+
+
+def _attempt(stage, stages, options, log, domains, table, numeric=True):
+    """Generate the pairs of one rung program, close them and prove the
+    circular ones.  Logs the tally under `stage` and returns whether
+    every circular pair was proved, with the loop reports.  Raises
+    PairCapExceeded when the closure passes the pair cap."""
+    base = generate_pairs(
+        stages.program,
+        stages.pattern,
+        stages.modes,
+        table,
+        domains=domains,
+        numeric=numeric,
+        size_table=stages.size_table,
     )
-    base = generate_pairs(program, pattern, modes, table, domains=domains)
     closure = compose_until_fixpoint(base, cap=options.pair_cap)
-    circular = [p for p in closure if is_circular(p)]
-    summaries = _proof_summaries(
-        circular, options.candidate_cap, structural_only=False
-    )
-    reports = _loop_reports(loops, domains, summaries)
-    proved = sum(1 for _, proof, _ in summaries if proof is not None)
-    notes.append(f"{proved} of {len(summaries)} circular pairs proved")
-    return proved == len(summaries), reports, notes
+    circular = sorted((p for p in closure if is_circular(p)), key=pair_sort_key)
+    proofs = [(p, prove_pair(p, candidate_cap=options.candidate_cap)) for p in circular]
+    proved = sum(1 for _, found in proofs if found is not None)
+    log(f"{stage}: {proved} of {len(proofs)} circular pairs proved")
+    return proved == len(proofs), _loop_reports(stages.loops, domains, proofs)
+
+
+def _log_abort(log, stage: str, exc: Exception):
+    log(f"resource cap: {exc}")
+    log(f"{stage}: aborted by resource cap")
 
 
 def analyse_termination(
@@ -280,9 +248,9 @@ def analyse_termination(
     diagnostics: list[str] = []
     log = diagnostics.append
 
-    modes = infer_argument_modes(program, pattern)
-    diagnostics.extend(modes.conflicts)
-    loops = find_integer_loops(program, pattern, modes)
+    top = _ProgramStages(program, pattern)
+    diagnostics.extend(top.modes.conflicts)
+    loops = top.loops
 
     if not loops:
         if pattern.key not in program.index:
@@ -294,9 +262,12 @@ def analyse_termination(
             )
         return Verdict(YES, query, (), tuple(diagnostics), method="acyclic program")
 
-    reports, all_proved = _structural_stage(
-        program, pattern, modes, loops, options, log
-    )
+    stage = "structural attempt (simplified norm analysis)"
+    try:
+        all_proved, reports = _attempt(stage, top, options, log, {}, None, numeric=False)
+    except PairCapExceeded as exc:
+        _log_abort(log, stage, exc)
+        all_proved, reports = False, ()
     if all_proved:
         if any(report.pairs for report in reports):
             method = "structural norm decrease (simplified analysis)"
@@ -318,42 +289,53 @@ def analyse_termination(
         log("a numerical loop is not integer based; the analysis does not apply")
         return Verdict(NO, query, fallback_reports, tuple(diagnostics))
 
-    rungs: list[tuple[str, Program, bool]] = [
-        ("collected comparisons", program, False)
-    ]
+    # (label, unfolding depth of the rung program, prefer inference)
+    rungs = [("collected comparisons", 0, False)]
     if options.use_inference:
-        rungs.append(("inferred comparisons", program, True))
-        unfolded = program
-        for round_number in range(1, options.max_unfold + 1):
-            unfolded = _unfold_recursive_clauses(unfolded, pattern)
-            rungs.append(
-                (
-                    f"unfold x{round_number} + inferred comparisons",
-                    unfolded,
-                    True,
-                )
-            )
+        rungs.append(("inferred comparisons", 0, True))
+        rungs += [
+            (f"unfold x{depth} + inferred comparisons", depth, True)
+            for depth in range(1, options.max_unfold + 1)
+        ]
 
-    if options.answer_abstraction == "on":
-        answer_passes = (True,)
-    elif options.answer_abstraction == "off":
-        answer_passes = (False,)
-    else:
-        answer_passes = (False, True)
+    answer_passes = {"on": (True,), "off": (False,), "auto": (False, True)}[
+        options.answer_abstraction
+    ]
 
+    # Built when a rung first needs them, shared by both answer passes.
+    programs = {0: top}
+    query_domains = {}
     for with_answers in answer_passes:
-        for label, rung_program, prefer_inference in rungs:
+        for index, (label, depth, prefer_inference) in enumerate(rungs):
             name = label + (" + answer abstraction" if with_answers else "")
+            if depth not in programs:
+                programs[depth] = programs[depth - 1].unfolded()
+            stages = programs[depth]
+            if index not in query_domains:
+                query_domains[index] = _query_domains(stages, options, prefer_inference)
+            built, stop = query_domains[index]
             try:
-                ok, rung_reports, notes = _numeric_stage(
-                    rung_program, pattern, options, prefer_inference, with_answers
+                answer_domains = [
+                    build_answer_domain(loop, stages.modes, domain, used_inference=inferred)
+                    for loop, domain, inferred in (built if with_answers else ())
+                ]
+                if isinstance(stop, DomainTooLarge):
+                    raise stop
+                if stop is not None:
+                    log(f"rung {name}: {stop}")
+                    continue
+                table = (
+                    compute_abstract_answers(stages.loops, stages.modes, answer_domains)
+                    if with_answers
+                    else None
+                )
+                domains = {k: v for _, domain, _ in built for k, v in domain.items()}
+                ok, rung_reports = _attempt(
+                    f"rung {name}", stages, options, log, domains, table
                 )
             except (DomainTooLarge, PairCapExceeded) as exc:
-                log(f"resource cap: {exc}")
-                log(f"rung {name}: aborted by resource cap")
+                _log_abort(log, f"rung {name}", exc)
                 continue
-            for note in notes:
-                log(f"rung {name}: {note}")
             if ok:
                 return Verdict(YES, query, rung_reports, tuple(diagnostics), method=name)
             if rung_reports:
@@ -395,6 +377,8 @@ def render_report(verdict: Verdict, format: str = "text", trace: bool = False) -
     part of the JSON payload only; text callers emit them separately."""
     if format == "json":
         return json.dumps(verdict_payload(verdict), indent=2)
+    if format != "text":
+        raise ValueError("format must be text or json")
 
     lines: list[str] = []
     if verdict.answer == YES:

@@ -333,18 +333,21 @@ def generate_pairs(
     *,
     domains: Optional[Domain] = None,
     numeric: bool = True,
-    size_norms: bool = True,
+    size_table: Optional[MappingType[PredKey, Conjunction]] = None,
 ) -> frozenset[QueryMappingPair]:
     """One pair per reachable abstract query, applicable clause, body
     call, and consistent combination of row elements and prior answer
     entries.  `domains` supplies the finite partition each row is
     widened into (absent predicates get the trivial partition);
-    `answers` abstracts the calls before the selected one.  With
-    `numeric` off only norm relations are produced, which is the purely
-    structural reading used as a first attempt."""
+    `answers` abstracts the calls before the selected one; `size_table`
+    is `infer_size_relations(program, modes)`, computed here when the
+    caller does not hold it.  With `numeric` off only norm relations are
+    produced, which is the purely structural reading used as a first
+    attempt."""
     answers = answers or {}
     domains = domains or {}
-    size_table = infer_size_relations(program, modes) if size_norms else None
+    if size_table is None:
+        size_table = infer_size_relations(program, modes)
 
     def row_options(key: PredKey, row: str) -> list[tuple[Conjunction, Conjunction]]:
         elements = domains.get(key, (frozenset(),)) if numeric else (frozenset(),)
@@ -377,12 +380,9 @@ def generate_pairs(
                         guards.extend(_guard_atoms(literal))
                     continue
                 range_modes = effective_call_modes(literal.key, modes)
-                norm_edges: set[Relation] = set()
-                norm_arcs: set[Relation] = set()
-                if size_table is not None:
-                    norm_edges, norm_arcs = _norm_relations(
-                        clause, index, size_table, domain_modes, range_modes
-                    )
+                norm_edges, norm_arcs = _norm_relations(
+                    clause, index, size_table, domain_modes, range_modes
+                )
                 prefix = conjunction(base | frozenset(guards)) if numeric else base
                 bindings = (
                     _value_bindings(range_modes, literal.args, ROW_RANGE)

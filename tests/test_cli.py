@@ -68,6 +68,34 @@ class TestExitCodes:
         assert err.startswith("error: --timeout")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "source,query",
+        [
+            ("p(" + "s(" * 3000 + "z" + ")" * 3000 + ").\n", "p(i)"),
+            ("q(X,Y) :- Y is X" + " + 1" * 3000 + ".\n", "q(i,f)"),
+        ],
+        ids=["nested-fact", "long-sum"],
+    )
+    def test_input_nested_too_deeply_is_two(self, capsys, tmp_path, source, query):
+        deep = tmp_path / "deep.pl"
+        deep.write_text(source)
+        code, out, err = run(capsys, str(deep), "--query", query)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+
+    def test_recursion_limit_during_analysis_is_two(self, capsys, monkeypatch):
+        def too_deep(*args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr("termiarith.cli.analyse_termination", too_deep)
+        code, out, err = run(capsys, str(corpus_path("mod")), "--query", "mod(i,i,f)")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+
     def test_cap_abort_is_still_one(self, capsys):
         code, _, err = run(
             capsys,

@@ -84,6 +84,12 @@ class TestSatisfiability:
         conj = {atom_eq("X", X("Y") + 1), atom_eq("Y", X("Z") + 1), atom_lt("X", "Z")}
         assert not is_satisfiable(conj)
 
+    def test_verdict_cache_is_bounded(self):
+        # A long-lived process checks ever new conjunctions; the cache of
+        # verdicts must not keep all of them.
+        maxsize = lc._solve_sat.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
+
 
 class TestImplication:
     def test_difference_grows(self):

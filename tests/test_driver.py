@@ -2,6 +2,8 @@
 handling, resource caps, and both report formats."""
 
 import json
+import sys
+from collections import Counter
 
 import pytest
 
@@ -16,6 +18,9 @@ from termiarith.driver import (
     render_report,
     verdict_payload,
 )
+from termiarith.graph import find_integer_loops
+from termiarith.modes import infer_argument_modes
+from termiarith.norms import infer_size_relations
 from termiarith.syntax import parse_query_pattern
 
 
@@ -203,6 +208,46 @@ class TestEscalationLadder:
         )
 
 
+class TestStageReuse:
+    """The stages that depend only on (program, pattern) run once per
+    distinct program the ladder reaches."""
+
+    STAGES = (infer_argument_modes, find_integer_loops, infer_size_relations)
+
+    @pytest.mark.parametrize(
+        "name,query,programs",
+        [
+            # the program and its unfolding, over both answer passes
+            ("mc91", "mc_carthy_91(i, f)", 2),
+            ("gcd", "gcd(i, i, f)", 2),
+            # proved on the first rung: the unfolding is never built
+            ("p_difficult", "p(i, i)", 1),
+        ],
+    )
+    def test_each_rung_program_is_analysed_once(
+        self, monkeypatch, name, query, programs
+    ):
+        calls = Counter()
+
+        def counted(stage):
+            def wrapper(*args, **kwargs):
+                calls[stage.__name__] += 1
+                return stage(*args, **kwargs)
+
+            return wrapper
+
+        for stage in self.STAGES:
+            wrapper = counted(stage)
+            for module_name, module in list(sys.modules.items()):
+                if not module_name.startswith("termiarith"):
+                    continue
+                for attr, value in list(vars(module).items()):
+                    if value is stage:
+                        monkeypatch.setattr(module, attr, wrapper)
+        analyse(name, query)
+        assert calls == {stage.__name__: programs for stage in self.STAGES}
+
+
 class TestResourceCaps:
     def test_pair_cap_turns_into_no_with_diagnostics(self):
         verdict = analyse("gcd", "gcd(i, i, f)", pair_cap=20)
@@ -237,7 +282,7 @@ class TestResourceCaps:
         with pytest.raises(ValueError, match="answer_abstraction"):
             AnalysisOptions(answer_abstraction="maybe")
         with pytest.raises(ValueError, match="format"):
-            AnalysisOptions(format="xml")
+            render_report(analyse("facts", "f(i)"), format="xml")
         with pytest.raises(ValueError, match="caps must be positive"):
             AnalysisOptions(pair_cap=0)
         with pytest.raises(ValueError, match="max_unfold"):
