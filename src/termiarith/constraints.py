@@ -414,14 +414,22 @@ def project(conj: Iterable[LinAtom], keep: Iterable[str]) -> Conjunction:
 
 def simplify(conj: Iterable[LinAtom]) -> Conjunction:
     """Drop atoms implied by the rest of the conjunction (greedy, in
-    canonical order, so the result is deterministic)."""
-    kept = sorted_atoms(conjunction(conj))
+    canonical order, so the result is deterministic).
+
+    An unsatisfiable conjunction implies every atom, so the greedy pass
+    could shrink it to a subset the solver judges satisfiable (equalities
+    get no divisibility test: {Y =< 0, 2*Y - 1 = 0} loses Y =< 0).  Such
+    an input therefore simplifies to {FALSE}."""
+    atoms = conjunction(conj)
+    kept = sorted_atoms(atoms)
     for a in list(kept):
         if a not in kept:
             continue
         rest = [b for b in kept if b != a]
         if implies(frozenset(rest), a):
             kept = rest
+    if len(kept) < len(atoms) and not is_satisfiable(atoms):
+        return frozenset((FALSE,))
     return frozenset(kept)
 
 

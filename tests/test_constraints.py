@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import grid_oracle
@@ -270,6 +270,26 @@ def test_conjunction_implies_own_atoms(conj):
 
 @settings(deadline=None)
 @given(_conjunctions())
+# Unsatisfiable only through an equality's divisibility: greedy dropping
+# used to leave just the equality, which the solver judges satisfiable.
+@example(
+    frozenset(
+        {
+            make_atom(LinExpr.var("X"), LT),
+            make_atom(LinExpr.var("Y"), LE),
+            make_atom(LinExpr.build({"Y": 2}, -1), EQ),
+        }
+    )
+)
+@example(
+    frozenset(
+        {
+            make_atom(LinExpr.var("X"), LT),
+            make_atom(LinExpr.build({"Y": 1}, 1), LT),
+            make_atom(LinExpr.build({"Y": 2}, 3), EQ),
+        }
+    )
+)
 def test_simplify_is_equivalent(conj):
     assert lc.equivalent(simplify(conj), lc.conjunction(conj))
 
