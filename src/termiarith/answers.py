@@ -19,22 +19,21 @@ stays internal to the fixpoint."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .constraints import (
     FALSE,
     Conjunction,
     LinAtom,
-    LinExpr,
     atom_is_false,
     atom_is_true,
     conjunction,
     is_satisfiable,
     make_atom,
-    negate_atom,
     project_or_none,
     sorted_atoms,
+    substitute,
+    weak_halves,
 )
 from .domain import (
     Domain,
@@ -48,9 +47,9 @@ from .domain import (
     infer_comparisons,
     linear_term,
     position_var,
+    sign_pieces,
     unconstrained_positions,
 )
-from .constraints import EQ, LE
 from .graph import LoopInfo
 from .modes import ModeAssignment
 from .syntax import PredKey, Term, UserAtom
@@ -112,12 +111,7 @@ def _refinement_atoms(
             continue
         found = out[clause.key]
         for atom in sorted_atoms(projected):
-            halves = (
-                [make_atom(atom.expr, LE), make_atom(-atom.expr, LE)]
-                if atom.rel == EQ
-                else [atom]
-            )
-            for half in halves:
+            for half in weak_halves(atom):
                 if atom_is_true(half) or atom_is_false(half):
                     continue
                 if half not in found:
@@ -170,11 +164,8 @@ def build_answer_domain(
             kept: list[Conjunction] = []
             origin: dict[Conjunction, Conjunction] = {}
             for element in elements:
-                for signs in product((True, False), repeat=len(atoms)):
-                    piece = conjunction(
-                        list(element) + [a if s else negate_atom(a) for a, s in zip(atoms, signs)]
-                    )
-                    if FALSE in piece or piece in origin or not is_satisfiable(piece):
+                for piece in sign_pieces(atoms, element):
+                    if piece in origin or not is_satisfiable(piece):
                         continue
                     kept.append(piece)
                     origin[piece] = element
@@ -192,62 +183,40 @@ def build_answer_domain(
     return AnswerDomain(pieces=pieces, exposed=exposed, notes=tuple(notes))
 
 
-def widen(conj: Iterable[LinAtom], pieces: Iterable[Conjunction]) -> tuple[Conjunction, ...]:
-    """The pieces a constraint can land in: those whose intersection
-    with it is satisfiable."""
-    conj = conjunction(conj)
-    if FALSE in conj:
-        return ()
-    return tuple(p for p in pieces if is_satisfiable(conjunction(conj | p)))
-
-
 def instantiate_element(element: Conjunction, args: Sequence[Term]) -> list[LinAtom]:
     """Element constraints rewritten from position variables onto the
     call's argument terms.  Constraints that touch an argument with no
     linear reading are dropped, which only loses precision."""
-    replacements: dict[str, Optional[LinExpr]] = {
-        position_var(j): linear_term(arg) for j, arg in enumerate(args)
-    }
-    out: list[LinAtom] = []
-    for atom in element:
-        expr = LinExpr.of(atom.expr.const)
-        usable = True
-        for name in sorted(atom.expr.variables()):
-            replacement = replacements.get(name)
-            if replacement is None:
-                usable = False
-                break
-            expr = expr + replacement.scale(atom.expr.coeff(name))
-        if usable:
-            out.append(make_atom(expr, atom.rel))
-    return out
+    images = {position_var(j): linear_term(arg) for j, arg in enumerate(args)}
+    return [
+        make_atom(substitute(atom.expr, images), atom.rel)
+        for atom in element
+        if all(images.get(name) is not None for name in atom.expr.variables())
+    ]
 
 
-def _candidates(
+def answer_choices(
     base: Conjunction,
-    slots: Sequence[tuple[UserAtom, Optional[tuple[Conjunction, ...]]]],
-    live: Mapping[PredKey, list[Conjunction]],
+    calls: Sequence[tuple[UserAtom, Sequence[Conjunction]]],
 ) -> Iterator[Conjunction]:
-    """Clause-body constraints under every consistent choice of table
-    entries for the body calls, pruned as soon as a prefix goes
-    unsatisfiable."""
+    """`base` extended by every consistent choice of one answer element
+    per call, instantiated on the call's arguments, pruned as soon as a
+    prefix goes unsatisfiable.  A call's element list is read when the
+    call is reached, so a list that grows while the choices are consumed
+    is seen grown by the choices after the growth."""
 
     def extend(index: int, conj: Conjunction) -> Iterator[Conjunction]:
-        if index == len(slots):
+        if index == len(calls):
             yield conj
             return
-        atom, published = slots[index]
-        options = list(live[atom.key]) if published is None else published
-        for element in options:
+        atom, elements = calls[index]
+        for element in tuple(elements):
             grown = conjunction(conj | frozenset(instantiate_element(element, atom.args)))
-            if FALSE in grown or not is_satisfiable(grown):
-                continue
-            yield from extend(index + 1, grown)
+            if is_satisfiable(grown):
+                yield from extend(index + 1, grown)
 
-    start = conjunction(base)
-    if FALSE in start or not is_satisfiable(start):
-        return
-    yield from extend(0, start)
+    if is_satisfiable(base):
+        yield from extend(0, base)
 
 
 def compute_abstract_answers(
@@ -268,24 +237,25 @@ def compute_abstract_answers(
         positions = answer_positions(loop, modes)
         table: dict[PredKey, list[Conjunction]] = {key: [] for key in loop.predicates}
         seen: dict[PredKey, set[Conjunction]] = {key: set() for key in loop.predicates}
-        clauses = applicable_clauses(loop, modes)
+        # Per clause: its key, its base constraint and its calls into
+        # this loop (the live table lists) or into published loops.
+        clauses = []
+        for clause in applicable_clauses(loop, modes):
+            base = conjunction(
+                head_binding_atoms(clause, positions[clause.key]) + body_constraint_atoms(clause)
+            )
+            calls = []
+            for lit in clause.body:
+                if isinstance(lit, UserAtom) and lit.key in table:
+                    calls.append((lit, table[lit.key]))
+                elif isinstance(lit, UserAtom) and lit.key in published:
+                    calls.append((lit, tuple(entry.element for entry in published[lit.key])))
+            clauses.append((clause.key, base, calls))
         changed = True
         while changed:
             changed = False
-            for clause in clauses:
-                key = clause.key
-                base = head_binding_atoms(clause, positions[key]) + body_constraint_atoms(clause)
-                slots: list[tuple[UserAtom, Optional[tuple[Conjunction, ...]]]] = []
-                for lit in clause.body:
-                    if not isinstance(lit, UserAtom):
-                        continue
-                    if lit.key in table:
-                        slots.append((lit, None))
-                    elif lit.key in published:
-                        slots.append(
-                            (lit, tuple(entry.element for entry in published[lit.key]))
-                        )
-                for candidate in _candidates(conjunction(base), slots, table):
+            for key, base, calls in clauses:
+                for candidate in answer_choices(base, calls):
                     for piece in pieces[key]:
                         if piece in seen[key]:
                             continue

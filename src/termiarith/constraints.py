@@ -79,13 +79,6 @@ class LinExpr:
             return LinExpr()
         return LinExpr(tuple((v, c * k) for v, c in self.terms), self.const * k)
 
-    def substitute(self, var: str, replacement: "LinExpr") -> "LinExpr":
-        c = self.coeff(var)
-        if c == 0:
-            return self
-        rest = LinExpr(tuple(t for t in self.terms if t[0] != var), self.const)
-        return rest + replacement.scale(c)
-
     def __add__(self, other: ExprLike) -> "LinExpr":
         other = to_expr(other)
         coeffs = dict(self.terms)
@@ -191,13 +184,18 @@ def atom_is_false(atom: LinAtom) -> bool:
     return not atom.expr.terms and not atom_is_true(atom)
 
 
+def weak_halves(atom: LinAtom) -> tuple[LinAtom, ...]:
+    """An equality as its two weak inequalities; any other atom as
+    itself."""
+    if atom.rel != EQ:
+        return (atom,)
+    return (make_atom(atom.expr, LE), make_atom(-atom.expr, LE))
+
+
 #: The canonical contradiction, ``1 =< 0``.
 FALSE = make_atom(1, LE)
 
 Conjunction = FrozenSet[LinAtom]
-
-#: The empty conjunction is true.
-TRUE: Conjunction = frozenset()
 
 
 def conjunction(atoms: Iterable[LinAtom]) -> Conjunction:
@@ -216,23 +214,26 @@ def sorted_atoms(conj: Iterable[LinAtom]) -> list[LinAtom]:
     return sorted(conj)
 
 
-def conjunction_variables(conj: Iterable[LinAtom]) -> frozenset[str]:
-    out: set[str] = set()
-    for a in conj:
-        out |= a.expr.variables()
-    return frozenset(out)
-
-
-def rename_expr(expr: LinExpr, mapping: Mapping[str, str]) -> LinExpr:
+def substitute(expr: LinExpr, mapping: Mapping[str, ExprLike]) -> LinExpr:
+    """Replace every variable of `mapping` by its image (a variable
+    name, a number or an expression), all at once, so images are never
+    substituted into again."""
     coeffs: dict[str, int] = {}
+    const = expr.const
     for v, c in expr.terms:
-        w = mapping.get(v, v)
-        coeffs[w] = coeffs.get(w, 0) + c
-    return LinExpr.build(coeffs, expr.const)
+        image = mapping.get(v, v)
+        if isinstance(image, str):
+            coeffs[image] = coeffs.get(image, 0) + c
+            continue
+        image = to_expr(image)
+        const += c * image.const
+        for w, d in image.terms:
+            coeffs[w] = coeffs.get(w, 0) + c * d
+    return LinExpr.build(coeffs, const)
 
 
 def rename(conj: Iterable[LinAtom], mapping: Mapping[str, str]) -> Conjunction:
-    return conjunction(make_atom(rename_expr(a.expr, mapping), a.rel) for a in conj)
+    return conjunction(make_atom(substitute(a.expr, mapping), a.rel) for a in conj)
 
 
 class _CapExceeded(Exception):
@@ -368,9 +369,7 @@ def implies(conj: Iterable[LinAtom], atom: LinAtom) -> bool:
     if atom_is_true(atom):
         return True
     if atom.rel == EQ:
-        return implies(conj, make_atom(atom.expr, LE)) and implies(
-            conj, make_atom(-atom.expr, LE)
-        )
+        return all(implies(conj, half) for half in weak_halves(atom))
     refuter = negate_atom(atom)
     verdict = _solve_sat(conjunction([*conj, refuter]))
     if verdict is None:
@@ -381,10 +380,6 @@ def implies(conj: Iterable[LinAtom], atom: LinAtom) -> bool:
 def implies_all(conj: Iterable[LinAtom], atoms: Iterable[LinAtom]) -> bool:
     conj = frozenset(conj)
     return all(implies(conj, a) for a in sorted_atoms(atoms))
-
-
-def equivalent(a: Iterable[LinAtom], b: Iterable[LinAtom]) -> bool:
-    return implies_all(a, b) and implies_all(b, a)
 
 
 def project_or_none(conj: Iterable[LinAtom], keep: Iterable[str]) -> Optional[Conjunction]:

@@ -31,12 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .constraints import (
     EQ,
     FALSE,
-    LE,
     Conjunction,
     LinAtom,
     LinExpr,
@@ -49,15 +48,15 @@ from .constraints import (
     atom_lt,
     conjunction,
     is_satisfiable,
-    make_atom,
     negate_atom,
     project_or_none,
     rename,
     simplify,
     sorted_atoms,
+    weak_halves,
 )
 from .graph import LoopInfo
-from .modes import ModeAssignment, clause_applicable, mode_meet
+from .modes import ModeAssignment, clause_applicable
 from .syntax import (
     Clause,
     Comparison,
@@ -71,7 +70,9 @@ from .syntax import (
     UserAtom,
     Var,
     clause_vars,
+    is_equality_pair,
     literal_terms,
+    mode_meet,
     rename_clause,
     term_vars,
     unify_atoms,
@@ -278,37 +279,43 @@ def collect_comparisons(
     return out
 
 
-def _alias_classes(clause: Clause) -> dict[str, tuple[str, ...]]:
-    """Variable name -> its equality class, read from adjacent
-    ``>=``/``=<`` pairs (the normalized spelling of ``=``)."""
-    parent: dict[str, str] = {}
+class _Classes:
+    """Union-find over ordered items; a class is represented by its
+    least member."""
 
-    def find(x: str) -> str:
+    def __init__(self):
+        self.parent: dict = {}
+
+    def find(self, x):
+        parent = self.parent
         while parent.get(x, x) != x:
             parent[x] = parent.get(parent[x], parent[x])
             x = parent[x]
         return x
 
-    body = clause.body
-    for k in range(len(body) - 1):
-        lit, partner = body[k], body[k + 1]
-        if not (isinstance(lit, Comparison) and isinstance(partner, Comparison)):
-            continue
-        if {lit.op, partner.op} != {">=", "=<"}:
-            continue
-        same = (partner.lhs, partner.rhs) == (lit.lhs, lit.rhs)
-        flipped = (partner.lhs, partner.rhs) == (lit.rhs, lit.lhs)
-        if not (same or flipped):
-            continue
-        if isinstance(lit.lhs, Var) and isinstance(lit.rhs, Var):
-            a, b = find(lit.lhs.name), find(lit.rhs.name)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
+    def union(self, a, b) -> None:
+        a, b = self.find(a), self.find(b)
+        if a != b:
+            self.parent[max(a, b)] = min(a, b)
+
+    def classes(self, items: Iterable) -> list[tuple]:
+        """The classes of `items`, each in the given order, ordered by
+        their first member."""
+        out: dict = {}
+        for x in items:
+            out.setdefault(self.find(x), []).append(x)
+        return [tuple(members) for members in out.values()]
+
+
+def _alias_classes(clause: Clause) -> dict[str, tuple[str, ...]]:
+    """Variable name -> its equality class, read from adjacent
+    ``>=``/``=<`` pairs (the normalized spelling of ``=``)."""
+    aliases = _Classes()
+    for lit, partner in zip(clause.body, clause.body[1:]):
+        if is_equality_pair(lit, partner) and isinstance(lit.lhs, Var) and isinstance(lit.rhs, Var):
+            aliases.union(lit.lhs.name, lit.rhs.name)
     names = sorted({x.name for x in clause_vars(clause)})
-    classes: dict[str, list[str]] = {}
-    for v in names:
-        classes.setdefault(find(v), []).append(v)
-    return {v: tuple(classes[find(v)]) for v in names}
+    return {v: members for members in aliases.classes(names) for v in members}
 
 
 def collect_answer_comparisons(loop: LoopInfo, modes: ModeAssignment) -> ComparisonSet:
@@ -368,18 +375,6 @@ def _comparison_shape(atom: LinAtom) -> bool:
     return False
 
 
-def _split_shaped(conj: Conjunction) -> list[LinAtom]:
-    out: list[LinAtom] = []
-    for atom in sorted_atoms(conj):
-        halves = (
-            [make_atom(atom.expr, LE), make_atom(-atom.expr, LE)]
-            if atom.rel == EQ
-            else [atom]
-        )
-        out.extend(h for h in halves if _comparison_shape(h))
-    return out
-
-
 def infer_comparisons(
     loop: LoopInfo,
     modes: ModeAssignment,
@@ -414,14 +409,25 @@ def infer_comparisons(
                     " falling back to its collected comparisons"
                 )
         elif FALSE not in projected:
-            for atom in _split_shaped(projected):
-                _add_atom(found, atom)
+            for atom in sorted_atoms(projected):
+                for half in weak_halves(atom):
+                    if _comparison_shape(half):
+                        _add_atom(found, half)
         out[clause.key] = frozenset(found)
     return out
 
 
 # ---------------------------------------------------------------------------
 # The partition.
+
+
+def sign_pieces(atoms: Sequence[LinAtom], within: Iterable[LinAtom] = ()) -> Iterator[Conjunction]:
+    """`within` conjoined with each sign assignment of `atoms` (every
+    atom or its negation), all-true first.  Unsatisfiable pieces are
+    yielded too; callers test satisfiability."""
+    within = list(within)
+    for signs in product((True, False), repeat=len(atoms)):
+        yield conjunction(within + [a if s else negate_atom(a) for a, s in zip(atoms, signs)])
 
 
 def build_domain(comparisons: ComparisonSet, cap: int = COMPARISON_CAP) -> Domain:
@@ -441,15 +447,7 @@ def build_domain(comparisons: ComparisonSet, cap: int = COMPARISON_CAP) -> Domai
                 f"comparison set of {name}/{arity} has {len(atoms)} atoms,"
                 f" past the configured cap of {cap}"
             )
-        elements: list[Conjunction] = []
-        for signs in product((True, False), repeat=len(atoms)):
-            conj = conjunction(
-                a if s else negate_atom(a) for a, s in zip(atoms, signs)
-            )
-            if FALSE in conj or not is_satisfiable(conj):
-                continue
-            elements.append(simplify(conj))
-        out[key] = tuple(elements)
+        out[key] = tuple(simplify(p) for p in sign_pieces(atoms) if is_satisfiable(p))
     return out
 
 
@@ -507,53 +505,27 @@ def influence_components(loop: LoopInfo, key: PredKey) -> tuple[tuple[int, ...],
     exchange values: positions are linked when some loop clause connects
     their variables through a chain of ``is/2`` or comparison literals,
     or mentions one variable at both positions."""
-    arity = key[1]
-    links: set[tuple[int, int]] = set()
+    positions = _Classes()
     for clause in loop.clauses:
-        parent: dict[str, str] = {}
-
-        def find(x: str) -> str:
-            while parent.get(x, x) != x:
-                parent[x] = parent.get(parent[x], parent[x])
-                x = parent[x]
-            return x
-
+        linked = _Classes()
         for lit in clause.body:
             if isinstance(lit, (Is, Comparison)):
                 names = sorted(
                     v.name for t in literal_terms(lit) for v in term_vars(t)
                 )
                 for other in names[1:]:
-                    a, b = find(names[0]), find(other)
-                    if a != b:
-                        parent[max(a, b)] = min(a, b)
+                    linked.union(names[0], other)
         occurrences: list[tuple[int, str]] = []
         atoms = [clause.head] if clause.head.key == key else []
         atoms += [l for l in clause.body if isinstance(l, UserAtom) and l.key == key]
         for atom in atoms:
             for j, arg in enumerate(atom.args):
                 if isinstance(arg, Var):
-                    occurrences.append((j, find(arg.name)))
+                    occurrences.append((j, linked.find(arg.name)))
         for (j, a), (k, b) in combinations(occurrences, 2):
             if a == b and j != k:
-                links.add((min(j, k), max(j, k)))
-
-    group = list(range(arity))
-
-    def root(j: int) -> int:
-        while group[j] != j:
-            group[j] = group[group[j]]
-            j = group[j]
-        return j
-
-    for j, k in sorted(links):
-        a, b = root(j), root(k)
-        if a != b:
-            group[max(a, b)] = min(a, b)
-    buckets: dict[int, list[int]] = {}
-    for j in range(arity):
-        buckets.setdefault(root(j), []).append(j)
-    return tuple(tuple(buckets[r]) for r in sorted(buckets))
+                positions.union(j, k)
+    return tuple(positions.classes(range(key[1])))
 
 
 def extend_domain(domain: Domain, loop: LoopInfo) -> ExtendedDomain:
@@ -591,9 +563,8 @@ def extend_domain(domain: Domain, loop: LoopInfo) -> ExtendedDomain:
             for partial in working:
                 for element in copy:
                     candidate = conjunction(partial | element)
-                    if FALSE in candidate or not is_satisfiable(candidate):
-                        continue
-                    merged.append(candidate)
+                    if is_satisfiable(candidate):
+                        merged.append(candidate)
             if len(merged) > PRODUCT_CAP:
                 notes.append(
                     f"{name}/{arity}: propagated domain grew past"

@@ -40,7 +40,6 @@ from .pairs import (
     CANDIDATE_CAP,
     PAIR_CAP,
     PairCapExceeded,
-    PairProof,
     compose_until_fixpoint,
     generate_pairs,
     is_circular,
@@ -48,7 +47,7 @@ from .pairs import (
     prove_pair,
     render_pair,
 )
-from .syntax import Program, QueryPattern, UserAtom
+from .syntax import Clause, Program, QueryPattern, UserAtom
 
 YES = "YES"
 NO = "NO"
@@ -173,18 +172,24 @@ class _ProgramStages:
 
     def unfolded(self) -> "_ProgramStages":
         """The program with the first in-loop body atom of each recursive
-        clause unfolded once, last clause first so that unfolding one
-        clause does not shift the next."""
+        clause unfolded once.  Every clause is resolved against this
+        program, never against clauses rewritten in the same step, so
+        one step replaces a clause by at most as many resolvents as its
+        selected atom has clauses."""
         component = {key: loop.predicates for loop in self.loops for key in loop.predicates}
-        program = self.program
-        for i in reversed(range(len(program.clauses))):
-            clause = self.program.clauses[i]
+        clauses: list[Clause] = []
+        for i, clause in enumerate(self.program.clauses):
             preds = component.get(clause.key, ())
             for j, lit in enumerate(clause.body):
                 if isinstance(lit, UserAtom) and lit.key in preds:
-                    program = unfold_once(program, i, j)
+                    # unfold_once keeps the clauses after i at the end.
+                    resolved = unfold_once(self.program, i, j).clauses
+                    after = len(self.program.clauses) - i - 1
+                    clauses.extend(resolved[i : len(resolved) - after])
                     break
-        return _ProgramStages(program, self.pattern)
+            else:
+                clauses.append(clause)
+        return _ProgramStages(Program(tuple(clauses)), self.pattern)
 
 
 def _query_domains(stages: _ProgramStages, options: AnalysisOptions, prefer_inference):

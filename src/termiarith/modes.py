@@ -46,23 +46,19 @@ from .syntax import (
     PredKey,
     Program,
     QueryPattern,
+    Term,
     TrueLit,
     Unify,
     UserAtom,
     Var,
+    is_equality_pair,
     literal_terms,
     literal_text,
     mode_join,
+    mode_meet,
     survey_arith,
     term_vars,
 )
-
-_RANK = {MODE_INT: 0, MODE_BOUND: 1, MODE_FREE: 2}
-
-
-def mode_meet(a: str, b: str) -> str:
-    """The stronger of two modes (i beats b beats f)."""
-    return a if _RANK[a] <= _RANK[b] else b
 
 
 def clause_applicable(clause: Clause, call_modes: tuple[str, ...]) -> bool:
@@ -112,9 +108,6 @@ class ModeAssignment:
             out = [mode_meet(m, d) for m, d in zip(out, self.pattern.modes)]
         return tuple(out)
 
-    def mode(self, key: PredKey, pos: int) -> str:
-        return self.modes_of(key)[pos]
-
     def integer_positions(self, key: PredKey) -> tuple[int, ...]:
         return tuple(p for p, m in enumerate(self.modes_of(key)) if m == MODE_INT)
 
@@ -153,6 +146,9 @@ class _Engine:
         self.si: dict[PredKey, list[str]] = {}
         self.conflicts: list[str] = []
         self.violations: list[IntViolation] = []
+        # (callee, argument states, argument terms) of every user call
+        # in an applicable clause of a walked predicate, after the fixpoint.
+        self.call_sites: list[tuple[PredKey, tuple[str, ...], tuple[Term, ...]]] = []
         self.callers: dict[PredKey, set[PredKey]] = {}
         edges = _call_edges(program)
         for caller, callees in edges.items():
@@ -165,11 +161,7 @@ class _Engine:
                 if any(isinstance(l, (Is, Comparison)) for l in c.body)
             }
             relevant = _reach(numeric, edges)
-            reverse: dict[PredKey, set[PredKey]] = {}
-            for caller, callees in edges.items():
-                for callee in callees:
-                    reverse.setdefault(callee, set()).add(caller)
-            self.walk_set = relevant | _reach(relevant, reverse)
+            self.walk_set = relevant | _reach(relevant, self.callers)
         else:
             self.walk_set = set(program.index) | set(edges)
 
@@ -297,15 +289,7 @@ class _Engine:
             if isinstance(lit, TrueLit) or isinstance(lit, Disunify):
                 k += 1
             elif isinstance(lit, Comparison):
-                partner = body[k + 1] if k + 1 < len(body) else None
-                if (
-                    isinstance(partner, Comparison)
-                    and {lit.op, partner.op} == {">=", "=<"}
-                    and (
-                        (partner.lhs, partner.rhs) == (lit.lhs, lit.rhs)
-                        or (partner.lhs, partner.rhs) == (lit.rhs, lit.lhs)
-                    )
-                ):
+                if is_equality_pair(lit, body[k + 1] if k + 1 < len(body) else None):
                     met = mode_meet(term_state(lit.lhs), term_state(lit.rhs))
                     met = mode_meet(met, MODE_BOUND)
                     if met != MODE_INT:
@@ -369,7 +353,10 @@ class _Engine:
                 if key not in self.walk_set:
                     continue
                 details: list[str] = []
-                self._walk(clause, call_modes, sink=details)
+                _, calls = self._walk(clause, call_modes, sink=details)
+                call_literals = [l for l in clause.body if isinstance(l, UserAtom)]
+                for (callee, states), lit in zip(calls, call_literals):
+                    self.call_sites.append((callee, states, lit.args))
                 for text in self._float_scan(clause):
                     details.append(text)
                 seen = set()
@@ -425,36 +412,18 @@ class _Engine:
             typed[key] = tuple(flags)
 
         # Call sites can push non-integer values into a position.
-        for caller in sorted(self.cm):
-            if caller not in self.program.index or caller not in self.walk_set:
+        for callee, arg_states, args in self.call_sites:
+            if callee not in typed:
                 continue
-            call_modes = tuple(self.cm[caller])
-            for index in self.program.index[caller]:
-                clause = self.program.clauses[index]
-                if not clause_applicable(clause, call_modes):
-                    continue
-                for callee, arg_states, args in self._call_states(clause, call_modes):
-                    if callee not in typed:
-                        continue
-                    flags = list(typed[callee])
-                    for pos, (s, arg) in enumerate(zip(arg_states, args)):
-                        if isinstance(arg, Var):
-                            if s not in (MODE_INT, MODE_FREE):
-                                flags[pos] = False
-                        elif not isinstance(arg, IntConst):
-                            flags[pos] = False
-                    typed[callee] = tuple(flags)
+            flags = list(typed[callee])
+            for pos, (s, arg) in enumerate(zip(arg_states, args)):
+                if isinstance(arg, Var):
+                    if s not in (MODE_INT, MODE_FREE):
+                        flags[pos] = False
+                elif not isinstance(arg, IntConst):
+                    flags[pos] = False
+            typed[callee] = tuple(flags)
         return typed
-
-    def _call_states(self, clause: Clause, head_modes: tuple[str, ...]):
-        """Replay the walk, yielding (callee, argument states, argument
-        terms) for every user call in the clause, in body order."""
-        _, calls = self._walk(clause, head_modes)
-        call_literals = [l for l in clause.body if isinstance(l, UserAtom)]
-        return [
-            (key, modes, lit.args)
-            for (key, modes), lit in zip(calls, call_literals)
-        ]
 
 
 def infer_argument_modes(

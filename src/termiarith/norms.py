@@ -33,6 +33,8 @@ from .constraints import (
     project,
     simplify,
     sorted_atoms,
+    substitute,
+    weak_halves,
 )
 from .graph import build_dependency_graph, strongly_connected_components
 from .modes import ModeAssignment, clause_applicable
@@ -71,16 +73,9 @@ def term_size(term: Term) -> LinExpr:
     return LinExpr.of(0)
 
 
-def _subst_all(expr: LinExpr, mapping: Mapping[str, LinExpr]) -> LinExpr:
-    out = expr
-    for name, replacement in mapping.items():
-        out = out.substitute(name, replacement)
-    return out
-
-
 def _instantiate(rel: Conjunction, args: tuple[Term, ...]) -> list[LinAtom]:
     mapping = {size_var(k): term_size(arg) for k, arg in enumerate(args)}
-    return [make_atom(_subst_all(a.expr, mapping), a.rel) for a in rel]
+    return [make_atom(substitute(a.expr, mapping), a.rel) for a in rel]
 
 
 def _nonneg_sizes(clause: Clause) -> list[LinAtom]:
@@ -110,25 +105,23 @@ def _clause_projection(
     return project(conj, keep)
 
 
-def _eq_halves(atom: LinAtom) -> list[LinAtom]:
-    if atom.rel != EQ:
-        return [atom]
-    return [make_atom(atom.expr, "=<"), make_atom(-atom.expr, "=<"), atom]
-
-
-def _join(projections: list[Conjunction], previous: Optional[Conjunction]) -> Conjunction:
-    candidates: set[LinAtom] = set()
-    for proj in projections:
-        for atom in proj:
-            candidates.update(_eq_halves(atom))
-    if previous is not None:
-        candidates.update(previous)
+def _common(candidates: Iterable[LinAtom], projections: list[Conjunction]) -> Conjunction:
+    """The candidates every projection implies, simplified."""
     kept = [
         atom
         for atom in sorted_atoms(candidates)
         if all(implies(proj, atom) for proj in projections)
     ]
     return simplify(conjunction(kept))
+
+
+def _join(projections: list[Conjunction], previous: Optional[Conjunction]) -> Conjunction:
+    candidates: set[LinAtom] = set(previous or ())
+    for proj in projections:
+        for atom in proj:
+            candidates.add(atom)
+            candidates.update(weak_halves(atom))
+    return _common(candidates, projections)
 
 
 def infer_size_relations(
@@ -166,12 +159,7 @@ def infer_size_relations(
                 else:
                     # Widen: only drop no-longer-implied atoms, so the
                     # iteration cannot oscillate.
-                    kept = [
-                        atom
-                        for atom in sorted_atoms(previous)
-                        if all(implies(proj, atom) for proj in projections)
-                    ]
-                    new = simplify(conjunction(kept))
+                    new = _common(previous, projections)
                 if new != previous:
                     table[key] = new
                     changed = True

@@ -18,11 +18,11 @@ from domain to range."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping as MappingType, Optional, Sequence
+from functools import partial
+from typing import Callable, Iterable, Mapping as MappingType, Optional, Sequence
 
-from .answers import AnswerTable, instantiate_element
+from .answers import AnswerTable, answer_choices, instantiate_element
 from .constraints import (
-    FALSE,
     LE,
     LT,
     Conjunction,
@@ -35,10 +35,10 @@ from .constraints import (
     is_satisfiable,
     make_atom,
     rename,
-    rename_expr,
     render_conjunction,
     render_expr,
     sorted_atoms,
+    substitute,
 )
 from .domain import (
     Domain,
@@ -47,7 +47,7 @@ from .domain import (
     linear_term,
     position_var,
 )
-from .modes import ModeAssignment, clause_applicable, mode_meet
+from .modes import ModeAssignment, clause_applicable
 from .norms import call_size_var, head_call_sizes, head_size_var, infer_size_relations
 from .syntax import (
     Clause,
@@ -62,6 +62,7 @@ from .syntax import (
     QueryPattern,
     Term,
     UserAtom,
+    mode_meet,
     term_vars,
 )
 
@@ -195,22 +196,10 @@ def _relation_atoms(mapping: Mapping) -> list[LinAtom]:
     """The mapping's integer edges and arcs as constraints over the
     d1../r1.. row variables (norm relations carry no value atoms)."""
     atoms: list[LinAtom] = []
-    for a, b in sorted(mapping.edges, key=lambda e: tuple(map(_node_key, e))):
-        if a.mode == MODE_INT and b.mode == MODE_INT:
-            atoms.append(
-                atom_eq(
-                    LinExpr.var(_row_var(a.row, a.position)),
-                    LinExpr.var(_row_var(b.row, b.position)),
-                )
-            )
-    for a, b in sorted(mapping.arcs, key=lambda e: tuple(map(_node_key, e))):
-        if a.mode == MODE_INT and b.mode == MODE_INT:
-            atoms.append(
-                atom_gt(
-                    LinExpr.var(_row_var(a.row, a.position)),
-                    LinExpr.var(_row_var(b.row, b.position)),
-                )
-            )
+    for relations, relate in ((mapping.edges, atom_eq), (mapping.arcs, atom_gt)):
+        for a, b in sorted(relations, key=lambda e: tuple(map(_node_key, e))):
+            if a.mode == MODE_INT and b.mode == MODE_INT:
+                atoms.append(relate(_row_var(a.row, a.position), _row_var(b.row, b.position)))
     return atoms
 
 
@@ -221,38 +210,6 @@ def _relation_atoms(mapping: Mapping) -> list[LinAtom]:
 def _guard_atoms(literal) -> list[LinAtom]:
     clause = Clause(UserAtom("true", ()), (literal,))
     return body_constraint_atoms(clause)
-
-
-def _answer_options(
-    atom: UserAtom, answers: MappingType[PredKey, tuple]
-) -> list[list[LinAtom]]:
-    entries = answers.get(atom.key)
-    if not entries:
-        return [[]]
-    return [instantiate_element(entry.element, atom.args) for entry in entries]
-
-
-def _prefix_choices(
-    base: Conjunction,
-    priors: Sequence[UserAtom],
-    answers: MappingType[PredKey, tuple],
-) -> Iterator[Conjunction]:
-    """The base constraint extended by every consistent choice of answer
-    elements for the calls preceding the selected atom."""
-
-    def extend(index: int, conj: Conjunction) -> Iterator[Conjunction]:
-        if index == len(priors):
-            yield conj
-            return
-        for atoms in _answer_options(priors[index], answers):
-            grown = conjunction(conj | frozenset(atoms))
-            if FALSE in grown or not is_satisfiable(grown):
-                continue
-            yield from extend(index + 1, grown)
-
-    if FALSE in base or not is_satisfiable(base):
-        return
-    yield from extend(0, base)
 
 
 def _value_bindings(modes: Sequence[str], args: Sequence[Term], row: str) -> list[LinAtom]:
@@ -266,22 +223,28 @@ def _value_bindings(modes: Sequence[str], args: Sequence[Term], row: str) -> lis
     return atoms
 
 
-def _numeric_relations(
+def _relations(
     constraint: Conjunction,
+    mode: str,
     domain_modes: Sequence[str],
     range_modes: Sequence[str],
+    domain_var: Callable[[int], str],
+    range_var: Callable[[int], str],
 ) -> tuple[set[Relation], set[Relation]]:
+    """Edges and arcs between the `mode` positions of the two rows that
+    the constraint implies, position values being named by `domain_var`
+    and `range_var`: values for i positions, term sizes for b ones."""
     edges: set[Relation] = set()
     arcs: set[Relation] = set()
     for i, dmode in enumerate(domain_modes):
-        if dmode != MODE_INT:
+        if dmode != mode:
             continue
-        dvar = LinExpr.var(_row_var(ROW_DOMAIN, i))
+        dvar = LinExpr.var(domain_var(i))
         dnode = Node(i, dmode, ROW_DOMAIN)
         for j, rmode in enumerate(range_modes):
-            if rmode != MODE_INT:
+            if rmode != mode:
                 continue
-            rvar = LinExpr.var(_row_var(ROW_RANGE, j))
+            rvar = LinExpr.var(range_var(j))
             rnode = Node(j, rmode, ROW_RANGE)
             if implies(constraint, atom_eq(dvar, rvar)):
                 edges.add((dnode, rnode))
@@ -289,39 +252,6 @@ def _numeric_relations(
                 arcs.add((dnode, rnode))
             elif implies(constraint, atom_gt(rvar, dvar)):
                 arcs.add((rnode, dnode))
-    return edges, arcs
-
-
-def _norm_relations(
-    clause: Clause,
-    call_index: int,
-    size_table,
-    domain_modes: Sequence[str],
-    range_modes: Sequence[str],
-) -> tuple[set[Relation], set[Relation]]:
-    """Term-size edges and arcs between instantiated positions, using
-    the sizes implied by the clause and the calls before the selected
-    one."""
-    sizes = head_call_sizes(clause, call_index, size_table)
-    edges: set[Relation] = set()
-    arcs: set[Relation] = set()
-    for i, dmode in enumerate(domain_modes):
-        if dmode == MODE_FREE:
-            continue
-        hvar = LinExpr.var(head_size_var(i))
-        dnode = Node(i, dmode, ROW_DOMAIN)
-        for j, rmode in enumerate(range_modes):
-            if rmode == MODE_FREE:
-                continue
-            cvar = LinExpr.var(call_size_var(j))
-            rnode = Node(j, rmode, ROW_RANGE)
-            if dmode == MODE_BOUND and rmode == MODE_BOUND:
-                if implies(sizes, atom_eq(hvar, cvar)):
-                    edges.add((dnode, rnode))
-                elif implies(sizes, atom_gt(hvar, cvar)):
-                    arcs.add((dnode, rnode))
-                elif implies(sizes, atom_gt(cvar, hvar)):
-                    arcs.add((rnode, dnode))
     return edges, arcs
 
 
@@ -372,7 +302,9 @@ def generate_pairs(
                 base_atoms += _value_bindings(domain_modes, clause.head.args, ROW_DOMAIN)
                 base_atoms += instantiate_element(query.constraint, clause.head.args)
             base = conjunction(base_atoms)
-            priors: list[UserAtom] = []
+            # The calls before the selected one, each with its answer
+            # elements; a call with none constrains nothing.
+            priors: list[tuple[UserAtom, Sequence[Conjunction]]] = []
             guards: list[LinAtom] = []
             for index, literal in enumerate(clause.body):
                 if not isinstance(literal, UserAtom):
@@ -380,8 +312,15 @@ def generate_pairs(
                         guards.extend(_guard_atoms(literal))
                     continue
                 range_modes = effective_call_modes(literal.key, modes)
-                norm_edges, norm_arcs = _norm_relations(
-                    clause, index, size_table, domain_modes, range_modes
+                # Term sizes implied by the clause and the calls before
+                # the selected one.
+                norm_edges, norm_arcs = _relations(
+                    head_call_sizes(clause, index, size_table),
+                    MODE_BOUND,
+                    domain_modes,
+                    range_modes,
+                    head_size_var,
+                    call_size_var,
                 )
                 prefix = conjunction(base | frozenset(guards)) if numeric else base
                 bindings = (
@@ -389,22 +328,27 @@ def generate_pairs(
                     if numeric
                     else []
                 )
-                for chosen in _prefix_choices(prefix, priors if numeric else [], answers):
+                for chosen in answer_choices(prefix, priors):
                     grown = conjunction(chosen | frozenset(bindings))
-                    if FALSE in grown or not is_satisfiable(grown):
+                    if not is_satisfiable(grown):
                         continue
                     for d_elem, d_row in row_options(query.key, ROW_DOMAIN):
                         with_domain = conjunction(grown | d_row)
-                        if FALSE in with_domain or not is_satisfiable(with_domain):
+                        if not is_satisfiable(with_domain):
                             continue
                         for r_elem, r_row in row_options(literal.key, ROW_RANGE):
                             full = conjunction(with_domain | r_row)
-                            if FALSE in full or not is_satisfiable(full):
+                            if not is_satisfiable(full):
                                 continue
                             edges, arcs = set(norm_edges), set(norm_arcs)
                             if numeric:
-                                value_edges, value_arcs = _numeric_relations(
-                                    full, domain_modes, range_modes
+                                value_edges, value_arcs = _relations(
+                                    full,
+                                    MODE_INT,
+                                    domain_modes,
+                                    range_modes,
+                                    partial(_row_var, ROW_DOMAIN),
+                                    partial(_row_var, ROW_RANGE),
                                 )
                                 edges |= value_edges
                                 arcs |= value_arcs
@@ -429,7 +373,10 @@ def generate_pairs(
                             if range_atom not in seen:
                                 seen.add(range_atom)
                                 queue.append(range_atom)
-                priors.append(literal)
+                if numeric:
+                    entries = answers.get(literal.key)
+                    elements = [e.element for e in entries] if entries else [frozenset()]
+                    priors.append((literal, elements))
     return frozenset(pairs)
 
 
@@ -507,7 +454,7 @@ def _compose_blocks(
 ) -> Optional[QueryMappingPair]:
     """`compose_pair` for chaining pairs, given their `_chain_blocks`."""
     combined = conjunction(as_first | as_second)
-    if FALSE in combined or not is_satisfiable(combined):
+    if not is_satisfiable(combined):
         return None
     left = _half_relations(first.mapping, ROW_RANGE)
     right = _half_relations(second.mapping, ROW_DOMAIN)
@@ -676,8 +623,8 @@ def verify_decrease(pair: QueryMappingPair, function: TerminationFunction) -> bo
     constraints += list(rename(pair.mapping.range_constraint, u))
     constraints += list(rename(conjunction(_relation_atoms(pair.mapping)), rows))
     collection = conjunction(constraints)
-    f_domain = rename_expr(function.expr, v)
-    f_range = rename_expr(function.expr, u)
+    f_domain = substitute(function.expr, v)
+    f_range = substitute(function.expr, u)
     decrease = make_atom(f_range - f_domain, LT)
     bounded = make_atom(LinExpr.of(function.lower_bound) - f_domain, LE)
     return implies(collection, decrease) and implies(collection, bounded)

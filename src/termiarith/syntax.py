@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 MODE_INT = "i"
 MODE_BOUND = "b"
@@ -27,13 +27,14 @@ MODE_FREE = "f"
 _MODE_RANK = {MODE_INT: 0, MODE_BOUND: 1, MODE_FREE: 2}
 
 
-def mode_leq(a: str, b: str) -> bool:
-    """Mode lattice order: i below b below f."""
-    return _MODE_RANK[a] <= _MODE_RANK[b]
-
-
 def mode_join(a: str, b: str) -> str:
+    """The weaker of two modes (f beats b beats i)."""
     return a if _MODE_RANK[a] >= _MODE_RANK[b] else b
+
+
+def mode_meet(a: str, b: str) -> str:
+    """The stronger of two modes (i beats b beats f)."""
+    return a if _MODE_RANK[a] <= _MODE_RANK[b] else b
 
 
 PredKey = tuple[str, int]
@@ -498,9 +499,23 @@ def apply_subst_clause(clause: Clause, subst: Subst) -> Clause:
     return Clause(head, tuple(apply_subst_literal(l, subst) for l in clause.body))
 
 
+def _occurs(var: Var, term: Term, subst: Subst) -> bool:
+    """Does `var` occur in `term` under the substitution?"""
+    stack = [term]
+    while stack:
+        t = walk(stack.pop(), subst)
+        if t == var:
+            return True
+        if isinstance(t, Compound):
+            stack.extend(t.args)
+    return False
+
+
 def unify(a: Term, b: Term, subst: Optional[Subst] = None) -> Optional[Subst]:
-    """Syntactic unification (no occurs check), returning an extended
-    substitution or None."""
+    """Syntactic unification with the occurs check, returning an
+    extended substitution or None.  A variable never gets bound to a
+    term that contains it, so `Z` and `f(Z)` do not unify and every
+    substitution returned is acyclic."""
     subst = dict(subst) if subst else {}
     stack = [(a, b)]
     while stack:
@@ -510,8 +525,12 @@ def unify(a: Term, b: Term, subst: Optional[Subst] = None) -> Optional[Subst]:
         if x == y:
             continue
         if isinstance(x, Var):
+            if _occurs(x, y, subst):
+                return None
             subst[x] = y
         elif isinstance(y, Var):
+            if _occurs(y, x, subst):
+                return None
             subst[y] = x
         elif (
             isinstance(x, Compound)
@@ -545,6 +564,17 @@ def rename_clause(clause: Clause, suffix: str) -> Clause:
 
 def is_numeric_operand(term: Term) -> bool:
     return isinstance(term, (Var, IntConst))
+
+
+def is_equality_pair(lit: Literal, partner: Optional[Literal]) -> bool:
+    """Are two adjacent body literals the ``>=``/``=<`` pair that
+    `normalize_program` writes for a numeric ``=``?"""
+    return (
+        isinstance(lit, Comparison)
+        and isinstance(partner, Comparison)
+        and {lit.op, partner.op} == {">=", "=<"}
+        and (partner.lhs, partner.rhs) in ((lit.lhs, lit.rhs), (lit.rhs, lit.lhs))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -685,18 +715,6 @@ def literal_text(literal: Literal) -> str:
     if isinstance(literal, Disunify):
         return f"{term_text(literal.lhs)} \\= {term_text(literal.rhs)}"
     return "true"
-
-
-def clause_text(clause: Clause) -> str:
-    head = literal_text(clause.head)
-    if not clause.body:
-        return f"{head}."
-    body = ", ".join(literal_text(l) for l in clause.body)
-    return f"{head} :- {body}."
-
-
-def program_text(program: Program) -> str:
-    return "\n".join(clause_text(c) for c in program.clauses) + "\n"
 
 
 # ---------------------------------------------------------------------------

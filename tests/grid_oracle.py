@@ -12,6 +12,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from helpers import conjunction_variables
 from termiarith import constraints as lc
 
 
@@ -55,7 +56,7 @@ def grid_satisfiable(
 ) -> bool:
     """Does some integer point of [lo,hi]^n satisfy conj?"""
     if variables is None:
-        variables = lc.conjunction_variables(conj)
+        variables = conjunction_variables(conj)
     names = sorted(set(variables))
     if not names:
         return all(lc.atom_is_true(a) for a in conj)
@@ -66,7 +67,7 @@ def grid_counterexample(
     conj: lc.Conjunction, atom: lc.LinAtom, lo: int = -60, hi: int = 60
 ) -> bool:
     """Does some grid point satisfy conj but violate atom?"""
-    names = sorted(lc.conjunction_variables(conj) | atom.expr.variables())
+    names = sorted(conjunction_variables(conj) | atom.expr.variables())
     if not names:
         return all(lc.atom_is_true(a) for a in conj) and not lc.atom_is_true(atom)
     grids = np.meshgrid(
@@ -90,7 +91,7 @@ def interval_satisfiable(conj: lc.Conjunction) -> Optional[bool]:
     terms means c*x <= -k - 1 over the integers, and everything else is
     closed rational interval arithmetic with Fraction endpoints.
     """
-    names = sorted(lc.conjunction_variables(conj))
+    names = sorted(conjunction_variables(conj))
     if len(names) != 1:
         return None
     var = names[0]

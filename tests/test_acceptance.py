@@ -13,6 +13,7 @@ import numpy as np
 
 from conftest import corpus_program
 from meta_interp import BudgetExceeded, run_query
+from option_digests import DIGESTS, corpus_digests
 
 from termiarith.answers import build_answer_domain, compute_abstract_answers
 from termiarith.constraints import (
@@ -342,3 +343,10 @@ def test_ac13_corpus_reports_match_the_golden_files():
             if report.encode() != path.read_bytes():
                 mismatched.append(path.name)
     assert mismatched == []
+
+
+def test_ac14_corpus_reports_under_other_options_match_their_digests():
+    # One sha256 per corpus task and non-default option set, frozen by
+    # `python3 tests/option_digests.py`.
+    expected = json.loads(DIGESTS.read_text())
+    assert corpus_digests(CORPUS) == expected

@@ -6,13 +6,13 @@ from itertools import product
 import pytest
 
 from conftest import corpus_program
+from helpers import widen
 
 from termiarith.answers import (
     AbstractAtom,
     build_answer_domain,
     compute_abstract_answers,
     instantiate_element,
-    widen,
 )
 from termiarith.constraints import (
     LE,

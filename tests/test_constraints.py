@@ -8,13 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import grid_oracle
+from helpers import TRUE, conjunction_variables, equivalent
 from termiarith import constraints as lc
 from termiarith.constraints import (
     EQ,
     FALSE,
     LE,
     LT,
-    TRUE,
     LinExpr,
     atom_eq,
     atom_ge,
@@ -258,7 +258,7 @@ def test_projection_preserves_satisfiability(conj):
 @given(_conjunctions())
 def test_projection_mentions_only_kept(conj):
     got = project(conj, {"X"})
-    assert lc.conjunction_variables(got) <= {"X"}
+    assert conjunction_variables(got) <= {"X"}
 
 
 @settings(deadline=None)
@@ -291,7 +291,7 @@ def test_conjunction_implies_own_atoms(conj):
     )
 )
 def test_simplify_is_equivalent(conj):
-    assert lc.equivalent(simplify(conj), lc.conjunction(conj))
+    assert equivalent(simplify(conj), lc.conjunction(conj))
 
 
 @settings(deadline=None)

@@ -10,6 +10,7 @@ from itertools import product
 import pytest
 
 from conftest import corpus_program
+from helpers import program_text
 
 from termiarith.constraints import (
     EQ,
@@ -49,7 +50,6 @@ from termiarith.syntax import (
     normalize_program,
     parse_program,
     parse_query_pattern,
-    program_text,
 )
 
 A1 = LinExpr.var("arg1")
@@ -376,6 +376,18 @@ class TestUnfold:
             "q(0) :- r(0).",
             "p(0).",
             "r(0).",
+        ]
+
+    def test_a_head_the_selected_atom_occurs_in_does_not_resolve(self):
+        # q(Z, f(Z)) against q(X, X) needs Z = f(Z); without the occurs
+        # check the cyclic binding sent apply_subst into RecursionError.
+        program = normalize_program(
+            parse_program("q(X, X).\nq(N, Y) :- N > 0, q(Z, f(Z)), q(Z, Y).\n")
+        )
+        unfolded = unfold_once(program, 1, 1)
+        assert program_text(unfolded).strip().splitlines() == [
+            "q(X, X).",
+            "q(N, Y) :- N > 0, N_u1 > 0, q(Z_u1, f(Z_u1)), q(Z_u1, f(N_u1)), q(N_u1, Y).",
         ]
 
 

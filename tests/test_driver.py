@@ -14,6 +14,7 @@ from termiarith.driver import (
     NO_HEADLINE,
     YES,
     AnalysisOptions,
+    _ProgramStages,
     analyse_termination,
     render_report,
     verdict_payload,
@@ -21,7 +22,7 @@ from termiarith.driver import (
 from termiarith.graph import find_integer_loops
 from termiarith.modes import infer_argument_modes
 from termiarith.norms import infer_size_relations
-from termiarith.syntax import parse_query_pattern
+from termiarith.syntax import normalize_program, parse_program, parse_query_pattern
 
 
 def analyse(name, query, **kwargs):
@@ -246,6 +247,49 @@ class TestStageReuse:
                         monkeypatch.setattr(module, attr, wrapper)
         analyse(name, query)
         assert calls == {stage.__name__: programs for stage in self.STAGES}
+
+
+class TestUnfoldingStep:
+    """One unfolding step resolves every recursive clause against the
+    program it starts from."""
+
+    # Three guarded decrements, the last an identity step: NO.
+    GUARDS = (
+        "g(X) :- X =< 0.\n"
+        "g(X) :- X > 0, X =< 5, Y is X - 2, g(Y).\n"
+        "g(X) :- X > 5, X =< 10, Y is X - 3, g(Y).\n"
+        "g(X) :- X > 10, Y is X, g(Y).\n"
+    )
+
+    def test_clause_count_does_not_compound(self):
+        stages = _ProgramStages(
+            corpus_program("p_difficult"), parse_query_pattern("p(i, i)")
+        )
+        # Two recursive clauses, each resolved against the three input
+        # clauses, plus the base clause; resolving against clauses
+        # already rewritten in the same step gave 9.
+        assert len(stages.program.clauses) == 3
+        assert len(stages.unfolded().program.clauses) == 7
+
+    def test_second_step_resolves_against_the_first(self):
+        program = normalize_program(parse_program(self.GUARDS))
+        first = _ProgramStages(program, parse_query_pattern("g(i)")).unfolded()
+        # 1 base clause + 3 recursive clauses x 4 resolvents.
+        assert len(first.program.clauses) == 13
+        # The 4 clauses without a recursive call stay, the 9 recursive
+        # ones each get 13 resolvents.
+        assert len(first.unfolded().program.clauses) == 4 + 9 * 13
+
+    def test_two_unfolding_rungs_answer_no(self):
+        verdict = analyse_termination(
+            normalize_program(parse_program(self.GUARDS)),
+            parse_query_pattern("g(i)"),
+            AnalysisOptions(max_unfold=2, answer_abstraction="off"),
+        )
+        assert verdict.answer == NO
+        assert verdict.diagnostics[-1] == (
+            "rung unfold x2 + inferred comparisons: 0 of 1 circular pairs proved"
+        )
 
 
 class TestResourceCaps:

@@ -1,0 +1,36 @@
+"""Every module-level import of the package is used by its module.
+
+No linter ships with the project, so this reads each source file's AST:
+a name bound by a top-level ``import``/``from ... import`` must appear
+somewhere else in the module as a name or an attribute base."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).parent.parent / "src" / "termiarith").glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def test_unused_imports_are_detected():
+    source = "import os\nfrom typing import Iterable, Optional\nx: Optional[int] = None\n"
+    assert unused_imports(source) == ["Iterable (line 2)", "os (line 1)"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_imports_are_used(path):
+    assert unused_imports(path.read_text()) == []

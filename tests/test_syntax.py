@@ -2,6 +2,7 @@
 
 import pytest
 
+from helpers import clause_text, mode_leq, program_text
 from termiarith.syntax import (
     AtomConst,
     Clause,
@@ -16,15 +17,12 @@ from termiarith.syntax import (
     Unify,
     UserAtom,
     Var,
-    clause_text,
     is_numeric_operand,
     literal_vars,
     mode_join,
-    mode_leq,
     normalize_program,
     parse_program,
     parse_query_pattern,
-    program_text,
     rename_clause,
     survey_arith,
     term_text,
@@ -219,6 +217,18 @@ class TestUnification:
 
     def test_clash(self):
         assert unify(AtomConst("a"), AtomConst("b")) is None
+
+    def test_occurs_check_rejects_a_cyclic_binding(self):
+        z = Var("Z")
+        assert unify(z, Compound("f", (z,))) is None
+        assert unify(Compound("f", (z,)), z) is None
+
+    def test_occurs_check_follows_earlier_bindings(self):
+        # X = Y, then Y = g(X): Y would contain itself through X.
+        x, y = Var("X"), Var("Y")
+        assert unify(Compound("f", (x, y)), Compound("f", (y, Compound("g", (x,))))) is None
+        g_w = Compound("g", (Var("W"),))
+        assert unify(Compound("f", (x, y)), Compound("f", (y, g_w))) == {x: g_w, y: g_w}
 
     def test_atoms_and_rename(self):
         clause = parse_program("p(X, f(X)).").clauses[0]
