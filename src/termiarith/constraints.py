@@ -4,11 +4,17 @@ This module is the arithmetic engine of the analyzer.  Everything it
 handles is a conjunction of linear atoms ``expr rel 0`` with ``rel`` one
 of ``<``, ``=<``, ``=``.  Satisfiability and projection are decided by
 Gaussian elimination of equalities followed by Fourier-Motzkin
-elimination of inequalities; implication is decided by refuting the
-negated claim.  Every atom is scaled to coprime integer coefficients,
-and both elimination phases combine two atoms with positive integer
-multipliers, so all arithmetic is on Python ints: exact, with no
-floating point and no rational numbers anywhere.
+elimination of inequalities, both in `_eliminate`; implication is
+decided by refuting the negated claim.  Every atom is scaled to coprime
+integer coefficients, and both elimination phases build each new row
+``kx*x + ky*y rel 0`` in one step (`_combine`) with integer multipliers,
+so all arithmetic is on Python ints: exact, with no floating point and
+no rational numbers anywhere.
+
+`LinExpr` and `LinAtom` are tuples, so hashing, equality and ordering
+run in C: the prover makes thousands of small solver calls, each
+building and hashing atoms by the dozen.  Their field order fixes the
+canonical order of atoms.
 
 Rational reasoning is what the callers in this package need: they rely
 only on the direction "unsatisfiable over the rationals implies
@@ -16,14 +22,19 @@ unsatisfiable over the integers".  When an elimination blows past the
 atom cap the solver reports "unknown" internally, and each public entry
 point maps that to its safe answer (satisfiable for `is_satisfiable`,
 not-implied for `implies`, a weaker conjunction for `project`).
+
+The per-layer tracer of the benchmark (`perfbench/tracer.py`) rebinds
+the six public entry points `is_satisfiable`, `implies`, `implies_all`,
+`project`, `project_or_none` and `simplify` by name, so they stay
+module-level functions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import defaultdict
 from functools import lru_cache
 from math import gcd, lcm
-from typing import FrozenSet, Iterable, Mapping, Optional, Union
+from typing import FrozenSet, Iterable, Mapping, NamedTuple, Optional, Union
 
 LT = "<"
 LE = "=<"
@@ -39,14 +50,24 @@ ATOM_LIMIT = 10_000
 #: used first out, so a long-lived process does not grow without bound.
 SAT_CACHE_SIZE = 1 << 16
 
+#: Builds a tuple subclass from its fields without a Python-level call.
+_new = tuple.__new__
 
-@dataclass(frozen=True, order=True)
-class LinExpr:
+
+def _no_arithmetic(self, other):
+    return NotImplemented
+
+
+class LinExpr(NamedTuple):
     """A linear expression: a sum of ``coeff*var`` terms plus a constant.
 
-    Terms are kept sorted by variable name with no zero coefficients, so
-    structural equality coincides with mathematical equality.  Numbers
-    are stored as given; the package only ever passes ints.
+    A tuple ``(terms, const)``: terms are kept sorted by variable name
+    with no zero coefficients, so structural equality coincides with
+    mathematical equality, and tuple order (terms first, then the
+    constant) is the canonical order.  Every number the package builds
+    is an int; `make_atom` also accepts rational input.  Arithmetic is
+    linear: ``e + f`` adds, and ``k * e`` is a `TypeError` rather than
+    tuple repetition (use `scale`).
     """
 
     terms: tuple[tuple[str, int], ...] = ()
@@ -55,15 +76,15 @@ class LinExpr:
     @staticmethod
     def build(coeffs: Mapping[str, int], const: int = 0) -> "LinExpr":
         terms = tuple((v, c) for v, c in sorted(coeffs.items()) if c != 0)
-        return LinExpr(terms, const)
+        return _new(LinExpr, (terms, const))
 
     @staticmethod
     def var(name: str) -> "LinExpr":
-        return LinExpr(((name, 1),), 0)
+        return _new(LinExpr, (((name, 1),), 0))
 
     @staticmethod
     def of(value: int) -> "LinExpr":
-        return LinExpr((), value)
+        return _new(LinExpr, ((), value))
 
     def coeff(self, var: str) -> int:
         for v, c in self.terms:
@@ -77,7 +98,7 @@ class LinExpr:
     def scale(self, k: int) -> "LinExpr":
         if k == 0:
             return LinExpr()
-        return LinExpr(tuple((v, c * k) for v, c in self.terms), self.const * k)
+        return _new(LinExpr, (tuple((v, c * k) for v, c in self.terms), self.const * k))
 
     def __add__(self, other: ExprLike) -> "LinExpr":
         other = to_expr(other)
@@ -92,6 +113,8 @@ class LinExpr:
     def __neg__(self) -> "LinExpr":
         return self.scale(-1)
 
+    __mul__ = __rmul__ = _no_arithmetic
+
     def __str__(self) -> str:
         return render_expr(self)
 
@@ -104,20 +127,38 @@ def to_expr(x: ExprLike) -> LinExpr:
     return LinExpr.of(x)
 
 
-@dataclass(frozen=True, order=True)
-class LinAtom:
-    """A canonical atom ``expr rel 0``.
+class LinAtom(NamedTuple):
+    """A canonical atom ``expr rel 0``, the tuple ``(expr, rel)``.
 
-    Built through `make_atom`, which scales coefficients to coprime
-    integers (positively, preserving inequality direction) and fixes the
-    sign of equalities, so equal constraints are equal values.
+    Built through `make_atom` (or `_combine`), which scales coefficients
+    to coprime integers (positively, preserving inequality direction)
+    and fixes the sign of equalities, so equal constraints are equal
+    values.  Tuple order (expression first, then relation) is the
+    canonical order of atoms.
     """
 
     expr: LinExpr
     rel: str
 
+    __add__ = __mul__ = __rmul__ = _no_arithmetic
+
     def __str__(self) -> str:
         return render_atom(self)
+
+
+def _canonical(terms: Iterable[tuple[str, int]], const: int, rel: str) -> LinAtom:
+    """The atom ``sum(terms) + const rel 0`` for int terms sorted by
+    variable with no zero coefficient: divided by the gcd of all its
+    numbers, negated too when it is an equality whose leading number is
+    negative."""
+    terms = tuple(terms)
+    g = gcd(const, *[c for _, c in terms])
+    if rel == EQ and (terms[0][1] if terms else const) < 0:
+        g = -g
+    if g > 1 or g < 0:
+        terms = tuple([(v, c // g) for v, c in terms])
+        const //= g
+    return _new(LinAtom, (_new(LinExpr, (terms, const)), rel))
 
 
 def make_atom(expr: ExprLike, rel: str) -> LinAtom:
@@ -130,13 +171,17 @@ def make_atom(expr: ExprLike, rel: str) -> LinAtom:
         mult = lcm(const.denominator, *(c.denominator for _, c in terms))
         terms = tuple((v, int(c * mult)) for v, c in terms)
         const = int(const * mult)
-        expr = LinExpr(terms, const)
-    g = gcd(const, *(c for _, c in terms))
-    if g > 1:
-        expr = LinExpr(tuple((v, c // g) for v, c in terms), const // g)
-    if rel == EQ and (expr.terms[0][1] if expr.terms else expr.const) < 0:
-        expr = expr.scale(-1)
-    return LinAtom(expr, rel)
+    return _canonical(terms, const, rel)
+
+
+def _combine(x: LinExpr, kx: int, y: LinExpr, ky: int, rel: str) -> LinAtom:
+    """``make_atom(x.scale(kx) + y.scale(ky), rel)`` for int multipliers,
+    built in one step: the row combination of both elimination phases."""
+    coeffs = {v: c * kx for v, c in x.terms}
+    for v, c in y.terms:
+        coeffs[v] = coeffs.get(v, 0) + c * ky
+    terms = [vc for vc in sorted(coeffs.items()) if vc[1]]
+    return _canonical(terms, x.const * kx + y.const * ky, rel)
 
 
 def atom_lt(lhs: ExprLike, rhs: ExprLike) -> LinAtom:
@@ -201,13 +246,15 @@ Conjunction = FrozenSet[LinAtom]
 def conjunction(atoms: Iterable[LinAtom]) -> Conjunction:
     """Normalize an atom collection: drop trivially true atoms and
     collapse anything containing a trivially false one to {FALSE}."""
-    out = set()
-    for a in atoms:
-        if atom_is_false(a):
+    conj = set(atoms)
+    if not all(a.expr.terms for a in conj):
+        if any(atom_is_false(a) for a in conj):
             return frozenset((FALSE,))
-        if not atom_is_true(a):
-            out.add(a)
-    return frozenset(out)
+        conj = {a for a in conj if a.expr.terms}
+    # A frozenset copied from a set gets a table sized for its elements;
+    # one built from a list can get twice that, and `_solve_sat` keeps
+    # thousands of these as keys.
+    return frozenset(conj)
 
 
 def sorted_atoms(conj: Iterable[LinAtom]) -> list[LinAtom]:
@@ -251,10 +298,10 @@ def _eliminate(
     """
     work: set[LinAtom] = set()
     for a in atoms:
-        if atom_is_false(a):
-            return None
-        if not atom_is_true(a):
+        if a.expr.terms:
             work.add(a)
+        elif atom_is_false(a):
+            return None
 
     # Gaussian phase: the least equality (in canonical order) that
     # mentions a variable scheduled for elimination eliminates the least
@@ -262,69 +309,62 @@ def _eliminate(
     # and c_b*v in b, |c|*b - sign(c)*c_b*a is free of v and is a
     # positive multiple of b with v substituted out.
     while True:
-        pivots = [a for a in work if a.rel == EQ and a.expr.variables() - keep]
-        if not pivots:
+        pivot = None
+        for a in work:
+            if a.rel == EQ and (pivot is None or a < pivot):
+                for v, c in a.expr.terms:
+                    if v not in keep:
+                        pivot, pv, pc = a, v, c
+                        break
+        if pivot is None:
             break
-        a = min(pivots)
-        v = min(a.expr.variables() - keep)
-        work.discard(a)
-        c = a.expr.coeff(v)
+        work.discard(pivot)
         nxt: set[LinAtom] = set()
         for b in work:
-            cb = b.expr.coeff(v)
-            if cb == 0:
+            for v, cb in b.expr.terms:
+                if v == pv:
+                    nb = _combine(b.expr, abs(pc), pivot.expr, -cb if pc > 0 else cb, b.rel)
+                    if nb.expr.terms:
+                        nxt.add(nb)
+                    elif atom_is_false(nb):
+                        return None
+                    break
+            else:  # b does not mention pv
                 nxt.add(b)
-                continue
-            nb = make_atom(
-                b.expr.scale(abs(c)) + a.expr.scale(-cb if c > 0 else cb), b.rel
-            )
-            if atom_is_false(nb):
-                return None
-            if not atom_is_true(nb):
-                nxt.add(nb)
         work = nxt
 
     # Fourier-Motzkin phase, cheapest variable first: the one whose
-    # elimination combines the fewest pairs, ties broken by name.
+    # elimination combines the fewest pairs, ties broken by name.  Each
+    # round lists, per variable, the atoms bounding it from above
+    # (alpha*v, alpha > 0) and from below (-beta*v, beta > 0);
+    # beta*up + alpha*lo is free of v.
     while True:
-        ups: dict[str, int] = {}
-        downs: dict[str, int] = {}
+        ups: dict[str, list[tuple[LinAtom, int]]] = defaultdict(list)
+        downs: dict[str, list[tuple[LinAtom, int]]] = defaultdict(list)
         for a in work:
             for v, c in a.expr.terms:
                 if v not in keep:
-                    side = ups if c > 0 else downs
-                    side[v] = side.get(v, 0) + 1
+                    if c > 0:
+                        ups[v].append((a, c))
+                    else:
+                        downs[v].append((a, -c))
         if not ups and not downs:
             break
         v = min(
             ups.keys() | downs.keys(),
-            key=lambda w: (ups.get(w, 0) * downs.get(w, 0), w),
+            key=lambda w: (len(ups.get(w, ())) * len(downs.get(w, ())), w),
         )
-        upper: list[LinAtom] = []
-        lower: list[LinAtom] = []
-        untouched: set[LinAtom] = set()
-        for a in work:
-            c = a.expr.coeff(v)
-            if c > 0:
-                upper.append(a)
-            elif c < 0:
-                lower.append(a)
-            else:
-                untouched.add(a)
-        upper.sort()
-        lower.sort()
-        work = untouched
-        for up in upper:
-            for lo in lower:
-                alpha = up.expr.coeff(v)
-                beta = -lo.expr.coeff(v)
-                combined = up.expr.scale(beta) + lo.expr.scale(alpha)
-                rel = LT if LT in (up.rel, lo.rel) else LE
-                nb = make_atom(combined, rel)
-                if atom_is_false(nb):
-                    return None
-                if not atom_is_true(nb):
+        upper = sorted(ups.get(v, ()))
+        lower = sorted(downs.get(v, ()))
+        work.difference_update([a for a, _ in upper + lower])
+        for up, alpha in upper:
+            for lo, beta in lower:
+                rel = LT if up.rel == LT or lo.rel == LT else LE
+                nb = _combine(up.expr, beta, lo.expr, alpha, rel)
+                if nb.expr.terms:
                     work.add(nb)
+                elif atom_is_false(nb):
+                    return None
                 if len(work) > limit:
                     raise _CapExceeded()
     return sorted(work)
@@ -336,9 +376,10 @@ def _tighten(atom: LinAtom) -> LinAtom:
     renamed copies), and every atom has integer coefficients, so
     a.x + c < 0 can be replaced by the stronger a.x + c + 1 =< 0 without
     losing any integer point."""
-    if atom.rel != LT or not atom.expr.terms:
+    expr = atom.expr
+    if atom.rel != LT or not expr.terms:
         return atom
-    return make_atom(LinExpr(atom.expr.terms, atom.expr.const + 1), LE)
+    return _canonical(expr.terms, expr.const + 1, LE)
 
 
 @lru_cache(maxsize=SAT_CACHE_SIZE)

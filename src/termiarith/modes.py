@@ -108,9 +108,6 @@ class ModeAssignment:
             out = [mode_meet(m, d) for m, d in zip(out, self.pattern.modes)]
         return tuple(out)
 
-    def integer_positions(self, key: PredKey) -> tuple[int, ...]:
-        return tuple(p for p, m in enumerate(self.modes_of(key)) if m == MODE_INT)
-
     def violations_for(self, keys: Iterable[PredKey]) -> tuple[IntViolation, ...]:
         wanted = set(keys)
         return tuple(v for v in self.violations if v.pred in wanted)

@@ -1,7 +1,8 @@
 """Small readers over the prover's values that only the tests need:
 the true conjunction, the variables and equivalence of conjunctions,
-widening a constraint into a partition, the mode order, and program
-text that round-trips through `parse_program`."""
+widening a constraint into a partition, the mode order, the integer
+positions of a predicate, and program text that round-trips through
+`parse_program`."""
 
 from typing import Iterable
 
@@ -12,7 +13,8 @@ from termiarith.constraints import (
     implies_all,
     is_satisfiable,
 )
-from termiarith.syntax import Clause, Program, literal_text, mode_meet
+from termiarith.modes import ModeAssignment
+from termiarith.syntax import MODE_INT, Clause, PredKey, Program, literal_text, mode_meet
 
 #: The empty conjunction is true.
 TRUE: Conjunction = frozenset()
@@ -39,6 +41,11 @@ def widen(conj: Iterable[LinAtom], pieces: Iterable[Conjunction]) -> tuple[Conju
 def mode_leq(a: str, b: str) -> bool:
     """Mode lattice order: i below b below f."""
     return mode_meet(a, b) == a
+
+
+def integer_positions(modes: ModeAssignment, key: PredKey) -> tuple[int, ...]:
+    """The argument positions of `key` assigned mode i."""
+    return tuple(p for p, m in enumerate(modes.modes_of(key)) if m == MODE_INT)
 
 
 def clause_text(clause: Clause) -> str:

@@ -67,6 +67,85 @@ class TestCanonicalForm:
         assert lc.conjunction([atom_lt("X", 2), atom_le(1, 0)]) == frozenset([FALSE])
 
 
+class TestValueSemantics:
+    """`LinExpr` and `LinAtom` are tuples: order, equality and hashing
+    are the tuple's, and no tuple operation passes for arithmetic."""
+
+    def test_sorted_is_terms_then_const_then_rel(self):
+        atoms = [
+            atom_lt("X", 2),
+            atom_le("X", 2),
+            atom_eq("X", 2),
+            atom_lt("Y", "X"),
+            atom_le(X().scale(3), "Y"),
+            atom_eq(X() + "Y", 0),
+            atom_lt(0, "Z"),
+            atom_le("Z", 7),
+            atom_lt("Y", -4),
+            FALSE,
+            make_atom(-1, LT),
+        ]
+        key = lambda a: (a.expr.terms, a.expr.const, a.rel)
+        assert sorted(atoms) == sorted(atoms, key=key)
+        assert sorted(reversed(atoms)) == sorted(atoms, key=key)
+
+    def test_equal_atoms_built_differently(self):
+        built = [
+            atom_ge("X", "Y"),
+            atom_le("Y", "X"),
+            make_atom(LinExpr.build({"X": -2, "Y": 2}), LE),
+            make_atom(LinExpr.build({"X": Fraction(-1, 3), "Y": Fraction(1, 3)}), LE),
+            lc._combine(X("Y"), 3, X(), -3, LE),
+            negate_atom(atom_lt("X", "Y")),
+        ]
+        for a in built:
+            assert a == built[0]
+            assert hash(a) == hash(built[0])
+        assert len({*built}) == 1
+
+    def test_equal_expressions_hash_equal(self):
+        e = X() + "Y"
+        assert e == X("Y") + "X" == LinExpr.build({"Y": 1, "X": 1})
+        assert hash(e) == hash(X("Y") + "X")
+
+    def test_no_tuple_repetition(self):
+        e = X() + 1
+        with pytest.raises(TypeError):
+            2 * e
+        with pytest.raises(TypeError):
+            e * 2
+        with pytest.raises(TypeError):
+            2 * atom_lt("X", 1)
+
+    def test_addition_is_linear(self):
+        e = X() - X("Y").scale(2) + 3
+        assert e + e == e.scale(2) == LinExpr.build({"X": 2, "Y": -4}, 6)
+        assert e - e == LinExpr()
+
+
+class TestCombine:
+    """`_combine` builds ``make_atom(x.scale(kx) + y.scale(ky), rel)``
+    in one step."""
+
+    @pytest.mark.parametrize(
+        "x, kx, y, ky, rel, expected",
+        [
+            # gcd > 1: 2X + 2Y + 4 =< 0 is X + Y + 2 =< 0.
+            (X() + 2, 2, X("Y"), 2, LE, atom_le(X() + "Y", -2)),
+            # An equality's leading coefficient is made positive.
+            (X(), -1, X("Y") + 1, 1, EQ, atom_eq("X", X("Y") + 1)),
+            # Cancelling every variable leaves a constant atom: true,
+            # then false twice.
+            (X() - 1, 1, X(), -1, LT, make_atom(-1, LT)),
+            (X() + 1, 1, X(), -1, LT, make_atom(1, LT)),
+            (X() + 3, 2, X().scale(2), -1, EQ, make_atom(1, EQ)),
+        ],
+    )
+    def test_cases(self, x, kx, y, ky, rel, expected):
+        got = lc._combine(x, kx, y, ky, rel)
+        assert got == make_atom(x.scale(kx) + y.scale(ky), rel) == expected
+
+
 class TestSatisfiability:
     def test_empty_interval(self):
         assert not is_satisfiable({atom_gt("X", 5), atom_lt("X", 2)})
@@ -320,3 +399,19 @@ def test_solver_output_has_int_coefficients(conj):
     assert _int_coefficients(rename(conj, {"X": "d1", "Y": "X"}))
     for keep in (set(), {"X"}, {"X", "Y"}):
         assert _int_coefficients(project(conj, keep))
+
+
+_multipliers = st.integers(min_value=-6, max_value=6)
+
+
+@settings(deadline=None)
+@given(_exprs(), _multipliers, _exprs(), _multipliers, st.sampled_from([LT, LE, EQ]))
+@example(X().scale(2) + 4, 3, X("Y").scale(6), 1, LE)  # gcd 6
+@example(X(), -1, X("Y"), 1, EQ)  # equality sign fixed
+@example(X() + 1, 2, X().scale(2), -1, LT)  # constant false
+@example(X() - 1, 1, X(), -1, LE)  # constant true
+@example(X(), 0, X("Y"), 0, EQ)  # both multipliers zero
+def test_combine_matches_make_atom(x, kx, y, ky, rel):
+    got = lc._combine(x, kx, y, ky, rel)
+    assert got == make_atom(x.scale(kx) + y.scale(ky), rel)
+    assert _int_coefficients([got])

@@ -1,6 +1,7 @@
 """Mode and integer-type inference tests."""
 
 from conftest import corpus_program
+from helpers import integer_positions
 
 from termiarith.modes import clause_applicable, infer_argument_modes, mode_meet
 from termiarith.syntax import (
@@ -24,7 +25,7 @@ class TestAssignment:
         key = ("mc_carthy_91", 2)
         assert modes.call_modes[key] == ("i", "f")
         assert modes.modes_of(key) == ("i", "i")
-        assert modes.integer_positions(key) == (0, 1)
+        assert integer_positions(modes, key) == (0, 1)
         assert not modes.violations
         assert not modes.conflicts
 
@@ -42,7 +43,7 @@ class TestAssignment:
         modes = infer("q_mixed", "q(b,b,i)")
         key = ("q", 3)
         assert modes.modes_of(key) == ("b", "b", "i")
-        assert modes.integer_positions(key) == (2,)
+        assert integer_positions(modes, key) == (2,)
         assert not modes.violations
 
     def test_gcd_types_all_positions(self):
