@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from .constraints import (
-    FALSE,
     Conjunction,
     LinAtom,
     atom_is_false,
@@ -30,23 +29,20 @@ from .constraints import (
     conjunction,
     is_satisfiable,
     make_atom,
-    project_or_none,
-    sorted_atoms,
     substitute,
-    weak_halves,
 )
 from .domain import (
     Domain,
     answer_positions,
     applicable_clauses,
     build_domain,
+    clause_constraint,
     collect_answer_comparisons,
     extend_domain,
-    head_binding_atoms,
-    body_constraint_atoms,
     infer_comparisons,
     linear_term,
     position_var,
+    projected_halves,
     sign_pieces,
     unconstrained_positions,
 )
@@ -97,25 +93,18 @@ def _refinement_atoms(
     for clause in applicable_clauses(loop, modes):
         if loop.is_recursive_clause(clause):
             continue
-        pos = positions[clause.key]
-        constraint = head_binding_atoms(clause, pos) + body_constraint_atoms(clause)
-        projected = project_or_none(constraint, [position_var(j) for j in pos])
-        if projected is None:
+        halves = projected_halves(clause, positions[clause.key])
+        if halves is None:
             name, arity = clause.key
             notes.append(
                 f"projection cap hit on a non-recursive clause of"
                 f" {name}/{arity}; widening stays unrefined there"
             )
             continue
-        if FALSE in projected:
-            continue
         found = out[clause.key]
-        for atom in sorted_atoms(projected):
-            for half in weak_halves(atom):
-                if atom_is_true(half) or atom_is_false(half):
-                    continue
-                if half not in found:
-                    found.append(half)
+        for half in halves:
+            if not (atom_is_true(half) or atom_is_false(half) or half in found):
+                found.append(half)
     return out
 
 
@@ -241,9 +230,7 @@ def compute_abstract_answers(
         # this loop (the live table lists) or into published loops.
         clauses = []
         for clause in applicable_clauses(loop, modes):
-            base = conjunction(
-                head_binding_atoms(clause, positions[clause.key]) + body_constraint_atoms(clause)
-            )
+            base = conjunction(clause_constraint(clause, positions[clause.key]))
             calls = []
             for lit in clause.body:
                 if isinstance(lit, UserAtom) and lit.key in table:

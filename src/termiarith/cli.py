@@ -104,6 +104,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             source = handle.read()
     except OSError as exc:
         return _input_error(exc)
+    except UnicodeDecodeError as exc:
+        return _input_error(f"{args.program} is not UTF-8 text: {exc}")
     try:
         program = normalize_program(parse_program(source))
         pattern = parse_query_pattern(args.query)
@@ -120,8 +122,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     timed = args.timeout is not None and hasattr(signal, "SIGALRM")
     if timed:
         previous = signal.signal(signal.SIGALRM, _alarm)
-        signal.setitimer(signal.ITIMER_REAL, args.timeout)
     try:
+        if timed:
+            try:
+                signal.setitimer(signal.ITIMER_REAL, args.timeout)
+            except OverflowError:
+                return _input_error(f"--timeout {args.timeout} is past what the timer can hold")
         verdict = analyse_termination(program, pattern, options)
     except _Timeout:
         print(

@@ -63,6 +63,7 @@ from .syntax import (
     Compound,
     IntConst,
     Is,
+    Literal,
     MODE_INT,
     PredKey,
     Program,
@@ -171,27 +172,22 @@ def linear_term(term: Term) -> Optional[LinExpr]:
 _ATOM_BUILDERS = {"<": atom_lt, "=<": atom_le, ">=": atom_ge, ">": atom_gt}
 
 
-def body_constraint_atoms(clause: Clause) -> list[LinAtom]:
-    """Linear atoms the clause body imposes on its variables: each
-    comparison, and each ``is/2`` whose expression is linear read as an
-    equality.  Body literals outside linear integer arithmetic impose
-    nothing."""
-    atoms: list[LinAtom] = []
-    for lit in clause.body:
-        if isinstance(lit, Comparison):
-            lhs, rhs = linear_term(lit.lhs), linear_term(lit.rhs)
-            if lhs is not None and rhs is not None:
-                atoms.append(_ATOM_BUILDERS[lit.op](lhs, rhs))
-        elif isinstance(lit, Is):
-            lhs, rhs = linear_term(lit.lhs), linear_term(lit.rhs)
-            if lhs is not None and rhs is not None:
-                atoms.append(atom_eq(lhs, rhs))
-    return atoms
+def literal_atoms(lit: Literal) -> list[LinAtom]:
+    """The linear atom a body literal imposes: a comparison, or an
+    ``is/2`` whose expression is linear read as an equality.  Literals
+    outside linear integer arithmetic impose nothing."""
+    if isinstance(lit, (Comparison, Is)):
+        lhs, rhs = linear_term(lit.lhs), linear_term(lit.rhs)
+        if lhs is not None and rhs is not None:
+            build = atom_eq if isinstance(lit, Is) else _ATOM_BUILDERS[lit.op]
+            return [build(lhs, rhs)]
+    return []
 
 
-def head_binding_atoms(clause: Clause, positions: Iterable[int]) -> list[LinAtom]:
-    """Equalities tying position variables to the clause's head terms,
-    for head arguments that are variables or integer constants."""
+def clause_constraint(clause: Clause, positions: Iterable[int]) -> list[LinAtom]:
+    """The clause read as a linear constraint: equalities tying position
+    variables to the head terms at `positions` that are variables or
+    integer constants, then the `literal_atoms` of the body."""
     atoms: list[LinAtom] = []
     for j in positions:
         arg = clause.head.args[j]
@@ -199,7 +195,22 @@ def head_binding_atoms(clause: Clause, positions: Iterable[int]) -> list[LinAtom
             atoms.append(atom_eq(LinExpr.var(position_var(j)), LinExpr.var(arg.name)))
         elif isinstance(arg, IntConst):
             atoms.append(atom_eq(LinExpr.var(position_var(j)), arg.value))
-    return atoms
+    return atoms + [atom for lit in clause.body for atom in literal_atoms(lit)]
+
+
+def projected_halves(clause: Clause, positions: tuple[int, ...]) -> Optional[list[LinAtom]]:
+    """What `clause_constraint` implies on the position variables, in
+    canonical order with every equality split into its weak halves;
+    empty when the clause is unsatisfiable, None when the projection
+    hits its cap."""
+    projected = project_or_none(
+        clause_constraint(clause, positions), [position_var(j) for j in positions]
+    )
+    if projected is None:
+        return None
+    if FALSE in projected:
+        return []
+    return [half for atom in sorted_atoms(projected) for half in weak_halves(atom)]
 
 
 # ---------------------------------------------------------------------------
@@ -399,20 +410,16 @@ def infer_comparisons(
         for lit in clause.body:
             if isinstance(lit, Comparison):
                 _add_atom(found, _mapped_comparison(lit, mapping))
-        constraint = head_binding_atoms(clause, pos) + body_constraint_atoms(clause)
-        projected = project_or_none(constraint, [position_var(j) for j in pos])
-        if projected is None:
-            if notes is not None:
-                name, arity = clause.key
-                notes.append(
-                    f"projection cap hit on a clause of {name}/{arity};"
-                    " falling back to its collected comparisons"
-                )
-        elif FALSE not in projected:
-            for atom in sorted_atoms(projected):
-                for half in weak_halves(atom):
-                    if _comparison_shape(half):
-                        _add_atom(found, half)
+        halves = projected_halves(clause, pos)
+        if halves is None and notes is not None:
+            name, arity = clause.key
+            notes.append(
+                f"projection cap hit on a clause of {name}/{arity};"
+                " falling back to its collected comparisons"
+            )
+        for half in halves or ():
+            if _comparison_shape(half):
+                _add_atom(found, half)
         out[clause.key] = frozenset(found)
     return out
 

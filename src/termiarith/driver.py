@@ -215,6 +215,16 @@ def _query_domains(stages: _ProgramStages, options: AnalysisOptions, prefer_infe
     return built, None
 
 
+def _rungs(options: AnalysisOptions):
+    """The ladder, one rung at a time as it is reached: (label, unfolding
+    depth of the rung program, prefer inference)."""
+    yield "collected comparisons", 0, False
+    if options.use_inference:
+        yield "inferred comparisons", 0, True
+        for depth in range(1, options.max_unfold + 1):
+            yield f"unfold x{depth} + inferred comparisons", depth, True
+
+
 def _attempt(stage, stages, options, log, domains, table, numeric=True):
     """Generate the pairs of one rung program, close them and prove the
     circular ones.  Logs the tally under `stage` and returns whether
@@ -294,15 +304,6 @@ def analyse_termination(
         log("a numerical loop is not integer based; the analysis does not apply")
         return Verdict(NO, query, fallback_reports, tuple(diagnostics))
 
-    # (label, unfolding depth of the rung program, prefer inference)
-    rungs = [("collected comparisons", 0, False)]
-    if options.use_inference:
-        rungs.append(("inferred comparisons", 0, True))
-        rungs += [
-            (f"unfold x{depth} + inferred comparisons", depth, True)
-            for depth in range(1, options.max_unfold + 1)
-        ]
-
     answer_passes = {"on": (True,), "off": (False,), "auto": (False, True)}[
         options.answer_abstraction
     ]
@@ -311,7 +312,7 @@ def analyse_termination(
     programs = {0: top}
     query_domains = {}
     for with_answers in answer_passes:
-        for index, (label, depth, prefer_inference) in enumerate(rungs):
+        for index, (label, depth, prefer_inference) in enumerate(_rungs(options)):
             name = label + (" + answer abstraction" if with_answers else "")
             if depth not in programs:
                 programs[depth] = programs[depth - 1].unfolded()

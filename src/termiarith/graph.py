@@ -19,9 +19,8 @@ explain a negative verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .modes import ModeAssignment, infer_argument_modes
 from .syntax import (
     Clause,
     Is,
@@ -33,39 +32,44 @@ from .syntax import (
     survey_arith,
 )
 
+if TYPE_CHECKING:
+    from .modes import ModeAssignment
+
 
 @dataclass(frozen=True)
 class PredGraph:
-    nodes: frozenset[PredKey]
-    arcs: frozenset[tuple[PredKey, PredKey]]
+    """The dependency graph as a view of `Program.callees`."""
+
+    callees: Mapping[PredKey, tuple[PredKey, ...]]
+
+    @property
+    def nodes(self) -> frozenset[PredKey]:
+        return frozenset(self.callees)
+
+    @property
+    def arcs(self) -> frozenset[tuple[PredKey, PredKey]]:
+        return frozenset((p, q) for p, succ in self.callees.items() for q in succ)
 
     def successors(self, key: PredKey) -> tuple[PredKey, ...]:
-        return tuple(sorted(q for p, q in self.arcs if p == key))
+        return self.callees.get(key, ())
 
     def has_self_loop(self, key: PredKey) -> bool:
-        return (key, key) in self.arcs
+        return key in self.successors(key)
 
 
 def build_dependency_graph(program: Program) -> PredGraph:
-    nodes: set[PredKey] = set()
-    arcs: set[tuple[PredKey, PredKey]] = set()
-    for clause in program.clauses:
-        nodes.add(clause.key)
-        for lit in clause.body:
-            if isinstance(lit, UserAtom):
-                nodes.add(lit.key)
-                arcs.add((clause.key, lit.key))
-    return PredGraph(frozenset(nodes), frozenset(arcs))
+    return PredGraph(program.callees)
 
 
-def reachable_from(graph: PredGraph, start: PredKey) -> frozenset[PredKey]:
-    if start not in graph.nodes:
-        return frozenset()
-    seen = {start}
-    todo = [start]
+def reachable_from(
+    edges: Mapping[PredKey, Iterable[PredKey]], start: Iterable[PredKey]
+) -> frozenset[PredKey]:
+    """The keys in `start` and every key their edges lead to."""
+    seen = set(start)
+    todo = list(seen)
     while todo:
         key = todo.pop()
-        for nxt in graph.successors(key):
+        for nxt in edges.get(key, ()):
             if nxt not in seen:
                 seen.add(nxt)
                 todo.append(nxt)
@@ -154,20 +158,12 @@ def _clause_is_numerical(clause: Clause) -> bool:
 
 
 def find_integer_loops(
-    program: Program,
-    pattern: QueryPattern,
-    modes: Optional[ModeAssignment] = None,
+    program: Program, pattern: QueryPattern, modes: ModeAssignment
 ) -> list[LoopInfo]:
     """One LoopInfo per cyclic component reachable from the query's
     predicate, in callee-first order."""
-    if modes is None:
-        modes = infer_argument_modes(program, pattern)
     graph = build_dependency_graph(program)
-    reachable = reachable_from(graph, pattern.key)
-    if not reachable:
-        return []
-    edges = {key: graph.successors(key) for key in graph.nodes}
-
+    reachable = reachable_from(graph.callees, (pattern.key,))
     loops: list[LoopInfo] = []
     for component in strongly_connected_components(graph):
         if not component & reachable:
@@ -177,14 +173,7 @@ def find_integer_loops(
         if not cyclic:
             continue
         clauses = tuple(c for c in program.clauses if c.key in component)
-        support_preds = set(component)
-        todo = sorted(component)
-        while todo:
-            key = todo.pop()
-            for nxt in edges.get(key, ()):
-                if nxt not in support_preds:
-                    support_preds.add(nxt)
-                    todo.append(nxt)
+        support_preds = reachable_from(graph.callees, component)
         support = tuple(c for c in program.clauses if c.key in support_preds)
         numerical = any(_clause_is_numerical(c) for c in clauses)
         violations = modes.violations_for(support_preds)

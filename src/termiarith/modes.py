@@ -30,6 +30,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from .graph import reachable_from
 from .syntax import (
     ARITH_OPS,
     AtomConst,
@@ -96,43 +97,9 @@ class ModeAssignment:
     def call_modes_of(self, key: PredKey) -> tuple[str, ...]:
         return self.call_modes.get(key, (MODE_FREE,) * key[1])
 
-    def modes_of(self, key: PredKey) -> tuple[str, ...]:
-        """The per-position assignment: the call mode, strengthened to i
-        on positions whose every value is known to be an integer.  For
-        the query's own predicate the declared pattern is authoritative,
-        so the result is never weaker than it."""
-        calls = self.call_modes_of(key)
-        typed = self.integer_typed.get(key, (False,) * key[1])
-        out = [MODE_INT if t else m for m, t in zip(calls, typed)]
-        if key == self.pattern.key:
-            out = [mode_meet(m, d) for m, d in zip(out, self.pattern.modes)]
-        return tuple(out)
-
     def violations_for(self, keys: Iterable[PredKey]) -> tuple[IntViolation, ...]:
         wanted = set(keys)
         return tuple(v for v in self.violations if v.pred in wanted)
-
-
-def _call_edges(program: Program) -> dict[PredKey, set[PredKey]]:
-    edges: dict[PredKey, set[PredKey]] = {}
-    for clause in program.clauses:
-        out = edges.setdefault(clause.key, set())
-        for lit in clause.body:
-            if isinstance(lit, UserAtom):
-                out.add(lit.key)
-    return edges
-
-
-def _reach(start: Iterable[PredKey], edges: dict[PredKey, set[PredKey]]) -> set[PredKey]:
-    seen = set(start)
-    todo = list(seen)
-    while todo:
-        key = todo.pop()
-        for nxt in edges.get(key, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
-    return seen
 
 
 class _Engine:
@@ -147,8 +114,7 @@ class _Engine:
         # in an applicable clause of a walked predicate, after the fixpoint.
         self.call_sites: list[tuple[PredKey, tuple[str, ...], tuple[Term, ...]]] = []
         self.callers: dict[PredKey, set[PredKey]] = {}
-        edges = _call_edges(program)
-        for caller, callees in edges.items():
+        for caller, callees in program.callees.items():
             for callee in callees:
                 self.callers.setdefault(callee, set()).add(caller)
         if restrict_to_numeric:
@@ -157,10 +123,10 @@ class _Engine:
                 for c in program.clauses
                 if any(isinstance(l, (Is, Comparison)) for l in c.body)
             }
-            relevant = _reach(numeric, edges)
-            self.walk_set = relevant | _reach(relevant, self.callers)
+            relevant = reachable_from(program.callees, numeric)
+            self.walk_set = relevant | reachable_from(self.callers, relevant)
         else:
-            self.walk_set = set(program.index) | set(edges)
+            self.walk_set = set(program.index)
 
     def si_of(self, key: PredKey) -> list[str]:
         got = self.si.get(key)
@@ -216,11 +182,9 @@ class _Engine:
             if self.si_of(key) != [MODE_FREE] * key[1]:
                 self.si[key] = [MODE_FREE] * key[1]
                 touched.extend(self.callers.get(key, ()))
-            for index in self.program.index[key]:
-                for lit in self.program.clauses[index].body:
-                    if isinstance(lit, UserAtom):
-                        if self._join_cm(lit.key, (MODE_FREE,) * lit.key[1]):
-                            touched.append(lit.key)
+            for callee in self.program.callees[key]:
+                if self._join_cm(callee, (MODE_FREE,) * callee[1]):
+                    touched.append(callee)
             return touched
 
         new_si: Optional[list[str]] = None

@@ -17,7 +17,7 @@ already succeeded.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .constraints import (
     EQ,
@@ -73,13 +73,29 @@ def term_size(term: Term) -> LinExpr:
     return LinExpr.of(0)
 
 
-def _instantiate(rel: Conjunction, args: tuple[Term, ...]) -> list[LinAtom]:
-    mapping = {size_var(k): term_size(arg) for k, arg in enumerate(args)}
-    return [make_atom(substitute(a.expr, mapping), a.rel) for a in rel]
-
-
-def _nonneg_sizes(clause: Clause) -> list[LinAtom]:
-    return [atom_ge(LinExpr.var(var_size(v.name)), 0) for v in sorted(clause_vars(clause))]
+def _size_equations(
+    clause: Clause,
+    rows: Iterable[tuple[Callable[[int], str], tuple[Term, ...]]],
+    calls: Iterable[UserAtom],
+    table: Mapping[PredKey, Optional[Conjunction]],
+) -> Optional[list[LinAtom]]:
+    """Each (name, args) row's size variables name(0).. equal to the
+    sizes of its terms, every clause variable's size nonnegative, and
+    each call's relation from `table` instantiated on its arguments;
+    None when some call has no relation yet."""
+    atoms = [
+        make_atom(LinExpr.var(name(pos)) - term_size(arg), EQ)
+        for name, args in rows
+        for pos, arg in enumerate(args)
+    ]
+    atoms += [atom_ge(LinExpr.var(var_size(v.name)), 0) for v in sorted(clause_vars(clause))]
+    for call in calls:
+        rel = table.get(call.key)
+        if rel is None:
+            return None
+        mapping = {size_var(k): term_size(arg) for k, arg in enumerate(call.args)}
+        atoms += [make_atom(substitute(a.expr, mapping), a.rel) for a in rel]
+    return atoms
 
 
 def _clause_projection(
@@ -87,17 +103,10 @@ def _clause_projection(
 ) -> Optional[Conjunction]:
     """Size constraints over sz1..szn for one clause's answers, or None
     when some body call has no answers yet."""
-    atoms: list[LinAtom] = []
-    for pos, arg in enumerate(clause.head.args):
-        atoms.append(make_atom(LinExpr.var(size_var(pos)) - term_size(arg), EQ))
-    atoms.extend(_nonneg_sizes(clause))
-    for lit in clause.body:
-        if not isinstance(lit, UserAtom):
-            continue
-        rel = table.get(lit.key)
-        if rel is None:
-            return None
-        atoms.extend(_instantiate(rel, lit.args))
+    calls = [lit for lit in clause.body if isinstance(lit, UserAtom)]
+    atoms = _size_equations(clause, [(size_var, clause.head.args)], calls, table)
+    if atoms is None:
+        return None
     conj = conjunction(atoms)
     if not is_satisfiable(conj):
         return None
@@ -195,13 +204,7 @@ def head_call_sizes(
     it has succeeded."""
     lit = clause.body[call_index]
     assert isinstance(lit, UserAtom)
-    atoms: list[LinAtom] = []
-    for pos, arg in enumerate(clause.head.args):
-        atoms.append(make_atom(LinExpr.var(head_size_var(pos)) - term_size(arg), EQ))
-    for pos, arg in enumerate(lit.args):
-        atoms.append(make_atom(LinExpr.var(call_size_var(pos)) - term_size(arg), EQ))
-    atoms.extend(_nonneg_sizes(clause))
-    for prior in clause.body[:call_index]:
-        if isinstance(prior, UserAtom):
-            atoms.extend(_instantiate(table.get(prior.key, conjunction([FALSE])), prior.args))
-    return conjunction(atoms)
+    priors = [prior for prior in clause.body[:call_index] if isinstance(prior, UserAtom)]
+    rows = [(head_size_var, clause.head.args), (call_size_var, lit.args)]
+    atoms = _size_equations(clause, rows, priors, table)
+    return conjunction([FALSE] if atoms is None else atoms)

@@ -18,7 +18,7 @@ from domain to range."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Iterable, Mapping as MappingType, Optional, Sequence
 
 from .answers import AnswerTable, answer_choices, instantiate_element
@@ -42,18 +42,15 @@ from .constraints import (
 )
 from .domain import (
     Domain,
-    body_constraint_atoms,
     effective_call_modes,
     linear_term,
+    literal_atoms,
     position_var,
 )
 from .modes import ModeAssignment, clause_applicable
 from .norms import call_size_var, head_call_sizes, head_size_var, infer_size_relations
 from .syntax import (
-    Clause,
-    Comparison,
     IntConst,
-    Is,
     MODE_BOUND,
     MODE_FREE,
     MODE_INT,
@@ -74,6 +71,11 @@ CANDIDATE_CAP = 16
 
 ROW_DOMAIN = "domain"
 ROW_RANGE = "range"
+
+#: Variable-name prefix of each row's positions; a composition meets
+#: in the middle row m1, m2, ...
+_PREFIX = {ROW_DOMAIN: "d", ROW_RANGE: "r"}
+_MIDDLE = "m"
 
 
 class PairCapExceeded(Exception):
@@ -133,6 +135,30 @@ class Mapping:
     def range_constraint(self) -> Conjunction:
         return self.range_atom.constraint
 
+    @cached_property
+    def chain_blocks(self) -> tuple[Conjunction, Conjunction]:
+        """The row constraints and integer relations renamed for a
+        composition through the shared middle row m1, m2, ...: as the
+        first step (domain on d*, relations and range on m*) and as the
+        second step (domain and relations on m*, range on r*).  Built
+        once, when the mapping is first composed or checked."""
+        domain_arity = self.domain_atom.key[1]
+        range_arity = self.range_atom.key[1]
+        relations = conjunction(_relation_atoms(self))
+        range_middle = {_row_var(ROW_RANGE, j): f"{_MIDDLE}{j + 1}" for j in range(range_arity)}
+        domain_middle = {_row_var(ROW_DOMAIN, j): f"{_MIDDLE}{j + 1}" for j in range(domain_arity)}
+        as_first = (
+            rename(self.domain_constraint, _row_names(domain_arity, _PREFIX[ROW_DOMAIN]))
+            | rename(relations, range_middle)
+            | rename(self.range_constraint, _row_names(range_arity, _MIDDLE))
+        )
+        as_second = (
+            rename(self.domain_constraint, _row_names(domain_arity, _MIDDLE))
+            | rename(relations, domain_middle)
+            | rename(self.range_constraint, _row_names(range_arity, _PREFIX[ROW_RANGE]))
+        )
+        return conjunction(as_first), conjunction(as_second)
+
 
 @dataclass(frozen=True)
 class QueryMappingPair:
@@ -167,7 +193,12 @@ class PairProof:
 
 
 def _row_var(row: str, position: int) -> str:
-    return f"{'d' if row == ROW_DOMAIN else 'r'}{position + 1}"
+    return f"{_PREFIX[row]}{position + 1}"
+
+
+def _row_names(arity: int, prefix: str) -> dict[str, str]:
+    """Position variables arg1.. mapped to prefix1.."""
+    return {position_var(j): f"{prefix}{j + 1}" for j in range(arity)}
 
 
 def _node_key(node: Node) -> tuple[str, int]:
@@ -187,11 +218,6 @@ def _theta_modes(modes: Sequence[str], args: Sequence[Term]) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _rename_onto_row(constraint: Conjunction, arity: int, row: str) -> Conjunction:
-    mapping = {position_var(j): _row_var(row, j) for j in range(arity)}
-    return rename(constraint, mapping)
-
-
 def _relation_atoms(mapping: Mapping) -> list[LinAtom]:
     """The mapping's integer edges and arcs as constraints over the
     d1../r1.. row variables (norm relations carry no value atoms)."""
@@ -205,11 +231,6 @@ def _relation_atoms(mapping: Mapping) -> list[LinAtom]:
 
 # ---------------------------------------------------------------------------
 # Generation.
-
-
-def _guard_atoms(literal) -> list[LinAtom]:
-    clause = Clause(UserAtom("true", ()), (literal,))
-    return body_constraint_atoms(clause)
 
 
 def _value_bindings(modes: Sequence[str], args: Sequence[Term], row: str) -> list[LinAtom]:
@@ -281,7 +302,8 @@ def generate_pairs(
 
     def row_options(key: PredKey, row: str) -> list[tuple[Conjunction, Conjunction]]:
         elements = domains.get(key, (frozenset(),)) if numeric else (frozenset(),)
-        return [(e, _rename_onto_row(e, key[1], row)) for e in elements]
+        names = _row_names(key[1], _PREFIX[row])
+        return [(e, rename(e, names)) for e in elements]
 
     initial = AbstractQuery(
         key=pattern.key,
@@ -308,8 +330,8 @@ def generate_pairs(
             guards: list[LinAtom] = []
             for index, literal in enumerate(clause.body):
                 if not isinstance(literal, UserAtom):
-                    if numeric and isinstance(literal, (Is, Comparison)):
-                        guards.extend(_guard_atoms(literal))
+                    if numeric:
+                        guards.extend(literal_atoms(literal))
                     continue
                 range_modes = effective_call_modes(literal.key, modes)
                 # Term sizes implied by the clause and the calls before
@@ -412,27 +434,6 @@ def _half_relations(mapping: Mapping, anchor_row: str) -> list[tuple[Node, int, 
     return out
 
 
-def _chain_blocks(mapping: Mapping) -> tuple[Conjunction, Conjunction]:
-    """The mapping's row constraints and integer relations renamed for
-    a composition through the shared middle row m1, m2, ...: as the
-    first step (domain on d*, relations and range on m*) and as the
-    second step (domain and relations on m*, range on r*)."""
-    domain_arity = mapping.domain_atom.key[1]
-    range_arity = mapping.range_atom.key[1]
-    relations = conjunction(_relation_atoms(mapping))
-    domain_row = _rename_onto_row(mapping.domain_constraint, domain_arity, ROW_DOMAIN)
-    range_row = _rename_onto_row(mapping.range_constraint, range_arity, ROW_RANGE)
-    range_middle = {_row_var(ROW_RANGE, j): f"m{j + 1}" for j in range(range_arity)}
-    domain_middle = {_row_var(ROW_DOMAIN, j): f"m{j + 1}" for j in range(domain_arity)}
-    as_first = (
-        domain_row | rename(relations, range_middle) | rename(range_row, range_middle)
-    )
-    as_second = (
-        rename(domain_row, domain_middle) | rename(relations, domain_middle) | range_row
-    )
-    return conjunction(as_first), conjunction(as_second)
-
-
 def compose_pair(
     first: QueryMappingPair, second: QueryMappingPair
 ) -> Optional[QueryMappingPair]:
@@ -441,19 +442,7 @@ def compose_pair(
     combined constraints are unsatisfiable."""
     if first.mapping.range_atom != second.query:
         return None
-    as_first, _ = _chain_blocks(first.mapping)
-    _, as_second = _chain_blocks(second.mapping)
-    return _compose_blocks(first, as_first, second, as_second)
-
-
-def _compose_blocks(
-    first: QueryMappingPair,
-    as_first: Conjunction,
-    second: QueryMappingPair,
-    as_second: Conjunction,
-) -> Optional[QueryMappingPair]:
-    """`compose_pair` for chaining pairs, given their `_chain_blocks`."""
-    combined = conjunction(as_first | as_second)
+    combined = conjunction(first.mapping.chain_blocks[0] | second.mapping.chain_blocks[1])
     if not is_satisfiable(combined):
         return None
     left = _half_relations(first.mapping, ROW_RANGE)
@@ -506,30 +495,28 @@ def compose_until_fixpoint(
     """Closure of the pairs under composition.  Raises PairCapExceeded
     past `cap` pairs."""
     closure: set[QueryMappingPair] = set()
-    # Each pair is filed with its `_chain_blocks`, built once when the
-    # pair joins the closure: by its query as a second step, by its
-    # range as a first step, and in `pending` with both.
-    by_query: dict[AbstractQuery, list[tuple[QueryMappingPair, Conjunction]]] = {}
-    by_range: dict[AbstractQuery, list[tuple[QueryMappingPair, Conjunction]]] = {}
-    pending: list[tuple[QueryMappingPair, Conjunction, Conjunction]] = []
+    # Each pair is filed by its query as a second step and by its range
+    # as a first step.
+    by_query: dict[AbstractQuery, list[QueryMappingPair]] = {}
+    by_range: dict[AbstractQuery, list[QueryMappingPair]] = {}
+    pending: list[QueryMappingPair] = []
 
     def add(pair: QueryMappingPair) -> None:
-        as_first, as_second = _chain_blocks(pair.mapping)
         closure.add(pair)
-        by_query.setdefault(pair.query, []).append((pair, as_second))
-        by_range.setdefault(pair.mapping.range_atom, []).append((pair, as_first))
-        pending.append((pair, as_first, as_second))
+        by_query.setdefault(pair.query, []).append(pair)
+        by_range.setdefault(pair.mapping.range_atom, []).append(pair)
+        pending.append(pair)
 
     for pair in sorted(pairs, key=pair_sort_key):
         add(pair)
     while pending:
-        pair, as_first, as_second = pending.pop(0)
-        for second, second_block in list(by_query.get(pair.mapping.range_atom, ())):
-            composed = _compose_blocks(pair, as_first, second, second_block)
+        pair = pending.pop(0)
+        for second in list(by_query.get(pair.mapping.range_atom, ())):
+            composed = compose_pair(pair, second)
             if composed is not None and composed not in closure:
                 add(composed)
-        for first, first_block in list(by_range.get(pair.query, ())):
-            composed = _compose_blocks(first, first_block, pair, as_second)
+        for first in list(by_range.get(pair.query, ())):
+            composed = compose_pair(first, pair)
             if composed is not None and composed not in closure:
                 add(composed)
         if len(closure) > cap:
@@ -613,18 +600,12 @@ def verify_decrease(pair: QueryMappingPair, function: TerminationFunction) -> bo
     """True when the pair's relations and row constraints imply both a
     strict decrease of the function from domain to range and its lower
     bound on the domain."""
-    domain_arity = pair.mapping.domain_atom.key[1]
-    range_arity = pair.mapping.range_atom.key[1]
-    v = {position_var(j): f"v{j + 1}" for j in range(domain_arity)}
-    u = {position_var(j): f"u{j + 1}" for j in range(range_arity)}
-    rows = {_row_var(ROW_DOMAIN, j): f"v{j + 1}" for j in range(domain_arity)}
-    rows.update({_row_var(ROW_RANGE, j): f"u{j + 1}" for j in range(range_arity)})
-    constraints = list(rename(pair.mapping.domain_constraint, v))
-    constraints += list(rename(pair.mapping.range_constraint, u))
-    constraints += list(rename(conjunction(_relation_atoms(pair.mapping)), rows))
-    collection = conjunction(constraints)
-    f_domain = substitute(function.expr, v)
-    f_range = substitute(function.expr, u)
+    mapping = pair.mapping
+    collection = mapping.chain_blocks[0]
+    f_domain = substitute(
+        function.expr, _row_names(mapping.domain_atom.key[1], _PREFIX[ROW_DOMAIN])
+    )
+    f_range = substitute(function.expr, _row_names(mapping.range_atom.key[1], _MIDDLE))
     decrease = make_atom(f_range - f_domain, LT)
     bounded = make_atom(LinExpr.of(function.lower_bound) - f_domain, LE)
     return implies(collection, decrease) and implies(collection, bounded)
@@ -649,8 +630,7 @@ def prove_pair(
 
 def _render_relation(relation: Relation, symbol: str) -> str:
     a, b = relation
-    tag = {ROW_DOMAIN: "d", ROW_RANGE: "r"}
-    return f"{tag[a.row]}{a.position + 1} {symbol} {tag[b.row]}{b.position + 1}"
+    return f"{_row_var(a.row, a.position)} {symbol} {_row_var(b.row, b.position)}"
 
 
 def render_pair(pair: QueryMappingPair, proof: Optional[PairProof] = None) -> str:

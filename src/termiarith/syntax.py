@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional, Union
 
 MODE_INT = "i"
@@ -145,11 +146,21 @@ class Program:
             index.setdefault(clause.key, []).append(i)
         object.__setattr__(self, "index", {k: tuple(v) for k, v in index.items()})
 
+    @cached_property
+    def callees(self) -> dict[PredKey, tuple[PredKey, ...]]:
+        """The call graph: every predicate the program defines or calls,
+        mapped to the predicates its clauses call, sorted."""
+        calls: dict[PredKey, set[PredKey]] = {}
+        for clause in self.clauses:
+            out = calls.setdefault(clause.key, set())
+            for lit in clause.body:
+                if isinstance(lit, UserAtom):
+                    out.add(lit.key)
+                    calls.setdefault(lit.key, set())
+        return {key: tuple(sorted(out)) for key, out in calls.items()}
+
     def clauses_for(self, key: PredKey) -> tuple[Clause, ...]:
         return tuple(self.clauses[i] for i in self.index.get(key, ()))
-
-    def predicates(self) -> list[PredKey]:
-        return sorted(self.index)
 
 
 @dataclass(frozen=True)

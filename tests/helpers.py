@@ -1,8 +1,8 @@
 """Small readers over the prover's values that only the tests need:
 the true conjunction, the variables and equivalence of conjunctions,
-widening a constraint into a partition, the mode order, the integer
-positions of a predicate, and program text that round-trips through
-`parse_program`."""
+widening a constraint into a partition, the mode order, the modes and
+integer positions of a predicate, and program text that round-trips
+through `parse_program`."""
 
 from typing import Iterable
 
@@ -43,9 +43,22 @@ def mode_leq(a: str, b: str) -> bool:
     return mode_meet(a, b) == a
 
 
+def modes_of(modes: ModeAssignment, key: PredKey) -> tuple[str, ...]:
+    """The per-position assignment: the call mode, strengthened to i
+    on positions whose every value is known to be an integer.  For
+    the query's own predicate the declared pattern is authoritative,
+    so the result is never weaker than it."""
+    calls = modes.call_modes_of(key)
+    typed = modes.integer_typed.get(key, (False,) * key[1])
+    out = [MODE_INT if t else m for m, t in zip(calls, typed)]
+    if key == modes.pattern.key:
+        out = [mode_meet(m, d) for m, d in zip(out, modes.pattern.modes)]
+    return tuple(out)
+
+
 def integer_positions(modes: ModeAssignment, key: PredKey) -> tuple[int, ...]:
     """The argument positions of `key` assigned mode i."""
-    return tuple(p for p, m in enumerate(modes.modes_of(key)) if m == MODE_INT)
+    return tuple(p for p, m in enumerate(modes_of(modes, key)) if m == MODE_INT)
 
 
 def clause_text(clause: Clause) -> str:

@@ -1,9 +1,16 @@
 """Command line tests: exit codes, stream separation, flags."""
 
+import io
 import json
 import signal
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import corpus_path
 
@@ -91,6 +98,15 @@ class TestExitCodes:
 
         monkeypatch.setattr("termiarith.cli.analyse_termination", too_deep)
         code, out, err = run(capsys, str(corpus_path("mod")), "--query", "mod(i,i,f)")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+
+    def test_program_that_is_not_utf8_is_two(self, capsys, tmp_path):
+        latin = tmp_path / "latin.pl"
+        latin.write_bytes("p(0). % caf\xe9\n".encode("latin-1"))
+        code, out, err = run(capsys, str(latin), "--query", "p(i)")
         assert code == EXIT_INPUT
         assert out == ""
         assert err.startswith("error:")
@@ -190,4 +206,64 @@ class TestTimeout:
             "60",
         )
         assert code == EXIT_YES
+        assert signal.getsignal(signal.SIGALRM) is before
+
+    def test_timeout_shorter_than_the_setup_is_three(self, capsys):
+        # The timer can fire before the analysis starts.
+        before = signal.getsignal(signal.SIGALRM)
+        code, out, err = run(
+            capsys, str(corpus_path("gcd")), "--query", "gcd(i,i,f)", "--timeout", "1e-6"
+        )
+        assert code == EXIT_TIMEOUT
+        assert out == ""
+        assert "timed out after 1e-06 seconds" in err
+        assert signal.getsignal(signal.SIGALRM) is before
+
+    def test_timeout_past_the_timer_range_is_two(self, capsys):
+        before = signal.getsignal(signal.SIGALRM)
+        code, out, err = run(
+            capsys, str(corpus_path("mod")), "--query", "mod(i,i,f)", "--timeout", "1e12"
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: --timeout")
+        assert err.count("\n") == 1
+        assert signal.getsignal(signal.SIGALRM) is before
+
+
+COUNTDOWN = b"p(0).\np(X) :- X > 0, Y is X - 1, p(Y).\n"
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=1))
+@example(source=COUNTDOWN, timeout=1e12, max_unfold=1, pair_cap=100)
+@example(source=COUNTDOWN, timeout=1e-9, max_unfold=2, pair_cap=1)
+@given(
+    source=st.binary(max_size=200),
+    timeout=st.floats(min_value=1e-9, max_value=1e12),
+    max_unfold=st.integers(min_value=0, max_value=2),
+    pair_cap=st.integers(min_value=1, max_value=100),
+)
+def test_any_input_gets_a_contract_exit_code(source, timeout, max_unfold, pair_cap):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.pl"
+        path.write_bytes(source)
+        argv = [
+            str(path),
+            "--query",
+            "p(i)",
+            "--timeout",
+            repr(timeout),
+            "--max-unfold",
+            str(max_unfold),
+            "--pair-cap",
+            str(pair_cap),
+        ]
+        before = signal.getsignal(signal.SIGALRM) if HAS_ALARM else None
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the arguments
+                code = exc.code
+    assert code in (EXIT_YES, EXIT_NO, EXIT_INPUT, EXIT_TIMEOUT)
+    if HAS_ALARM:
         assert signal.getsignal(signal.SIGALRM) is before

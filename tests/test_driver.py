@@ -180,6 +180,13 @@ class TestEscalationLadder:
             == "rung unfold x1 + inferred comparisons: 1 of 2 circular pairs proved"
         )
 
+    def test_rungs_are_built_as_they_are_reached(self):
+        # A ladder listed up front would hold 10**12 rungs before the
+        # first one ran.
+        verdict = analyse("mod", "mod(i, i, f)", max_unfold=10**12)
+        assert verdict.answer == YES
+        assert verdict.method == "collected comparisons"
+
     def test_answers_on_skips_the_plain_pass(self):
         verdict = analyse("mod", "mod(i, i, f)", answer_abstraction="on")
         assert verdict.answer == YES

@@ -10,12 +10,17 @@ from termiarith.graph import (
     reachable_from,
     strongly_connected_components,
 )
+from termiarith.modes import infer_argument_modes
 from termiarith.syntax import normalize_program, parse_program, parse_query_pattern
 
 
+def loops_in(program, pattern):
+    pattern = parse_query_pattern(pattern)
+    return find_integer_loops(program, pattern, infer_argument_modes(program, pattern))
+
+
 def loops_for(name, pattern):
-    program = corpus_program(name)
-    return find_integer_loops(program, parse_query_pattern(pattern))
+    return loops_in(corpus_program(name), pattern)
 
 
 class TestGraph:
@@ -44,9 +49,11 @@ class TestGraph:
 
     def test_reachability(self):
         graph = build_dependency_graph(corpus_program("gcd"))
-        assert reachable_from(graph, ("gcd", 3)) == frozenset({("gcd", 3), ("mod", 3)})
-        assert reachable_from(graph, ("mod", 3)) == frozenset({("mod", 3)})
-        assert reachable_from(graph, ("none", 1)) == frozenset()
+        gcd, mod = ("gcd", 3), ("mod", 3)
+        assert reachable_from(graph.callees, [gcd]) == frozenset({gcd, mod})
+        assert reachable_from(graph.callees, [mod]) == frozenset({mod})
+        assert reachable_from(graph.callees, [("none", 1)]) == frozenset({("none", 1)})
+        assert reachable_from({mod: [gcd]}, [mod]) == frozenset({gcd, mod})
 
 
 class TestComponents:
@@ -137,7 +144,7 @@ class TestLoops:
         b(X) :- X > 0, b(X).
         """
         program = normalize_program(parse_program(source))
-        loops = find_integer_loops(program, parse_query_pattern("a(i)"))
+        loops = loops_in(program, "a(i)")
         assert [l.predicates for l in loops] == [frozenset({("a", 1)})]
 
     def test_absent_predicate(self):
@@ -146,7 +153,7 @@ class TestLoops:
     def test_acyclic_program(self):
         assert loops_for("facts", "f(i)") == []
         program = normalize_program(parse_program("p(X) :- X > 0, q(X).\nq(0)."))
-        assert find_integer_loops(program, parse_query_pattern("p(i)")) == []
+        assert loops_in(program, "p(i)") == []
 
     def test_copy_loop_not_numerical(self):
         loops = loops_for("loop", "loop(i)")

@@ -1,7 +1,7 @@
 """Mode and integer-type inference tests."""
 
 from conftest import corpus_program
-from helpers import integer_positions
+from helpers import integer_positions, modes_of
 
 from termiarith.modes import clause_applicable, infer_argument_modes, mode_meet
 from termiarith.syntax import (
@@ -24,45 +24,45 @@ class TestAssignment:
         modes = infer("mc91", "mc_carthy_91(i,f)")
         key = ("mc_carthy_91", 2)
         assert modes.call_modes[key] == ("i", "f")
-        assert modes.modes_of(key) == ("i", "i")
+        assert modes_of(modes, key) == ("i", "i")
         assert integer_positions(modes, key) == (0, 1)
         assert not modes.violations
         assert not modes.conflicts
 
     def test_integer_query_skips_atom_clause(self):
         modes = infer("p_int", "p(i)")
-        assert modes.modes_of(("p", 1)) == ("i",)
+        assert modes_of(modes, ("p", 1)) == ("i",)
         assert not modes.violations
 
     def test_free_query_stays_free(self):
         modes = infer("p_int", "p(f)")
-        assert modes.modes_of(("p", 1)) == ("f",)
+        assert modes_of(modes, ("p", 1)) == ("f",)
         assert modes.violations
 
     def test_mixed_structural_numeric(self):
         modes = infer("q_mixed", "q(b,b,i)")
         key = ("q", 3)
-        assert modes.modes_of(key) == ("b", "b", "i")
+        assert modes_of(modes, key) == ("b", "b", "i")
         assert integer_positions(modes, key) == (2,)
         assert not modes.violations
 
     def test_gcd_types_all_positions(self):
         modes = infer("gcd", "gcd(i,i,f)")
-        assert modes.modes_of(("gcd", 3)) == ("i", "i", "i")
+        assert modes_of(modes, ("gcd", 3)) == ("i", "i", "i")
         assert modes.call_modes[("mod", 3)] == ("i", "i", "f")
-        assert modes.modes_of(("mod", 3)) == ("i", "i", "i")
+        assert modes_of(modes, ("mod", 3)) == ("i", "i", "i")
         assert not modes.violations
 
     def test_countdown_depends_on_query_mode(self):
-        assert infer("r", "r(i)").modes_of(("r", 1)) == ("i",)
+        assert modes_of(infer("r", "r(i)"), ("r", 1)) == ("i",)
         assert not infer("r", "r(i)").violations
-        assert infer("r", "r(f)").modes_of(("r", 1)) == ("f",)
+        assert modes_of(infer("r", "r(f)"), ("r", 1)) == ("f",)
         assert infer("r", "r(f)").violations
         assert infer("r", "r(b)").violations
 
     def test_unreached_predicate_defaults_to_free(self):
         modes = infer("mc91", "mc_carthy_91(i,f)")
-        assert modes.modes_of(("nowhere", 2)) == ("f", "f")
+        assert modes_of(modes, ("nowhere", 2)) == ("f", "f")
         assert not modes.is_reachable(("nowhere", 2))
 
 
@@ -162,9 +162,9 @@ class TestStability:
     def test_weaker_query_never_strengthens(self):
         rank = {MODE_INT: 0, MODE_BOUND: 1, MODE_FREE: 2}
         for name, pred in [("r", "r"), ("p_int", "p"), ("loop", "loop")]:
-            strong = infer(name, f"{pred}(i)").modes_of((pred, 1))
-            mid = infer(name, f"{pred}(b)").modes_of((pred, 1))
-            weak = infer(name, f"{pred}(f)").modes_of((pred, 1))
+            strong = modes_of(infer(name, f"{pred}(i)"), (pred, 1))
+            mid = modes_of(infer(name, f"{pred}(b)"), (pred, 1))
+            weak = modes_of(infer(name, f"{pred}(f)"), (pred, 1))
             assert rank[strong[0]] <= rank[mid[0]] <= rank[weak[0]]
 
     def test_restriction_toggle_agrees_on_numeric_corpus(self):
@@ -174,4 +174,4 @@ class TestStability:
             keys = set(on.call_modes)
             assert set(off.call_modes) == keys
             for key in keys:
-                assert on.modes_of(key) == off.modes_of(key)
+                assert modes_of(on, key) == modes_of(off, key)
