@@ -154,7 +154,7 @@ def build_answer_domain(
             origin: dict[Conjunction, Conjunction] = {}
             for element in elements:
                 for piece in sign_pieces(atoms, element):
-                    if piece in origin or not is_satisfiable(piece):
+                    if piece in origin:
                         continue
                     kept.append(piece)
                     origin[piece] = element

@@ -448,6 +448,27 @@ def project(conj: Iterable[LinAtom], keep: Iterable[str]) -> Conjunction:
     return conjunction(a for a in conj if a.expr.variables() <= keep)
 
 
+def eliminate_outside(conj: Iterable[LinAtom], keep: Iterable[str]) -> Conjunction:
+    """A conjunction over `keep` that the solver judges like `conj`
+    once both are extended by atoms over `keep` only: `is_satisfiable`
+    and `implies` give the same verdicts on either, so repeated checks
+    on the result skip the eliminated variables.
+
+    Strict atoms are tightened first, as `_solve_sat` does: eliminating
+    first loses integer precision ({d1 = 2*Y, 0 < Y, Y < 1} has no
+    solution, yet eliminating Y leaves 0 < d1 < 2, that is d1 = 1).
+    Unsatisfiable input gives {FALSE}; past the atom cap the input comes
+    back unchanged."""
+    conj = frozenset(conj)
+    try:
+        res = _eliminate([_tighten(a) for a in conj], frozenset(keep), ATOM_LIMIT)
+    except _CapExceeded:
+        return conj
+    if res is None or not is_satisfiable(res):
+        return frozenset((FALSE,))
+    return frozenset(res)
+
+
 def simplify(conj: Iterable[LinAtom]) -> Conjunction:
     """Drop atoms implied by the rest of the conjunction (greedy, in
     canonical order, so the result is deterministic).

@@ -30,7 +30,7 @@ Position variables are named after 1-based argument positions: ``arg1``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .constraints import (
@@ -429,12 +429,26 @@ def infer_comparisons(
 
 
 def sign_pieces(atoms: Sequence[LinAtom], within: Iterable[LinAtom] = ()) -> Iterator[Conjunction]:
-    """`within` conjoined with each sign assignment of `atoms` (every
-    atom or its negation), all-true first.  Unsatisfiable pieces are
-    yielded too; callers test satisfiability."""
-    within = list(within)
-    for signs in product((True, False), repeat=len(atoms)):
-        yield conjunction(within + [a if s else negate_atom(a) for a, s in zip(atoms, signs)])
+    """The satisfiable conjunctions of `within` with a sign assignment
+    of `atoms` (every atom or its negation), all-true first.  The
+    assignments are walked as a tree, one level per atom, true branch
+    first, and a branch is entered only when its prefix is satisfiable:
+    adding atoms never makes an unsatisfiable conjunction satisfiable,
+    so no piece is lost, and the order is that of enumerating every
+    assignment."""
+
+    def grow(index: int, prefix: list[LinAtom]) -> Iterator[Conjunction]:
+        conj = conjunction(prefix)
+        if not is_satisfiable(conj):
+            return
+        if index == len(atoms):
+            yield conj
+            return
+        atom = atoms[index]
+        yield from grow(index + 1, prefix + [atom])
+        yield from grow(index + 1, prefix + [negate_atom(atom)])
+
+    return grow(0, list(within))
 
 
 def build_domain(comparisons: ComparisonSet, cap: int = COMPARISON_CAP) -> Domain:
@@ -454,7 +468,7 @@ def build_domain(comparisons: ComparisonSet, cap: int = COMPARISON_CAP) -> Domai
                 f"comparison set of {name}/{arity} has {len(atoms)} atoms,"
                 f" past the configured cap of {cap}"
             )
-        out[key] = tuple(simplify(p) for p in sign_pieces(atoms) if is_satisfiable(p))
+        out[key] = tuple(simplify(p) for p in sign_pieces(atoms))
     return out
 
 

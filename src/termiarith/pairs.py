@@ -31,6 +31,7 @@ from .constraints import (
     atom_eq,
     atom_gt,
     conjunction,
+    eliminate_outside,
     implies,
     is_satisfiable,
     make_atom,
@@ -350,8 +351,16 @@ def generate_pairs(
                     if numeric
                     else []
                 )
+                # Row elements and relations mention only the row
+                # variables, so the clause's own are eliminated once.
+                rows = [
+                    *_row_names(query.key[1], _PREFIX[ROW_DOMAIN]).values(),
+                    *_row_names(literal.key[1], _PREFIX[ROW_RANGE]).values(),
+                ]
                 for chosen in answer_choices(prefix, priors):
                     grown = conjunction(chosen | frozenset(bindings))
+                    if numeric:
+                        grown = eliminate_outside(grown, rows)
                     if not is_satisfiable(grown):
                         continue
                     for d_elem, d_row in row_options(query.key, ROW_DOMAIN):

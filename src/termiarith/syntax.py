@@ -430,13 +430,18 @@ def parse_query_pattern(text: str) -> QueryPattern:
         raise ParseError(f"malformed query pattern {text!r}", 1, 1)
     name, inner = match.groups()
     if inner == "":
-        raise ParseError("query pattern with empty parentheses", 1, 1)
+        raise ParseError("query pattern with empty parentheses", 1, text.index("(") + 1)
     if inner is None:
         return QueryPattern(name, ())
-    parts = [p.strip() for p in inner.split(",")]
-    for p in parts:
-        if p not in (MODE_INT, MODE_BOUND, MODE_FREE):
-            raise ParseError(f"unknown mode token {p!r}", 1, 1)
+    parts = []
+    start = match.start(2)
+    for raw in inner.split(","):
+        token = raw.strip()
+        if token not in (MODE_INT, MODE_BOUND, MODE_FREE):
+            column = start + len(raw) - len(raw.lstrip()) + 1
+            raise ParseError(f"unknown mode token {token!r}", 1, column)
+        parts.append(token)
+        start += len(raw) + 1
     return QueryPattern(name, tuple(parts))
 
 

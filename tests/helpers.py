@@ -1,10 +1,12 @@
 """Small readers over the prover's values that only the tests need:
 the true conjunction, the variables and equivalence of conjunctions,
-widening a constraint into a partition, the mode order, the modes and
+widening a constraint into a partition, the brute-force sign
+enumeration, the mode order, the modes and
 integer positions of a predicate, and program text that round-trips
 through `parse_program`."""
 
-from typing import Iterable
+from itertools import product
+from typing import Iterable, Sequence
 
 from termiarith.constraints import (
     Conjunction,
@@ -12,6 +14,7 @@ from termiarith.constraints import (
     conjunction,
     implies_all,
     is_satisfiable,
+    negate_atom,
 )
 from termiarith.modes import ModeAssignment
 from termiarith.syntax import MODE_INT, Clause, PredKey, Program, literal_text, mode_meet
@@ -36,6 +39,19 @@ def widen(conj: Iterable[LinAtom], pieces: Iterable[Conjunction]) -> tuple[Conju
     with it is satisfiable."""
     conj = conjunction(conj)
     return tuple(p for p in pieces if is_satisfiable(conjunction(conj | p)))
+
+
+def sign_pieces_reference(
+    atoms: Sequence[LinAtom], within: Iterable[LinAtom] = ()
+) -> list[Conjunction]:
+    """`within` conjoined with every sign assignment of `atoms`, all-true
+    first in `product` order, keeping the satisfiable ones."""
+    within = list(within)
+    pieces = (
+        conjunction(within + [a if s else negate_atom(a) for a, s in zip(atoms, signs)])
+        for signs in product((True, False), repeat=len(atoms))
+    )
+    return [p for p in pieces if is_satisfiable(p)]
 
 
 def mode_leq(a: str, b: str) -> bool:

@@ -32,6 +32,7 @@ from termiarith.constraints import (
     render_expr,
     rename,
     simplify,
+    substitute,
 )
 
 
@@ -238,6 +239,15 @@ class TestProjection:
         weak = project(conj, {"X", "Y", "A", "B"})
         assert weak == frozenset([atom_lt("A", "B")])
 
+    def test_elimination_tightens_before_projecting(self):
+        assert lc.eliminate_outside(_PARITY_GAP, {"X"}) == frozenset({FALSE})
+        assert project(_PARITY_GAP, {"X"}) == frozenset({atom_gt("X", 0), atom_lt("X", 2)})
+
+    def test_elimination_past_the_cap_returns_its_input(self, monkeypatch):
+        monkeypatch.setattr(lc, "ATOM_LIMIT", 1)
+        conj = frozenset({atom_lt("X", "T"), atom_lt("Y", "T"), atom_lt("T", "A"), atom_lt("T", "B")})
+        assert lc.eliminate_outside(conj, {"X", "Y", "A", "B"}) == conj
+
 
 class TestSimplify:
     def test_drops_implied(self):
@@ -331,6 +341,30 @@ def test_projection_preserves_satisfiability(conj):
     for keep in (set(), {"X"}, {"X", "Y"}):
         if is_satisfiable(conj):
             assert is_satisfiable(project(conj, keep))
+
+
+# Tightening before elimination keeps integer precision: eliminating Z
+# first would leave 0 < X < 2, which tightens to the satisfiable X = 1.
+_PARITY_GAP = frozenset(
+    {
+        make_atom(X().scale(-1) + X("Z").scale(2), EQ),
+        make_atom(X("Z").scale(-1), LT),
+        make_atom(X("Z") - 1, LT),
+    }
+)
+
+
+@settings(deadline=None)
+@given(_conjunctions(), _atoms())
+@example(_PARITY_GAP, make_atom(X(), LE))
+def test_elimination_keeps_verdicts_on_kept_variables(conj, atom):
+    kept = {"X", "Y"}
+    atom = make_atom(substitute(atom.expr, {"Z": "Y"}), atom.rel)
+    projected = lc.eliminate_outside(conj, kept)
+    assert conjunction_variables(projected) <= kept
+    assert is_satisfiable(projected) == is_satisfiable(conj)
+    assert is_satisfiable(projected | {atom}) == is_satisfiable(conj | {atom})
+    assert implies(projected, atom) == implies(conj, atom)
 
 
 @settings(deadline=None)

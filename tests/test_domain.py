@@ -8,10 +8,13 @@ through the permuted-copy product."""
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import corpus_program
-from helpers import program_text
+from helpers import program_text, sign_pieces_reference
 
+from termiarith import domain as domain_module
 from termiarith.constraints import (
     EQ,
     LE,
@@ -24,6 +27,7 @@ from termiarith.constraints import (
     atom_lt,
     conjunction,
     is_satisfiable,
+    make_atom,
     render_atom,
 )
 from termiarith.domain import (
@@ -38,6 +42,7 @@ from termiarith.domain import (
     linear_term,
     position_var,
     query_positions,
+    sign_pieces,
     unconstrained_positions,
     unfold_once,
 )
@@ -307,6 +312,37 @@ class TestBuildDomain:
     def test_equalities_rejected(self):
         with pytest.raises(ValueError):
             build_domain({("p", 1): frozenset({atom_eq(A1, 0)})})
+
+
+@st.composite
+def _sign_atoms(draw, rels):
+    names = ["arg1", "arg2"]
+    coeffs = {n: draw(st.integers(min_value=-3, max_value=3)) for n in names}
+    const = draw(st.integers(min_value=-6, max_value=6))
+    return make_atom(LinExpr.build(coeffs, const), draw(st.sampled_from(rels)))
+
+
+class TestSignPieces:
+    @settings(deadline=None)
+    @given(
+        st.lists(_sign_atoms([LT, LE]), max_size=5),
+        st.one_of(st.just([]), st.lists(_sign_atoms([LT, LE, EQ]), min_size=1, max_size=3)),
+    )
+    def test_matches_the_satisfiable_assignments_in_order(self, atoms, within):
+        assert list(sign_pieces(atoms, within)) == sign_pieces_reference(atoms, within)
+
+    def test_unsatisfiable_prefixes_are_not_expanded(self, monkeypatch):
+        calls = []
+
+        def counting(conj):
+            calls.append(conj)
+            return is_satisfiable(conj)
+
+        monkeypatch.setattr(domain_module, "is_satisfiable", counting)
+        thresholds = [atom_gt(A1, k) for k in range(12)]
+        assert len(list(sign_pieces(thresholds))) == 13
+        assert len(calls) < 2 * 13 * 12
+        assert list(sign_pieces([], [atom_lt(A1, 0), atom_gt(A1, 0)])) == []
 
 
 class TestUnfold:

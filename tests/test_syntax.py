@@ -124,6 +124,23 @@ class TestQueryPattern:
         with pytest.raises(ParseError):
             parse_query_pattern("p(x)")
 
+    @pytest.mark.parametrize(
+        "text, column",
+        [("gcd(i,i,x)", 9), ("gcd(i, i,  x)", 12), ("p(i,,f)", 5), (" p( x )", 5)],
+    )
+    def test_unknown_mode_reports_its_column(self, text, column):
+        with pytest.raises(ParseError) as err:
+            parse_query_pattern(text)
+        assert (err.value.line, err.value.col) == (1, column)
+        assert str(err.value).endswith(f"at line 1, column {column}")
+
+    @pytest.mark.parametrize("text, column", [("gcd()", 4), ("gcd ( )", 5)])
+    def test_empty_parentheses_report_their_column(self, text, column):
+        with pytest.raises(ParseError) as err:
+            parse_query_pattern(text)
+        assert "empty parentheses" in str(err.value)
+        assert (err.value.line, err.value.col) == (1, column)
+
     def test_mode_lattice(self):
         assert mode_leq("i", "b") and mode_leq("b", "f") and mode_leq("i", "f")
         assert not mode_leq("f", "b")
