@@ -5,8 +5,11 @@ integer argument space.  The table is the least set of elements closed
 under the loop's clauses: each clause body is read as a linear
 constraint, recursive calls are replaced by already-derived table
 entries, and every satisfiable combination is widened back into the
-partition.  Loops are solved callee-first, so a published table stands
-in for the calls an outer loop makes into an inner one.
+partition.  Pieces mention only the argument positions, so a
+combination is projected onto them (`eliminate_outside`) before the
+pieces not yet in the table are tested against it, and not read at all
+once every piece is in.  Loops are solved callee-first, so a published
+table stands in for the calls an outer loop makes into an inner one.
 
 When a loop's comparisons say nothing about some integer position
 (typically an output computed by arithmetic), the partition used for
@@ -27,6 +30,7 @@ from .constraints import (
     atom_is_false,
     atom_is_true,
     conjunction,
+    eliminate_outside,
     is_satisfiable,
     make_atom,
     substitute,
@@ -226,6 +230,7 @@ def compute_abstract_answers(
         positions = answer_positions(loop, modes)
         table: dict[PredKey, list[Conjunction]] = {key: [] for key in loop.predicates}
         seen: dict[PredKey, set[Conjunction]] = {key: set() for key in loop.predicates}
+        arguments = {key: [position_var(j) for j in range(key[1])] for key in loop.predicates}
         # Per clause: its key, its base constraint and its calls into
         # this loop (the live table lists) or into published loops.
         clauses = []
@@ -243,10 +248,12 @@ def compute_abstract_answers(
             changed = False
             for key, base, calls in clauses:
                 for candidate in answer_choices(base, calls):
-                    for piece in pieces[key]:
-                        if piece in seen[key]:
-                            continue
-                        if is_satisfiable(conjunction(candidate | piece)):
+                    unseen = [piece for piece in pieces[key] if piece not in seen[key]]
+                    if not unseen:
+                        break
+                    answer = eliminate_outside(candidate, arguments[key])
+                    for piece in unseen:
+                        if is_satisfiable(conjunction(answer | piece)):
                             table[key].append(piece)
                             seen[key].add(piece)
                             changed = True

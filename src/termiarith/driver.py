@@ -14,9 +14,10 @@ termination function is suggested and the proof is the structural test.
 
 Modes, loops and the size table depend only on the rung program, so
 each distinct program (the input and each unfolding, built only when
-its rung is reached) is analysed once.  A rung's query domains are built
-once and shared by both answer passes; a rung stopped by a cap or by
-disabled inference logs its lines again in the second pass."""
+its rung is reached) is analysed once; its size table is built only if
+pair generation asks for it.  A rung's query domains are built once and
+shared by both answer passes; a rung stopped by a cap or by disabled
+inference logs its lines again in the second pass."""
 
 import json
 from dataclasses import dataclass
@@ -237,7 +238,7 @@ def _attempt(stage, stages, options, log, domains, table, numeric=True):
         table,
         domains=domains,
         numeric=numeric,
-        size_table=stages.size_table,
+        size_table=lambda: stages.size_table,
     )
     closure = compose_until_fixpoint(base, cap=options.pair_cap)
     circular = sorted((p for p in closure if is_circular(p)), key=pair_sort_key)

@@ -285,21 +285,40 @@ def generate_pairs(
     *,
     domains: Optional[Domain] = None,
     numeric: bool = True,
-    size_table: Optional[MappingType[PredKey, Conjunction]] = None,
+    size_table: Optional[Callable[[], MappingType[PredKey, Conjunction]]] = None,
 ) -> frozenset[QueryMappingPair]:
     """One pair per reachable abstract query, applicable clause, body
     call, and consistent combination of row elements and prior answer
     entries.  `domains` supplies the finite partition each row is
     widened into (absent predicates get the trivial partition);
-    `answers` abstracts the calls before the selected one; `size_table`
-    is `infer_size_relations(program, modes)`, computed here when the
-    caller does not hold it.  With `numeric` off only norm relations are
-    produced, which is the purely structural reading used as a first
-    attempt."""
+    `answers` abstracts the calls before the selected one.  With
+    `numeric` off only norm relations are produced, which is the purely
+    structural reading used as a first attempt.
+
+    Norm relations relate b positions only, so they are derived only for
+    a clause call whose domain row and range row both have one.  The
+    size table they come from, `infer_size_relations(program, modes)`,
+    is fetched at the first such call: from `size_table` when the caller
+    holds it lazily, computed here otherwise, and never for a program
+    without such a call."""
     answers = answers or {}
     domains = domains or {}
-    if size_table is None:
-        size_table = infer_size_relations(program, modes)
+    table: Optional[MappingType[PredKey, Conjunction]] = None
+
+    def norm_relations(clause, index, domain_modes, range_modes):
+        nonlocal table
+        if MODE_BOUND not in domain_modes or MODE_BOUND not in range_modes:
+            return set(), set()
+        if table is None:
+            table = size_table() if size_table else infer_size_relations(program, modes)
+        return _relations(
+            head_call_sizes(clause, index, table),
+            MODE_BOUND,
+            domain_modes,
+            range_modes,
+            head_size_var,
+            call_size_var,
+        )
 
     def row_options(key: PredKey, row: str) -> list[tuple[Conjunction, Conjunction]]:
         elements = domains.get(key, (frozenset(),)) if numeric else (frozenset(),)
@@ -337,14 +356,7 @@ def generate_pairs(
                 range_modes = effective_call_modes(literal.key, modes)
                 # Term sizes implied by the clause and the calls before
                 # the selected one.
-                norm_edges, norm_arcs = _relations(
-                    head_call_sizes(clause, index, size_table),
-                    MODE_BOUND,
-                    domain_modes,
-                    range_modes,
-                    head_size_var,
-                    call_size_var,
-                )
+                norm_edges, norm_arcs = norm_relations(clause, index, domain_modes, range_modes)
                 prefix = conjunction(base | frozenset(guards)) if numeric else base
                 bindings = (
                     _value_bindings(range_modes, literal.args, ROW_RANGE)
@@ -443,17 +455,28 @@ def _half_relations(mapping: Mapping, anchor_row: str) -> list[tuple[Node, int, 
     return out
 
 
+def _satisfiable_through(first: QueryMappingPair, second: QueryMappingPair) -> bool:
+    """Whether the constraints of two chaining pairs are satisfiable
+    together through their shared middle row."""
+    combined = conjunction(first.mapping.chain_blocks[0] | second.mapping.chain_blocks[1])
+    return is_satisfiable(combined)
+
+
 def compose_pair(
     first: QueryMappingPair, second: QueryMappingPair
 ) -> Optional[QueryMappingPair]:
     """The pair summarizing `first` followed by `second`, or None when
     they do not chain (range abstraction differs from the query) or the
     combined constraints are unsatisfiable."""
-    if first.mapping.range_atom != second.query:
+    if first.mapping.range_atom != second.query or not _satisfiable_through(first, second):
         return None
-    combined = conjunction(first.mapping.chain_blocks[0] | second.mapping.chain_blocks[1])
-    if not is_satisfiable(combined):
-        return None
+    return _composition(first, second)
+
+
+def _composition(first: QueryMappingPair, second: QueryMappingPair) -> QueryMappingPair:
+    """The identity of `first` followed by `second`: query, rows and the
+    relations composed through the middle row, whether or not the
+    combined constraints are satisfiable."""
     left = _half_relations(first.mapping, ROW_RANGE)
     right = _half_relations(second.mapping, ROW_DOMAIN)
     edges: set[Relation] = set()
@@ -502,7 +525,14 @@ def compose_until_fixpoint(
     pairs: Iterable[QueryMappingPair], cap: int = PAIR_CAP
 ) -> frozenset[QueryMappingPair]:
     """Closure of the pairs under composition.  Raises PairCapExceeded
-    past `cap` pairs."""
+    past `cap` pairs.
+
+    Each pending pair is composed with every pair it chains with, as the
+    first step and as the second.  A composition's identity needs no
+    solver, so one already in the closure is skipped before its
+    constraints are checked; only a new one costs a satisfiability
+    check, and the pairs are added in the same order as by checking
+    every composition with `compose_pair`."""
     closure: set[QueryMappingPair] = set()
     # Each pair is filed by its query as a second step and by its range
     # as a first step.
@@ -516,18 +546,19 @@ def compose_until_fixpoint(
         by_range.setdefault(pair.mapping.range_atom, []).append(pair)
         pending.append(pair)
 
+    def extend(first: QueryMappingPair, second: QueryMappingPair) -> None:
+        composed = _composition(first, second)
+        if composed not in closure and _satisfiable_through(first, second):
+            add(composed)
+
     for pair in sorted(pairs, key=pair_sort_key):
         add(pair)
     while pending:
         pair = pending.pop(0)
         for second in list(by_query.get(pair.mapping.range_atom, ())):
-            composed = compose_pair(pair, second)
-            if composed is not None and composed not in closure:
-                add(composed)
+            extend(pair, second)
         for first in list(by_range.get(pair.query, ())):
-            composed = compose_pair(first, pair)
-            if composed is not None and composed not in closure:
-                add(composed)
+            extend(first, pair)
         if len(closure) > cap:
             raise PairCapExceeded(
                 f"query-mapping closure passed {cap} pairs;"

@@ -1,13 +1,16 @@
 """Small readers over the prover's values that only the tests need:
 the true conjunction, the variables and equivalence of conjunctions,
 widening a constraint into a partition, the brute-force sign
-enumeration, the mode order, the modes and
+enumeration, the naive composition closure and answer fixpoint, the
+arguments the driver hands a stage, the mode order, the modes and
 integer positions of a predicate, and program text that round-trips
 through `parse_program`."""
 
 from itertools import product
 from typing import Iterable, Sequence
 
+from termiarith import driver
+from termiarith.answers import AbstractAtom, AnswerDomain, AnswerTable, answer_choices
 from termiarith.constraints import (
     Conjunction,
     LinAtom,
@@ -16,8 +19,19 @@ from termiarith.constraints import (
     is_satisfiable,
     negate_atom,
 )
+from termiarith.domain import answer_positions, applicable_clauses, clause_constraint
+from termiarith.graph import LoopInfo
 from termiarith.modes import ModeAssignment
-from termiarith.syntax import MODE_INT, Clause, PredKey, Program, literal_text, mode_meet
+from termiarith.pairs import QueryMappingPair, compose_pair
+from termiarith.syntax import (
+    MODE_INT,
+    Clause,
+    PredKey,
+    Program,
+    UserAtom,
+    literal_text,
+    mode_meet,
+)
 
 #: The empty conjunction is true.
 TRUE: Conjunction = frozenset()
@@ -52,6 +66,79 @@ def sign_pieces_reference(
         for signs in product((True, False), repeat=len(atoms))
     )
     return [p for p in pieces if is_satisfiable(p)]
+
+
+def closure_reference(pairs: Iterable[QueryMappingPair]) -> frozenset[QueryMappingPair]:
+    """The composition closure by brute force: compose every ordered
+    pair of the current set with `compose_pair` until a round adds
+    nothing."""
+    closure = set(pairs)
+    while True:
+        found = {
+            composed
+            for first in closure
+            for second in closure
+            if (composed := compose_pair(first, second)) is not None
+        }
+        if found <= closure:
+            return frozenset(closure)
+        closure |= found
+
+
+def answers_reference(
+    loops: Sequence[LoopInfo], modes: ModeAssignment, domains: Sequence[AnswerDomain]
+) -> AnswerTable:
+    """`compute_abstract_answers` without projection: each piece is
+    tested against the whole candidate, clause variables included, and
+    every candidate is read even once every piece is in the table."""
+    pieces: dict[PredKey, tuple[Conjunction, ...]] = {}
+    exposed: dict[PredKey, dict[Conjunction, Conjunction]] = {}
+    for answer_domain in domains:
+        pieces.update(answer_domain.pieces)
+        exposed.update(answer_domain.exposed)
+    published: AnswerTable = {}
+    for loop in loops:
+        positions = answer_positions(loop, modes)
+        table: dict[PredKey, list[Conjunction]] = {key: [] for key in loop.predicates}
+        clauses = []
+        for clause in applicable_clauses(loop, modes):
+            calls = []
+            for lit in clause.body:
+                if isinstance(lit, UserAtom) and lit.key in table:
+                    calls.append((lit, table[lit.key]))
+                elif isinstance(lit, UserAtom) and lit.key in published:
+                    calls.append((lit, tuple(e.element for e in published[lit.key])))
+            base = conjunction(clause_constraint(clause, positions[clause.key]))
+            clauses.append((clause.key, base, calls))
+        changed = True
+        while changed:
+            changed = False
+            for key, base, calls in clauses:
+                for candidate in answer_choices(base, calls):
+                    for piece in pieces[key]:
+                        if piece not in table[key] and is_satisfiable(candidate | piece):
+                            table[key].append(piece)
+                            changed = True
+        for key in sorted(loop.predicates):
+            elements = dict.fromkeys(exposed[key][piece] for piece in table[key])
+            published[key] = tuple(AbstractAtom(key=key, element=e) for e in elements)
+    return published
+
+
+def driver_calls(monkeypatch, stage: str, program: Program, pattern, options=None) -> list:
+    """The positional arguments of every call the driver makes to
+    `stage` (a name the driver module imports) while it analyses the
+    task under `options`, in call order."""
+    calls = []
+    original = getattr(driver, stage)
+
+    def record(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(driver, stage, record)
+    driver.analyse_termination(program, pattern, options or driver.AnalysisOptions())
+    return calls
 
 
 def mode_leq(a: str, b: str) -> bool:

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from conftest import corpus_program
-from helpers import widen
+from helpers import answers_reference, driver_calls, widen
 
 from termiarith.answers import (
     AbstractAtom,
@@ -36,7 +36,14 @@ from termiarith.domain import (
 )
 from termiarith.graph import find_integer_loops
 from termiarith.modes import infer_argument_modes
-from termiarith.syntax import Compound, IntConst, Var, parse_query_pattern
+from termiarith.syntax import (
+    Compound,
+    IntConst,
+    Var,
+    normalize_program,
+    parse_program,
+    parse_query_pattern,
+)
 
 A1 = LinExpr.var("arg1")
 A2 = LinExpr.var("arg2")
@@ -116,6 +123,22 @@ class TestAnswerDomain:
             domain.exposed[("gcd", 3)][piece] == piece
             for piece in domain.pieces[("gcd", 3)]
         )
+
+
+    def test_piece_cap_leaves_widening_unrefined(self, monkeypatch):
+        # 9 propagated elements, so any refinement atom passes a cap of 9
+        monkeypatch.setattr("termiarith.answers.PIECE_CAP", 9)
+        _, domains, _, _ = analysis(
+            "mc91", "mc_carthy_91(i,f)", unfold=(1, 2), used_inference=True, infer=True
+        )
+        (domain,) = domains
+        key = ("mc_carthy_91", 2)
+        assert domain.notes == (
+            "mc_carthy_91/2: refinement would pass 9 candidate pieces;"
+            " widening stays unrefined",
+        )
+        assert len(domain.pieces[key]) == 9
+        assert all(domain.exposed[key][piece] == piece for piece in domain.pieces[key])
 
 
 class TestWiden:
@@ -243,3 +266,47 @@ class TestTables:
         table, domains, loops, modes = analysis("mod", "mod(i,i,f)")
         again = compute_abstract_answers(loops, modes, domains)
         assert again == table
+
+
+# The divergent variants of the benchmark's chain, guard and nest
+# families at parameter 2 (`perfbench/generators.py`): each climbs every
+# rung of both answer passes and gets NO.
+DIVERGENT = [
+    "c(X, Z) :- X =< 17.\nc(X, Z) :- X > 17, X < Z, Y is X, c(Y, Z).\n",
+    "g(X) :- X =< -3.\n"
+    "g(X) :- X > -3, X =< 2, Y is X - 4, g(Y).\n"
+    "g(X) :- X > 2, Y is X, g(Y).\n",
+    "l1(X) :- X =< 5.\n"
+    "l1(X) :- X > 5, Y is X - 1, l2(Y), l1(Y).\n"
+    "l2(X) :- X =< 5.\n"
+    "l2(X) :- X > 5, Y is X, l2(Y).\n",
+]
+
+
+class TestAnswerReference:
+    """On every answer rung the driver reaches, the tables equal the
+    fixpoint that tests each piece against the unprojected candidate."""
+
+    @pytest.mark.parametrize(
+        "program,query,rungs",
+        [
+            # proved on the first answer rung
+            (corpus_program("gcd"), "gcd(i,i,f)", 1),
+            # proved on the unfold x1 rung, the third
+            (corpus_program("mc91"), "mc_carthy_91(i,f)", 3),
+            *(
+                (normalize_program(parse_program(source)), query, 3)
+                for source, query in zip(DIVERGENT, ("c(i,i)", "g(i)", "l1(i)"))
+            ),
+        ],
+        ids=["gcd", "mc91", "chain-div-2", "guard-div-2", "nest-div-2"],
+    )
+    def test_tables_match_unprojected_reference(self, monkeypatch, program, query, rungs):
+        calls = driver_calls(
+            monkeypatch, "compute_abstract_answers", program, parse_query_pattern(query)
+        )
+        assert len(calls) == rungs
+        for args in calls:
+            table = compute_abstract_answers(*args)
+            assert any(table.values())
+            assert table == answers_reference(*args)

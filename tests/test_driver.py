@@ -217,10 +217,16 @@ class TestEscalationLadder:
 
 
 class TestStageReuse:
-    """The stages that depend only on (program, pattern) run once per
-    distinct program the ladder reaches."""
+    """Modes and loops run once per distinct program the ladder reaches;
+    the size table at most once, and only for a program whose pairs
+    relate b positions of both rows."""
 
     STAGES = (infer_argument_modes, find_integer_loops, infer_size_relations)
+
+    # Size tables built per task.  Only q_mixed has a b position in both
+    # rows of a pair: its table is built for the structural attempt and
+    # reused by the first rung.  The others have integer positions only.
+    SIZE_TABLES = {"mc91": 0, "gcd": 0, "p_difficult": 0, "q_mixed": 1}
 
     @pytest.mark.parametrize(
         "name,query,programs",
@@ -230,6 +236,7 @@ class TestStageReuse:
             ("gcd", "gcd(i, i, f)", 2),
             # proved on the first rung: the unfolding is never built
             ("p_difficult", "p(i, i)", 1),
+            ("q_mixed", "q(b, f, i)", 1),
         ],
     )
     def test_each_rung_program_is_analysed_once(
@@ -253,7 +260,9 @@ class TestStageReuse:
                     if value is stage:
                         monkeypatch.setattr(module, attr, wrapper)
         analyse(name, query)
-        assert calls == {stage.__name__: programs for stage in self.STAGES}
+        assert calls["infer_argument_modes"] == programs
+        assert calls["find_integer_loops"] == programs
+        assert calls["infer_size_relations"] == self.SIZE_TABLES[name]
 
 
 class TestUnfoldingStep:

@@ -7,7 +7,9 @@ from itertools import product
 import pytest
 
 from conftest import corpus_program
+from helpers import closure_reference, driver_calls
 
+from termiarith import pairs
 from termiarith.answers import build_answer_domain, compute_abstract_answers
 from termiarith.constraints import (
     LinExpr,
@@ -289,6 +291,67 @@ class TestComposition:
         _, base = pipeline("gcd", "gcd(i,i,f)", answers=True)
         with pytest.raises(PairCapExceeded):
             compose_until_fixpoint(base, cap=20)
+
+
+def nest_source(depth):
+    """`depth` counting loops, each calling the next on every step."""
+    lines = []
+    for i in range(1, depth + 1):
+        inner = f"l{i + 1}(Y), " if i < depth else ""
+        lines.append(f"l{i}(X) :- X =< 0.")
+        lines.append(f"l{i}(X) :- X > 0, Y is X - 1, {inner}l{i}(Y).")
+    return "\n".join(lines) + "\n"
+
+
+RUNG_TASKS = [
+    (corpus_program("gcd"), "gcd(i,i,f)"),
+    (corpus_program("mc91"), "mc_carthy_91(i,f)"),
+    (normalize_program(parse_program(nest_source(6))), "l1(i)"),
+]
+
+
+def numeric_rung_bases(monkeypatch, program, query):
+    """The base pairs the driver closes on each numeric rung (its first
+    closure is the structural attempt's)."""
+    calls = driver_calls(
+        monkeypatch, "compose_until_fixpoint", program, parse_query_pattern(query)
+    )
+    return [base for base, in calls[1:]]
+
+
+class TestClosureReference:
+    """The closure of each numeric rung equals the brute-force fixpoint,
+    and the solver is asked only about compositions not yet in it."""
+
+    @pytest.mark.parametrize("program,query", RUNG_TASKS, ids=["gcd", "mc91", "nest-6"])
+    def test_closure_matches_brute_force(self, monkeypatch, program, query):
+        bases = numeric_rung_bases(monkeypatch, program, query)
+        assert bases
+        for base in bases:
+            assert compose_until_fixpoint(base) == closure_reference(base)
+
+    @pytest.mark.parametrize("program,query", RUNG_TASKS, ids=["gcd", "mc91", "nest-6"])
+    def test_solver_checks_only_new_compositions(self, monkeypatch, program, query):
+        bases = numeric_rung_bases(monkeypatch, program, query)
+        verdicts = []
+
+        def recorded(conj):
+            verdicts.append(is_satisfiable(conj))
+            return verdicts[-1]
+
+        is_satisfiable = pairs.is_satisfiable
+        monkeypatch.setattr(pairs, "is_satisfiable", recorded)
+        for base in bases:
+            verdicts.clear()
+            closure = compose_until_fixpoint(base)
+            # every satisfiable check adds one pair, every other pair
+            # is a base pair
+            assert verdicts.count(True) == len(closure) - len(base)
+            # a closed set is only asked about its unsatisfiable
+            # compositions
+            verdicts.clear()
+            assert compose_until_fixpoint(closure) == closure
+            assert True not in verdicts
 
 
 class TestStructuralTest:
