@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from typing import FrozenSet, Iterable, Mapping, NamedTuple, Optional, Union
 
 LT = "<"
@@ -64,10 +64,9 @@ class LinExpr(NamedTuple):
     A tuple ``(terms, const)``: terms are kept sorted by variable name
     with no zero coefficients, so structural equality coincides with
     mathematical equality, and tuple order (terms first, then the
-    constant) is the canonical order.  Every number the package builds
-    is an int; `make_atom` also accepts rational input.  Arithmetic is
-    linear: ``e + f`` adds, and ``k * e`` is a `TypeError` rather than
-    tuple repetition (use `scale`).
+    constant) is the canonical order.  Every number is an int.
+    Arithmetic is linear: ``e + f`` adds, and ``k * e`` is a `TypeError`
+    rather than tuple repetition (use `scale`).
     """
 
     terms: tuple[tuple[str, int], ...] = ()
@@ -165,13 +164,7 @@ def make_atom(expr: ExprLike, rel: str) -> LinAtom:
     if rel not in (LT, LE, EQ):
         raise ValueError(f"unknown relation {rel!r}")
     expr = to_expr(expr)
-    terms, const = expr.terms, expr.const
-    if type(const) is not int or any(type(c) is not int for _, c in terms):
-        # Rational input (numbers with a denominator): clear denominators.
-        mult = lcm(const.denominator, *(c.denominator for _, c in terms))
-        terms = tuple((v, int(c * mult)) for v, c in terms)
-        const = int(const * mult)
-    return _canonical(terms, const, rel)
+    return _canonical(expr.terms, expr.const, rel)
 
 
 def _combine(x: LinExpr, kx: int, y: LinExpr, ky: int, rel: str) -> LinAtom:

@@ -81,7 +81,8 @@ from .syntax import (
 )
 
 #: Sign enumeration is exponential in the comparison set; past this size
-#: `build_domain` refuses instead of running away.
+#: `build_domain` refuses instead of running away, for query and answer
+#: domains alike.
 COMPARISON_CAP = 12
 
 #: Influence components larger than this are not permuted.
@@ -390,7 +391,6 @@ def infer_comparisons(
     loop: LoopInfo,
     modes: ModeAssignment,
     positions: Optional[dict[PredKey, tuple[int, ...]]] = None,
-    notes: Optional[list[str]] = None,
 ) -> ComparisonSet:
     """Comparisons implied by the bodies of the loop's clauses, over the
     given head positions (query positions by default).
@@ -399,7 +399,8 @@ def infer_comparisons(
     comparisons, linear ``is/2``), projected onto its head positions and
     split into atoms; only atoms of the variable/constant shape are kept.
     Body comparisons over head position variables are always included
-    verbatim, so the result extends anything collection can find."""
+    verbatim, so the result extends anything collection can find, and
+    they are all a clause gives when its projection hits the cap."""
     if positions is None:
         positions = query_positions(loop, modes)
     out: ComparisonSet = {key: frozenset() for key in positions}
@@ -410,14 +411,7 @@ def infer_comparisons(
         for lit in clause.body:
             if isinstance(lit, Comparison):
                 _add_atom(found, _mapped_comparison(lit, mapping))
-        halves = projected_halves(clause, pos)
-        if halves is None and notes is not None:
-            name, arity = clause.key
-            notes.append(
-                f"projection cap hit on a clause of {name}/{arity};"
-                " falling back to its collected comparisons"
-            )
-        for half in halves or ():
+        for half in projected_halves(clause, pos) or ():
             if _comparison_shape(half):
                 _add_atom(found, half)
         out[clause.key] = frozenset(found)
@@ -451,22 +445,22 @@ def sign_pieces(atoms: Sequence[LinAtom], within: Iterable[LinAtom] = ()) -> Ite
     return grow(0, list(within))
 
 
-def build_domain(comparisons: ComparisonSet, cap: int = COMPARISON_CAP) -> Domain:
+def build_domain(comparisons: ComparisonSet) -> Domain:
     """All satisfiable sign assignments of each predicate's comparison
     set, as simplified conjunctions.  The result is a partition: elements
     are satisfiable, pairwise disjoint, and every assignment of the
     comparisons lands in exactly one element.  Raises DomainTooLarge for
-    a set of more than `cap` atoms."""
+    a set of more than `COMPARISON_CAP` atoms, read when it runs."""
     out: Domain = {}
     for key in sorted(comparisons):
         atoms = sorted_atoms(comparisons[key])
         if any(a.rel == EQ for a in atoms):
             raise ValueError("comparison sets hold inequalities only")
-        if len(atoms) > cap:
+        if len(atoms) > COMPARISON_CAP:
             name, arity = key
             raise DomainTooLarge(
                 f"comparison set of {name}/{arity} has {len(atoms)} atoms,"
-                f" past the configured cap of {cap}"
+                f" past the configured cap of {COMPARISON_CAP}"
             )
         out[key] = tuple(simplify(p) for p in sign_pieces(atoms))
     return out

@@ -16,8 +16,8 @@ Modes, loops and the size table depend only on the rung program, so
 each distinct program (the input and each unfolding, built only when
 its rung is reached) is analysed once; its size table is built only if
 pair generation asks for it.  A rung's query domains are built once and
-shared by both answer passes; a rung stopped by a cap or by disabled
-inference logs its lines again in the second pass."""
+shared by both answer passes; a rung stopped by a cap logs its lines
+again in the second pass."""
 
 import json
 from dataclasses import dataclass
@@ -27,7 +27,6 @@ from typing import Optional
 from .answers import build_answer_domain, compute_abstract_answers
 from .constraints import render_conjunction
 from .domain import (
-    COMPARISON_CAP,
     DomainTooLarge,
     build_domain,
     collect_comparisons,
@@ -38,7 +37,6 @@ from .graph import LoopInfo, find_integer_loops
 from .modes import infer_argument_modes
 from .norms import infer_size_relations
 from .pairs import (
-    CANDIDATE_CAP,
     PAIR_CAP,
     PairCapExceeded,
     compose_until_fixpoint,
@@ -58,20 +56,19 @@ NO_HEADLINE = "no termination proof found"
 
 @dataclass(frozen=True)
 class AnalysisOptions:
-    """Knobs for one analysis run.  Caps must stay positive; they turn
-    blow-ups into NO verdicts with diagnostics instead of long runs."""
+    """The settings of one analysis run, one field per CLI flag
+    (`--max-unfold`, `--answers`, `--pair-cap`).  Every other cap is a
+    module constant.  The pair cap must stay positive; it turns a
+    blow-up into a NO verdict with diagnostics instead of a long run."""
 
     max_unfold: int = 1
     answer_abstraction: str = "auto"
-    use_inference: bool = True
-    candidate_cap: int = CANDIDATE_CAP
     pair_cap: int = PAIR_CAP
-    comparison_cap: int = COMPARISON_CAP
 
     def __post_init__(self):
         if self.answer_abstraction not in ("on", "off", "auto"):
             raise ValueError("answer_abstraction must be on, off or auto")
-        if min(self.candidate_cap, self.pair_cap, self.comparison_cap) <= 0:
+        if self.pair_cap <= 0:
             raise ValueError("caps must be positive")
         if self.max_unfold < 0:
             raise ValueError("max_unfold must be non-negative")
@@ -193,23 +190,19 @@ class _ProgramStages:
         return _ProgramStages(Program(tuple(clauses)), self.pattern)
 
 
-def _query_domains(stages: _ProgramStages, options: AnalysisOptions, prefer_inference):
+def _query_domains(stages: _ProgramStages, prefer_inference):
     """Each loop's query domain on one rung, with whether inference built
-    it, up to the first loop that stops the rung; and what stopped it:
-    None, a note, or the DomainTooLarge a resource cap raised."""
+    it, up to the first loop whose comparison set passes
+    `domain.COMPARISON_CAP`; and the DomainTooLarge that stopped the
+    rung there, or None."""
     built = []
     for loop in stages.loops:
         comparisons = None if prefer_inference else collect_comparisons(loop, stages.modes)
         used_inference = comparisons is None
         if used_inference:
-            if not options.use_inference:
-                return built, (
-                    f"comparisons of loop {loop.describe()} cannot be read off"
-                    " directly and inference is disabled"
-                )
             comparisons = infer_comparisons(loop, stages.modes)
         try:
-            domain = build_domain(comparisons, cap=options.comparison_cap)
+            domain = build_domain(comparisons)
         except DomainTooLarge as exc:
             return built, exc
         built.append((loop, domain, used_inference))
@@ -220,10 +213,9 @@ def _rungs(options: AnalysisOptions):
     """The ladder, one rung at a time as it is reached: (label, unfolding
     depth of the rung program, prefer inference)."""
     yield "collected comparisons", 0, False
-    if options.use_inference:
-        yield "inferred comparisons", 0, True
-        for depth in range(1, options.max_unfold + 1):
-            yield f"unfold x{depth} + inferred comparisons", depth, True
+    yield "inferred comparisons", 0, True
+    for depth in range(1, options.max_unfold + 1):
+        yield f"unfold x{depth} + inferred comparisons", depth, True
 
 
 def _attempt(stage, stages, options, log, domains, table, numeric=True):
@@ -242,7 +234,7 @@ def _attempt(stage, stages, options, log, domains, table, numeric=True):
     )
     closure = compose_until_fixpoint(base, cap=options.pair_cap)
     circular = sorted((p for p in closure if is_circular(p)), key=pair_sort_key)
-    proofs = [(p, prove_pair(p, candidate_cap=options.candidate_cap)) for p in circular]
+    proofs = [(p, prove_pair(p)) for p in circular]
     proved = sum(1 for _, found in proofs if found is not None)
     log(f"{stage}: {proved} of {len(proofs)} circular pairs proved")
     return proved == len(proofs), _loop_reports(stages.loops, domains, proofs)
@@ -319,18 +311,18 @@ def analyse_termination(
                 programs[depth] = programs[depth - 1].unfolded()
             stages = programs[depth]
             if index not in query_domains:
-                query_domains[index] = _query_domains(stages, options, prefer_inference)
+                query_domains[index] = _query_domains(stages, prefer_inference)
             built, stop = query_domains[index]
             try:
                 answer_domains = [
                     build_answer_domain(loop, stages.modes, domain, used_inference=inferred)
                     for loop, domain, inferred in (built if with_answers else ())
                 ]
-                if isinstance(stop, DomainTooLarge):
-                    raise stop
+                for answer_domain in answer_domains:
+                    for note in answer_domain.notes:
+                        log(f"rung {name}: {note}")
                 if stop is not None:
-                    log(f"rung {name}: {stop}")
-                    continue
+                    raise stop
                 table = (
                     compute_abstract_answers(stages.loops, stages.modes, answer_domains)
                     if with_answers

@@ -1,9 +1,9 @@
 """Predicate dependency graph and loop classification.
 
-The dependency graph has one node per predicate and an arc (p, q)
-whenever some clause with head predicate p calls q in its body.  Loops
-are the strongly connected components that contain a cycle and are
-reachable from the query's predicate.  Each loop is classified:
+The dependency graph is `Program.callees`: one node per predicate and
+an arc (p, q) whenever some clause with head predicate p calls q in its
+body.  Loops are the strongly connected components that contain a cycle
+and are reachable from the query's predicate.  Each loop is classified:
 
 * numerical: some clause of the loop computes `is/2` over a head
   argument, so the recursion steps through numbers;
@@ -36,31 +36,6 @@ if TYPE_CHECKING:
     from .modes import ModeAssignment
 
 
-@dataclass(frozen=True)
-class PredGraph:
-    """The dependency graph as a view of `Program.callees`."""
-
-    callees: Mapping[PredKey, tuple[PredKey, ...]]
-
-    @property
-    def nodes(self) -> frozenset[PredKey]:
-        return frozenset(self.callees)
-
-    @property
-    def arcs(self) -> frozenset[tuple[PredKey, PredKey]]:
-        return frozenset((p, q) for p, succ in self.callees.items() for q in succ)
-
-    def successors(self, key: PredKey) -> tuple[PredKey, ...]:
-        return self.callees.get(key, ())
-
-    def has_self_loop(self, key: PredKey) -> bool:
-        return key in self.successors(key)
-
-
-def build_dependency_graph(program: Program) -> PredGraph:
-    return PredGraph(program.callees)
-
-
 def reachable_from(
     edges: Mapping[PredKey, Iterable[PredKey]], start: Iterable[PredKey]
 ) -> frozenset[PredKey]:
@@ -76,9 +51,12 @@ def reachable_from(
     return frozenset(seen)
 
 
-def strongly_connected_components(graph: PredGraph) -> tuple[frozenset[PredKey], ...]:
-    """Tarjan's algorithm, iterative.  Components come out callee-first:
-    every arc leaving a component points into an earlier one."""
+def strongly_connected_components(
+    callees: Mapping[PredKey, Iterable[PredKey]],
+) -> tuple[frozenset[PredKey], ...]:
+    """Tarjan's algorithm, iterative, over the nodes that are keys of
+    `callees`.  Components come out callee-first: every arc leaving a
+    component points into an earlier one."""
     index: dict[PredKey, int] = {}
     lowlink: dict[PredKey, int] = {}
     on_stack: set[PredKey] = set()
@@ -86,10 +64,10 @@ def strongly_connected_components(graph: PredGraph) -> tuple[frozenset[PredKey],
     components: list[frozenset[PredKey]] = []
     counter = 0
 
-    for root in sorted(graph.nodes):
+    for root in sorted(callees):
         if root in index:
             continue
-        work: list[tuple[PredKey, Iterable[PredKey]]] = [(root, iter(graph.successors(root)))]
+        work: list[tuple[PredKey, Iterable[PredKey]]] = [(root, iter(callees.get(root, ())))]
         index[root] = lowlink[root] = counter
         counter += 1
         stack.append(root)
@@ -103,7 +81,7 @@ def strongly_connected_components(graph: PredGraph) -> tuple[frozenset[PredKey],
                     counter += 1
                     stack.append(nxt)
                     on_stack.add(nxt)
-                    work.append((nxt, iter(graph.successors(nxt))))
+                    work.append((nxt, iter(callees.get(nxt, ()))))
                     advanced = True
                     break
                 if nxt in on_stack:
@@ -130,7 +108,6 @@ def strongly_connected_components(graph: PredGraph) -> tuple[frozenset[PredKey],
 class LoopInfo:
     predicates: frozenset[PredKey]
     clauses: tuple[Clause, ...]
-    support: tuple[Clause, ...]
     is_numerical: bool
     is_integer_based: bool
     diagnostics: tuple[str, ...]
@@ -140,9 +117,6 @@ class LoopInfo:
             isinstance(lit, UserAtom) and lit.key in self.predicates
             for lit in clause.body
         )
-
-    def describe(self) -> str:
-        return ", ".join(f"{name}/{arity}" for name, arity in sorted(self.predicates))
 
 
 def _clause_is_numerical(clause: Clause) -> bool:
@@ -162,19 +136,18 @@ def find_integer_loops(
 ) -> list[LoopInfo]:
     """One LoopInfo per cyclic component reachable from the query's
     predicate, in callee-first order."""
-    graph = build_dependency_graph(program)
-    reachable = reachable_from(graph.callees, (pattern.key,))
+    callees = program.callees
+    reachable = reachable_from(callees, (pattern.key,))
     loops: list[LoopInfo] = []
-    for component in strongly_connected_components(graph):
+    for component in strongly_connected_components(callees):
         if not component & reachable:
             continue
         member = next(iter(component))
-        cyclic = len(component) > 1 or graph.has_self_loop(member)
+        cyclic = len(component) > 1 or member in callees[member]
         if not cyclic:
             continue
         clauses = tuple(c for c in program.clauses if c.key in component)
-        support_preds = reachable_from(graph.callees, component)
-        support = tuple(c for c in program.clauses if c.key in support_preds)
+        support_preds = reachable_from(callees, component)
         numerical = any(_clause_is_numerical(c) for c in clauses)
         violations = modes.violations_for(support_preds)
         diagnostics: list[str] = []
@@ -188,7 +161,6 @@ def find_integer_loops(
             LoopInfo(
                 predicates=component,
                 clauses=clauses,
-                support=support,
                 is_numerical=numerical,
                 is_integer_based=not violations,
                 diagnostics=tuple(diagnostics),

@@ -103,7 +103,7 @@ class ModeAssignment:
 
 
 class _Engine:
-    def __init__(self, program: Program, pattern: QueryPattern, restrict_to_numeric: bool):
+    def __init__(self, program: Program, pattern: QueryPattern):
         self.program = program
         self.pattern = pattern
         self.cm: dict[PredKey, list[str]] = {}
@@ -117,16 +117,13 @@ class _Engine:
         for caller, callees in program.callees.items():
             for callee in callees:
                 self.callers.setdefault(callee, set()).add(caller)
-        if restrict_to_numeric:
-            numeric = {
-                c.key
-                for c in program.clauses
-                if any(isinstance(l, (Is, Comparison)) for l in c.body)
-            }
-            relevant = reachable_from(program.callees, numeric)
-            self.walk_set = relevant | reachable_from(self.callers, relevant)
-        else:
-            self.walk_set = set(program.index)
+        numeric = {
+            c.key
+            for c in program.clauses
+            if any(isinstance(l, (Is, Comparison)) for l in c.body)
+        }
+        relevant = reachable_from(program.callees, numeric)
+        self.walk_set = relevant | reachable_from(self.callers, relevant)
 
     def si_of(self, key: PredKey) -> list[str]:
         got = self.si.get(key)
@@ -387,9 +384,7 @@ class _Engine:
         return typed
 
 
-def infer_argument_modes(
-    program: Program, pattern: QueryPattern, restrict_to_numeric: bool = True
-) -> ModeAssignment:
+def infer_argument_modes(program: Program, pattern: QueryPattern) -> ModeAssignment:
     """Run the combined call-mode / success-mode fixpoint from the query
     pattern and derive the per-position assignment."""
-    return _Engine(program, pattern, restrict_to_numeric).run()
+    return _Engine(program, pattern).run()

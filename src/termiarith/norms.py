@@ -36,7 +36,7 @@ from .constraints import (
     substitute,
     weak_halves,
 )
-from .graph import build_dependency_graph, strongly_connected_components
+from .graph import strongly_connected_components
 from .modes import ModeAssignment, clause_applicable
 from .syntax import (
     Clause,
@@ -139,7 +139,6 @@ def infer_size_relations(
     """For every predicate, a conjunction over sz1..szn that every
     computed answer satisfies.  Predicates without answers map to the
     unsatisfiable conjunction."""
-    graph = build_dependency_graph(program)
     table: dict[PredKey, Optional[Conjunction]] = {}
 
     def clauses_of(key: PredKey) -> list[Clause]:
@@ -149,7 +148,7 @@ def infer_size_relations(
             picked = [c for c in picked if clause_applicable(c, call_modes)]
         return picked
 
-    for component in strongly_connected_components(graph):
+    for component in strongly_connected_components(program.callees):
         members = sorted(component)
         stable = False
         for round_ in range(MAX_ROUNDS):
@@ -182,7 +181,7 @@ def infer_size_relations(
                     table[key] = frozenset()
     return {
         key: (rel if rel is not None else conjunction([FALSE]))
-        for key, rel in ((k, table.get(k)) for k in sorted(graph.nodes))
+        for key, rel in ((k, table.get(k)) for k in sorted(program.callees))
     }
 
 

@@ -18,7 +18,7 @@ from domain to range."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import Callable, Iterable, Mapping as MappingType, Optional, Sequence
 
 from .answers import AnswerTable, answer_choices, instantiate_element
@@ -320,10 +320,13 @@ def generate_pairs(
             call_size_var,
         )
 
-    def row_options(key: PredKey, row: str) -> list[tuple[Conjunction, Conjunction]]:
+    @cache
+    def row_options(key: PredKey, row: str) -> tuple[tuple[Conjunction, Conjunction], ...]:
+        """Each element of the key's partition with its copy renamed
+        onto `row`, renamed once per call of `generate_pairs`."""
         elements = domains.get(key, (frozenset(),)) if numeric else (frozenset(),)
         names = _row_names(key[1], _PREFIX[row])
-        return [(e, rename(e, names)) for e in elements]
+        return tuple((e, rename(e, names)) for e in elements)
 
     initial = AbstractQuery(
         key=pattern.key,
@@ -608,12 +611,11 @@ def check_forward_positive_cycle(pair: QueryMappingPair) -> bool:
     return False
 
 
-def guess_termination_functions(
-    pair: QueryMappingPair, cap: int = CANDIDATE_CAP
-) -> list[TerminationFunction]:
-    """Candidate bounded functions, simplest first.  Every inequality in
-    the row constraints suggests its slack, and every integer position
-    that is provably non-negative suggests itself."""
+def guess_termination_functions(pair: QueryMappingPair) -> list[TerminationFunction]:
+    """Candidate bounded functions, simplest first, at most
+    `CANDIDATE_CAP` of them.  Every inequality in the row constraints
+    suggests its slack, and every integer position that is provably
+    non-negative suggests itself."""
     suggestions: list[LinExpr] = []
 
     def suggest(expr: LinExpr):
@@ -633,7 +635,7 @@ def guess_termination_functions(
     ordered = sorted(
         suggestions, key=lambda e: (len(e.variables()), render_expr(e))
     )
-    return [TerminationFunction(expr=e) for e in ordered[:cap]]
+    return [TerminationFunction(expr=e) for e in ordered[:CANDIDATE_CAP]]
 
 
 def verify_decrease(pair: QueryMappingPair, function: TerminationFunction) -> bool:
@@ -651,14 +653,12 @@ def verify_decrease(pair: QueryMappingPair, function: TerminationFunction) -> bo
     return implies(collection, decrease) and implies(collection, bounded)
 
 
-def prove_pair(
-    pair: QueryMappingPair, candidate_cap: int = CANDIDATE_CAP
-) -> Optional[PairProof]:
+def prove_pair(pair: QueryMappingPair) -> Optional[PairProof]:
     """Evidence for a circular pair: the structural test first, then the
     candidate functions in order.  None when nothing discharges it."""
     if check_forward_positive_cycle(pair):
         return PairProof(method="structural")
-    for function in guess_termination_functions(pair, cap=candidate_cap):
+    for function in guess_termination_functions(pair):
         if verify_decrease(pair, function):
             return PairProof(method="function", function=function)
     return None

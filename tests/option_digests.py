@@ -29,8 +29,6 @@ OPTION_SETS = {
     "answers=off": AnalysisOptions(answer_abstraction="off"),
     "max_unfold=0": AnalysisOptions(max_unfold=0),
     "max_unfold=2": AnalysisOptions(max_unfold=2),
-    "use_inference=False": AnalysisOptions(use_inference=False),
-    "comparison_cap=1": AnalysisOptions(comparison_cap=1),
     "pair_cap=20": AnalysisOptions(pair_cap=20),
 }
 

@@ -1,5 +1,6 @@
 """Command line tests: exit codes, stream separation, flags."""
 
+import dataclasses
 import io
 import json
 import signal
@@ -14,7 +15,9 @@ from hypothesis import strategies as st
 
 from conftest import corpus_path
 
+from termiarith import cli
 from termiarith.cli import EXIT_INPUT, EXIT_NO, EXIT_TIMEOUT, EXIT_YES, main
+from termiarith.driver import AnalysisOptions
 
 HAS_ALARM = hasattr(signal, "SIGALRM")
 
@@ -176,6 +179,20 @@ class TestFlags:
             "0",
         )
         assert code == EXIT_NO
+
+    def test_analysis_options_are_the_cli_flags(self, capsys, monkeypatch):
+        # Every AnalysisOptions field is set from a flag, so no field
+        # exists that only tests can set.
+        passed = []
+
+        def recording(**kwargs):
+            passed.append(kwargs)
+            return AnalysisOptions(**kwargs)
+
+        monkeypatch.setattr(cli, "AnalysisOptions", recording)
+        run(capsys, str(corpus_path("mod")), "--query", "mod(i,i,f)")
+        (kwargs,) = passed
+        assert set(kwargs) == {f.name for f in dataclasses.fields(AnalysisOptions)}
 
 
 @pytest.mark.skipif(not HAS_ALARM, reason="needs SIGALRM")

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import corpus_program
 
+from termiarith import domain
 from termiarith.driver import (
     NO,
     NO_HEADLINE,
@@ -207,13 +208,18 @@ class TestEscalationLadder:
         assert verdict.method == "unfold x1 + inferred comparisons + answer abstraction"
 
     def test_mc91_needs_inference(self):
-        verdict = analyse("mc91", "mc_carthy_91(i, f)", use_inference=False)
-        assert verdict.answer == NO
-        assert verdict.diagnostics == (
-            "structural attempt (simplified norm analysis): 0 of 1 circular pairs proved",
+        verdict = analyse("mc91", "mc_carthy_91(i, f)")
+        collected = [
+            line
+            for line in verdict.diagnostics
+            if line.startswith("rung collected comparisons")
+        ]
+        assert collected == [
             "rung collected comparisons: 1 of 2 circular pairs proved",
             "rung collected comparisons + answer abstraction: 1 of 2 circular pairs proved",
-        )
+        ]
+        assert verdict.answer == YES
+        assert "inferred comparisons" in verdict.method
 
 
 class TestStageReuse:
@@ -321,8 +327,17 @@ class TestResourceCaps:
             in verdict.diagnostics
         )
 
-    def test_comparison_cap_guards_inference(self):
-        verdict = analyse("mc91", "mc_carthy_91(i, f)", comparison_cap=1)
+    def test_answer_domain_notes_are_logged(self):
+        verdict = analyse("gcd", "gcd(i, i, f)", pair_cap=20)
+        assert (
+            "rung unfold x1 + inferred comparisons + answer abstraction: gcd/3:"
+            " 8 refinement atoms is past the cap of 6; widening stays unrefined"
+            in verdict.diagnostics
+        )
+
+    def test_comparison_cap_guards_inference(self, monkeypatch):
+        monkeypatch.setattr(domain, "COMPARISON_CAP", 1)
+        verdict = analyse("mc91", "mc_carthy_91(i, f)")
         assert verdict.answer == NO
         assert (
             "resource cap: comparison set of mc_carthy_91/2 has 2 atoms, "

@@ -3,9 +3,6 @@
 from conftest import corpus_program
 
 from termiarith.graph import (
-    LoopInfo,
-    PredGraph,
-    build_dependency_graph,
     find_integer_loops,
     reachable_from,
     strongly_connected_components,
@@ -24,42 +21,35 @@ def loops_for(name, pattern):
 
 
 class TestGraph:
+    """The dependency graph is `Program.callees`."""
+
     def test_self_recursion(self):
-        graph = build_dependency_graph(corpus_program("mc91"))
         key = ("mc_carthy_91", 2)
-        assert graph.nodes == frozenset({key})
-        assert graph.arcs == frozenset({(key, key)})
-        assert graph.has_self_loop(key)
+        assert corpus_program("mc91").callees == {key: (key,)}
 
     def test_gcd_arcs(self):
-        graph = build_dependency_graph(corpus_program("gcd"))
         gcd, mod = ("gcd", 3), ("mod", 3)
-        assert graph.nodes == frozenset({gcd, mod})
-        assert graph.arcs == frozenset({(gcd, gcd), (gcd, mod), (mod, mod)})
+        assert corpus_program("gcd").callees == {gcd: (gcd, mod), mod: (mod,)}
 
     def test_facts_have_no_arcs(self):
-        graph = build_dependency_graph(corpus_program("facts"))
-        assert graph.nodes == frozenset({("f", 1), ("g", 2)})
-        assert graph.arcs == frozenset()
+        assert corpus_program("facts").callees == {("f", 1): (), ("g", 2): ()}
 
     def test_undefined_callee_becomes_node(self):
-        graph = build_dependency_graph(parse_program("p(X) :- q(X)."))
-        assert ("q", 1) in graph.nodes
-        assert graph.successors(("p", 1)) == (("q", 1),)
+        callees = parse_program("p(X) :- q(X).").callees
+        assert callees == {("p", 1): (("q", 1),), ("q", 1): ()}
 
     def test_reachability(self):
-        graph = build_dependency_graph(corpus_program("gcd"))
+        callees = corpus_program("gcd").callees
         gcd, mod = ("gcd", 3), ("mod", 3)
-        assert reachable_from(graph.callees, [gcd]) == frozenset({gcd, mod})
-        assert reachable_from(graph.callees, [mod]) == frozenset({mod})
-        assert reachable_from(graph.callees, [("none", 1)]) == frozenset({("none", 1)})
+        assert reachable_from(callees, [gcd]) == frozenset({gcd, mod})
+        assert reachable_from(callees, [mod]) == frozenset({mod})
+        assert reachable_from(callees, [("none", 1)]) == frozenset({("none", 1)})
         assert reachable_from({mod: [gcd]}, [mod]) == frozenset({gcd, mod})
 
 
 class TestComponents:
     def test_callee_first_order(self):
-        graph = build_dependency_graph(corpus_program("gcd"))
-        components = strongly_connected_components(graph)
+        components = strongly_connected_components(corpus_program("gcd").callees)
         assert components == (frozenset({("mod", 3)}), frozenset({("gcd", 3)}))
 
     def test_partition(self):
@@ -69,19 +59,20 @@ class TestComponents:
         c(X) :- d(X).
         d(0).
         """
-        graph = build_dependency_graph(parse_program(source))
-        components = strongly_connected_components(graph)
+        callees = parse_program(source).callees
+        components = strongly_connected_components(callees)
         seen = [key for comp in components for key in comp]
-        assert sorted(seen) == sorted(graph.nodes)
+        assert sorted(seen) == sorted(callees)
         assert len(seen) == len(set(seen))
 
     def test_arcs_point_backwards(self):
         for name in ["gcd", "q_mixed", "p_int", "facts"]:
-            graph = build_dependency_graph(corpus_program(name))
-            components = strongly_connected_components(graph)
+            callees = corpus_program(name).callees
+            components = strongly_connected_components(callees)
             position = {k: i for i, comp in enumerate(components) for k in comp}
-            for p, q in graph.arcs:
-                assert position[q] <= position[p]
+            for p, successors in callees.items():
+                for q in successors:
+                    assert position[q] <= position[p]
 
 
 class TestLoops:
@@ -91,7 +82,6 @@ class TestLoops:
         loop = loops[0]
         assert loop.predicates == frozenset({("mc_carthy_91", 2)})
         assert len(loop.clauses) == 2
-        assert loop.support == loop.clauses
         assert loop.is_numerical
         assert loop.is_integer_based
         assert loop.diagnostics == ()
@@ -107,10 +97,8 @@ class TestLoops:
         mod_loop, gcd_loop = loops
         assert mod_loop.is_numerical
         assert mod_loop.is_integer_based
-        assert len(mod_loop.support) == 2
         assert not gcd_loop.is_numerical
         assert gcd_loop.is_integer_based
-        assert len(gcd_loop.support) == 4
         recursive = [c for c in gcd_loop.clauses if gcd_loop.is_recursive_clause(c)]
         assert len(recursive) == 1
 

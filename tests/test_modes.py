@@ -14,9 +14,9 @@ from termiarith.syntax import (
 )
 
 
-def infer(name, pattern, **kwargs):
+def infer(name, pattern):
     program = corpus_program(name)
-    return infer_argument_modes(program, parse_query_pattern(pattern), **kwargs)
+    return infer_argument_modes(program, parse_query_pattern(pattern))
 
 
 class TestAssignment:
@@ -167,11 +167,3 @@ class TestStability:
             weak = modes_of(infer(name, f"{pred}(f)"), (pred, 1))
             assert rank[strong[0]] <= rank[mid[0]] <= rank[weak[0]]
 
-    def test_restriction_toggle_agrees_on_numeric_corpus(self):
-        for name, pattern in self.CASES:
-            on = infer(name, pattern)
-            off = infer(name, pattern, restrict_to_numeric=False)
-            keys = set(on.call_modes)
-            assert set(off.call_modes) == keys
-            for key in keys:
-                assert modes_of(on, key) == modes_of(off, key)

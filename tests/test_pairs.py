@@ -16,6 +16,7 @@ from termiarith.constraints import (
     atom_gt,
     atom_le,
     atom_lt,
+    rename,
     render_expr,
 )
 from termiarith.domain import (
@@ -176,6 +177,26 @@ class TestGeneration:
             if p.mapping.range_atom.key == ("mod", 3)
         }
         assert mod_ranges == {(MODE_INT, MODE_INT, "f")}
+
+    def test_each_partition_is_renamed_once_per_row(self, monkeypatch):
+        program = corpus_program("gcd")
+        pattern = parse_query_pattern("gcd(i,i,f)")
+        modes = infer_argument_modes(program, pattern)
+        domains = {}
+        for loop in find_integer_loops(program, pattern, modes):
+            domains.update(build_domain(infer_comparisons(loop, modes)))
+        renamed = []
+
+        def recording(conj, mapping):
+            renamed.append((conj, tuple(sorted(mapping.items()))))
+            return rename(conj, mapping)
+
+        monkeypatch.setattr(pairs, "rename", recording)
+        generate_pairs(program, pattern, modes, domains=domains)
+        # Every element of gcd's and mod's partitions, once onto the
+        # domain row and once onto the range row.
+        assert len(renamed) == len(set(renamed))
+        assert len(renamed) == 2 * sum(len(elements) for elements in domains.values())
 
     def test_integer_reasoning_prunes_value_ranges(self):
         # r counts down from a positive integer, so the recursive call
@@ -434,10 +455,12 @@ class TestGuessing:
         rendered = [render_expr(f.expr) for f in guess_termination_functions(pair)]
         assert rendered[0] == "100 - arg1"
 
-    def test_cap_limits_candidates(self):
+    def test_cap_limits_candidates(self, monkeypatch):
         closure, _ = pipeline("mod", "mod(i,i,f)")
         (pair,) = circular(closure)
-        assert len(guess_termination_functions(pair, cap=1)) == 1
+        assert len(guess_termination_functions(pair)) > 1
+        monkeypatch.setattr(pairs, "CANDIDATE_CAP", 1)
+        assert len(guess_termination_functions(pair)) == 1
 
 
 class TestVerification:
@@ -466,11 +489,7 @@ class TestVerification:
         closure, _ = pipeline("r", "r(i)")
         (pair,) = circular(closure)
         assert verify_decrease(pair, TerminationFunction(expr=A1))
-        from fractions import Fraction
-
-        assert not verify_decrease(
-            pair, TerminationFunction(expr=A1, lower_bound=Fraction(10))
-        )
+        assert not verify_decrease(pair, TerminationFunction(expr=A1, lower_bound=10))
 
     def test_verify_matches_grid_enumeration(self):
         closure, _ = pipeline("mod", "mod(i,i,f)")
