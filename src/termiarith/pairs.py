@@ -4,9 +4,12 @@ A pair summarizes one resolution step (or a composition of steps): the
 abstraction of a call, the abstraction of that call after head
 unification (the domain row), the abstraction of one selected body atom
 (the range row), and the relations between the two rows that the step
-implies.  Relations are undirected equality edges and directed
-strict-decrease arcs; between integer positions they relate values,
-between structurally instantiated positions they relate term-size norms.
+implies.  Each relation is a triple (i, rel, j): position i of the domain
+row is equal to ("="), greater than (">") or less than ("<") position j
+of the range row.  Between integer positions it compares values, between
+structurally instantiated positions it compares term-size norms.  The
+report shows "=" relations as edges and the strict ones as arcs pointing
+from the larger position to the smaller.
 
 Pairs are closed under composition, which is finite because rows range
 over finite partitions.  A circular pair (range abstraction equal to the
@@ -30,6 +33,7 @@ from .constraints import (
     LinExpr,
     atom_eq,
     atom_gt,
+    atom_lt,
     conjunction,
     eliminate_outside,
     implies,
@@ -53,7 +57,6 @@ from .norms import call_size_var, head_call_sizes, head_size_var, infer_size_rel
 from .syntax import (
     IntConst,
     MODE_BOUND,
-    MODE_FREE,
     MODE_INT,
     PredKey,
     Program,
@@ -84,15 +87,6 @@ class PairCapExceeded(Exception):
 
 
 @dataclass(frozen=True)
-class Node:
-    """One argument position in a mapping row."""
-
-    position: int
-    mode: str
-    row: str
-
-
-@dataclass(frozen=True)
 class AbstractQuery:
     """Abstraction of a call: predicate, argument modes, and a
     constraint over its integer positions (arg1, arg2, ...)."""
@@ -102,39 +96,24 @@ class AbstractQuery:
     constraint: Conjunction
 
 
-Relation = tuple[Node, Node]
+#: (domain position, "=" | ">" | "<", range position).
+Relation = tuple[int, str, int]
+
+#: Each relation as a constraint between its two position variables,
+#: in the order `_relations` tries them.
+_RELATE = {"=": atom_eq, ">": atom_gt, "<": atom_lt}
 
 
 @dataclass(frozen=True)
 class Mapping:
-    """Domain and range rows with the relations between them.  An arc
-    (a, b) asserts a strict decrease from a to b: value(a) > value(b)
-    for integer positions, norm(a) > norm(b) for instantiated ones."""
+    """Domain and range rows with the relations between them.  A
+    relation (i, rel, j) states value(d_i) rel value(r_j) when both
+    positions are integer and norm(d_i) rel norm(r_j) when both are
+    instantiated; each position's mode is read from its row."""
 
     domain_atom: AbstractQuery
     range_atom: AbstractQuery
-    edges: frozenset[Relation]
-    arcs: frozenset[Relation]
-
-    @property
-    def domain_nodes(self) -> tuple[Node, ...]:
-        return tuple(
-            Node(j, mode, ROW_DOMAIN) for j, mode in enumerate(self.domain_atom.modes)
-        )
-
-    @property
-    def range_nodes(self) -> tuple[Node, ...]:
-        return tuple(
-            Node(j, mode, ROW_RANGE) for j, mode in enumerate(self.range_atom.modes)
-        )
-
-    @property
-    def domain_constraint(self) -> Conjunction:
-        return self.domain_atom.constraint
-
-    @property
-    def range_constraint(self) -> Conjunction:
-        return self.range_atom.constraint
+    relations: frozenset[Relation]
 
     @cached_property
     def chain_blocks(self) -> tuple[Conjunction, Conjunction]:
@@ -149,14 +128,14 @@ class Mapping:
         range_middle = {_row_var(ROW_RANGE, j): f"{_MIDDLE}{j + 1}" for j in range(range_arity)}
         domain_middle = {_row_var(ROW_DOMAIN, j): f"{_MIDDLE}{j + 1}" for j in range(domain_arity)}
         as_first = (
-            rename(self.domain_constraint, _row_names(domain_arity, _PREFIX[ROW_DOMAIN]))
+            rename(self.domain_atom.constraint, _row_names(domain_arity, _PREFIX[ROW_DOMAIN]))
             | rename(relations, range_middle)
-            | rename(self.range_constraint, _row_names(range_arity, _MIDDLE))
+            | rename(self.range_atom.constraint, _row_names(range_arity, _MIDDLE))
         )
         as_second = (
-            rename(self.domain_constraint, _row_names(domain_arity, _MIDDLE))
+            rename(self.domain_atom.constraint, _row_names(domain_arity, _MIDDLE))
             | rename(relations, domain_middle)
-            | rename(self.range_constraint, _row_names(range_arity, _PREFIX[ROW_RANGE]))
+            | rename(self.range_atom.constraint, _row_names(range_arity, _PREFIX[ROW_RANGE]))
         )
         return conjunction(as_first), conjunction(as_second)
 
@@ -202,10 +181,6 @@ def _row_names(arity: int, prefix: str) -> dict[str, str]:
     return {position_var(j): f"{prefix}{j + 1}" for j in range(arity)}
 
 
-def _node_key(node: Node) -> tuple[str, int]:
-    return (node.row, node.position)
-
-
 def _theta_modes(modes: Sequence[str], args: Sequence[Term]) -> tuple[str, ...]:
     """Call modes strengthened by what head unification instantiates."""
     out = []
@@ -220,14 +195,14 @@ def _theta_modes(modes: Sequence[str], args: Sequence[Term]) -> tuple[str, ...]:
 
 
 def _relation_atoms(mapping: Mapping) -> list[LinAtom]:
-    """The mapping's integer edges and arcs as constraints over the
-    d1../r1.. row variables (norm relations carry no value atoms)."""
-    atoms: list[LinAtom] = []
-    for relations, relate in ((mapping.edges, atom_eq), (mapping.arcs, atom_gt)):
-        for a, b in sorted(relations, key=lambda e: tuple(map(_node_key, e))):
-            if a.mode == MODE_INT and b.mode == MODE_INT:
-                atoms.append(relate(_row_var(a.row, a.position), _row_var(b.row, b.position)))
-    return atoms
+    """The mapping's integer relations as constraints over the d1../r1..
+    row variables (norm relations carry no value atoms)."""
+    domain_modes, range_modes = mapping.domain_atom.modes, mapping.range_atom.modes
+    return [
+        _RELATE[rel](_row_var(ROW_DOMAIN, i), _row_var(ROW_RANGE, j))
+        for i, rel, j in mapping.relations
+        if domain_modes[i] == MODE_INT and range_modes[j] == MODE_INT
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -252,29 +227,25 @@ def _relations(
     range_modes: Sequence[str],
     domain_var: Callable[[int], str],
     range_var: Callable[[int], str],
-) -> tuple[set[Relation], set[Relation]]:
-    """Edges and arcs between the `mode` positions of the two rows that
-    the constraint implies, position values being named by `domain_var`
-    and `range_var`: values for i positions, term sizes for b ones."""
-    edges: set[Relation] = set()
-    arcs: set[Relation] = set()
+) -> set[Relation]:
+    """Relations between the `mode` positions of the two rows that the
+    constraint implies, position values being named by `domain_var` and
+    `range_var`: values for i positions, term sizes for b ones.  Each
+    position pair gets the first of "=", ">", "<" that holds."""
+    relations: set[Relation] = set()
     for i, dmode in enumerate(domain_modes):
         if dmode != mode:
             continue
         dvar = LinExpr.var(domain_var(i))
-        dnode = Node(i, dmode, ROW_DOMAIN)
         for j, rmode in enumerate(range_modes):
             if rmode != mode:
                 continue
             rvar = LinExpr.var(range_var(j))
-            rnode = Node(j, rmode, ROW_RANGE)
-            if implies(constraint, atom_eq(dvar, rvar)):
-                edges.add((dnode, rnode))
-            elif implies(constraint, atom_gt(dvar, rvar)):
-                arcs.add((dnode, rnode))
-            elif implies(constraint, atom_gt(rvar, dvar)):
-                arcs.add((rnode, dnode))
-    return edges, arcs
+            for rel, relate in _RELATE.items():
+                if implies(constraint, relate(dvar, rvar)):
+                    relations.add((i, rel, j))
+                    break
+    return relations
 
 
 def generate_pairs(
@@ -308,7 +279,7 @@ def generate_pairs(
     def norm_relations(clause, index, domain_modes, range_modes):
         nonlocal table
         if MODE_BOUND not in domain_modes or MODE_BOUND not in range_modes:
-            return set(), set()
+            return set()
         if table is None:
             table = size_table() if size_table else infer_size_relations(program, modes)
         return _relations(
@@ -359,7 +330,7 @@ def generate_pairs(
                 range_modes = effective_call_modes(literal.key, modes)
                 # Term sizes implied by the clause and the calls before
                 # the selected one.
-                norm_edges, norm_arcs = norm_relations(clause, index, domain_modes, range_modes)
+                norms = norm_relations(clause, index, domain_modes, range_modes)
                 prefix = conjunction(base | frozenset(guards)) if numeric else base
                 bindings = (
                     _value_bindings(range_modes, literal.args, ROW_RANGE)
@@ -386,9 +357,9 @@ def generate_pairs(
                             full = conjunction(with_domain | r_row)
                             if not is_satisfiable(full):
                                 continue
-                            edges, arcs = set(norm_edges), set(norm_arcs)
+                            relations = norms
                             if numeric:
-                                value_edges, value_arcs = _relations(
+                                relations = norms | _relations(
                                     full,
                                     MODE_INT,
                                     domain_modes,
@@ -396,8 +367,6 @@ def generate_pairs(
                                     partial(_row_var, ROW_DOMAIN),
                                     partial(_row_var, ROW_RANGE),
                                 )
-                                edges |= value_edges
-                                arcs |= value_arcs
                             range_atom = AbstractQuery(
                                 key=literal.key, modes=range_modes, constraint=r_elem
                             )
@@ -411,8 +380,7 @@ def generate_pairs(
                                             constraint=d_elem,
                                         ),
                                         range_atom=range_atom,
-                                        edges=frozenset(edges),
-                                        arcs=frozenset(arcs),
+                                        relations=frozenset(relations),
                                     ),
                                 )
                             )
@@ -440,24 +408,6 @@ _COMPOSE = {
 }
 
 
-def _half_relations(mapping: Mapping, anchor_row: str) -> list[tuple[Node, int, str]]:
-    """Relations of the mapping read from the other row toward
-    anchor_row: (other node, anchor position, relation of other to
-    anchor)."""
-    out: list[tuple[Node, int, str]] = []
-    for a, b in mapping.edges:
-        if a.row == anchor_row:
-            out.append((b, a.position, "="))
-        else:
-            out.append((a, b.position, "="))
-    for a, b in mapping.arcs:
-        if b.row == anchor_row:
-            out.append((a, b.position, ">"))
-        else:
-            out.append((b, a.position, "<"))
-    return out
-
-
 def _satisfiable_through(first: QueryMappingPair, second: QueryMappingPair) -> bool:
     """Whether the constraints of two chaining pairs are satisfiable
     together through their shared middle row."""
@@ -480,47 +430,43 @@ def _composition(first: QueryMappingPair, second: QueryMappingPair) -> QueryMapp
     """The identity of `first` followed by `second`: query, rows and the
     relations composed through the middle row, whether or not the
     combined constraints are satisfiable."""
-    left = _half_relations(first.mapping, ROW_RANGE)
-    right = _half_relations(second.mapping, ROW_DOMAIN)
-    edges: set[Relation] = set()
-    arcs: set[Relation] = set()
-    for dnode, i, rel_a in left:
-        if dnode.row != ROW_DOMAIN:
-            continue
-        for rnode, j, rel_b in right:
-            if rnode.row != ROW_RANGE or i != j:
-                continue
-            composed = _COMPOSE.get((rel_a, _FLIP[rel_b]))
-            if composed == "=":
-                edges.add((dnode, rnode))
-            elif composed == ">":
-                arcs.add((dnode, rnode))
-            elif composed == "<":
-                arcs.add((rnode, dnode))
+    relations = frozenset(
+        (i, _COMPOSE[a, b], j)
+        for i, a, m in first.mapping.relations
+        for n, b, j in second.mapping.relations
+        if m == n and (a, b) in _COMPOSE
+    )
     return QueryMappingPair(
         query=first.query,
         mapping=Mapping(
             domain_atom=first.mapping.domain_atom,
             range_atom=second.mapping.range_atom,
-            edges=frozenset(edges),
-            arcs=frozenset(arcs),
+            relations=relations,
         ),
     )
 
 
-_FLIP = {"=": "=", ">": "<", "<": ">"}
+def _arc_key(relation: Relation) -> tuple[tuple[str, int], tuple[str, int]]:
+    """The relation's two ends as (row, position), the larger end of a
+    strict relation first and the domain end of an equality first."""
+    i, rel, j = relation
+    domain, range_ = (ROW_DOMAIN, i), (ROW_RANGE, j)
+    return (range_, domain) if rel == "<" else (domain, range_)
 
 
 def pair_sort_key(pair: QueryMappingPair) -> tuple:
+    """Query, rows, then the equalities by position and the strict
+    relations by `_arc_key`."""
+    relations = pair.mapping.relations
     return (
         pair.query.key,
         pair.query.modes,
         render_conjunction(pair.query.constraint),
         pair.mapping.range_atom.key,
-        render_conjunction(pair.mapping.domain_constraint),
-        render_conjunction(pair.mapping.range_constraint),
-        tuple(sorted(map(lambda e: tuple(map(_node_key, e)), pair.mapping.edges))),
-        tuple(sorted(map(lambda e: tuple(map(_node_key, e)), pair.mapping.arcs))),
+        render_conjunction(pair.mapping.domain_atom.constraint),
+        render_conjunction(pair.mapping.range_atom.constraint),
+        tuple(sorted((i, j) for i, rel, j in relations if rel == "=")),
+        tuple(sorted(_arc_key(r) for r in relations if r[1] != "=")),
     )
 
 
@@ -530,38 +476,34 @@ def compose_until_fixpoint(
     """Closure of the pairs under composition.  Raises PairCapExceeded
     past `cap` pairs.
 
-    Each pending pair is composed with every pair it chains with, as the
-    first step and as the second.  A composition's identity needs no
-    solver, so one already in the closure is skipped before its
-    constraints are checked; only a new one costs a satisfiability
-    check, and the pairs are added in the same order as by checking
-    every composition with `compose_pair`."""
-    closure: set[QueryMappingPair] = set()
-    # Each pair is filed by its query as a second step and by its range
-    # as a first step.
+    A given-pair loop: each pending pair in turn is filed and composed
+    only with the pairs filed before it, as the first step and as the
+    second, and with itself once.  So every ordered combination of two
+    closure pairs is considered exactly once, when the later of the two
+    is filed.  A composition's identity needs no solver, so one already
+    in the closure is skipped before its constraints are checked; only a
+    new one costs a satisfiability check."""
+    pending = sorted(pairs, key=pair_sort_key)
+    closure = set(pending)
+    # Filed pairs by their query, where they chain as a second step, and
+    # by their range, where they chain as a first step.
     by_query: dict[AbstractQuery, list[QueryMappingPair]] = {}
     by_range: dict[AbstractQuery, list[QueryMappingPair]] = {}
-    pending: list[QueryMappingPair] = []
-
-    def add(pair: QueryMappingPair) -> None:
-        closure.add(pair)
-        by_query.setdefault(pair.query, []).append(pair)
-        by_range.setdefault(pair.mapping.range_atom, []).append(pair)
-        pending.append(pair)
 
     def extend(first: QueryMappingPair, second: QueryMappingPair) -> None:
         composed = _composition(first, second)
         if composed not in closure and _satisfiable_through(first, second):
-            add(composed)
+            closure.add(composed)
+            pending.append(composed)
 
-    for pair in sorted(pairs, key=pair_sort_key):
-        add(pair)
     while pending:
         pair = pending.pop(0)
-        for second in list(by_query.get(pair.mapping.range_atom, ())):
+        by_query.setdefault(pair.query, []).append(pair)
+        for second in by_query.get(pair.mapping.range_atom, ()):
             extend(pair, second)
-        for first in list(by_range.get(pair.query, ())):
+        for first in by_range.get(pair.query, ()):
             extend(first, pair)
+        by_range.setdefault(pair.mapping.range_atom, []).append(pair)
         if len(closure) > cap:
             raise PairCapExceeded(
                 f"query-mapping closure passed {cap} pairs;"
@@ -581,27 +523,30 @@ def is_circular(pair: QueryMappingPair) -> bool:
 def check_forward_positive_cycle(pair: QueryMappingPair) -> bool:
     """The structural test: some instantiated position reaches itself in
     the range row through at least one norm arc.  Only norm relations
-    participate; integer values are not well-founded on their own."""
-    moves: dict[Node, set[tuple[Node, bool]]] = {}
+    participate; integer values are not well-founded on their own.
 
-    def structural(a: Node, b: Node) -> bool:
-        return a.mode == MODE_BOUND and b.mode == MODE_BOUND
-
-    for a, b in pair.mapping.edges:
-        if structural(a, b):
-            moves.setdefault(a, set()).add((b, False))
-            moves.setdefault(b, set()).add((a, False))
-    for a, b in pair.mapping.arcs:
-        if structural(a, b):
-            moves.setdefault(a, set()).add((b, True))
-    for start in pair.mapping.domain_nodes:
-        if start.mode == MODE_FREE:
+    A walk moves either way along an equality and from the larger end
+    of a strict relation to its smaller end."""
+    domain_modes = pair.mapping.domain_atom.modes
+    range_modes = pair.mapping.range_atom.modes
+    moves: dict[tuple[str, int], set[tuple[tuple[str, int], bool]]] = {}
+    for i, rel, j in pair.mapping.relations:
+        if domain_modes[i] != MODE_BOUND or range_modes[j] != MODE_BOUND:
             continue
-        frontier = [(start, False)]
-        visited = {(start, False)}
+        domain, range_ = (ROW_DOMAIN, i), (ROW_RANGE, j)
+        if rel != "<":
+            moves.setdefault(domain, set()).add((range_, rel == ">"))
+        if rel != ">":
+            moves.setdefault(range_, set()).add((domain, rel == "<"))
+    for position, mode in enumerate(domain_modes):
+        if mode != MODE_BOUND:
+            continue
+        start = ((ROW_DOMAIN, position), False)
+        frontier = [start]
+        visited = {start}
         while frontier:
             node, through_arc = frontier.pop(0)
-            if node.row == ROW_RANGE and node.position == start.position and through_arc:
+            if node == (ROW_RANGE, position) and through_arc:
                 return True
             for nxt, is_arc in moves.get(node, ()):
                 state = (nxt, through_arc or is_arc)
@@ -622,11 +567,11 @@ def guess_termination_functions(pair: QueryMappingPair) -> list[TerminationFunct
         if expr.variables() and expr not in suggestions:
             suggestions.append(expr)
 
-    for constraint in (pair.mapping.domain_constraint, pair.mapping.range_constraint):
+    domain = pair.mapping.domain_atom.constraint
+    for constraint in (domain, pair.mapping.range_atom.constraint):
         for atom in sorted_atoms(constraint):
             if atom.rel in (LT, LE):
                 suggest(-atom.expr)
-    domain = pair.mapping.domain_constraint
     for j, mode in enumerate(pair.mapping.domain_atom.modes):
         if mode == MODE_INT:
             expr = LinExpr.var(position_var(j))
@@ -668,9 +613,12 @@ def prove_pair(pair: QueryMappingPair) -> Optional[PairProof]:
 # Rendering.
 
 
-def _render_relation(relation: Relation, symbol: str) -> str:
-    a, b = relation
-    return f"{_row_var(a.row, a.position)} {symbol} {_row_var(b.row, b.position)}"
+def _render_relation(relation: Relation) -> str:
+    """The relation as the report writes it: an equality between the
+    rows, or a strict one larger end first."""
+    (larger, i), (smaller, j) = _arc_key(relation)
+    symbol = "=" if relation[1] == "=" else ">"
+    return f"{_row_var(larger, i)} {symbol} {_row_var(smaller, j)}"
 
 
 def render_pair(pair: QueryMappingPair, proof: Optional[PairProof] = None) -> str:
@@ -681,16 +629,15 @@ def render_pair(pair: QueryMappingPair, proof: Optional[PairProof] = None) -> st
     lines = [
         f"pair {name}({query_modes}) where {render_conjunction(pair.query.constraint)}"
     ]
-    for label, nodes, constraint in (
-        ("domain", pair.mapping.domain_nodes, pair.mapping.domain_constraint),
-        ("range ", pair.mapping.range_nodes, pair.mapping.range_constraint),
+    for label, row in (
+        ("domain", pair.mapping.domain_atom),
+        ("range ", pair.mapping.range_atom),
     ):
-        cells = " ".join(f"[{n.position + 1}:{n.mode}]" for n in nodes)
-        lines.append(f"  {label} {cells}  where {render_conjunction(constraint)}")
-    edges = sorted(
-        _render_relation(e, "=") for e in pair.mapping.edges
-    )
-    arcs = sorted(_render_relation(a, ">") for a in pair.mapping.arcs)
+        cells = " ".join(f"[{j + 1}:{mode}]" for j, mode in enumerate(row.modes))
+        lines.append(f"  {label} {cells}  where {render_conjunction(row.constraint)}")
+    relations = pair.mapping.relations
+    edges = sorted(_render_relation(r) for r in relations if r[1] == "=")
+    arcs = sorted(_render_relation(r) for r in relations if r[1] != "=")
     lines.append(f"  edges: {', '.join(edges) if edges else 'none'}")
     lines.append(f"  arcs: {', '.join(arcs) if arcs else 'none'}")
     if proof is not None:

@@ -33,8 +33,9 @@ OPTION_SETS = {
 }
 
 
-def report_digest(name: str, query: str, options: AnalysisOptions) -> str:
-    verdict = analyse_termination(corpus_program(name), parse_query_pattern(query), options)
+def report_digest(program, query: str, options: AnalysisOptions) -> str:
+    """sha256 over every report of one task, its method and diagnostics."""
+    verdict = analyse_termination(program, parse_query_pattern(query), options)
     parts = [
         render_report(verdict),
         render_report(verdict, format="json"),
@@ -49,7 +50,7 @@ def corpus_digests(corpus) -> dict[str, dict[str, str]]:
     """Task (``name query``) -> option set -> digest."""
     return {
         f"{name} {query}": {
-            label: report_digest(name, query, options)
+            label: report_digest(corpus_program(name), query, options)
             for label, options in OPTION_SETS.items()
         }
         for name, query, _ in corpus

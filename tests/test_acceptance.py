@@ -13,6 +13,7 @@ import numpy as np
 
 from conftest import corpus_program
 from meta_interp import BudgetExceeded, run_query
+from family_digests import FAMILY_DIGESTS, task_digest
 from option_digests import DIGESTS, corpus_digests
 
 from termiarith.answers import build_answer_domain, compute_abstract_answers
@@ -350,3 +351,15 @@ def test_ac14_corpus_reports_under_other_options_match_their_digests():
     # `python3 tests/option_digests.py`.
     expected = json.loads(DIGESTS.read_text())
     assert corpus_digests(CORPUS) == expected
+
+
+def test_ac15_family_reports_match_their_digests():
+    # One sha256 per generated chain, guard and nest task under the
+    # default options, frozen with its source by
+    # `python3 tests/family_digests.py`.
+    expected = json.loads(FAMILY_DIGESTS.read_text())
+    got = {
+        task_id: task_digest(task["source"], task["query"])
+        for task_id, task in expected.items()
+    }
+    assert got == {task_id: task["sha256"] for task_id, task in expected.items()}

@@ -2,9 +2,12 @@
 composition algebra, the structural cycle test, and function-based
 decrease proofs."""
 
+import operator
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import corpus_program
 from helpers import closure_reference, driver_calls
@@ -32,7 +35,6 @@ from termiarith.pairs import (
     ROW_RANGE,
     AbstractQuery,
     Mapping,
-    Node,
     PairCapExceeded,
     QueryMappingPair,
     TerminationFunction,
@@ -117,11 +119,23 @@ def constraint_of(pair):
 
 
 def arc_positions(pair):
-    return {((a.row, a.position), (b.row, b.position)) for a, b in pair.mapping.arcs}
+    """Strict relations as ((row, position) of the larger end,
+    (row, position) of the smaller end)."""
+    arcs = set()
+    for i, rel, j in pair.mapping.relations:
+        if rel == ">":
+            arcs.add(((ROW_DOMAIN, i), (ROW_RANGE, j)))
+        elif rel == "<":
+            arcs.add(((ROW_RANGE, j), (ROW_DOMAIN, i)))
+    return arcs
 
 
 def edge_positions(pair):
-    return {((a.row, a.position), (b.row, b.position)) for a, b in pair.mapping.edges}
+    return {
+        ((ROW_DOMAIN, i), (ROW_RANGE, j))
+        for i, rel, j in pair.mapping.relations
+        if rel == "="
+    }
 
 
 D1, D2 = ("domain", 0), ("domain", 1)
@@ -221,42 +235,70 @@ def _single_query(constraint=frozenset()):
 def _single_pair(relation):
     """One-position pair whose only relation between domain and range is
     `relation`: '=', '>' (domain bigger) or '<' (range bigger)."""
-    d = Node(0, MODE_INT, ROW_DOMAIN)
-    r = Node(0, MODE_INT, ROW_RANGE)
-    edges = frozenset({(d, r)}) if relation == "=" else frozenset()
-    if relation == ">":
-        arcs = frozenset({(d, r)})
-    elif relation == "<":
-        arcs = frozenset({(r, d)})
-    else:
-        arcs = frozenset()
     q = _single_query()
     return QueryMappingPair(
-        query=q, mapping=Mapping(domain_atom=q, range_atom=q, edges=edges, arcs=arcs)
+        query=q,
+        mapping=Mapping(domain_atom=q, range_atom=q, relations=frozenset({(0, relation, 0)})),
     )
+
+
+_HOLDS = {"=": operator.eq, ">": operator.gt, "<": operator.lt}
+
+
+def _int_row(values):
+    return AbstractQuery(
+        key=("z", len(values)), modes=(MODE_INT,) * len(values), constraint=frozenset()
+    )
+
+
+@st.composite
+def _true_relations(draw, left, right):
+    """A random subset of the relations that hold between two integer rows."""
+    holding = [
+        (i, rel, j)
+        for i, a in enumerate(left)
+        for j, b in enumerate(right)
+        for rel, holds in _HOLDS.items()
+        if holds(a, b)
+    ]
+    return frozenset(draw(st.lists(st.sampled_from(holding), unique=True)))
+
+
+_ROW = st.lists(st.integers(-3, 3), min_size=1, max_size=3)
 
 
 class TestComposition:
     def test_relation_chaining(self):
         expected = {
-            ("=", "="): ("=", None),
-            ("=", ">"): (None, (D1, R1)),
-            (">", "="): (None, (D1, R1)),
-            (">", ">"): (None, (D1, R1)),
-            ("=", "<"): (None, (R1, D1)),
-            ("<", "="): (None, (R1, D1)),
-            ("<", "<"): (None, (R1, D1)),
-            (">", "<"): (None, None),
-            ("<", ">"): (None, None),
+            ("=", "="): "=",
+            ("=", ">"): ">",
+            (">", "="): ">",
+            (">", ">"): ">",
+            ("=", "<"): "<",
+            ("<", "="): "<",
+            ("<", "<"): "<",
+            (">", "<"): None,
+            ("<", ">"): None,
         }
-        for (ra, rb), (edge, arc) in expected.items():
+        for (ra, rb), rel in expected.items():
             got = compose_pair(_single_pair(ra), _single_pair(rb))
             assert got is not None
-            assert bool(got.mapping.edges) == (edge == "="), (ra, rb)
-            if arc is None:
-                assert got.mapping.arcs == frozenset(), (ra, rb)
-            else:
-                assert arc_positions(got) == {arc}, (ra, rb)
+            composed = frozenset({(0, rel, 0)}) if rel else frozenset()
+            assert got.mapping.relations == composed, (ra, rb)
+
+    @settings(deadline=None)
+    @given(st.data(), _ROW, _ROW, _ROW)
+    def test_composed_relations_hold_between_the_outer_rows(self, data, d, m, r):
+        def step(left, right):
+            relations = data.draw(_true_relations(left, right))
+            return QueryMappingPair(
+                query=_int_row(left),
+                mapping=Mapping(_int_row(left), _int_row(right), relations),
+            )
+
+        composed = pairs._composition(step(d, m), step(m, r))
+        for i, rel, j in composed.mapping.relations:
+            assert _HOLDS[rel](d[i], r[j]), (i, rel, j)
 
     def test_mismatched_interface_does_not_chain(self):
         p = _single_pair("=")
@@ -266,8 +308,7 @@ class TestComposition:
             mapping=Mapping(
                 domain_atom=other_query,
                 range_atom=other_query,
-                edges=frozenset(),
-                arcs=frozenset(),
+                relations=frozenset(),
             ),
         )
         assert compose_pair(p, q) is None
@@ -280,8 +321,7 @@ class TestComposition:
             mapping=Mapping(
                 domain_atom=positive,
                 range_atom=positive,
-                edges=frozenset(),
-                arcs=frozenset(),
+                relations=frozenset(),
             ),
         )
         second = QueryMappingPair(
@@ -289,8 +329,7 @@ class TestComposition:
             mapping=Mapping(
                 domain_atom=negative,
                 range_atom=negative,
-                edges=frozenset(),
-                arcs=frozenset(),
+                relations=frozenset(),
             ),
         )
         # The shared interface forces arg1 > 0 and arg1 < 0 on the same
@@ -375,6 +414,29 @@ class TestClosureReference:
             assert True not in verdicts
 
 
+    def test_no_combination_is_checked_twice(self, monkeypatch):
+        # Each numeric rung's closure of gcd and of mc91, one record of
+        # checked (first, second) combinations per closure.
+        bases = [
+            base
+            for program, query in RUNG_TASKS[:2]
+            for base in numeric_rung_bases(monkeypatch, program, query)
+        ]
+        checked = []
+
+        def recorded(first, second):
+            checked[-1].append((first, second))
+            return satisfiable_through(first, second)
+
+        satisfiable_through = pairs._satisfiable_through
+        monkeypatch.setattr(pairs, "_satisfiable_through", recorded)
+        for base in bases:
+            checked.append([])
+            compose_until_fixpoint(base)
+        assert any(checked)
+        assert [len(set(combinations)) for combinations in checked] == list(map(len, checked))
+
+
 class TestStructuralTest:
     def test_value_relations_do_not_make_cycles(self):
         closure, _ = pipeline("loop", "loop(i)")
@@ -404,34 +466,27 @@ class TestStructuralTest:
         pair = _single_pair(">")
         assert not check_forward_positive_cycle(pair)
 
-    def test_bound_arc_through_an_edge(self):
-        d1 = Node(0, MODE_BOUND, ROW_DOMAIN)
-        d2 = Node(1, MODE_BOUND, ROW_DOMAIN)
-        r1 = Node(0, MODE_BOUND, ROW_RANGE)
-        r2 = Node(1, MODE_BOUND, ROW_RANGE)
+    @staticmethod
+    def bound_pair(relations):
         q = AbstractQuery(
             key=("z", 2), modes=(MODE_BOUND, MODE_BOUND), constraint=frozenset()
         )
-        with_arc = QueryMappingPair(
+        return QueryMappingPair(
             query=q,
-            mapping=Mapping(
-                domain_atom=q,
-                range_atom=q,
-                edges=frozenset({(d1, r2)}),
-                arcs=frozenset({(d2, r2)}),
-            ),
+            mapping=Mapping(domain_atom=q, range_atom=q, relations=frozenset(relations)),
         )
+
+    def test_bound_arc_through_an_edge(self):
+        with_arc = self.bound_pair({(0, "=", 1), (1, ">", 1)})
         assert check_forward_positive_cycle(with_arc)
-        edges_only = QueryMappingPair(
-            query=q,
-            mapping=Mapping(
-                domain_atom=q,
-                range_atom=q,
-                edges=frozenset({(d1, r1), (d2, r2)}),
-                arcs=frozenset(),
-            ),
-        )
+        edges_only = self.bound_pair({(0, "=", 0), (1, "=", 1)})
         assert not check_forward_positive_cycle(edges_only)
+
+    def test_path_runs_backwards_along_a_less_than(self):
+        # d1 = r2 > d2 = r1: the walk from d1 reaches r1 by stepping from
+        # r2 down to d2, against the domain-to-range direction.
+        pair = self.bound_pair({(0, "=", 1), (1, "<", 1), (1, "=", 0)})
+        assert check_forward_positive_cycle(pair)
 
 
 class TestGuessing:
