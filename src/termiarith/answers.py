@@ -21,8 +21,7 @@ stays internal to the fixpoint."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .constraints import (
     Conjunction,
@@ -64,8 +63,7 @@ PIECE_CAP = 4096
 AnswerTable = dict[PredKey, tuple["AbstractAtom", ...]]
 
 
-@dataclass(frozen=True)
-class AbstractAtom:
+class AbstractAtom(NamedTuple):
     """One published answer: calls to `key` can succeed with argument
     values inside `element` (over arg1, arg2, ...)."""
 
@@ -73,8 +71,7 @@ class AbstractAtom:
     element: Conjunction
 
 
-@dataclass(frozen=True)
-class AnswerDomain:
+class AnswerDomain(NamedTuple):
     """Widening targets for a loop's fixpoint.
 
     `pieces` are the disjoint conjunctions the fixpoint widens into;

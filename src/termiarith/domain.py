@@ -29,9 +29,8 @@ Position variables are named after 1-based argument positions: ``arg1``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .constraints import (
     EQ,
@@ -505,8 +504,7 @@ def unfold_once(program: Program, clause_index: int, atom_index: int) -> Program
 # Propagation across positions.
 
 
-@dataclass(frozen=True)
-class ExtendedDomain:
+class ExtendedDomain(NamedTuple):
     """A domain spread over every argument position a predicate's values
     can reach, with notes about any component where propagation was
     skipped."""

@@ -20,9 +20,8 @@ shared by both answer passes; a rung stopped by a cap logs its lines
 again in the second pass."""
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .answers import build_answer_domain, compute_abstract_answers
 from .constraints import render_conjunction
@@ -54,28 +53,32 @@ NO = "NO"
 NO_HEADLINE = "no termination proof found"
 
 
-@dataclass(frozen=True)
-class AnalysisOptions:
+class _OptionFields(NamedTuple):
+    max_unfold: int = 1
+    answer_abstraction: str = "auto"
+    pair_cap: int = PAIR_CAP
+
+
+class AnalysisOptions(_OptionFields):
     """The settings of one analysis run, one field per CLI flag
     (`--max-unfold`, `--answers`, `--pair-cap`).  Every other cap is a
     module constant.  The pair cap must stay positive; it turns a
     blow-up into a NO verdict with diagnostics instead of a long run."""
 
-    max_unfold: int = 1
-    answer_abstraction: str = "auto"
-    pair_cap: int = PAIR_CAP
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.answer_abstraction not in ("on", "off", "auto"):
             raise ValueError("answer_abstraction must be on, off or auto")
         if self.pair_cap <= 0:
             raise ValueError("caps must be positive")
         if self.max_unfold < 0:
             raise ValueError("max_unfold must be non-negative")
+        return self
 
 
-@dataclass(frozen=True)
-class PairEvidence:
+class PairEvidence(NamedTuple):
     """One circular pair of the final run: its query in report form and
     either the discharging proof or None."""
 
@@ -85,16 +88,14 @@ class PairEvidence:
     trace: str
 
 
-@dataclass(frozen=True)
-class LoopReport:
+class LoopReport(NamedTuple):
     predicates: tuple[str, ...]
     integer_based: bool
     domain: dict[str, tuple[str, ...]]
     pairs: tuple[PairEvidence, ...]
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """YES only when every circular pair of the reported run carries a
     proof; diagnostics explain NO verdicts and record the rung log."""
 

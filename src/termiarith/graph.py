@@ -18,8 +18,7 @@ explain a negative verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .syntax import (
     Clause,
@@ -104,8 +103,7 @@ def strongly_connected_components(
     return tuple(components)
 
 
-@dataclass(frozen=True)
-class LoopInfo:
+class LoopInfo(NamedTuple):
     predicates: frozenset[PredKey]
     clauses: tuple[Clause, ...]
     is_numerical: bool

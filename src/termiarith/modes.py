@@ -27,8 +27,7 @@ verdict and diagnostics.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .graph import reachable_from
 from .syntax import (
@@ -71,8 +70,7 @@ def clause_applicable(clause: Clause, call_modes: tuple[str, ...]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class IntViolation:
+class IntViolation(NamedTuple):
     pred: PredKey
     clause_index: int
     detail: str
@@ -82,8 +80,7 @@ class IntViolation:
         return f"{name}/{arity} clause {self.clause_index + 1}: {self.detail}"
 
 
-@dataclass
-class ModeAssignment:
+class ModeAssignment(NamedTuple):
     pattern: QueryPattern
     call_modes: dict[PredKey, tuple[str, ...]]
     success_modes: dict[PredKey, tuple[str, ...]]

@@ -20,9 +20,8 @@ from domain to range."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property, partial
-from typing import Callable, Iterable, Mapping as MappingType, Optional, Sequence
+from typing import Callable, Iterable, Mapping as MappingType, NamedTuple, Optional, Sequence
 
 from .answers import AnswerTable, answer_choices, instantiate_element
 from .constraints import (
@@ -86,8 +85,7 @@ class PairCapExceeded(Exception):
     """The composition closure outgrew the pair cap."""
 
 
-@dataclass(frozen=True)
-class AbstractQuery:
+class AbstractQuery(NamedTuple):
     """Abstraction of a call: predicate, argument modes, and a
     constraint over its integer positions (arg1, arg2, ...)."""
 
@@ -104,16 +102,18 @@ Relation = tuple[int, str, int]
 _RELATE = {"=": atom_eq, ">": atom_gt, "<": atom_lt}
 
 
-@dataclass(frozen=True)
-class Mapping:
-    """Domain and range rows with the relations between them.  A
-    relation (i, rel, j) states value(d_i) rel value(r_j) when both
-    positions are integer and norm(d_i) rel norm(r_j) when both are
-    instantiated; each position's mode is read from its row."""
-
+class _MappingRows(NamedTuple):
     domain_atom: AbstractQuery
     range_atom: AbstractQuery
     relations: frozenset[Relation]
+
+
+class Mapping(_MappingRows):
+    """Domain and range rows with the relations between them.  A
+    relation (i, rel, j) states value(d_i) rel value(r_j) when both
+    positions are integer and norm(d_i) rel norm(r_j) when both are
+    instantiated; each position's mode is read from its row.  The
+    fields are a tuple; the instance dict holds `chain_blocks`."""
 
     @cached_property
     def chain_blocks(self) -> tuple[Conjunction, Conjunction]:
@@ -140,14 +140,12 @@ class Mapping:
         return conjunction(as_first), conjunction(as_second)
 
 
-@dataclass(frozen=True)
-class QueryMappingPair:
+class QueryMappingPair(NamedTuple):
     query: AbstractQuery
     mapping: Mapping
 
 
-@dataclass(frozen=True)
-class TerminationFunction:
+class TerminationFunction(NamedTuple):
     """A linear function of one row's integer positions, admissible for
     a pair once the domain constraint implies expr >= lower_bound."""
 
@@ -158,8 +156,7 @@ class TerminationFunction:
         return f"{render_expr(self.expr)} (bound {self.lower_bound})"
 
 
-@dataclass(frozen=True)
-class PairProof:
+class PairProof(NamedTuple):
     """How a circular pair was discharged: 'structural' for the norm
     test, 'function' with the witness otherwise."""
 

@@ -17,9 +17,8 @@ comparison ends up with variable-or-integer operands.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 MODE_INT = "i"
 MODE_BOUND = "b"
@@ -43,30 +42,48 @@ PredKey = tuple[str, int]
 ARITH_OPS = ("+", "-", "*")
 
 
-@dataclass(frozen=True, order=True)
-class Var:
+def _same_record(self, other) -> bool:
+    return self.__class__ is other.__class__ and tuple.__eq__(self, other)
+
+
+def _different_record(self, other) -> bool:
+    return not _same_record(self, other)
+
+
+def _record(cls):
+    """Make a NamedTuple class equal only to records of its own class,
+    so same-shaped records such as ``Var("X")`` and ``AtomConst("X")``
+    stay unequal and separate dict keys.  Hashing stays the tuple's own:
+    two such records share a hash, which is only a collision."""
+    cls.__eq__ = _same_record
+    cls.__ne__ = _different_record
+    return cls
+
+
+@_record
+class Var(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True, order=True)
-class IntConst:
+@_record
+class IntConst(NamedTuple):
     value: int
 
 
-@dataclass(frozen=True, order=True)
-class FloatConst:
+@_record
+class FloatConst(NamedTuple):
     """A non-integer numeric literal, kept verbatim for diagnostics."""
 
     text: str
 
 
-@dataclass(frozen=True, order=True)
-class AtomConst:
+@_record
+class AtomConst(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True, order=True)
-class Compound:
+@_record
+class Compound(NamedTuple):
     functor: str
     args: tuple["Term", ...]
 
@@ -74,8 +91,8 @@ class Compound:
 Term = Union[Var, IntConst, FloatConst, AtomConst, Compound]
 
 
-@dataclass(frozen=True, order=True)
-class UserAtom:
+@_record
+class UserAtom(NamedTuple):
     pred: str
     args: tuple[Term, ...] = ()
 
@@ -84,38 +101,39 @@ class UserAtom:
         return (self.pred, len(self.args))
 
 
-@dataclass(frozen=True, order=True)
-class Is:
+@_record
+class Is(NamedTuple):
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True, order=True)
-class Comparison:
+@_record
+class Comparison(NamedTuple):
     lhs: Term
     op: str  # one of < =< >= >
     rhs: Term
 
 
-@dataclass(frozen=True, order=True)
-class Unify:
+@_record
+class Unify(NamedTuple):
     """Structural ``=`` that survived normalization."""
 
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True, order=True)
-class Disunify:
+@_record
+class Disunify(NamedTuple):
     """Structural ``\\=`` that survived normalization."""
 
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True, order=True)
-class TrueLit:
-    pass
+@_record
+class TrueLit(NamedTuple):
+    def __bool__(self) -> bool:  # an empty tuple would be falsy
+        return True
 
 
 Literal = Union[UserAtom, Is, Comparison, Unify, Disunify, TrueLit]
@@ -123,8 +141,8 @@ Literal = Union[UserAtom, Is, Comparison, Unify, Disunify, TrueLit]
 COMPARISON_OPS = ("<", "=<", ">=", ">")
 
 
-@dataclass(frozen=True, order=True)
-class Clause:
+@_record
+class Clause(NamedTuple):
     head: UserAtom
     body: tuple[Literal, ...] = ()
 
@@ -133,18 +151,25 @@ class Clause:
         return self.head.key
 
 
-@dataclass(frozen=True)
 class Program:
-    clauses: tuple[Clause, ...]
-    index: dict[PredKey, tuple[int, ...]] = field(
-        default_factory=dict, compare=False, repr=False
-    )
+    """A program's clauses, with `index` mapping each predicate to the
+    positions of its clauses.  Programs are equal when their clauses are."""
 
-    def __post_init__(self):
+    def __init__(self, clauses: tuple[Clause, ...]):
+        self.clauses = clauses
         index: dict[PredKey, list[int]] = {}
-        for i, clause in enumerate(self.clauses):
+        for i, clause in enumerate(clauses):
             index.setdefault(clause.key, []).append(i)
-        object.__setattr__(self, "index", {k: tuple(v) for k, v in index.items()})
+        self.index = {k: tuple(v) for k, v in index.items()}
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Program) and self.clauses == other.clauses
+
+    def __hash__(self) -> int:
+        return hash(self.clauses)
+
+    def __repr__(self) -> str:
+        return f"Program(clauses={self.clauses!r})"
 
     @cached_property
     def callees(self) -> dict[PredKey, tuple[PredKey, ...]]:
@@ -163,8 +188,7 @@ class Program:
         return tuple(self.clauses[i] for i in self.index.get(key, ()))
 
 
-@dataclass(frozen=True)
-class QueryPattern:
+class QueryPattern(NamedTuple):
     pred: str
     modes: tuple[str, ...]
 
@@ -194,8 +218,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # float | int | punct | var | atom | end
     text: str
     line: int
@@ -737,8 +760,7 @@ def literal_text(literal: Literal) -> str:
 # Arithmetic expression survey, used by the loop classifier and modes.
 
 
-@dataclass(frozen=True)
-class ArithInfo:
+class ArithInfo(NamedTuple):
     variables: frozenset[str]
     operators: frozenset[str]
     float_texts: tuple[str, ...]

@@ -1,6 +1,5 @@
 """Command line tests: exit codes, stream separation, flags."""
 
-import dataclasses
 import io
 import json
 import signal
@@ -192,7 +191,7 @@ class TestFlags:
         monkeypatch.setattr(cli, "AnalysisOptions", recording)
         run(capsys, str(corpus_path("mod")), "--query", "mod(i,i,f)")
         (kwargs,) = passed
-        assert set(kwargs) == {f.name for f in dataclasses.fields(AnalysisOptions)}
+        assert set(kwargs) == set(AnalysisOptions._fields)
 
 
 @pytest.mark.skipif(not HAS_ALARM, reason="needs SIGALRM")
@@ -250,17 +249,54 @@ class TestTimeout:
 
 COUNTDOWN = b"p(0).\np(X) :- X > 0, Y is X - 1, p(Y).\n"
 
+# The grammar's tokens: atoms, variables, integers, comparisons,
+# arithmetic operators and punctuation.
+TERM_TOKENS = ("p", "q", "a", "X", "Y", "_", "0", "1", "2")
+COMPARE_TOKENS = ("<", "=<", ">=", ">", "=", "\\=")
+ARITH_TOKENS = ("+", "-", "*")
+TOKENS = TERM_TOKENS + COMPARE_TOKENS + ARITH_TOKENS + (":-", "(", ")", ",", ".", "is")
+
+_term = st.sampled_from(TERM_TOKENS)
+_literal = st.one_of(
+    st.tuples(st.sampled_from(("p", "q")), st.just("("), _term, st.just(")")),
+    st.tuples(_term, st.sampled_from(COMPARE_TOKENS), _term),
+    st.tuples(_term, st.just("is"), _term, st.sampled_from(ARITH_TOKENS), _term),
+    st.tuples(st.sampled_from(TOKENS)),  # a stray token
+)
+
+
+@st.composite
+def token_programs(draw) -> bytes:
+    """At most three clauses and 40 tokens: `p(T)` heads with bodies of
+    calls, comparisons and `is` steps, any of which may be a stray
+    token, so most programs parse and reach the analysis and some do
+    not."""
+    tokens: list[str] = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        tokens += ["p", "(", draw(_term), ")"]
+        body = draw(st.lists(_literal, max_size=2))
+        for i, literal in enumerate(body):
+            tokens.append(":-" if i == 0 else ",")
+            tokens += literal
+        tokens.append(".")
+    return " ".join(tokens[:40]).encode()
+
 
 @settings(max_examples=60, deadline=timedelta(seconds=1))
-@example(source=COUNTDOWN, timeout=1e12, max_unfold=1, pair_cap=100)
-@example(source=COUNTDOWN, timeout=1e-9, max_unfold=2, pair_cap=1)
+@example(case=(COUNTDOWN, 1e12), max_unfold=1, pair_cap=100)
+@example(case=(COUNTDOWN, 1e-9), max_unfold=2, pair_cap=1)
 @given(
-    source=st.binary(max_size=200),
-    timeout=st.floats(min_value=1e-9, max_value=1e12),
+    # Raw bytes with any timeout, or token programs with a timeout short
+    # enough that an analysis run keeps to the deadline.
+    case=st.one_of(
+        st.tuples(st.binary(max_size=200), st.floats(min_value=1e-9, max_value=1e12)),
+        st.tuples(token_programs(), st.floats(min_value=1e-9, max_value=0.25)),
+    ),
     max_unfold=st.integers(min_value=0, max_value=2),
     pair_cap=st.integers(min_value=1, max_value=100),
 )
-def test_any_input_gets_a_contract_exit_code(source, timeout, max_unfold, pair_cap):
+def test_any_input_gets_a_contract_exit_code(case, max_unfold, pair_cap):
+    source, timeout = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.pl"
         path.write_bytes(source)

@@ -1,10 +1,14 @@
-"""Every module-level import of the package is used by its module.
+"""The package's imports: every module-level import is used by its
+module, and importing the command line stays cheap.
 
 No linter ships with the project, so this reads each source file's AST:
 a name bound by a top-level ``import``/``from ... import`` must appear
 somewhere else in the module as a name or an attribute base."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,3 +38,15 @@ def test_unused_imports_are_detected():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # Start-up cost: the records are tuples, so importing the command
+    # line must not pull in `dataclasses` (and through it `inspect`).
+    src = Path(__file__).parent.parent / "src"
+    probe = "import sys, termiarith.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

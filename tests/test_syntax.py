@@ -14,6 +14,7 @@ from termiarith.syntax import (
     Is,
     ParseError,
     QueryPattern,
+    TrueLit,
     Unify,
     UserAtom,
     Var,
@@ -259,3 +260,62 @@ class TestUnification:
     def test_clause_text(self):
         clause = parse_program("p(X) :- X > 0, q(X).").clauses[0]
         assert clause_text(clause) == "p(X) :- X > 0, q(X)."
+
+
+class TestRecords:
+    """The term, literal and clause records behave as frozen values that
+    carry their class: same-shaped records of two classes never meet."""
+
+    SAME_SHAPE = [
+        (Var("X"), AtomConst("X"), FloatConst("X")),
+        (
+            Is(Var("A"), Var("B")),
+            Unify(Var("A"), Var("B")),
+            Disunify(Var("A"), Var("B")),
+        ),
+        (UserAtom("f", (Var("X"),)), Compound("f", (Var("X"),))),
+    ]
+
+    @pytest.mark.parametrize("group", SAME_SHAPE, ids=["constants", "binary", "atoms"])
+    def test_same_shaped_records_differ(self, group):
+        for i, a in enumerate(group):
+            for b in group[i + 1 :]:
+                assert a != b and b != a
+                assert not (a == b)
+        table = {record: i for i, record in enumerate(group)}
+        assert [table[record] for record in group] == list(range(len(group)))
+
+    def test_equal_records_are_one_key(self):
+        assert Compound("f", (Var("X"),)) == Compound("f", (Var("X"),))
+        assert len({Var("X"), Var("X")}) == 1
+
+    def test_true_literal_is_truthy(self):
+        assert TrueLit()
+        assert TrueLit() == TrueLit()
+
+    @pytest.mark.parametrize(
+        "record, attr",
+        [
+            (Var("X"), "name"),
+            (Compound("f", ()), "args"),
+            (UserAtom("p"), "pred"),
+            (Clause(UserAtom("p")), "body"),
+            (QueryPattern("p", ("i",)), "modes"),
+        ],
+    )
+    def test_records_are_frozen(self, record, attr):
+        with pytest.raises(AttributeError):
+            setattr(record, attr, None)
+
+    def test_variables_sort_by_name(self):
+        names = ["Z", "A", "_G1", "M"]
+        assert sorted(Var(n) for n in names) == [Var(n) for n in sorted(names)]
+
+    def test_defaults_and_keywords(self):
+        assert UserAtom("p").args == ()
+        assert UserAtom("p").key == ("p", 0)
+        head = UserAtom("p", (Var("X"),))
+        assert Clause(head).body == ()
+        body = (TrueLit(),)
+        assert Clause(head=head, body=body) == Clause(head, body)
+        assert Comparison(lhs=Var("X"), op="<", rhs=IntConst(1)).op == "<"
