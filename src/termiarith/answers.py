@@ -5,24 +5,30 @@ integer argument space.  The table is the least set of elements closed
 under the loop's clauses: each clause body is read as a linear
 constraint, recursive calls are replaced by already-derived table
 entries, and every satisfiable combination is widened back into the
-partition.  Pieces mention only the argument positions, so a
-combination is projected onto them (`eliminate_outside`) before the
-pieces not yet in the table are tested against it, and not read at all
-once every piece is in.  Loops are solved callee-first, so a published
-table stands in for the calls an outer loop makes into an inner one.
+partition.  The combinations are the picks of `satisfiable_choices`,
+one level per call; a call into the loop itself reads a list of table
+entries that grows with the table, so later picks see the new entries.
+Pieces mention only the argument positions, so a combination is
+projected onto them (`eliminate_outside`) before the pieces not yet in
+the table are tested against it, and not read at all once every piece
+is in.  Loops are solved callee-first, so a published table stands in
+for the calls an outer loop makes into an inner one.
 
 When a loop's comparisons say nothing about some integer position
 (typically an output computed by arithmetic), the partition used for
 widening is the propagated one from `extend_domain`, further refined by
-the constraints of the non-recursive clauses; without the refinement the
-first widening step would forget how outputs relate to inputs.  The
-published table still reports plain propagated elements, the refinement
-stays internal to the fixpoint."""
+the sign levels of the non-recursive clauses' constraints through the
+same walk; without the refinement the first widening step would forget
+how outputs relate to inputs.  A refinement that keeps more than
+`domain.PRODUCT_CAP` pieces is dropped with a note, as the propagation
+is.  The published table still reports plain propagated elements, the
+refinement stays internal to the fixpoint."""
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
+from . import domain
 from .constraints import (
     Conjunction,
     LinAtom,
@@ -46,7 +52,8 @@ from .domain import (
     linear_term,
     position_var,
     projected_halves,
-    sign_pieces,
+    satisfiable_choices,
+    sign_levels,
     unconstrained_positions,
 )
 from .graph import LoopInfo
@@ -56,9 +63,6 @@ from .syntax import PredKey, Term, UserAtom
 #: Refinement atoms per predicate; past this the fixpoint widens into
 #: the unrefined partition.
 REFINE_CAP = 6
-
-#: Bound on elements times sign assignments during refinement.
-PIECE_CAP = 4096
 
 AnswerTable = dict[PredKey, tuple["AbstractAtom", ...]]
 
@@ -132,7 +136,8 @@ def build_answer_domain(
         for key, elements in query_domain.items()
         if key in loop.predicates
     }
-    if any(unconstrained_positions(loop, modes).values()):
+    collected = collect_answer_comparisons(loop, modes)
+    if any(unconstrained_positions(loop, modes, collected).values()):
         extended = extend_domain(query_domain, loop)
         notes.extend(extended.notes)
         refinement = _refinement_atoms(loop, modes, positions, notes)
@@ -145,29 +150,28 @@ def build_answer_domain(
                     f" the cap of {REFINE_CAP}; widening stays unrefined"
                 )
                 atoms = []
-            if len(elements) * (2 ** len(atoms)) > PIECE_CAP:
-                notes.append(
-                    f"{name}/{arity}: refinement would pass {PIECE_CAP}"
-                    " candidate pieces; widening stays unrefined"
-                )
-                atoms = []
-            kept: list[Conjunction] = []
+            # Each piece the elements split into, mapped to the first
+            # element it came from.
             origin: dict[Conjunction, Conjunction] = {}
-            for element in elements:
-                for piece in sign_pieces(atoms, element):
-                    if piece in origin:
-                        continue
-                    kept.append(piece)
-                    origin[piece] = element
-            pieces[key] = tuple(kept)
+            levels = [[(element, element) for element in elements], *sign_levels(atoms)]
+            for (element, *_), piece in satisfiable_choices(frozenset(), levels):
+                origin.setdefault(piece, element)
+                if atoms and len(origin) > domain.PRODUCT_CAP:
+                    notes.append(
+                        f"{name}/{arity}: refinement would keep more than"
+                        f" {domain.PRODUCT_CAP} pieces; widening stays unrefined"
+                    )
+                    origin = {element: element for element in elements}
+                    break
+            pieces[key] = tuple(origin)
             exposed[key] = origin
     else:
-        comparisons = {k: set(v) for k, v in collect_answer_comparisons(loop, modes).items()}
+        comparisons = {k: set(v) for k, v in collected.items()}
         if used_inference:
             for key, atoms in infer_comparisons(loop, modes, positions=positions).items():
                 comparisons[key] |= atoms
-        domain = build_domain({k: frozenset(v) for k, v in comparisons.items()})
-        for key, elements in domain.items():
+        partition = build_domain({k: frozenset(v) for k, v in comparisons.items()})
+        for key, elements in partition.items():
             pieces[key] = elements
             exposed[key] = {element: element for element in elements}
     return AnswerDomain(pieces=pieces, exposed=exposed, notes=tuple(notes))
@@ -185,28 +189,13 @@ def instantiate_element(element: Conjunction, args: Sequence[Term]) -> list[LinA
     ]
 
 
-def answer_choices(
-    base: Conjunction,
-    calls: Sequence[tuple[UserAtom, Sequence[Conjunction]]],
-) -> Iterator[Conjunction]:
-    """`base` extended by every consistent choice of one answer element
-    per call, instantiated on the call's arguments, pruned as soon as a
-    prefix goes unsatisfiable.  A call's element list is read when the
-    call is reached, so a list that grows while the choices are consumed
-    is seen grown by the choices after the growth."""
+#: An answer element as a level option of `satisfiable_choices`: the
+#: element with its constraints instantiated on a call's arguments.
+CallOption = tuple[Conjunction, Conjunction]
 
-    def extend(index: int, conj: Conjunction) -> Iterator[Conjunction]:
-        if index == len(calls):
-            yield conj
-            return
-        atom, elements = calls[index]
-        for element in tuple(elements):
-            grown = conjunction(conj | frozenset(instantiate_element(element, atom.args)))
-            if is_satisfiable(grown):
-                yield from extend(index + 1, grown)
 
-    if is_satisfiable(base):
-        yield from extend(0, base)
+def call_option(element: Conjunction, args: Sequence[Term]) -> CallOption:
+    return element, frozenset(instantiate_element(element, args))
 
 
 def compute_abstract_answers(
@@ -225,42 +214,42 @@ def compute_abstract_answers(
     published: AnswerTable = {}
     for loop in loops:
         positions = answer_positions(loop, modes)
-        table: dict[PredKey, list[Conjunction]] = {key: [] for key in loop.predicates}
-        seen: dict[PredKey, set[Conjunction]] = {key: set() for key in loop.predicates}
+        table: dict[PredKey, dict[Conjunction, None]] = {key: {} for key in loop.predicates}
         arguments = {key: [position_var(j) for j in range(key[1])] for key in loop.predicates}
-        # Per clause: its key, its base constraint and its calls into
-        # this loop (the live table lists) or into published loops.
+        # Per clause: its key, its base constraint and one level per call
+        # into this loop or a published one.  A call into this loop reads
+        # its own list in `sites`, which grows with the table.
+        sites: dict[PredKey, list[tuple[Sequence[Term], list[CallOption]]]] = {}
         clauses = []
         for clause in applicable_clauses(loop, modes):
             base = conjunction(clause_constraint(clause, positions[clause.key]))
-            calls = []
+            levels: list[Sequence[CallOption]] = []
             for lit in clause.body:
                 if isinstance(lit, UserAtom) and lit.key in table:
-                    calls.append((lit, table[lit.key]))
+                    options: list[CallOption] = []
+                    sites.setdefault(lit.key, []).append((lit.args, options))
+                    levels.append(options)
                 elif isinstance(lit, UserAtom) and lit.key in published:
-                    calls.append((lit, tuple(entry.element for entry in published[lit.key])))
-            clauses.append((clause.key, base, calls))
+                    levels.append(
+                        [call_option(entry.element, lit.args) for entry in published[lit.key]]
+                    )
+            clauses.append((clause.key, base, levels))
         changed = True
         while changed:
             changed = False
-            for key, base, calls in clauses:
-                for candidate in answer_choices(base, calls):
-                    unseen = [piece for piece in pieces[key] if piece not in seen[key]]
+            for key, base, levels in clauses:
+                for _, candidate in satisfiable_choices(base, levels):
+                    unseen = [piece for piece in pieces[key] if piece not in table[key]]
                     if not unseen:
                         break
                     answer = eliminate_outside(candidate, arguments[key])
                     for piece in unseen:
                         if is_satisfiable(conjunction(answer | piece)):
-                            table[key].append(piece)
-                            seen[key].add(piece)
+                            table[key][piece] = None
+                            for args, options in sites.get(key, ()):
+                                options.append(call_option(piece, args))
                             changed = True
         for key in sorted(loop.predicates):
-            entries: list[AbstractAtom] = []
-            reported: set[Conjunction] = set()
-            for piece in table[key]:
-                element = exposed[key][piece]
-                if element not in reported:
-                    reported.add(element)
-                    entries.append(AbstractAtom(key=key, element=element))
-            published[key] = tuple(entries)
+            elements = dict.fromkeys(exposed[key][piece] for piece in table[key])
+            published[key] = tuple(AbstractAtom(key=key, element=e) for e in elements)
     return published

@@ -16,6 +16,10 @@ comparison set:
 * `extend_domain` spreads a partition across argument positions that
   exchange values, for predicates whose comparisons constrain only some
   of their integer positions;
+* `satisfiable_choices` is the one walk over a finite product of
+  options (sign assignments, partition copies, answer entries, row
+  elements) that enters only satisfiable prefixes; the prover builds
+  every finite abstraction through it;
 * `collect_answer_comparisons` is the collection variant over all
   clauses and all integer positions, used to partition answers rather
   than queries.
@@ -87,7 +91,8 @@ COMPARISON_CAP = 12
 #: Influence components larger than this are not permuted.
 COMPONENT_CAP = 4
 
-#: Working-set bound for the extended-domain product.
+#: Bound on the pieces a product of partitions keeps: the extended
+#: domain and its refinement for answers.
 PRODUCT_CAP = 1024
 
 ComparisonSet = dict[PredKey, frozenset[LinAtom]]
@@ -357,12 +362,12 @@ def collect_answer_comparisons(loop: LoopInfo, modes: ModeAssignment) -> Compari
 
 
 def unconstrained_positions(
-    loop: LoopInfo, modes: ModeAssignment
+    loop: LoopInfo, modes: ModeAssignment, collected: ComparisonSet
 ) -> dict[PredKey, tuple[int, ...]]:
-    """Integer-typed positions that no collectable comparison mentions,
-    even counting non-recursive clauses.  Nonempty means the loop needs
-    its domain propagated across positions."""
-    collected = collect_answer_comparisons(loop, modes)
+    """Integer-typed positions that no comparison of `collected` (the
+    loop's `collect_answer_comparisons`) mentions, even counting
+    non-recursive clauses.  Nonempty means the loop needs its domain
+    propagated across positions."""
     out: dict[PredKey, tuple[int, ...]] = {}
     for key, pos in answer_positions(loop, modes).items():
         mentioned: set[str] = set()
@@ -421,27 +426,42 @@ def infer_comparisons(
 # The partition.
 
 
-def sign_pieces(atoms: Sequence[LinAtom], within: Iterable[LinAtom] = ()) -> Iterator[Conjunction]:
-    """The satisfiable conjunctions of `within` with a sign assignment
-    of `atoms` (every atom or its negation), all-true first.  The
-    assignments are walked as a tree, one level per atom, true branch
-    first, and a branch is entered only when its prefix is satisfiable:
-    adding atoms never makes an unsatisfiable conjunction satisfiable,
-    so no piece is lost, and the order is that of enumerating every
-    assignment."""
+def satisfiable_choices(
+    base: Conjunction, levels: Sequence[Iterable[tuple[object, Conjunction]]]
+) -> Iterator[tuple[tuple, Conjunction]]:
+    """Every pick of one `(label, option)` per level whose conjunction
+    with `base` is satisfiable, as `(labels, conjunction)`, in the order
+    of enumerating every pick (first option first at every level).
 
-    def grow(index: int, prefix: list[LinAtom]) -> Iterator[Conjunction]:
-        conj = conjunction(prefix)
-        if not is_satisfiable(conj):
-            return
-        if index == len(atoms):
-            yield conj
-            return
-        atom = atoms[index]
-        yield from grow(index + 1, prefix + [atom])
-        yield from grow(index + 1, prefix + [negate_atom(atom)])
+    The picks are walked as a tree, one level deep per level, and a
+    branch is entered only when its prefix conjunction is satisfiable,
+    `base` alone being the first prefix: adding atoms never makes an
+    unsatisfiable conjunction satisfiable, so no pick is lost.  A level
+    is read when a prefix reaches it, so a level that grows while the
+    picks are consumed is seen grown by the prefixes reached after the
+    growth."""
 
-    return grow(0, list(within))
+    def grow(index: int, labels: tuple, conj: Conjunction) -> Iterator[tuple[tuple, Conjunction]]:
+        if index == len(levels):
+            yield labels, conj
+            return
+        for label, option in tuple(levels[index]):
+            grown = conjunction(conj | option)
+            if is_satisfiable(grown):
+                yield from grow(index + 1, labels + (label,), grown)
+
+    if is_satisfiable(base):
+        yield from grow(0, (), base)
+
+
+def sign_levels(atoms: Sequence[LinAtom]) -> list[tuple[tuple[bool, Conjunction], ...]]:
+    """One level per atom for `satisfiable_choices`: the atom labelled
+    True, then its negation labelled False.  Their product is every sign
+    assignment, all-true first."""
+    return [
+        ((True, frozenset((atom,))), (False, frozenset((negate_atom(atom),))))
+        for atom in atoms
+    ]
 
 
 def build_domain(comparisons: ComparisonSet) -> Domain:
@@ -461,7 +481,8 @@ def build_domain(comparisons: ComparisonSet) -> Domain:
                 f"comparison set of {name}/{arity} has {len(atoms)} atoms,"
                 f" past the configured cap of {COMPARISON_CAP}"
             )
-        out[key] = tuple(simplify(p) for p in sign_pieces(atoms))
+        pieces = satisfiable_choices(frozenset(), sign_levels(atoms))
+        out[key] = tuple(simplify(p) for _, p in pieces)
     return out
 
 
@@ -544,7 +565,9 @@ def influence_components(loop: LoopInfo, key: PredKey) -> tuple[tuple[int, ...],
 def extend_domain(domain: Domain, loop: LoopInfo) -> ExtendedDomain:
     """Conjoin every way of permuting each predicate's domain within each
     influence component, dropping unsatisfiable combinations.  Positions
-    that do not interact keep the original domain untouched."""
+    that do not interact keep the original domain untouched.  A
+    predicate whose product keeps more than `PRODUCT_CAP` pieces keeps
+    its original domain, with a note."""
     elements: Domain = {}
     notes: list[str] = []
     for key in sorted(domain):
@@ -569,25 +592,17 @@ def extend_domain(domain: Domain, loop: LoopInfo) -> ExtendedDomain:
                 copy = tuple(rename(e, mapping) for e in base)
                 if copy not in copies:
                     copies.append(copy)
-        working: list[Conjunction] = [frozenset()]
-        capped = False
-        for copy in copies:
-            merged: list[Conjunction] = []
-            for partial in working:
-                for element in copy:
-                    candidate = conjunction(partial | element)
-                    if is_satisfiable(candidate):
-                        merged.append(candidate)
-            if len(merged) > PRODUCT_CAP:
+        levels = [[(element, element) for element in copy] for copy in copies]
+        kept: list[Conjunction] = []
+        for _, piece in satisfiable_choices(frozenset(), levels):
+            kept.append(piece)
+            if len(kept) > PRODUCT_CAP:
                 notes.append(
                     f"{name}/{arity}: propagated domain grew past"
                     f" {PRODUCT_CAP} elements, keeping the original domain"
                 )
-                capped = True
+                elements[key] = base
                 break
-            working = merged
-        if capped:
-            elements[key] = base
         else:
-            elements[key] = tuple(simplify(w) for w in working)
+            elements[key] = tuple(simplify(piece) for piece in kept)
     return ExtendedDomain(elements=elements, notes=tuple(notes))

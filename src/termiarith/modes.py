@@ -27,7 +27,8 @@ verdict and diagnostics.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, NamedTuple, Optional
+from itertools import chain
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .graph import reachable_from
 from .syntax import (
@@ -99,17 +100,21 @@ class ModeAssignment(NamedTuple):
         return tuple(v for v in self.violations if v.pred in wanted)
 
 
+#: A user call in a walked clause: callee, argument states, argument terms.
+CallSite = tuple[PredKey, tuple[str, ...], tuple[Term, ...]]
+
+
 class _Engine:
     def __init__(self, program: Program, pattern: QueryPattern):
         self.program = program
         self.pattern = pattern
         self.cm: dict[PredKey, list[str]] = {}
         self.si: dict[PredKey, list[str]] = {}
-        self.conflicts: list[str] = []
-        self.violations: list[IntViolation] = []
-        # (callee, argument states, argument terms) of every user call
-        # in an applicable clause of a walked predicate, after the fixpoint.
-        self.call_sites: list[tuple[PredKey, tuple[str, ...], tuple[Term, ...]]] = []
+        # Per walked predicate, from its last walk (which runs on the
+        # fixpoint's final modes): the integer violations and the user
+        # calls of its applicable clauses.
+        self.violations: dict[PredKey, list[IntViolation]] = {}
+        self.call_sites: dict[PredKey, list[CallSite]] = {}
         self.callers: dict[PredKey, set[PredKey]] = {}
         for caller, callees in program.callees.items():
             for callee in callees:
@@ -140,14 +145,13 @@ class _Engine:
                 if touched not in queued:
                     queued.add(touched)
                     queue.append(touched)
-        self._final_pass()
         return ModeAssignment(
             pattern=self.pattern,
             call_modes={k: tuple(v) for k, v in sorted(self.cm.items())},
             success_modes={k: tuple(self.si_of(k)) for k in sorted(self.cm)},
             integer_typed=self._integer_typed(),
-            conflicts=tuple(self.conflicts),
-            violations=tuple(self.violations),
+            conflicts=tuple(self._conflicts()),
+            violations=tuple(v for key in sorted(self.violations) for v in self.violations[key]),
         )
 
     def _join_cm(self, key: PredKey, modes: Iterable[str]) -> bool:
@@ -182,11 +186,18 @@ class _Engine:
             return touched
 
         new_si: Optional[list[str]] = None
+        violations = self.violations[key] = []
+        call_sites = self.call_sites[key] = []
         for index in self.program.index[key]:
             clause = self.program.clauses[index]
             if not clause_applicable(clause, call_modes):
                 continue
-            success, calls = self._walk(clause, call_modes)
+            details: list[str] = []
+            success, calls = self._walk(clause, call_modes, sink=details)
+            details += self._float_scan(clause)
+            violations += (IntViolation(key, index, d) for d in dict.fromkeys(details))
+            call_literals = (l for l in clause.body if isinstance(l, UserAtom))
+            call_sites += ((c, states, l.args) for (c, states), l in zip(calls, call_literals))
             if new_si is None:
                 new_si = list(success)
             else:
@@ -207,7 +218,7 @@ class _Engine:
         self,
         clause: Clause,
         head_modes: tuple[str, ...],
-        sink: Optional[list[str]] = None,
+        sink: list[str],
     ) -> tuple[tuple[str, ...], list[tuple[PredKey, tuple[str, ...]]]]:
         state: dict[str, str] = {}
 
@@ -229,9 +240,7 @@ class _Engine:
                 for v in term_vars(t):
                     state[v.name] = mode_meet(state.get(v.name, MODE_FREE), MODE_BOUND)
 
-        def note(detail: str):
-            if sink is not None:
-                sink.append(detail)
+        note = sink.append
 
         for arg, mode in zip(clause.head.args, head_modes):
             refine(arg, mode)
@@ -294,34 +303,13 @@ class _Engine:
         success = tuple(term_state(a) for a in clause.head.args)
         return success, calls
 
-    def _final_pass(self):
+    def _conflicts(self) -> Iterator[str]:
         for key in sorted(self.cm):
-            if key not in self.program.index:
-                continue
             call_modes = tuple(self.cm[key])
-            applicable = 0
-            for index in self.program.index[key]:
-                clause = self.program.clauses[index]
-                if not clause_applicable(clause, call_modes):
-                    continue
-                applicable += 1
-                if key not in self.walk_set:
-                    continue
-                details: list[str] = []
-                _, calls = self._walk(clause, call_modes, sink=details)
-                call_literals = [l for l in clause.body if isinstance(l, UserAtom)]
-                for (callee, states), lit in zip(calls, call_literals):
-                    self.call_sites.append((callee, states, lit.args))
-                for text in self._float_scan(clause):
-                    details.append(text)
-                seen = set()
-                for detail in details:
-                    if detail not in seen:
-                        seen.add(detail)
-                        self.violations.append(IntViolation(key, index, detail))
-            if applicable == 0 and self.program.index[key]:
+            clauses = [self.program.clauses[i] for i in self.program.index.get(key, ())]
+            if clauses and not any(clause_applicable(c, call_modes) for c in clauses):
                 name, arity = key
-                self.conflicts.append(
+                yield (
                     f"mode conflict: no clause of {name}/{arity} matches an integer"
                     f" query of modes ({', '.join(call_modes)})"
                 )
@@ -367,7 +355,7 @@ class _Engine:
             typed[key] = tuple(flags)
 
         # Call sites can push non-integer values into a position.
-        for callee, arg_states, args in self.call_sites:
+        for callee, arg_states, args in chain.from_iterable(self.call_sites.values()):
             if callee not in typed:
                 continue
             flags = list(typed[callee])

@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import cache, cached_property, partial
 from typing import Callable, Iterable, Mapping as MappingType, NamedTuple, Optional, Sequence
 
-from .answers import AnswerTable, answer_choices, instantiate_element
+from .answers import AnswerTable, CallOption, call_option, instantiate_element
 from .constraints import (
     LE,
     LT,
@@ -50,6 +50,7 @@ from .domain import (
     linear_term,
     literal_atoms,
     position_var,
+    satisfiable_choices,
 )
 from .modes import ModeAssignment, clause_applicable
 from .norms import call_size_var, head_call_sizes, head_size_var, infer_size_relations
@@ -296,6 +297,8 @@ def generate_pairs(
         names = _row_names(key[1], _PREFIX[row])
         return tuple((e, rename(e, names)) for e in elements)
 
+    # Position i of the domain and range rows as a value variable.
+    row_vars = (partial(_row_var, ROW_DOMAIN), partial(_row_var, ROW_RANGE))
     initial = AbstractQuery(
         key=pattern.key,
         modes=effective_call_modes(pattern.key, modes),
@@ -315,9 +318,10 @@ def generate_pairs(
                 base_atoms += _value_bindings(domain_modes, clause.head.args, ROW_DOMAIN)
                 base_atoms += instantiate_element(query.constraint, clause.head.args)
             base = conjunction(base_atoms)
-            # The calls before the selected one, each with its answer
-            # elements; a call with none constrains nothing.
-            priors: list[tuple[UserAtom, Sequence[Conjunction]]] = []
+            # One level per call before the selected one: its answer
+            # elements instantiated on its arguments; a call with none
+            # constrains nothing.
+            priors: list[Sequence[CallOption]] = []
             guards: list[LinAtom] = []
             for index, literal in enumerate(clause.body):
                 if not isinstance(literal, UserAtom):
@@ -340,54 +344,34 @@ def generate_pairs(
                     *_row_names(query.key[1], _PREFIX[ROW_DOMAIN]).values(),
                     *_row_names(literal.key[1], _PREFIX[ROW_RANGE]).values(),
                 ]
-                for chosen in answer_choices(prefix, priors):
+                row_levels = (
+                    row_options(query.key, ROW_DOMAIN),
+                    row_options(literal.key, ROW_RANGE),
+                )
+                for _, chosen in satisfiable_choices(prefix, priors):
                     grown = conjunction(chosen | frozenset(bindings))
                     if numeric:
                         grown = eliminate_outside(grown, rows)
-                    if not is_satisfiable(grown):
-                        continue
-                    for d_elem, d_row in row_options(query.key, ROW_DOMAIN):
-                        with_domain = conjunction(grown | d_row)
-                        if not is_satisfiable(with_domain):
-                            continue
-                        for r_elem, r_row in row_options(literal.key, ROW_RANGE):
-                            full = conjunction(with_domain | r_row)
-                            if not is_satisfiable(full):
-                                continue
-                            relations = norms
-                            if numeric:
-                                relations = norms | _relations(
-                                    full,
-                                    MODE_INT,
-                                    domain_modes,
-                                    range_modes,
-                                    partial(_row_var, ROW_DOMAIN),
-                                    partial(_row_var, ROW_RANGE),
-                                )
-                            range_atom = AbstractQuery(
-                                key=literal.key, modes=range_modes, constraint=r_elem
+                    for (d_elem, r_elem), full in satisfiable_choices(grown, row_levels):
+                        relations = norms
+                        if numeric:
+                            relations = norms | _relations(
+                                full, MODE_INT, domain_modes, range_modes, *row_vars
                             )
-                            pairs.add(
-                                QueryMappingPair(
-                                    query=query,
-                                    mapping=Mapping(
-                                        domain_atom=AbstractQuery(
-                                            key=query.key,
-                                            modes=domain_modes,
-                                            constraint=d_elem,
-                                        ),
-                                        range_atom=range_atom,
-                                        relations=frozenset(relations),
-                                    ),
-                                )
-                            )
-                            if range_atom not in seen:
-                                seen.add(range_atom)
-                                queue.append(range_atom)
+                        range_atom = AbstractQuery(literal.key, range_modes, r_elem)
+                        mapping = Mapping(
+                            AbstractQuery(query.key, domain_modes, d_elem),
+                            range_atom,
+                            frozenset(relations),
+                        )
+                        pairs.add(QueryMappingPair(query, mapping))
+                        if range_atom not in seen:
+                            seen.add(range_atom)
+                            queue.append(range_atom)
                 if numeric:
                     entries = answers.get(literal.key)
                     elements = [e.element for e in entries] if entries else [frozenset()]
-                    priors.append((literal, elements))
+                    priors.append([call_option(e, literal.args) for e in elements])
     return frozenset(pairs)
 
 

@@ -398,10 +398,10 @@ class _Parser:
         if tok.kind == "atom":
             if self.peek().text == "(":
                 self.next()
-                args = [self.parse_term_arg()]
+                args = [self.parse_term()]
                 while self.peek().text == ",":
                     self.next()
-                    args.append(self.parse_term_arg())
+                    args.append(self.parse_term())
                 self.expect(")")
                 return Compound(tok.text, tuple(args))
             return AtomConst(tok.text)
@@ -415,21 +415,18 @@ class _Parser:
         self.pos -= 1
         self.fail(f"expected a term, found {tok.text!r}")
 
-    def parse_term_arg(self) -> Term:
-        return self.parse_term()
-
     def parse_list(self) -> Term:
         if self.peek().text == "]":
             self.next()
             return AtomConst("[]")
-        items = [self.parse_term_arg()]
+        items = [self.parse_term()]
         while self.peek().text == ",":
             self.next()
-            items.append(self.parse_term_arg())
+            items.append(self.parse_term())
         tail: Term = AtomConst("[]")
         if self.peek().text == "|":
             self.next()
-            tail = self.parse_term_arg()
+            tail = self.parse_term()
         self.expect("]")
         for item in reversed(items):
             tail = Compound(".", (item, tail))

@@ -1,23 +1,27 @@
 """Small readers over the prover's values that only the tests need:
 the true conjunction, the variables and equivalence of conjunctions,
-widening a constraint into a partition, the brute-force sign
-enumeration, the naive composition closure and answer fixpoint, the
+widening a constraint into a partition, the brute-force filtered
+product, the naive composition closure and answer fixpoint, the
 arguments the driver hands a stage, the mode order, the modes and
 integer positions of a predicate, and program text that round-trips
 through `parse_program`."""
 
-from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from termiarith import driver
-from termiarith.answers import AbstractAtom, AnswerDomain, AnswerTable, answer_choices
+from termiarith.answers import (
+    AbstractAtom,
+    AnswerDomain,
+    AnswerTable,
+    CallOption,
+    call_option,
+)
 from termiarith.constraints import (
     Conjunction,
     LinAtom,
     conjunction,
     implies_all,
     is_satisfiable,
-    negate_atom,
 )
 from termiarith.domain import answer_positions, applicable_clauses, clause_constraint
 from termiarith.graph import LoopInfo
@@ -55,17 +59,25 @@ def widen(conj: Iterable[LinAtom], pieces: Iterable[Conjunction]) -> tuple[Conju
     return tuple(p for p in pieces if is_satisfiable(conjunction(conj | p)))
 
 
-def sign_pieces_reference(
-    atoms: Sequence[LinAtom], within: Iterable[LinAtom] = ()
-) -> list[Conjunction]:
-    """`within` conjoined with every sign assignment of `atoms`, all-true
-    first in `product` order, keeping the satisfiable ones."""
-    within = list(within)
-    pieces = (
-        conjunction(within + [a if s else negate_atom(a) for a, s in zip(atoms, signs)])
-        for signs in product((True, False), repeat=len(atoms))
-    )
-    return [p for p in pieces if is_satisfiable(p)]
+def product_reference(
+    base: Iterable[LinAtom], levels: Sequence[Sequence[tuple[object, Conjunction]]]
+) -> Iterator[tuple[tuple, Conjunction]]:
+    """Every pick of one `(label, option)` per level in product order,
+    conjoined with `base` all at once, keeping the satisfiable ones as
+    `(labels, conjunction)`.  Nothing is pruned: every prefix reaches
+    the next level, which is read when the prefix reaches it."""
+    base = list(base)
+
+    def picks(index: int, labels: tuple, options: list) -> Iterator[tuple[tuple, Conjunction]]:
+        if index == len(levels):
+            conj = conjunction([*base, *(atom for option in options for atom in option)])
+            if is_satisfiable(conj):
+                yield labels, conj
+            return
+        for label, option in tuple(levels[index]):
+            yield from picks(index + 1, (*labels, label), [*options, option])
+
+    return picks(0, (), [])
 
 
 def closure_reference(pairs: Iterable[QueryMappingPair]) -> frozenset[QueryMappingPair]:
@@ -88,9 +100,11 @@ def closure_reference(pairs: Iterable[QueryMappingPair]) -> frozenset[QueryMappi
 def answers_reference(
     loops: Sequence[LoopInfo], modes: ModeAssignment, domains: Sequence[AnswerDomain]
 ) -> AnswerTable:
-    """`compute_abstract_answers` without projection: each piece is
-    tested against the whole candidate, clause variables included, and
-    every candidate is read even once every piece is in the table."""
+    """`compute_abstract_answers` without projection or pruning: the
+    candidates are the unpruned `product_reference` of the calls'
+    entries, each piece is tested against the whole candidate, clause
+    variables included, and every candidate is read even once every
+    piece is in the table."""
     pieces: dict[PredKey, tuple[Conjunction, ...]] = {}
     exposed: dict[PredKey, dict[Conjunction, Conjunction]] = {}
     for answer_domain in domains:
@@ -100,24 +114,31 @@ def answers_reference(
     for loop in loops:
         positions = answer_positions(loop, modes)
         table: dict[PredKey, list[Conjunction]] = {key: [] for key in loop.predicates}
+        # Each call into this loop reads its own list of table entries
+        # with their instantiations, which grows with the table.
+        calls: list[tuple[UserAtom, list[CallOption]]] = []
         clauses = []
         for clause in applicable_clauses(loop, modes):
-            calls = []
+            levels = []
             for lit in clause.body:
                 if isinstance(lit, UserAtom) and lit.key in table:
-                    calls.append((lit, table[lit.key]))
+                    calls.append((lit, []))
+                    levels.append(calls[-1][1])
                 elif isinstance(lit, UserAtom) and lit.key in published:
-                    calls.append((lit, tuple(e.element for e in published[lit.key])))
+                    levels.append([call_option(e.element, lit.args) for e in published[lit.key]])
             base = conjunction(clause_constraint(clause, positions[clause.key]))
-            clauses.append((clause.key, base, calls))
+            clauses.append((clause.key, base, levels))
         changed = True
         while changed:
             changed = False
-            for key, base, calls in clauses:
-                for candidate in answer_choices(base, calls):
+            for key, base, levels in clauses:
+                for _, candidate in product_reference(base, levels):
                     for piece in pieces[key]:
                         if piece not in table[key] and is_satisfiable(candidate | piece):
                             table[key].append(piece)
+                            for lit, options in calls:
+                                if lit.key == key:
+                                    options.append(call_option(piece, lit.args))
                             changed = True
         for key in sorted(loop.predicates):
             elements = dict.fromkeys(exposed[key][piece] for piece in table[key])

@@ -124,17 +124,17 @@ class TestAnswerDomain:
             for piece in domain.pieces[("gcd", 3)]
         )
 
-
-    def test_piece_cap_leaves_widening_unrefined(self, monkeypatch):
-        # 9 propagated elements, so any refinement atom passes a cap of 9
-        monkeypatch.setattr("termiarith.answers.PIECE_CAP", 9)
+    def test_product_cap_leaves_widening_unrefined(self, monkeypatch):
+        # extend_domain keeps mc91's 9 propagated elements under a cap
+        # of 9, and the refinement splits them into 18 pieces
+        monkeypatch.setattr("termiarith.domain.PRODUCT_CAP", 9)
         _, domains, _, _ = analysis(
             "mc91", "mc_carthy_91(i,f)", unfold=(1, 2), used_inference=True, infer=True
         )
         (domain,) = domains
         key = ("mc_carthy_91", 2)
         assert domain.notes == (
-            "mc_carthy_91/2: refinement would pass 9 candidate pieces;"
+            "mc_carthy_91/2: refinement would keep more than 9 pieces;"
             " widening stays unrefined",
         )
         assert len(domain.pieces[key]) == 9

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import corpus_program
-from helpers import program_text, sign_pieces_reference
+from helpers import product_reference, program_text
 
 from termiarith import domain as domain_module
 from termiarith.constraints import (
@@ -28,6 +28,7 @@ from termiarith.constraints import (
     conjunction,
     is_satisfiable,
     make_atom,
+    negate_atom,
     render_atom,
 )
 from termiarith.domain import (
@@ -42,7 +43,8 @@ from termiarith.domain import (
     linear_term,
     position_var,
     query_positions,
-    sign_pieces,
+    satisfiable_choices,
+    sign_levels,
     unconstrained_positions,
     unfold_once,
 )
@@ -322,6 +324,55 @@ def _sign_atoms(draw, rels):
     return make_atom(LinExpr.build(coeffs, const), draw(st.sampled_from(rels)))
 
 
+def signs_reference(atoms):
+    """One level per atom: the atom labelled True, then its negation
+    labelled False."""
+    return [
+        ((True, frozenset({a})), (False, frozenset({negate_atom(a)}))) for a in atoms
+    ]
+
+
+def sign_pieces_of(atoms, within=()):
+    return [piece for _, piece in satisfiable_choices(conjunction(within), sign_levels(atoms))]
+
+
+@st.composite
+def _option_levels(draw):
+    """Up to three levels of up to three labelled options, each a
+    conjunction of up to two atoms."""
+    options = st.lists(_sign_atoms([LT, LE, EQ]), max_size=2).map(conjunction)
+    levels = draw(st.lists(st.lists(options, max_size=3), max_size=3))
+    return [
+        [(f"{i}.{j}", option) for j, option in enumerate(level)]
+        for i, level in enumerate(levels)
+    ]
+
+
+class TestSatisfiableChoices:
+    @settings(deadline=None)
+    @given(st.lists(_sign_atoms([LT, LE, EQ]), max_size=2), _option_levels())
+    def test_matches_the_filtered_product_in_order(self, base, levels):
+        walked = satisfiable_choices(conjunction(base), levels)
+        assert list(walked) == list(product_reference(base, levels))
+
+    @pytest.mark.parametrize("walk", [satisfiable_choices, product_reference])
+    def test_a_level_is_read_grown_after_it_grows(self, walk):
+        first = [("a", frozenset()), ("b", frozenset({atom_gt(A1, 0)}))]
+        second = [("x", frozenset())]
+        seen = []
+        for labels, _ in walk(frozenset(), [first, second]):
+            seen.append(labels)
+            if labels == ("a", "x"):
+                second.append(("y", frozenset({atom_lt(A1, 5)})))
+        # the prefix "a" read the level before it grew, "b" after
+        assert seen == [("a", "x"), ("b", "x"), ("b", "y")]
+
+    def test_unsatisfiable_base_yields_nothing(self):
+        levels = [[("a", frozenset())]]
+        base = conjunction([atom_lt(A1, 0), atom_gt(A1, 0)])
+        assert list(satisfiable_choices(base, levels)) == []
+
+
 class TestSignPieces:
     @settings(deadline=None)
     @given(
@@ -329,7 +380,9 @@ class TestSignPieces:
         st.one_of(st.just([]), st.lists(_sign_atoms([LT, LE, EQ]), min_size=1, max_size=3)),
     )
     def test_matches_the_satisfiable_assignments_in_order(self, atoms, within):
-        assert list(sign_pieces(atoms, within)) == sign_pieces_reference(atoms, within)
+        assert list(satisfiable_choices(conjunction(within), sign_levels(atoms))) == list(
+            product_reference(within, signs_reference(atoms))
+        )
 
     def test_unsatisfiable_prefixes_are_not_expanded(self, monkeypatch):
         calls = []
@@ -338,11 +391,12 @@ class TestSignPieces:
             calls.append(conj)
             return is_satisfiable(conj)
 
+        # patched where the walk looks it up
         monkeypatch.setattr(domain_module, "is_satisfiable", counting)
         thresholds = [atom_gt(A1, k) for k in range(12)]
-        assert len(list(sign_pieces(thresholds))) == 13
-        assert len(calls) < 2 * 13 * 12
-        assert list(sign_pieces([], [atom_lt(A1, 0), atom_gt(A1, 0)])) == []
+        assert len(sign_pieces_of(thresholds)) == 13
+        assert 13 <= len(calls) < 2 * 13 * 12
+        assert sign_pieces_of([], [atom_lt(A1, 0), atom_gt(A1, 0)]) == []
 
 
 class TestUnfold:
@@ -445,18 +499,22 @@ class TestInfluence:
         assert influence_components(loop, ("p", 1)) == ((0,),)
 
 
+def uncovered(loop, modes):
+    return unconstrained_positions(loop, modes, collect_answer_comparisons(loop, modes))
+
+
 class TestUnconstrained:
     def test_mc91_output_is_uncovered(self):
         _, _, modes, loop = loop_setup("mc91", "mc_carthy_91(i,f)")
-        assert unconstrained_positions(loop, modes) == {("mc_carthy_91", 2): (1,)}
+        assert uncovered(loop, modes) == {("mc_carthy_91", 2): (1,)}
 
     def test_mod_output_is_covered(self):
         _, _, modes, loop = loop_setup("mod", "mod(i,i,f)")
-        assert unconstrained_positions(loop, modes) == {("mod", 3): ()}
+        assert uncovered(loop, modes) == {("mod", 3): ()}
 
     def test_gcd_output_is_uncovered(self):
         _, _, modes, loop = loop_setup("gcd", "gcd(i,i,f)")
-        assert unconstrained_positions(loop, modes) == {("gcd", 3): (2,)}
+        assert uncovered(loop, modes) == {("gcd", 3): (2,)}
 
 
 class TestExtendDomain:
