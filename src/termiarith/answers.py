@@ -3,16 +3,19 @@
 A loop's answers are summarized by elements of a finite partition of its
 integer argument space.  The table is the least set of elements closed
 under the loop's clauses: each clause body is read as a linear
-constraint, recursive calls are replaced by already-derived table
-entries, and every satisfiable combination is widened back into the
-partition.  The combinations are the picks of `satisfiable_choices`,
-one level per call; a call into the loop itself reads a list of table
-entries that grows with the table, so later picks see the new entries.
-Pieces mention only the argument positions, so a combination is
-projected onto them (`eliminate_outside`) before the pieces not yet in
-the table are tested against it, and not read at all once every piece
-is in.  Loops are solved callee-first, so a published table stands in
-for the calls an outer loop makes into an inner one.
+constraint, calls are replaced by table entries, and every satisfiable
+combination, a pick of `satisfiable_choices` with one level per call, is
+widened back into the partition.  The fixpoint is semi-naive.  A round
+reads the table as it stood when the round began, and a clause with
+calls into the loop once per such call: that call takes the entries the
+previous round added, the calls before it the older entries and the
+calls after it all of them, so no combination is read twice.  A clause
+without calls into the loop is read in the first round only.  Pieces
+mention only the argument positions, so a combination is projected onto
+them (`eliminate_outside`) before the pieces not yet in the table are
+tested against it, and not read at all once every piece is in.  Loops
+are solved callee-first, so a published table stands in for the calls
+an outer loop makes into an inner one.
 
 When a loop's comparisons say nothing about some integer position
 (typically an output computed by arithmetic), the partition used for
@@ -21,8 +24,8 @@ the sign levels of the non-recursive clauses' constraints through the
 same walk; without the refinement the first widening step would forget
 how outputs relate to inputs.  A refinement that keeps more than
 `domain.PRODUCT_CAP` pieces is dropped with a note, as the propagation
-is.  The published table still reports plain propagated elements, the
-refinement stays internal to the fixpoint."""
+is.  The published table still reports plain propagated elements, in
+partition order; the refinement stays internal to the fixpoint."""
 
 from __future__ import annotations
 
@@ -76,13 +79,11 @@ class AbstractAtom(NamedTuple):
 
 
 class AnswerDomain(NamedTuple):
-    """Widening targets for a loop's fixpoint.
+    """Widening targets for a loop's fixpoint: `pieces` maps the
+    disjoint conjunctions the fixpoint widens into, in partition order,
+    to the partition elements they report as."""
 
-    `pieces` are the disjoint conjunctions the fixpoint widens into;
-    `exposed` maps each piece to the partition element it reports as."""
-
-    pieces: dict[PredKey, tuple[Conjunction, ...]]
-    exposed: dict[PredKey, dict[Conjunction, Conjunction]]
+    pieces: dict[PredKey, dict[Conjunction, Conjunction]]
     notes: tuple[str, ...] = ()
 
 
@@ -129,8 +130,7 @@ def build_answer_domain(
     `DomainTooLarge` like `build_domain`."""
     positions = answer_positions(loop, modes)
     notes: list[str] = []
-    pieces: dict[PredKey, tuple[Conjunction, ...]] = {}
-    exposed: dict[PredKey, dict[Conjunction, Conjunction]] = {}
+    pieces: dict[PredKey, dict[Conjunction, Conjunction]] = {}
     query_domain = {
         key: elements
         for key, elements in query_domain.items()
@@ -163,8 +163,7 @@ def build_answer_domain(
                     )
                     origin = {element: element for element in elements}
                     break
-            pieces[key] = tuple(origin)
-            exposed[key] = origin
+            pieces[key] = origin
     else:
         comparisons = {k: set(v) for k, v in collected.items()}
         if used_inference:
@@ -172,9 +171,8 @@ def build_answer_domain(
                 comparisons[key] |= atoms
         partition = build_domain({k: frozenset(v) for k, v in comparisons.items()})
         for key, elements in partition.items():
-            pieces[key] = elements
-            exposed[key] = {element: element for element in elements}
-    return AnswerDomain(pieces=pieces, exposed=exposed, notes=tuple(notes))
+            pieces[key] = {element: element for element in elements}
+    return AnswerDomain(pieces=pieces, notes=tuple(notes))
 
 
 def instantiate_element(element: Conjunction, args: Sequence[Term]) -> list[LinAtom]:
@@ -206,50 +204,54 @@ def compute_abstract_answers(
     """Answer tables for the given loops, which must come callee-first
     (as `find_integer_loops` returns them) and carry one AnswerDomain
     per loop predicate between them."""
-    pieces: dict[PredKey, tuple[Conjunction, ...]] = {}
-    exposed: dict[PredKey, dict[Conjunction, Conjunction]] = {}
+    pieces: dict[PredKey, dict[Conjunction, Conjunction]] = {}
     for answer_domain in domains:
         pieces.update(answer_domain.pieces)
-        exposed.update(answer_domain.exposed)
     published: AnswerTable = {}
     for loop in loops:
         positions = answer_positions(loop, modes)
         table: dict[PredKey, dict[Conjunction, None]] = {key: {} for key in loop.predicates}
         arguments = {key: [position_var(j) for j in range(key[1])] for key in loop.predicates}
-        # Per clause: its key, its base constraint and one level per call
-        # into this loop or a published one.  A call into this loop reads
-        # its own list in `sites`, which grows with the table.
-        sites: dict[PredKey, list[tuple[Sequence[Term], list[CallOption]]]] = {}
+        # Per clause: its key, its base constraint and its calls into this
+        # loop or a published one, one level each.
+        known = table.keys() | published.keys()
         clauses = []
         for clause in applicable_clauses(loop, modes):
             base = conjunction(clause_constraint(clause, positions[clause.key]))
-            levels: list[Sequence[CallOption]] = []
-            for lit in clause.body:
-                if isinstance(lit, UserAtom) and lit.key in table:
-                    options: list[CallOption] = []
-                    sites.setdefault(lit.key, []).append((lit.args, options))
-                    levels.append(options)
-                elif isinstance(lit, UserAtom) and lit.key in published:
-                    levels.append(
-                        [call_option(entry.element, lit.args) for entry in published[lit.key]]
-                    )
-            clauses.append((clause.key, base, levels))
-        changed = True
-        while changed:
-            changed = False
-            for key, base, levels in clauses:
-                for _, candidate in satisfiable_choices(base, levels):
-                    unseen = [piece for piece in pieces[key] if piece not in table[key]]
-                    if not unseen:
-                        break
-                    answer = eliminate_outside(candidate, arguments[key])
-                    for piece in unseen:
-                        if is_satisfiable(conjunction(answer | piece)):
-                            table[key][piece] = None
-                            for args, options in sites.get(key, ()):
-                                options.append(call_option(piece, args))
-                            changed = True
+            calls = [lit for lit in clause.body if isinstance(lit, UserAtom) and lit.key in known]
+            clauses.append((clause.key, base, calls))
+        older = None
+        while True:
+            entries = {key: tuple(found) for key, found in table.items()}
+            if entries == older:
+                break
+            for key, base, calls in clauses:
+                pivots = [i for i, lit in enumerate(calls) if lit.key in table]
+                # The first round reads exactly the clauses without pivots.
+                if bool(pivots) == (older is None):
+                    continue
+                for pivot in pivots or [0]:
+                    levels = []
+                    for i, lit in enumerate(calls):
+                        if lit.key in published:
+                            chosen = [entry.element for entry in published[lit.key]]
+                        elif i < pivot:
+                            chosen = older[lit.key]
+                        elif i == pivot:
+                            chosen = entries[lit.key][len(older[lit.key]) :]
+                        else:
+                            chosen = entries[lit.key]
+                        levels.append([call_option(element, lit.args) for element in chosen])
+                    for _, candidate in satisfiable_choices(base, levels):
+                        unseen = [piece for piece in pieces[key] if piece not in table[key]]
+                        if not unseen:
+                            break
+                        answer = eliminate_outside(candidate, arguments[key])
+                        for piece in unseen:
+                            if is_satisfiable(conjunction(answer | piece)):
+                                table[key][piece] = None
+            older = entries
         for key in sorted(loop.predicates):
-            elements = dict.fromkeys(exposed[key][piece] for piece in table[key])
+            elements = dict.fromkeys(e for p, e in pieces[key].items() if p in table[key])
             published[key] = tuple(AbstractAtom(key=key, element=e) for e in elements)
     return published

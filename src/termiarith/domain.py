@@ -427,7 +427,7 @@ def infer_comparisons(
 
 
 def satisfiable_choices(
-    base: Conjunction, levels: Sequence[Iterable[tuple[object, Conjunction]]]
+    base: Conjunction, levels: Sequence[Sequence[tuple[object, Conjunction]]]
 ) -> Iterator[tuple[tuple, Conjunction]]:
     """Every pick of one `(label, option)` per level whose conjunction
     with `base` is satisfiable, as `(labels, conjunction)`, in the order
@@ -436,16 +436,14 @@ def satisfiable_choices(
     The picks are walked as a tree, one level deep per level, and a
     branch is entered only when its prefix conjunction is satisfiable,
     `base` alone being the first prefix: adding atoms never makes an
-    unsatisfiable conjunction satisfiable, so no pick is lost.  A level
-    is read when a prefix reaches it, so a level that grows while the
-    picks are consumed is seen grown by the prefixes reached after the
-    growth."""
+    unsatisfiable conjunction satisfiable, so no pick is lost.  The
+    levels are fixed while the picks are consumed."""
 
     def grow(index: int, labels: tuple, conj: Conjunction) -> Iterator[tuple[tuple, Conjunction]]:
         if index == len(levels):
             yield labels, conj
             return
-        for label, option in tuple(levels[index]):
+        for label, option in levels[index]:
             grown = conjunction(conj | option)
             if is_satisfiable(grown):
                 yield from grow(index + 1, labels + (label,), grown)

@@ -9,13 +9,7 @@ through `parse_program`."""
 from typing import Iterable, Iterator, Sequence
 
 from termiarith import driver
-from termiarith.answers import (
-    AbstractAtom,
-    AnswerDomain,
-    AnswerTable,
-    CallOption,
-    call_option,
-)
+from termiarith.answers import AbstractAtom, AnswerDomain, AnswerTable, call_option
 from termiarith.constraints import (
     Conjunction,
     LinAtom,
@@ -65,7 +59,7 @@ def product_reference(
     """Every pick of one `(label, option)` per level in product order,
     conjoined with `base` all at once, keeping the satisfiable ones as
     `(labels, conjunction)`.  Nothing is pruned: every prefix reaches
-    the next level, which is read when the prefix reaches it."""
+    the next level."""
     base = list(base)
 
     def picks(index: int, labels: tuple, options: list) -> Iterator[tuple[tuple, Conjunction]]:
@@ -74,7 +68,7 @@ def product_reference(
             if is_satisfiable(conj):
                 yield labels, conj
             return
-        for label, option in tuple(levels[index]):
+        for label, option in levels[index]:
             yield from picks(index + 1, (*labels, label), [*options, option])
 
     return picks(0, (), [])
@@ -100,48 +94,38 @@ def closure_reference(pairs: Iterable[QueryMappingPair]) -> frozenset[QueryMappi
 def answers_reference(
     loops: Sequence[LoopInfo], modes: ModeAssignment, domains: Sequence[AnswerDomain]
 ) -> AnswerTable:
-    """`compute_abstract_answers` without projection or pruning: the
-    candidates are the unpruned `product_reference` of the calls'
-    entries, each piece is tested against the whole candidate, clause
-    variables included, and every candidate is read even once every
-    piece is in the table."""
-    pieces: dict[PredKey, tuple[Conjunction, ...]] = {}
-    exposed: dict[PredKey, dict[Conjunction, Conjunction]] = {}
+    """`compute_abstract_answers` by naive rounds, without projection or
+    pruning: each round reads every clause against a snapshot of the
+    whole table, the candidates are the unpruned `product_reference` of
+    the calls' entries, and each piece is tested against the whole
+    candidate, clause variables included.  Tables are published in
+    partition order."""
+    pieces: dict[PredKey, dict[Conjunction, Conjunction]] = {}
     for answer_domain in domains:
         pieces.update(answer_domain.pieces)
-        exposed.update(answer_domain.exposed)
     published: AnswerTable = {}
     for loop in loops:
         positions = answer_positions(loop, modes)
         table: dict[PredKey, list[Conjunction]] = {key: [] for key in loop.predicates}
-        # Each call into this loop reads its own list of table entries
-        # with their instantiations, which grows with the table.
-        calls: list[tuple[UserAtom, list[CallOption]]] = []
-        clauses = []
-        for clause in applicable_clauses(loop, modes):
-            levels = []
-            for lit in clause.body:
-                if isinstance(lit, UserAtom) and lit.key in table:
-                    calls.append((lit, []))
-                    levels.append(calls[-1][1])
-                elif isinstance(lit, UserAtom) and lit.key in published:
-                    levels.append([call_option(e.element, lit.args) for e in published[lit.key]])
-            base = conjunction(clause_constraint(clause, positions[clause.key]))
-            clauses.append((clause.key, base, levels))
         changed = True
         while changed:
             changed = False
-            for key, base, levels in clauses:
+            snapshot = {key: [e.element for e in entries] for key, entries in published.items()}
+            snapshot.update({key: list(found) for key, found in table.items()})
+            for clause in applicable_clauses(loop, modes):
+                levels = [
+                    [call_option(element, lit.args) for element in snapshot[lit.key]]
+                    for lit in clause.body
+                    if isinstance(lit, UserAtom) and lit.key in snapshot
+                ]
+                base = conjunction(clause_constraint(clause, positions[clause.key]))
                 for _, candidate in product_reference(base, levels):
-                    for piece in pieces[key]:
-                        if piece not in table[key] and is_satisfiable(candidate | piece):
-                            table[key].append(piece)
-                            for lit, options in calls:
-                                if lit.key == key:
-                                    options.append(call_option(piece, lit.args))
+                    for piece in pieces[clause.key]:
+                        if piece not in table[clause.key] and is_satisfiable(candidate | piece):
+                            table[clause.key].append(piece)
                             changed = True
         for key in sorted(loop.predicates):
-            elements = dict.fromkeys(exposed[key][piece] for piece in table[key])
+            elements = dict.fromkeys(e for p, e in pieces[key].items() if p in table[key])
             published[key] = tuple(AbstractAtom(key=key, element=e) for e in elements)
     return published
 

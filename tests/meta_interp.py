@@ -13,7 +13,6 @@ from termiarith.syntax import (
     AtomConst,
     Comparison,
     Compound,
-    Disunify,
     FloatConst,
     IntConst,
     Is,

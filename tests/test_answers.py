@@ -8,6 +8,7 @@ import pytest
 from conftest import corpus_program
 from helpers import answers_reference, driver_calls, widen
 
+from termiarith import answers
 from termiarith.answers import (
     AbstractAtom,
     build_answer_domain,
@@ -26,12 +27,12 @@ from termiarith.constraints import (
     atom_is_true,
     conjunction,
     implies,
-    is_satisfiable,
 )
 from termiarith.domain import (
     build_domain,
     collect_comparisons,
     infer_comparisons,
+    satisfiable_choices,
     unfold_once,
 )
 from termiarith.graph import find_integer_loops
@@ -87,7 +88,7 @@ class TestAnswerDomain:
         (domain,) = domains
         assert len(domain.pieces[("mod", 3)]) == 24
         assert all(
-            domain.exposed[("mod", 3)][piece] == piece
+            domain.pieces[("mod", 3)][piece] == piece
             for piece in domain.pieces[("mod", 3)]
         )
 
@@ -105,7 +106,7 @@ class TestAnswerDomain:
         (domain,) = domains
         key = ("mc_carthy_91", 2)
         assert len(domain.pieces[key]) == 18
-        assert len({domain.exposed[key][p] for p in domain.pieces[key]}) == 9
+        assert len({domain.pieces[key][p] for p in domain.pieces[key]}) == 9
         assert domain.notes == ()
 
     def test_unpropagated_loop_reuses_its_partition(self):
@@ -120,7 +121,7 @@ class TestAnswerDomain:
         assert any("unrefined" in note for note in domain.notes)
         assert len(domain.pieces[("gcd", 3)]) == 27
         assert all(
-            domain.exposed[("gcd", 3)][piece] == piece
+            domain.pieces[("gcd", 3)][piece] == piece
             for piece in domain.pieces[("gcd", 3)]
         )
 
@@ -138,7 +139,7 @@ class TestAnswerDomain:
             " widening stays unrefined",
         )
         assert len(domain.pieces[key]) == 9
-        assert all(domain.exposed[key][piece] == piece for piece in domain.pieces[key])
+        assert all(domain.pieces[key][piece] == piece for piece in domain.pieces[key])
 
 
 class TestWiden:
@@ -153,7 +154,7 @@ class TestWiden:
         key = ("mc_carthy_91", 2)
         hits = widen([atom_eq(A1, 100), atom_eq(A2, 91)], domain.pieces[key])
         assert len(hits) == 1
-        assert domain.exposed[key][hits[0]] == conjunction(
+        assert domain.pieces[key][hits[0]] == conjunction(
             [atom_gt(A1, 89), atom_le(A1, 100), atom_gt(A2, 89), atom_le(A2, 100)]
         )
 
@@ -282,6 +283,15 @@ DIVERGENT = [
     "l2(X) :- X > 5, Y is X, l2(Y).\n",
 ]
 
+# Two mutually recursive integer predicates: the recursive clause of p
+# calls q and then p, so the fixpoint pivots over calls into both.
+MUTUAL = (
+    "p(X, Y) :- X =< 0, Y is 0.\n"
+    "p(X, Y) :- X > 0, Z is X - 1, q(Z, W), p(W, Y).\n"
+    "q(X, Y) :- X =< 0, Y is X.\n"
+    "q(X, Y) :- X > 0, Z is X - 1, p(Z, Y).\n"
+)
+
 
 class TestAnswerReference:
     """On every answer rung the driver reaches, the tables equal the
@@ -298,8 +308,10 @@ class TestAnswerReference:
                 (normalize_program(parse_program(source)), query, 3)
                 for source, query in zip(DIVERGENT, ("c(i,i)", "g(i)", "l1(i)"))
             ),
+            # proved on the first answer rung
+            (normalize_program(parse_program(MUTUAL)), "p(i,f)", 1),
         ],
-        ids=["gcd", "mc91", "chain-div-2", "guard-div-2", "nest-div-2"],
+        ids=["gcd", "mc91", "chain-div-2", "guard-div-2", "nest-div-2", "mutual"],
     )
     def test_tables_match_unprojected_reference(self, monkeypatch, program, query, rungs):
         calls = driver_calls(
@@ -310,3 +322,28 @@ class TestAnswerReference:
             table = compute_abstract_answers(*args)
             assert any(table.values())
             assert table == answers_reference(*args)
+
+
+class TestSemiNaive:
+    """The answer fixpoint reads every combination once: no
+    `(base, labels)` pick repeats within one call."""
+
+    @pytest.mark.parametrize(
+        "name,query,rungs", [("gcd", "gcd(i,i,f)", 1), ("mc91", "mc_carthy_91(i,f)", 3)]
+    )
+    def test_each_pick_is_read_once(self, monkeypatch, name, query, rungs):
+        program, pattern = corpus_program(name), parse_query_pattern(query)
+        calls = driver_calls(monkeypatch, "compute_abstract_answers", program, pattern)
+        assert len(calls) == rungs
+        for args in calls:
+            picks = []
+
+            def recording(base, levels):
+                for labels, conj in satisfiable_choices(base, levels):
+                    picks.append((base, labels))
+                    yield labels, conj
+
+            monkeypatch.setattr(answers, "satisfiable_choices", recording)
+            compute_abstract_answers(*args)
+            assert picks
+            assert len(set(picks)) == len(picks)

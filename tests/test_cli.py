@@ -1,8 +1,12 @@
-"""Command line tests: exit codes, stream separation, flags."""
+"""Command line tests: exit codes, stream separation, flags, and reports
+that do not depend on the hash seed."""
 
 import io
 import json
+import os
 import signal
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
@@ -192,6 +196,24 @@ class TestFlags:
         run(capsys, str(corpus_path("mod")), "--query", "mod(i,i,f)")
         (kwargs,) = passed
         assert set(kwargs) == set(AnalysisOptions._fields)
+
+
+@pytest.mark.parametrize(
+    "name,query", [("gcd", "gcd(i,i,f)"), ("mc91", "mc_carthy_91(i,f)")]
+)
+def test_json_report_is_identical_across_hash_seeds(name, query):
+    src = Path(__file__).parent.parent / "src"
+    argv = [sys.executable, "-m", "termiarith.cli", str(corpus_path(name))]
+    outputs = [
+        subprocess.run(
+            [*argv, "--query", query, "--format", "json"],
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+            capture_output=True,
+            check=True,
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.skipif(not HAS_ALARM, reason="needs SIGALRM")

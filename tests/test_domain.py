@@ -41,7 +41,6 @@ from termiarith.domain import (
     infer_comparisons,
     influence_components,
     linear_term,
-    position_var,
     query_positions,
     satisfiable_choices,
     sign_levels,
@@ -354,18 +353,6 @@ class TestSatisfiableChoices:
     def test_matches_the_filtered_product_in_order(self, base, levels):
         walked = satisfiable_choices(conjunction(base), levels)
         assert list(walked) == list(product_reference(base, levels))
-
-    @pytest.mark.parametrize("walk", [satisfiable_choices, product_reference])
-    def test_a_level_is_read_grown_after_it_grows(self, walk):
-        first = [("a", frozenset()), ("b", frozenset({atom_gt(A1, 0)}))]
-        second = [("x", frozenset())]
-        seen = []
-        for labels, _ in walk(frozenset(), [first, second]):
-            seen.append(labels)
-            if labels == ("a", "x"):
-                second.append(("y", frozenset({atom_lt(A1, 5)})))
-        # the prefix "a" read the level before it grew, "b" after
-        assert seen == [("a", "x"), ("b", "x"), ("b", "y")]
 
     def test_unsatisfiable_base_yields_nothing(self):
         levels = [[("a", frozenset())]]

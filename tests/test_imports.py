@@ -1,5 +1,6 @@
-"""The package's imports: every module-level import is used by its
-module, and importing the command line stays cheap.
+"""The package's imports: every module-level import of the package and
+of the tests is used by its module, and importing the command line
+stays cheap.
 
 No linter ships with the project, so this reads each source file's AST:
 a name bound by a top-level ``import``/``from ... import`` must appear
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "termiarith").glob("*.py"))
+TEST_SOURCES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,7 +37,11 @@ def test_unused_imports_are_detected():
     assert unused_imports(source) == ["Iterable (line 2)", "os (line 1)"]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    SOURCES + TEST_SOURCES,
+    ids=[p.name for p in SOURCES] + [f"tests/{p.name}" for p in TEST_SOURCES],
+)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
 
