@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--answers",
         choices=("on", "off", "auto"),
         default="auto",
-        help="answer abstraction: always, never, or as a re-run after NO (default)",
+        help="answer abstraction: always, never, or on each rung after a plain try (default)",
     )
     parser.add_argument(
         "--trace",

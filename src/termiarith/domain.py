@@ -500,12 +500,11 @@ def unfold_once(program: Program, clause_index: int, atom_index: int) -> Program
     resolvents: list[Clause] = []
     for j in program.index.get(selected.key, ()):
         source = program.clauses[j]
-        suffix_n = 0
-        while True:
+        names = {v.name for v in clause_vars(source)}
+        suffix_n = 1
+        while any(f"{name}_u{suffix_n}" in outer_names | names for name in names):
             suffix_n += 1
-            renamed = rename_clause(source, f"_u{suffix_n}")
-            if not ({v.name for v in clause_vars(renamed)} & outer_names):
-                break
+        renamed = rename_clause(source, f"_u{suffix_n}")
         subst = unify_atoms(selected, renamed.head)
         if subst is None:
             continue

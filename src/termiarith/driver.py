@@ -3,7 +3,7 @@
 Runs the whole pipeline for one (program, query pattern) task: a first
 attempt with structural norms only, the integer-basedness gates, then
 an escalation ladder over comparison sources (collected, inferred,
-inferred after unfolding), optionally re-run with answer abstraction.
+inferred after unfolding), each rung without, then with answers.
 The verdict carries per-loop, per-pair evidence and feeds the text and
 JSON report emitters.
 
@@ -12,24 +12,26 @@ circular ones, report per loop.  The structural attempt goes through
 `prove_pair` too: its pairs carry empty row constraints, so no
 termination function is suggested and the proof is the structural test.
 
-Modes, loops and the size table depend only on the rung program, so
-each distinct program (the input and each unfolding, built only when
-its rung is reached) is analysed once; its size table is built only if
-pair generation asks for it.  A rung's query domains are built once and
-shared by both answer passes; a rung stopped by a cap logs its lines
-again in the second pass."""
+The ladder is climbed once.  Each rung builds its program (the input,
+or one more unfolding of the previous rung's program), that program's
+modes and loops, and its query domains, then tries them without answer
+abstraction and, if that fails under `--answers auto`, with it; the
+next unfolding is built only when both attempts fail.  A program's size
+table is built only if pair generation asks for it."""
 
 import json
 from functools import cached_property
+from itertools import takewhile
 from typing import NamedTuple, Optional
 
 from .answers import build_answer_domain, compute_abstract_answers
-from .constraints import render_conjunction
+from .constraints import is_satisfiable, render_conjunction
 from .domain import (
     DomainTooLarge,
     build_domain,
     collect_comparisons,
     infer_comparisons,
+    literal_atoms,
     unfold_once,
 )
 from .graph import LoopInfo, find_integer_loops
@@ -45,7 +47,7 @@ from .pairs import (
     prove_pair,
     render_pair,
 )
-from .syntax import Clause, Program, QueryPattern, UserAtom
+from .syntax import Clause, Program, QueryPattern, UserAtom, render_query_pattern
 
 YES = "YES"
 NO = "NO"
@@ -106,10 +108,6 @@ class Verdict(NamedTuple):
     method: Optional[str] = None
 
 
-def _render_query(pattern: QueryPattern) -> str:
-    return f"{pattern.pred}({','.join(pattern.modes)})"
-
-
 def _pred_name(key) -> str:
     name, arity = key
     return f"{name}/{arity}"
@@ -130,26 +128,22 @@ def _loop_reports(
             for key in sorted(loop.predicates)
             if key in domains
         }
-        pairs = []
-        for pair, found in proofs:
-            if pair.query.key not in loop.predicates:
-                continue
-            name, _ = pair.query.key
-            query = f"{name}({','.join(pair.query.modes)})"
-            pairs.append(
-                PairEvidence(
-                    query=query,
-                    constraint=render_conjunction(pair.query.constraint),
-                    proof=found.describe() if found is not None else None,
-                    trace=render_pair(pair, found),
-                )
+        pairs = tuple(
+            PairEvidence(
+                query=render_query_pattern(pair.query.key[0], pair.query.modes),
+                constraint=render_conjunction(pair.query.constraint),
+                proof=found.describe() if found is not None else None,
+                trace=render_pair(pair, found),
             )
+            for pair, found in proofs
+            if pair.query.key in loop.predicates
+        )
         reports.append(
             LoopReport(
                 predicates=names,
                 integer_based=loop.is_integer_based,
                 domain=rendered_domain,
-                pairs=tuple(pairs),
+                pairs=pairs,
             )
         )
     return tuple(reports)
@@ -174,21 +168,34 @@ class _ProgramStages:
         clause unfolded once.  Every clause is resolved against this
         program, never against clauses rewritten in the same step, so
         one step replaces a clause by at most as many resolvents as its
-        selected atom has clauses."""
-        component = {key: loop.predicates for loop in self.loops for key in loop.predicates}
+        selected atom has clauses.  In integer-based loops (a float
+        satisfies X > 0, X < 1) a resolvent is dropped when its arithmetic
+        before its first call is unsatisfiable: it fails before any call."""
+        loops = {key: loop for loop in self.loops for key in loop.predicates}
         clauses: list[Clause] = []
         for i, clause in enumerate(self.program.clauses):
-            preds = component.get(clause.key, ())
+            loop = loops.get(clause.key)
             for j, lit in enumerate(clause.body):
-                if isinstance(lit, UserAtom) and lit.key in preds:
+                if loop and isinstance(lit, UserAtom) and lit.key in loop.predicates:
                     # unfold_once keeps the clauses after i at the end.
                     resolved = unfold_once(self.program, i, j).clauses
                     after = len(self.program.clauses) - i - 1
-                    clauses.extend(resolved[i : len(resolved) - after])
+                    clauses.extend(
+                        c
+                        for c in resolved[i : len(resolved) - after]
+                        if not loop.is_integer_based or _may_call(c)
+                    )
                     break
             else:
                 clauses.append(clause)
         return _ProgramStages(Program(tuple(clauses)), self.pattern)
+
+
+def _may_call(clause: Clause) -> bool:
+    """Whether the arithmetic before the clause's first call is
+    satisfiable over the integers."""
+    prefix = takewhile(lambda lit: not isinstance(lit, UserAtom), clause.body)
+    return is_satisfiable([atom for lit in prefix for atom in literal_atoms(lit)])
 
 
 def _query_domains(stages: _ProgramStages, prefer_inference):
@@ -211,12 +218,12 @@ def _query_domains(stages: _ProgramStages, prefer_inference):
 
 
 def _rungs(options: AnalysisOptions):
-    """The ladder, one rung at a time as it is reached: (label, unfolding
-    depth of the rung program, prefer inference)."""
-    yield "collected comparisons", 0, False
-    yield "inferred comparisons", 0, True
+    """The ladder, one rung at a time as it is reached: (label, unfold
+    the previous rung's program once more, prefer inference)."""
+    yield "collected comparisons", False, False
+    yield "inferred comparisons", False, True
     for depth in range(1, options.max_unfold + 1):
-        yield f"unfold x{depth} + inferred comparisons", depth, True
+        yield f"unfold x{depth} + inferred comparisons", True, True
 
 
 def _attempt(stage, stages, options, log, domains, table, numeric=True):
@@ -253,7 +260,7 @@ def analyse_termination(
 ) -> Verdict:
     """Decide YES (universal termination proved for the query pattern)
     or NO (no proof found).  Never raises on resource caps."""
-    query = _render_query(pattern)
+    query = render_query_pattern(pattern.pred, pattern.modes)
     diagnostics: list[str] = []
     log = diagnostics.append
 
@@ -302,18 +309,14 @@ def analyse_termination(
         options.answer_abstraction
     ]
 
-    # Built when a rung first needs them, shared by both answer passes.
-    programs = {0: top}
-    query_domains = {}
-    for with_answers in answer_passes:
-        for index, (label, depth, prefer_inference) in enumerate(_rungs(options)):
+    stages = top
+    for label, unfold, prefer_inference in _rungs(options):
+        if unfold:
+            stages = stages.unfolded()
+        built, stop = _query_domains(stages, prefer_inference)
+        domains = {k: v for _, domain, _ in built for k, v in domain.items()}
+        for with_answers in answer_passes:
             name = label + (" + answer abstraction" if with_answers else "")
-            if depth not in programs:
-                programs[depth] = programs[depth - 1].unfolded()
-            stages = programs[depth]
-            if index not in query_domains:
-                query_domains[index] = _query_domains(stages, prefer_inference)
-            built, stop = query_domains[index]
             try:
                 answer_domains = [
                     build_answer_domain(loop, stages.modes, domain, used_inference=inferred)
@@ -329,7 +332,6 @@ def analyse_termination(
                     if with_answers
                     else None
                 )
-                domains = {k: v for _, domain, _ in built for k, v in domain.items()}
                 ok, rung_reports = _attempt(
                     f"rung {name}", stages, options, log, domains, table
                 )

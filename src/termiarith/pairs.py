@@ -64,6 +64,7 @@ from .syntax import (
     Term,
     UserAtom,
     mode_meet,
+    render_query_pattern,
     term_vars,
 )
 
@@ -605,11 +606,8 @@ def _render_relation(relation: Relation) -> str:
 def render_pair(pair: QueryMappingPair, proof: Optional[PairProof] = None) -> str:
     """The trace form of a pair: rows with modes, relations, constraints
     and, when given, the discharging evidence."""
-    name, _ = pair.query.key
-    query_modes = ",".join(pair.query.modes)
-    lines = [
-        f"pair {name}({query_modes}) where {render_conjunction(pair.query.constraint)}"
-    ]
+    query = render_query_pattern(pair.query.key[0], pair.query.modes)
+    lines = [f"pair {query} where {render_conjunction(pair.query.constraint)}"]
     for label, row in (
         ("domain", pair.mapping.domain_atom),
         ("range ", pair.mapping.range_atom),

@@ -465,6 +465,11 @@ def parse_query_pattern(text: str) -> QueryPattern:
     return QueryPattern(name, tuple(parts))
 
 
+def render_query_pattern(name: str, modes: tuple[str, ...]) -> str:
+    """A call pattern as `parse_query_pattern` reads it back."""
+    return f"{name}({','.join(modes)})" if modes else name
+
+
 # ---------------------------------------------------------------------------
 # Variable utilities, substitution, unification.
 
@@ -516,16 +521,10 @@ def apply_subst(term: Term, subst: Subst) -> Term:
 def apply_subst_literal(literal: Literal, subst: Subst) -> Literal:
     if isinstance(literal, UserAtom):
         return UserAtom(literal.pred, tuple(apply_subst(a, subst) for a in literal.args))
-    if isinstance(literal, Is):
-        return Is(apply_subst(literal.lhs, subst), apply_subst(literal.rhs, subst))
-    if isinstance(literal, Comparison):
-        return Comparison(
-            apply_subst(literal.lhs, subst), literal.op, apply_subst(literal.rhs, subst)
+    if isinstance(literal, (Is, Comparison, Unify, Disunify)):
+        return literal._replace(
+            lhs=apply_subst(literal.lhs, subst), rhs=apply_subst(literal.rhs, subst)
         )
-    if isinstance(literal, Unify):
-        return Unify(apply_subst(literal.lhs, subst), apply_subst(literal.rhs, subst))
-    if isinstance(literal, Disunify):
-        return Disunify(apply_subst(literal.lhs, subst), apply_subst(literal.rhs, subst))
     return literal
 
 
@@ -593,7 +592,8 @@ def unify_atoms(a: UserAtom, b: UserAtom, subst: Optional[Subst] = None) -> Opti
 
 
 def rename_clause(clause: Clause, suffix: str) -> Clause:
-    """Rename every variable apart, for resolution against a clause."""
+    """Rename every variable apart, for resolution against a clause.
+    No new name may be one of the clause's: `apply_subst` chains them."""
     mapping: Subst = {v: Var(v.name + suffix) for v in clause_vars(clause)}
     return apply_subst_clause(clause, mapping)
 

@@ -35,6 +35,7 @@ from termiarith.domain import (
     satisfiable_choices,
     unfold_once,
 )
+from termiarith.driver import analyse_termination
 from termiarith.graph import find_integer_loops
 from termiarith.modes import infer_argument_modes
 from termiarith.syntax import (
@@ -271,7 +272,7 @@ class TestTables:
 
 # The divergent variants of the benchmark's chain, guard and nest
 # families at parameter 2 (`perfbench/generators.py`): each climbs every
-# rung of both answer passes and gets NO.
+# rung, without and then with answers, and gets NO.
 DIVERGENT = [
     "c(X, Z) :- X =< 17.\nc(X, Z) :- X > 17, X < Z, Y is X, c(Y, Z).\n",
     "g(X) :- X =< -3.\n"
@@ -322,6 +323,22 @@ class TestAnswerReference:
             table = compute_abstract_answers(*args)
             assert any(table.values())
             assert table == answers_reference(*args)
+
+
+def test_each_rung_is_tried_plain_then_with_answers():
+    verdict = analyse_termination(
+        normalize_program(parse_program(DIVERGENT[1])), parse_query_pattern("g(i)")
+    )
+    assert verdict.answer == "NO"
+    assert verdict.diagnostics == (
+        "structural attempt (simplified norm analysis): 0 of 1 circular pairs proved",
+        "rung collected comparisons: 1 of 2 circular pairs proved",
+        "rung collected comparisons + answer abstraction: 1 of 2 circular pairs proved",
+        "rung inferred comparisons: 1 of 2 circular pairs proved",
+        "rung inferred comparisons + answer abstraction: 1 of 2 circular pairs proved",
+        "rung unfold x1 + inferred comparisons: 0 of 1 circular pairs proved",
+        "rung unfold x1 + inferred comparisons + answer abstraction: 0 of 1 circular pairs proved",
+    )
 
 
 class TestSemiNaive:

@@ -183,6 +183,16 @@ class TestFlags:
         )
         assert code == EXIT_NO
 
+    def test_zero_arity_query_is_rendered_as_written(self, capsys, tmp_path):
+        program = tmp_path / "p.pl"
+        program.write_text("p :- p.\n")
+        code, out, _ = run(capsys, str(program), "--query", "p", "--trace")
+        assert code == EXIT_NO
+        assert out.startswith("NO: no termination proof found for query p\n")
+        assert "  unproved: p where true\n" in out
+        assert "\npair p where true\n" in out
+        assert "()" not in out
+
     def test_analysis_options_are_the_cli_flags(self, capsys, monkeypatch):
         # Every AnalysisOptions field is set from a flag, so no field
         # exists that only tests can set.
@@ -219,13 +229,18 @@ def test_json_report_is_identical_across_hash_seeds(name, query):
 @pytest.mark.skipif(not HAS_ALARM, reason="needs SIGALRM")
 class TestTimeout:
     def test_timeout_is_three(self, capsys):
-        # gcd is the slowest corpus task: even with the solver cache warm
-        # from earlier tests it runs several times longer than the limit.
+        # Without answer abstraction gcd climbs four unfolding rungs: even
+        # with the solver cache warm it runs several times longer than
+        # the limit.
         code, out, err = run(
             capsys,
             str(corpus_path("gcd")),
             "--query",
             "gcd(i,i,f)",
+            "--answers",
+            "off",
+            "--max-unfold",
+            "4",
             "--timeout",
             "0.05",
         )

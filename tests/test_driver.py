@@ -23,7 +23,12 @@ from termiarith.driver import (
 from termiarith.graph import find_integer_loops
 from termiarith.modes import infer_argument_modes
 from termiarith.norms import infer_size_relations
-from termiarith.syntax import normalize_program, parse_program, parse_query_pattern
+from termiarith.syntax import (
+    normalize_program,
+    parse_program,
+    parse_query_pattern,
+    render_query_pattern,
+)
 
 
 def analyse(name, query, **kwargs):
@@ -142,11 +147,22 @@ class TestEscalationLadder:
         assert verdict.diagnostics == (
             "structural attempt (simplified norm analysis): 0 of 1 circular pairs proved",
             "rung collected comparisons: 1 of 2 circular pairs proved",
-            "rung inferred comparisons: 1 of 2 circular pairs proved",
-            "rung unfold x1 + inferred comparisons: 2 of 3 circular pairs proved",
             "rung collected comparisons + answer abstraction: 1 of 2 circular pairs proved",
+            "rung inferred comparisons: 1 of 2 circular pairs proved",
             "rung inferred comparisons + answer abstraction: 1 of 2 circular pairs proved",
+            "rung unfold x1 + inferred comparisons: 2 of 3 circular pairs proved",
             "rung unfold x1 + inferred comparisons + answer abstraction: 2 of 2 circular pairs proved",
+        )
+
+    def test_gcd_is_proved_before_any_unfolding(self):
+        # The first rung with answers proves gcd, so the plain inferred
+        # and unfolding rungs never run, whatever the unfolding bound.
+        shallow = analyse("gcd", "gcd(i, i, f)", max_unfold=0)
+        deep = analyse("gcd", "gcd(i, i, f)", max_unfold=4)
+        assert shallow.diagnostics == deep.diagnostics == (
+            "structural attempt (simplified norm analysis): 0 of 2 circular pairs proved",
+            "rung collected comparisons: 1 of 3 circular pairs proved",
+            "rung collected comparisons + answer abstraction: 5 of 5 circular pairs proved",
         )
 
     def test_mc91_loop_evidence(self):
@@ -237,10 +253,11 @@ class TestStageReuse:
     @pytest.mark.parametrize(
         "name,query,programs",
         [
-            # the program and its unfolding, over both answer passes
+            # the program and its unfolding, each shared by the rung's
+            # plain and answer attempts
             ("mc91", "mc_carthy_91(i, f)", 2),
-            ("gcd", "gcd(i, i, f)", 2),
-            # proved on the first rung: the unfolding is never built
+            # proved before the unfolding rung: the unfolding is never built
+            ("gcd", "gcd(i, i, f)", 1),
             ("p_difficult", "p(i, i)", 1),
             ("q_mixed", "q(b, f, i)", 1),
         ],
@@ -288,19 +305,53 @@ class TestUnfoldingStep:
             corpus_program("p_difficult"), parse_query_pattern("p(i, i)")
         )
         # Two recursive clauses, each resolved against the three input
-        # clauses, plus the base clause; resolving against clauses
-        # already rewritten in the same step gave 9.
+        # clauses, plus the base clause, gave 7 (resolving against
+        # clauses already rewritten in the same step gave 9); one
+        # resolvent's guards contradict each other, so 6 stay.
         assert len(stages.program.clauses) == 3
-        assert len(stages.unfolded().program.clauses) == 7
+        assert len(stages.unfolded().program.clauses) == 6
 
     def test_second_step_resolves_against_the_first(self):
         program = normalize_program(parse_program(self.GUARDS))
         first = _ProgramStages(program, parse_query_pattern("g(i)")).unfolded()
-        # 1 base clause + 3 recursive clauses x 4 resolvents.
-        assert len(first.program.clauses) == 13
-        # The 4 clauses without a recursive call stay, the 9 recursive
-        # ones each get 13 resolvents.
-        assert len(first.unfolded().program.clauses) == 4 + 9 * 13
+        # 1 base clause + 3 recursive clauses x 4 resolvents, of which 7
+        # have contradicting guards: the base clause, 1 resolvent without
+        # a call and 4 recursive ones stay.
+        assert len(first.program.clauses) == 6
+        assert sum(first.loops[0].is_recursive_clause(c) for c in first.program.clauses) == 4
+        # The 2 clauses without a call stay; 6 of the 4 x 6 resolvents of
+        # the recursive ones are live.
+        assert len(first.unfolded().program.clauses) == 2 + 6
+
+    def test_renaming_keeps_variables_apart(self):
+        # The second step renames apart a clause with variables X and
+        # X_u1.  Were both to become X_u1_u1, the recursive resolvent
+        # would read `X_u1_u1 is X_u1_u1 + 1` and look dead, and the
+        # program, which runs forever from g(1), would be proved.
+        program = normalize_program(
+            parse_program("g(X) :- X =< 0.\ng(X) :- X > 0, Y is X + 1, g(Y).\n")
+        )
+        pattern = parse_query_pattern("g(i)")
+        second = _ProgramStages(program, pattern).unfolded().unfolded()
+        assert sum(second.loops[0].is_recursive_clause(c) for c in second.program.clauses) == 1
+        verdict = analyse_termination(program, pattern, AnalysisOptions(max_unfold=2))
+        assert verdict.answer == NO
+
+    def test_contradiction_after_a_call_keeps_the_resolvent(self):
+        # The call runs before the guards fail.
+        program = normalize_program(parse_program("p(X) :- p(X), X > 0, X < 0.\n"))
+        stages = _ProgramStages(program, parse_query_pattern("p(i)"))
+        assert len(stages.unfolded().program.clauses) == 1
+
+    @pytest.mark.parametrize("query,clauses", [("p(i)", 2), ("p(b)", 4)])
+    def test_contradiction_is_dropped_only_over_integers(self, query, clauses):
+        # A float X satisfies X > 0, X < 1; under p(b) the loop is not
+        # integer based, so both cross resolvents stay.
+        program = normalize_program(
+            parse_program("p(X) :- X > 0, p(X).\np(X) :- X < 1, p(X).\n")
+        )
+        stages = _ProgramStages(program, parse_query_pattern(query))
+        assert len(stages.unfolded().program.clauses) == clauses
 
     def test_two_unfolding_rungs_answer_no(self):
         verdict = analyse_termination(
@@ -309,8 +360,10 @@ class TestUnfoldingStep:
             AnalysisOptions(max_unfold=2, answer_abstraction="off"),
         )
         assert verdict.answer == NO
-        assert verdict.diagnostics[-1] == (
-            "rung unfold x2 + inferred comparisons: 0 of 1 circular pairs proved"
+        # The live guards of the second unfolding give 14 comparisons.
+        assert verdict.diagnostics[-2:] == (
+            "resource cap: comparison set of g/1 has 14 atoms, past the configured cap of 12",
+            "rung unfold x2 + inferred comparisons: aborted by resource cap",
         )
 
 
@@ -400,6 +453,19 @@ class TestReports:
         assert "  edges: d2 = r2" in traced
         assert "  arcs: d1 > r1, d1 > r2" in traced
         assert "  proof: decreasing function arg1 (bound 0)" in traced
+
+    def test_rendered_queries_parse_back(self):
+        tasks = [(corpus_program(name), query) for name, query, _, _ in VERDICTS]
+        tasks.append((normalize_program(parse_program("p :- p.\n")), "p"))
+        for program, query in tasks:
+            pattern = parse_query_pattern(query)
+            verdict = analyse_termination(program, pattern)
+            assert parse_query_pattern(verdict.query) == pattern
+            for loop in verdict.loops:
+                for pair in loop.pairs:
+                    parsed = parse_query_pattern(pair.query)
+                    assert render_query_pattern(parsed.pred, parsed.modes) == pair.query
+                    assert pair.trace.startswith(f"pair {pair.query} where ")
 
     def test_json_payload_schema(self):
         verdict = analyse("mod", "mod(i, i, f)")
