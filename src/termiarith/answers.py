@@ -22,10 +22,11 @@ When a loop's comparisons say nothing about some integer position
 widening is the propagated one from `extend_domain`, further refined by
 the sign levels of the non-recursive clauses' constraints through the
 same walk; without the refinement the first widening step would forget
-how outputs relate to inputs.  A refinement that keeps more than
-`domain.PRODUCT_CAP` pieces is dropped with a note, as the propagation
-is.  The published table still reports plain propagated elements, in
-partition order; the refinement stays internal to the fixpoint."""
+how outputs relate to inputs.  A refinement whose walk passes
+`domain.PARTITION_BUDGET` solver checks is dropped with a note, as the
+propagation is.  The published table still reports plain propagated
+elements, in partition order; the refinement stays internal to the
+fixpoint."""
 
 from __future__ import annotations
 
@@ -45,6 +46,7 @@ from .constraints import (
 )
 from .domain import (
     Domain,
+    DomainTooLarge,
     answer_positions,
     applicable_clauses,
     build_domain,
@@ -62,10 +64,6 @@ from .domain import (
 from .graph import LoopInfo
 from .modes import ModeAssignment
 from .syntax import PredKey, Term, UserAtom
-
-#: Refinement atoms per predicate; past this the fixpoint widens into
-#: the unrefined partition.
-REFINE_CAP = 6
 
 AnswerTable = dict[PredKey, tuple["AbstractAtom", ...]]
 
@@ -142,27 +140,22 @@ def build_answer_domain(
         notes.extend(extended.notes)
         refinement = _refinement_atoms(loop, modes, positions, notes)
         for key, elements in extended.elements.items():
-            name, arity = key
-            atoms = refinement[key]
-            if len(atoms) > REFINE_CAP:
-                notes.append(
-                    f"{name}/{arity}: {len(atoms)} refinement atoms is past"
-                    f" the cap of {REFINE_CAP}; widening stays unrefined"
-                )
-                atoms = []
             # Each piece the elements split into, mapped to the first
             # element it came from.
             origin: dict[Conjunction, Conjunction] = {}
-            levels = [[(element, element) for element in elements], *sign_levels(atoms)]
-            for (element, *_), piece in satisfiable_choices(frozenset(), levels):
-                origin.setdefault(piece, element)
-                if atoms and len(origin) > domain.PRODUCT_CAP:
-                    notes.append(
-                        f"{name}/{arity}: refinement would keep more than"
-                        f" {domain.PRODUCT_CAP} pieces; widening stays unrefined"
-                    )
-                    origin = {element: element for element in elements}
-                    break
+            levels = [[(element, element) for element in elements], *sign_levels(refinement[key])]
+            try:
+                for (element, *_), piece in satisfiable_choices(
+                    frozenset(), levels, domain.PARTITION_BUDGET
+                ):
+                    origin.setdefault(piece, element)
+            except DomainTooLarge:
+                name, arity = key
+                notes.append(
+                    f"{name}/{arity}: refinement passed the budget of"
+                    f" {domain.PARTITION_BUDGET} solver checks; widening stays unrefined"
+                )
+                origin = {element: element for element in elements}
             pieces[key] = origin
     else:
         comparisons = {k: set(v) for k, v in collected.items()}

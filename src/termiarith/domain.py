@@ -34,6 +34,7 @@ Position variables are named after 1-based argument positions: ``arg1``,
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from math import factorial, inf
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .constraints import (
@@ -83,24 +84,19 @@ from .syntax import (
     apply_subst_clause,
 )
 
-#: Sign enumeration is exponential in the comparison set; past this size
-#: `build_domain` refuses instead of running away, for query and answer
-#: domains alike.
-COMPARISON_CAP = 12
-
-#: Influence components larger than this are not permuted.
-COMPONENT_CAP = 4
-
-#: Bound on the pieces a product of partitions keeps: the extended
-#: domain and its refinement for answers.
-PRODUCT_CAP = 1024
+#: Solver checks one partition walk may make, its base check included:
+#: the sign tree of a set, the propagation of a domain (which also counts
+#: its permutations) and its refinement for answers.  A 12-atom sign tree
+#: has at most 2**13 - 1 nodes, so every such set is partitioned.
+PARTITION_BUDGET = 2**13
 
 ComparisonSet = dict[PredKey, frozenset[LinAtom]]
 Domain = dict[PredKey, tuple[Conjunction, ...]]
 
 
 class DomainTooLarge(Exception):
-    """A comparison set outgrew the sign-enumeration cap."""
+    """A partition walk needed more than `PARTITION_BUDGET` solver
+    checks."""
 
 
 def position_var(pos: int) -> str:
@@ -427,7 +423,9 @@ def infer_comparisons(
 
 
 def satisfiable_choices(
-    base: Conjunction, levels: Sequence[Sequence[tuple[object, Conjunction]]]
+    base: Conjunction,
+    levels: Sequence[Sequence[tuple[object, Conjunction]]],
+    budget: float = inf,
 ) -> Iterator[tuple[tuple, Conjunction]]:
     """Every pick of one `(label, option)` per level whose conjunction
     with `base` is satisfiable, as `(labels, conjunction)`, in the order
@@ -437,7 +435,17 @@ def satisfiable_choices(
     branch is entered only when its prefix conjunction is satisfiable,
     `base` alone being the first prefix: adding atoms never makes an
     unsatisfiable conjunction satisfiable, so no pick is lost.  The
-    levels are fixed while the picks are consumed."""
+    levels are fixed while the picks are consumed.  The walk raises
+    DomainTooLarge instead of making solver check `budget` + 1, the
+    check of `base` being the first."""
+    left = budget
+
+    def satisfiable(conj: Conjunction) -> bool:
+        nonlocal left
+        left -= 1
+        if left < 0:
+            raise DomainTooLarge(f"a partition walk passed {budget} solver checks")
+        return is_satisfiable(conj)
 
     def grow(index: int, labels: tuple, conj: Conjunction) -> Iterator[tuple[tuple, Conjunction]]:
         if index == len(levels):
@@ -445,10 +453,10 @@ def satisfiable_choices(
             return
         for label, option in levels[index]:
             grown = conjunction(conj | option)
-            if is_satisfiable(grown):
+            if satisfiable(grown):
                 yield from grow(index + 1, labels + (label,), grown)
 
-    if is_satisfiable(base):
+    if satisfiable(base):
         yield from grow(0, (), base)
 
 
@@ -466,20 +474,22 @@ def build_domain(comparisons: ComparisonSet) -> Domain:
     """All satisfiable sign assignments of each predicate's comparison
     set, as simplified conjunctions.  The result is a partition: elements
     are satisfiable, pairwise disjoint, and every assignment of the
-    comparisons lands in exactly one element.  Raises DomainTooLarge for
-    a set of more than `COMPARISON_CAP` atoms, read when it runs."""
+    comparisons lands in exactly one element.  Raises DomainTooLarge,
+    naming the predicate, when a set's sign tree needs more than
+    `PARTITION_BUDGET` solver checks (read when it runs)."""
     out: Domain = {}
     for key in sorted(comparisons):
         atoms = sorted_atoms(comparisons[key])
         if any(a.rel == EQ for a in atoms):
             raise ValueError("comparison sets hold inequalities only")
-        if len(atoms) > COMPARISON_CAP:
+        try:
+            pieces = list(satisfiable_choices(frozenset(), sign_levels(atoms), PARTITION_BUDGET))
+        except DomainTooLarge:
             name, arity = key
             raise DomainTooLarge(
-                f"comparison set of {name}/{arity} has {len(atoms)} atoms,"
-                f" past the configured cap of {COMPARISON_CAP}"
-            )
-        pieces = satisfiable_choices(frozenset(), sign_levels(atoms))
+                f"comparison set of {name}/{arity} has {len(atoms)} atoms; its"
+                f" partition needs more than {PARTITION_BUDGET} solver checks"
+            ) from None
         out[key] = tuple(simplify(p) for _, p in pieces)
     return out
 
@@ -563,43 +573,36 @@ def extend_domain(domain: Domain, loop: LoopInfo) -> ExtendedDomain:
     """Conjoin every way of permuting each predicate's domain within each
     influence component, dropping unsatisfiable combinations.  Positions
     that do not interact keep the original domain untouched.  A
-    predicate whose product keeps more than `PRODUCT_CAP` pieces keeps
-    its original domain, with a note."""
+    predicate whose permutations and product walk together pass
+    `PARTITION_BUDGET` keeps its original domain, with a note."""
     elements: Domain = {}
     notes: list[str] = []
     for key in sorted(domain):
         base = domain[key]
-        name, arity = key
-        copies: list[tuple[Conjunction, ...]] = []
-        for component in influence_components(loop, key):
-            if len(component) > COMPONENT_CAP:
-                notes.append(
-                    f"{name}/{arity}: component of {len(component)} positions"
-                    f" is past the cap of {COMPONENT_CAP}, not permuted"
-                )
-                perms: Iterable[tuple[int, ...]] = [component]
-            else:
-                perms = permutations(component)
-            for perm in perms:
+        components = influence_components(loop, key)
+        # Each permutation counts as one check, so past the budget the
+        # walk stops at its base check and none is enumerated.
+        left = PARTITION_BUDGET - sum(factorial(len(c)) for c in components)
+        copies: dict[tuple[Conjunction, ...], None] = {}
+        for component in components if left > 0 else ():
+            for perm in permutations(component):
                 mapping = {
                     position_var(a): position_var(b)
                     for a, b in zip(component, perm)
                     if a != b
                 }
-                copy = tuple(rename(e, mapping) for e in base)
-                if copy not in copies:
-                    copies.append(copy)
+                copies[tuple(rename(e, mapping) for e in base)] = None
         levels = [[(element, element) for element in copy] for copy in copies]
-        kept: list[Conjunction] = []
-        for _, piece in satisfiable_choices(frozenset(), levels):
-            kept.append(piece)
-            if len(kept) > PRODUCT_CAP:
-                notes.append(
-                    f"{name}/{arity}: propagated domain grew past"
-                    f" {PRODUCT_CAP} elements, keeping the original domain"
-                )
-                elements[key] = base
-                break
+        try:
+            pieces = list(satisfiable_choices(frozenset(), levels, left))
+        except DomainTooLarge:
+            name, arity = key
+            notes.append(
+                f"{name}/{arity}: propagating the domain passed the budget of"
+                f" {PARTITION_BUDGET} permutations and solver checks,"
+                f" keeping the original domain"
+            )
+            elements[key] = base
         else:
-            elements[key] = tuple(simplify(piece) for piece in kept)
+            elements[key] = tuple(simplify(piece) for _, piece in pieces)
     return ExtendedDomain(elements=elements, notes=tuple(notes))

@@ -200,21 +200,16 @@ def _may_call(clause: Clause) -> bool:
 
 def _query_domains(stages: _ProgramStages, prefer_inference):
     """Each loop's query domain on one rung, with whether inference built
-    it, up to the first loop whose comparison set passes
-    `domain.COMPARISON_CAP`; and the DomainTooLarge that stopped the
-    rung there, or None."""
+    it.  Raises DomainTooLarge when a comparison set's partition passes
+    `domain.PARTITION_BUDGET`, which stops the rung."""
     built = []
     for loop in stages.loops:
         comparisons = None if prefer_inference else collect_comparisons(loop, stages.modes)
         used_inference = comparisons is None
         if used_inference:
             comparisons = infer_comparisons(loop, stages.modes)
-        try:
-            domain = build_domain(comparisons)
-        except DomainTooLarge as exc:
-            return built, exc
-        built.append((loop, domain, used_inference))
-    return built, None
+        built.append((loop, build_domain(comparisons), used_inference))
+    return built
 
 
 def _rungs(options: AnalysisOptions):
@@ -313,7 +308,11 @@ def analyse_termination(
     for label, unfold, prefer_inference in _rungs(options):
         if unfold:
             stages = stages.unfolded()
-        built, stop = _query_domains(stages, prefer_inference)
+        try:
+            built = _query_domains(stages, prefer_inference)
+        except DomainTooLarge as exc:
+            _log_abort(log, f"rung {label}", exc)
+            continue
         domains = {k: v for _, domain, _ in built for k, v in domain.items()}
         for with_answers in answer_passes:
             name = label + (" + answer abstraction" if with_answers else "")
@@ -325,8 +324,6 @@ def analyse_termination(
                 for answer_domain in answer_domains:
                     for note in answer_domain.notes:
                         log(f"rung {name}: {note}")
-                if stop is not None:
-                    raise stop
                 table = (
                     compute_abstract_answers(stages.loops, stages.modes, answer_domains)
                     if with_answers

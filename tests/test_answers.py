@@ -116,27 +116,35 @@ class TestAnswerDomain:
         assert len(domain.pieces[("p", 2)]) == 6
 
     def test_refine_cap_leaves_widening_unrefined(self, monkeypatch):
-        monkeypatch.setattr("termiarith.answers.REFINE_CAP", 1)
+        # mod's answer partition takes 107 checks.  gcd's propagation
+        # needs more than 120 and keeps the 6-element query domain, and
+        # refining that by 8 atoms needs more than 120 too.
+        monkeypatch.setattr("termiarith.domain.PARTITION_BUDGET", 120)
         _, domains, _, _ = analysis("gcd", "gcd(i,i,f)", used_inference=True, infer=True)
         domain = [d for d in domains if ("gcd", 3) in d.pieces][0]
-        assert any("unrefined" in note for note in domain.notes)
-        assert len(domain.pieces[("gcd", 3)]) == 27
+        assert domain.notes == (
+            "gcd/3: propagating the domain passed the budget of 120"
+            " permutations and solver checks, keeping the original domain",
+            "gcd/3: refinement passed the budget of 120 solver checks;"
+            " widening stays unrefined",
+        )
+        assert len(domain.pieces[("gcd", 3)]) == 6
         assert all(
             domain.pieces[("gcd", 3)][piece] == piece
             for piece in domain.pieces[("gcd", 3)]
         )
 
     def test_product_cap_leaves_widening_unrefined(self, monkeypatch):
-        # extend_domain keeps mc91's 9 propagated elements under a cap
-        # of 9, and the refinement splits them into 18 pieces
-        monkeypatch.setattr("termiarith.domain.PRODUCT_CAP", 9)
+        # extend_domain builds mc91's 9 propagated elements in 13 checks,
+        # and the refinement into 18 pieces takes 72
+        monkeypatch.setattr("termiarith.domain.PARTITION_BUDGET", 40)
         _, domains, _, _ = analysis(
             "mc91", "mc_carthy_91(i,f)", unfold=(1, 2), used_inference=True, infer=True
         )
         (domain,) = domains
         key = ("mc_carthy_91", 2)
         assert domain.notes == (
-            "mc_carthy_91/2: refinement would keep more than 9 pieces;"
+            "mc_carthy_91/2: refinement passed the budget of 40 solver checks;"
             " widening stays unrefined",
         )
         assert len(domain.pieces[key]) == 9

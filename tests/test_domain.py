@@ -305,10 +305,17 @@ class TestBuildDomain:
             for second in elements[i + 1 :]:
                 assert not is_satisfiable(conjunction(first | second))
 
-    def test_cap(self):
-        atoms = frozenset(atom_gt(A1, k) for k in range(13))
-        with pytest.raises(DomainTooLarge):
-            build_domain({("p", 1): atoms})
+    def test_cap(self, monkeypatch):
+        # Independent atoms: every sign assignment is satisfiable, so k
+        # atoms take 2**(k+1) - 1 checks, 31 for four and 63 for five.
+        monkeypatch.setattr(domain_module, "PARTITION_BUDGET", 2**5)
+        atoms = [atom_gt(LinExpr.var(f"arg{i}"), 0) for i in range(1, 6)]
+        assert len(build_domain({("p", 4): frozenset(atoms[:4])})[("p", 4)]) == 16
+        with pytest.raises(
+            DomainTooLarge,
+            match="^comparison set of p/5 has 5 atoms; its partition needs more than 32 solver checks$",
+        ):
+            build_domain({("p", 5): frozenset(atoms)})
 
     def test_equalities_rejected(self):
         with pytest.raises(ValueError):
@@ -358,6 +365,24 @@ class TestSatisfiableChoices:
         levels = [[("a", frozenset())]]
         base = conjunction([atom_lt(A1, 0), atom_gt(A1, 0)])
         assert list(satisfiable_choices(base, levels)) == []
+
+    @pytest.mark.parametrize("budget", [1, 2, 8, 14])
+    def test_budget_raises_on_the_check_past_it(self, monkeypatch, budget):
+        calls = []
+
+        def counted(conj):
+            calls.append(conj)
+            return is_satisfiable(conj)
+
+        monkeypatch.setattr(domain_module, "is_satisfiable", counted)
+        # Three independent atoms: the full sign tree, 15 checks with the base.
+        levels = sign_levels([atom_gt(LinExpr.var(f"arg{i}"), 0) for i in (1, 2, 3)])
+        with pytest.raises(DomainTooLarge):
+            list(satisfiable_choices(frozenset(), levels, budget))
+        assert len(calls) == budget
+        calls.clear()
+        assert len(list(satisfiable_choices(frozenset(), levels, 15))) == 8
+        assert len(calls) == 15
 
 
 class TestSignPieces:
@@ -546,21 +571,32 @@ class TestExtendDomain:
         extended = extend_domain(domain, loop)
         assert extended.elements == domain
 
-    def test_wide_component_skipped_with_note(self):
+    def test_wide_component_skipped_with_note(self, monkeypatch):
         source = (
             "p(A, B, C, D, E) :- A > 0, S is A + B + C + D + E, S > 0,"
             " p(B, C, D, E, A).\n"
         )
         _, _, modes, loop = loop_setup(source, "p(i,i,i,i,i)", inline=True)
         domain = build_domain(infer_comparisons(loop, modes))
+        # The 5-position component has 120 permutations.
+        monkeypatch.setattr(domain_module, "PARTITION_BUDGET", 100)
+        calls = []
+        monkeypatch.setattr(domain_module, "permutations", lambda c: calls.append(c) or ())
         extended = extend_domain(domain, loop)
         assert extended.elements == domain
-        assert any("not permuted" in note for note in extended.notes)
+        assert extended.notes == (
+            "p/5: propagating the domain passed the budget of 100 permutations"
+            " and solver checks, keeping the original domain",
+        )
+        assert calls == []
 
     def test_product_cap_keeps_domain_with_note(self, monkeypatch):
-        monkeypatch.setattr("termiarith.domain.PRODUCT_CAP", 8)
         _, _, modes, loop = loop_setup("mod", "mod(i,i,f)")
         domain = build_domain(collect_comparisons(loop, modes))
+        monkeypatch.setattr(domain_module, "PARTITION_BUDGET", 8)
         extended = extend_domain(domain, loop)
         assert extended.elements == domain
-        assert any("keeping the original domain" in note for note in extended.notes)
+        assert extended.notes == (
+            "mod/3: propagating the domain passed the budget of 8 permutations"
+            " and solver checks, keeping the original domain",
+        )

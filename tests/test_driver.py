@@ -360,10 +360,11 @@ class TestUnfoldingStep:
             AnalysisOptions(max_unfold=2, answer_abstraction="off"),
         )
         assert verdict.answer == NO
-        # The live guards of the second unfolding give 14 comparisons.
+        # The live guards of the second unfolding give 14 comparisons,
+        # partitioned in 169 solver checks.
         assert verdict.diagnostics[-2:] == (
-            "resource cap: comparison set of g/1 has 14 atoms, past the configured cap of 12",
-            "rung unfold x2 + inferred comparisons: aborted by resource cap",
+            "rung unfold x1 + inferred comparisons: 0 of 1 circular pairs proved",
+            "rung unfold x2 + inferred comparisons: 0 of 1 circular pairs proved",
         )
 
 
@@ -380,21 +381,25 @@ class TestResourceCaps:
             in verdict.diagnostics
         )
 
-    def test_answer_domain_notes_are_logged(self):
-        verdict = analyse("gcd", "gcd(i, i, f)", pair_cap=20)
+    def test_answer_domain_notes_are_logged(self, monkeypatch):
+        # gcd's propagation takes 637 checks.
+        monkeypatch.setattr(domain, "PARTITION_BUDGET", 200)
+        verdict = analyse("gcd", "gcd(i, i, f)")
+        assert verdict.answer == YES
         assert (
-            "rung unfold x1 + inferred comparisons + answer abstraction: gcd/3:"
-            " 8 refinement atoms is past the cap of 6; widening stays unrefined"
-            in verdict.diagnostics
+            "rung collected comparisons + answer abstraction: gcd/3: propagating"
+            " the domain passed the budget of 200 permutations and solver checks,"
+            " keeping the original domain" in verdict.diagnostics
         )
 
     def test_comparison_cap_guards_inference(self, monkeypatch):
-        monkeypatch.setattr(domain, "COMPARISON_CAP", 1)
+        # The collected set takes 3 checks, the inferred one more.
+        monkeypatch.setattr(domain, "PARTITION_BUDGET", 3)
         verdict = analyse("mc91", "mc_carthy_91(i, f)")
         assert verdict.answer == NO
         assert (
-            "resource cap: comparison set of mc_carthy_91/2 has 2 atoms, "
-            "past the configured cap of 1" in verdict.diagnostics
+            "resource cap: comparison set of mc_carthy_91/2 has 2 atoms; "
+            "its partition needs more than 3 solver checks" in verdict.diagnostics
         )
         assert (
             "rung inferred comparisons: aborted by resource cap"
@@ -415,6 +420,70 @@ class TestResourceCaps:
             AnalysisOptions(pair_cap=0)
         with pytest.raises(ValueError, match="max_unfold"):
             AnalysisOptions(max_unfold=-1)
+
+
+def guard_program(g):
+    """g guarded decrements of one argument, one per interval between
+    thresholds 5 apart: every integer query terminates.  The comparison
+    set has 2g - 1 atoms, but its partition only g + 1 elements."""
+    lines = ["g(X) :- X =< 0."]
+    for i in range(g):
+        guards = [f"X > {5 * i}"] + ([f"X =< {5 * i + 5}"] if i + 1 < g else [])
+        lines.append(f"g(X) :- {', '.join(guards)}, Y is X - 1, g(Y).")
+    return normalize_program(parse_program("\n".join(lines) + "\n"))
+
+
+def chain_program(k):
+    """k arguments in a strict chain while the first counts down: every
+    sign assignment of its k comparisons is satisfiable."""
+    xs = [f"X{i}" for i in range(k)]
+    head = f"c({', '.join(xs)})"
+    guards = ["X0 > 0"] + [f"{xs[i]} < {xs[i + 1]}" for i in range(k - 1)]
+    call = f"c({', '.join(['Y', *xs[1:]])})"
+    source = f"{head} :- X0 =< 0.\n{head} :- {', '.join(guards)}, Y is X0 - 1, {call}.\n"
+    return normalize_program(parse_program(source))
+
+
+class TestPartitionBudget:
+    """One budget of solver checks bounds every partition walk, so a
+    comparison set is refused by the work its partition takes, not by
+    its size."""
+
+    @pytest.mark.parametrize("g", [8, 12])
+    def test_many_guards_are_proved(self, g):
+        verdict = analyse_termination(guard_program(g), parse_query_pattern("g(i)"))
+        assert verdict.answer == YES
+        assert verdict.method == "collected comparisons"
+
+    def test_chain_trips_past_the_budget(self, monkeypatch):
+        # k chain atoms take 2**(k+1) - 1 checks: 31 for four, 63 for five.
+        monkeypatch.setattr(domain, "PARTITION_BUDGET", 2**5)
+        four = analyse_termination(chain_program(4), parse_query_pattern("c(i,i,i,i)"))
+        assert four.answer == YES
+        assert four.method == "collected comparisons"
+        five = analyse_termination(chain_program(5), parse_query_pattern("c(i,i,i,i,i)"))
+        assert five.answer == NO
+        assert (
+            "resource cap: comparison set of c/5 has 5 atoms; "
+            "its partition needs more than 32 solver checks" in five.diagnostics
+        )
+
+    def test_capped_rung_is_logged_once(self, monkeypatch):
+        # A rung whose query domain passes the budget skips its answer
+        # pass instead of logging the same stop again.
+        monkeypatch.setattr(domain, "PARTITION_BUDGET", 2**5)
+        verdict = analyse_termination(chain_program(5), parse_query_pattern("c(i,i,i,i,i)"))
+        assert verdict.diagnostics[1:] == (
+            "resource cap: comparison set of c/5 has 5 atoms; "
+            "its partition needs more than 32 solver checks",
+            "rung collected comparisons: aborted by resource cap",
+            "resource cap: comparison set of c/5 has 6 atoms; "
+            "its partition needs more than 32 solver checks",
+            "rung inferred comparisons: aborted by resource cap",
+            "resource cap: comparison set of c/5 has 8 atoms; "
+            "its partition needs more than 32 solver checks",
+            "rung unfold x1 + inferred comparisons: aborted by resource cap",
+        )
 
 
 class TestReports:
