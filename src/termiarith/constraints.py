@@ -2,14 +2,33 @@
 
 This module is the arithmetic engine of the analyzer.  Everything it
 handles is a conjunction of linear atoms ``expr rel 0`` with ``rel`` one
-of ``<``, ``=<``, ``=``.  Satisfiability and projection are decided by
-Gaussian elimination of equalities followed by Fourier-Motzkin
-elimination of inequalities, both in `_eliminate`; implication is
-decided by refuting the negated claim.  Every atom is scaled to coprime
-integer coefficients, and both elimination phases build each new row
-``kx*x + ky*y rel 0`` in one step (`_combine`) with integer multipliers,
-so all arithmetic is on Python ints: exact, with no floating point and
-no rational numbers anywhere.
+of ``<``, ``=<``, ``=``.  Projection is decided by Gaussian elimination
+of equalities followed by Fourier-Motzkin elimination of inequalities,
+both in `_eliminate`; implication is decided by refuting the negated
+claim.  Every atom is scaled to coprime integer coefficients, and both
+elimination phases build each new row ``kx*x + ky*y rel 0`` in one step
+(`_combine`) with integer multipliers, so all arithmetic is on Python
+ints: exact, with no floating point and no rational numbers anywhere.
+
+Satisfiability, behind the one verdict cache `_solve_sat`, takes one of
+two routes on the tightened atoms (see `_tighten`).  Almost every
+conjunction the prover checks is a difference conjunction: each atom is
+``±x + c rel 0`` or ``x - y + c rel 0``.  `difference_graph` reads such
+a conjunction as a graph with an edge u -> v of weight w for each
+``v - u =< w``, a zero node standing for constants, and it is
+unsatisfiable exactly when the graph has a negative cycle, found by
+Bellman-Ford (Cormen et al., Introduction to Algorithms, 24.4).  Any
+other conjunction goes to `_eliminate`.  The two routes agree: on the
+tightened atoms Fourier-Motzkin answers a rational question exactly,
+and for difference atoms the graph answers that same question exactly,
+so every verdict is the same, except where elimination would pass
+`ATOM_LIMIT` and answer "unknown": the graph, which has no cap, gives
+the exact verdict there.  The all-pairs closure of the same graph
+(`shortest_paths`) bounds every ``v - u`` at once, which is how
+`pairs._relations` reads a pair's relations.  With unit coefficients
+and integer constants the shortest paths are integers, so on this route
+a rational solution implies an integer one and the rational and integer
+answers coincide.
 
 `LinExpr` and `LinAtom` are tuples, so hashing, equality and ordering
 run in C: the prover makes thousands of small solver calls, each
@@ -33,7 +52,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import lru_cache
-from math import gcd
+from math import gcd, inf
 from typing import FrozenSet, Iterable, Mapping, NamedTuple, Optional, Union
 
 LT = "<"
@@ -375,9 +394,88 @@ def _tighten(atom: LinAtom) -> LinAtom:
     return _canonical(expr.terms, expr.const + 1, LE)
 
 
+#: ``(u, v, w)``: the constraint ``v - u =< w``, an edge from u to v.
+#: The node ``""`` is the zero node, the value every constant is
+#: measured from.
+Edge = tuple[str, str, int]
+
+
+def difference_graph(conj: Iterable[LinAtom]) -> Optional[list[Edge]]:
+    """The tightened atoms of `conj` as the edges of their difference
+    graph, or None at the first atom that is not ``±x + c rel 0`` or
+    ``x - y + c rel 0``.  An equality gives an edge each way; a false
+    constant atom gives a negative loop on the zero node."""
+    edges: list[Edge] = []
+    for atom in conj:
+        atom = _tighten(atom)
+        terms, const = atom.expr
+        if not terms:
+            if not atom_is_true(atom):
+                edges.append(("", "", -1))
+            continue
+        if len(terms) == 1:
+            ((x, a),) = terms
+            plus, minus = (x, "") if a == 1 else ("", x)
+        elif len(terms) == 2 and terms[0][1] == -terms[1][1]:
+            (x, a), (y, _) = terms
+            plus, minus = (x, y) if a == 1 else (y, x)
+        else:
+            return None
+        if a * a != 1:
+            return None
+        # plus - minus + const rel 0
+        edges.append((minus, plus, -const))
+        if atom.rel == EQ:
+            edges.append((plus, minus, const))
+    return edges
+
+
+def _negative_cycle(edges: list[Edge]) -> bool:
+    """Bellman-Ford from a virtual source with a zero edge to every
+    node.  Without a negative cycle the distances settle within n - 1
+    passes over n nodes, so distances that still fall in pass n + 1
+    prove one."""
+    dist = {node: 0 for u, v, _ in edges for node in (u, v)}
+    for _ in range(len(dist) + 1):
+        changed = False
+        for u, v, w in edges:
+            if dist[u] + w < dist[v]:
+                dist[v] = dist[u] + w
+                changed = True
+        if not changed:
+            return False
+    return True
+
+
+def shortest_paths(edges: list[Edge]) -> Optional[dict[str, dict[str, int]]]:
+    """All-pairs closure by Floyd-Warshall: ``dist[u][v]`` is the least
+    upper bound of ``v - u`` the edges imply, absent when v - u is
+    unbounded above.  None when the graph has a negative cycle."""
+    dist: dict[str, dict[str, int]] = {}
+    for u, v, w in edges:
+        row = dist.setdefault(u, {u: 0})
+        dist.setdefault(v, {v: 0})
+        if w < row.get(v, inf):
+            row[v] = w
+    for k, via in dist.items():
+        for i, row in dist.items():
+            ik = row.get(k)
+            if ik is None or i == k:
+                continue
+            for j, kj in via.items():
+                if ik + kj < row.get(j, inf):
+                    row[j] = ik + kj
+    if any(row[u] < 0 for u, row in dist.items()):
+        return None
+    return dist
+
+
 @lru_cache(maxsize=SAT_CACHE_SIZE)
 def _solve_sat(conj: Conjunction) -> Optional[bool]:
     """True = satisfiable, False = unsatisfiable, None = cap exceeded."""
+    edges = difference_graph(conj)
+    if edges is not None:
+        return not _negative_cycle(edges)
     try:
         tightened = [_tighten(a) for a in conj]
         return _eliminate(tightened, frozenset(), ATOM_LIMIT) is not None

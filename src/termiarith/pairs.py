@@ -21,6 +21,7 @@ from domain to range."""
 from __future__ import annotations
 
 from functools import cache, cached_property, partial
+from math import inf
 from typing import Callable, Iterable, Mapping as MappingType, NamedTuple, Optional, Sequence
 
 from .answers import AnswerTable, CallOption, call_option, instantiate_element
@@ -34,6 +35,7 @@ from .constraints import (
     atom_gt,
     atom_lt,
     conjunction,
+    difference_graph,
     eliminate_outside,
     implies,
     is_satisfiable,
@@ -41,6 +43,7 @@ from .constraints import (
     rename,
     render_conjunction,
     render_expr,
+    shortest_paths,
     sorted_atoms,
     substitute,
 )
@@ -230,20 +233,47 @@ def _relations(
     """Relations between the `mode` positions of the two rows that the
     constraint implies, position values being named by `domain_var` and
     `range_var`: values for i positions, term sizes for b ones.  Each
-    position pair gets the first of "=", ">", "<" that holds."""
+    position pair gets the first of "=", ">", "<" that holds.
+
+    A difference constraint is read off one all-pairs closure of its
+    graph, where ``dist[r][d]`` is the largest value of d - r and
+    ``-dist[d][r]`` the smallest: "=" when the largest is at most 0 and
+    the smallest at least 0, ">" when the smallest is at least 1, "<"
+    when the largest is at most -1, and "=" for every pair when the
+    graph has a negative cycle, as an unsatisfiable constraint implies
+    everything.  These are the verdicts `implies` reaches on the same
+    graph, one check at a time; any other constraint takes up to three
+    `implies` calls per position pair."""
+    positions = [
+        (i, j)
+        for i, dmode in enumerate(domain_modes)
+        if dmode == mode
+        for j, rmode in enumerate(range_modes)
+        if rmode == mode
+    ]
     relations: set[Relation] = set()
-    for i, dmode in enumerate(domain_modes):
-        if dmode != mode:
-            continue
-        dvar = LinExpr.var(domain_var(i))
-        for j, rmode in enumerate(range_modes):
-            if rmode != mode:
-                continue
-            rvar = LinExpr.var(range_var(j))
+    edges = difference_graph(constraint)
+    if edges is None:
+        for i, j in positions:
+            dvar, rvar = LinExpr.var(domain_var(i)), LinExpr.var(range_var(j))
             for rel, relate in _RELATE.items():
                 if implies(constraint, relate(dvar, rvar)):
                     relations.add((i, rel, j))
                     break
+        return relations
+    dist = shortest_paths(edges)
+    if dist is None:
+        return {(i, "=", j) for i, j in positions}
+    for i, j in positions:
+        d, r = domain_var(i), range_var(j)
+        most = dist.get(r, {}).get(d, inf)
+        least = -dist.get(d, {}).get(r, inf)
+        if most <= 0 <= least:
+            relations.add((i, "=", j))
+        elif least >= 1:
+            relations.add((i, ">", j))
+        elif most <= -1:
+            relations.add((i, "<", j))
     return relations
 
 
@@ -321,9 +351,14 @@ def generate_pairs(
             base = conjunction(base_atoms)
             # One level per call before the selected one: its answer
             # elements instantiated on its arguments; a call with none
-            # constrains nothing.
+            # constrains nothing.  Only later calls read them, so the
+            # last call gets none.
             priors: list[Sequence[CallOption]] = []
             guards: list[LinAtom] = []
+            last_call = max(
+                (k for k, lit in enumerate(clause.body) if isinstance(lit, UserAtom)),
+                default=-1,
+            )
             for index, literal in enumerate(clause.body):
                 if not isinstance(literal, UserAtom):
                     if numeric:
@@ -369,7 +404,7 @@ def generate_pairs(
                         if range_atom not in seen:
                             seen.add(range_atom)
                             queue.append(range_atom)
-                if numeric:
+                if numeric and index < last_call:
                     entries = answers.get(literal.key)
                     elements = [e.element for e in entries] if entries else [frozenset()]
                     priors.append([call_option(e, literal.args) for e in elements])
@@ -395,17 +430,6 @@ def _satisfiable_through(first: QueryMappingPair, second: QueryMappingPair) -> b
     together through their shared middle row."""
     combined = conjunction(first.mapping.chain_blocks[0] | second.mapping.chain_blocks[1])
     return is_satisfiable(combined)
-
-
-def compose_pair(
-    first: QueryMappingPair, second: QueryMappingPair
-) -> Optional[QueryMappingPair]:
-    """The pair summarizing `first` followed by `second`, or None when
-    they do not chain (range abstraction differs from the query) or the
-    combined constraints are unsatisfiable."""
-    if first.mapping.range_atom != second.query or not _satisfiable_through(first, second):
-        return None
-    return _composition(first, second)
 
 
 def _composition(first: QueryMappingPair, second: QueryMappingPair) -> QueryMappingPair:

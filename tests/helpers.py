@@ -1,12 +1,12 @@
 """Small readers over the prover's values that only the tests need:
 the true conjunction, the variables and equivalence of conjunctions,
 widening a constraint into a partition, the brute-force filtered
-product, the naive composition closure and answer fixpoint, the
-arguments the driver hands a stage, the mode order, the modes and
-integer positions of a predicate, and program text that round-trips
-through `parse_program`."""
+product, the composition of two pairs, the naive composition closure
+and answer fixpoint, the arguments the driver hands a stage, the mode
+order, the modes and integer positions of a predicate, and program
+text that round-trips through `parse_program`."""
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from termiarith import driver
 from termiarith.answers import AbstractAtom, AnswerDomain, AnswerTable, call_option
@@ -20,7 +20,7 @@ from termiarith.constraints import (
 from termiarith.domain import answer_positions, applicable_clauses, clause_constraint
 from termiarith.graph import LoopInfo
 from termiarith.modes import ModeAssignment
-from termiarith.pairs import QueryMappingPair, compose_pair
+from termiarith.pairs import QueryMappingPair, _composition, _satisfiable_through
 from termiarith.syntax import (
     MODE_INT,
     Clause,
@@ -72,6 +72,15 @@ def product_reference(
             yield from picks(index + 1, (*labels, label), [*options, option])
 
     return picks(0, (), [])
+
+
+def compose_pair(first: QueryMappingPair, second: QueryMappingPair) -> Optional[QueryMappingPair]:
+    """The pair summarizing `first` followed by `second`, or None when
+    they do not chain (range abstraction differs from the query) or the
+    combined constraints are unsatisfiable."""
+    if first.mapping.range_atom != second.query or not _satisfiable_through(first, second):
+        return None
+    return _composition(first, second)
 
 
 def closure_reference(pairs: Iterable[QueryMappingPair]) -> frozenset[QueryMappingPair]:

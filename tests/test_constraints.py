@@ -165,6 +165,52 @@ class TestSatisfiability:
         assert maxsize is not None and maxsize > 0
 
 
+class TestDifferenceGraph:
+    def test_edges_of_each_atom_shape(self):
+        # Each edge (u, v, w) states v - u =< w; "" is the zero node.
+        assert lc.difference_graph([atom_le("X", "Y")]) == [("Y", "X", 0)]
+        assert lc.difference_graph([atom_lt("X", 3)]) == [("", "X", 2)]
+        assert lc.difference_graph([atom_ge("X", 3)]) == [("X", "", -3)]
+        assert sorted(lc.difference_graph([atom_eq("X", X("Y") + 1)])) == [
+            ("X", "Y", -1),
+            ("Y", "X", 1),
+        ]
+
+    def test_false_constant_is_a_negative_loop(self):
+        assert lc.difference_graph([FALSE]) == [("", "", -1)]
+        assert lc.difference_graph([make_atom(-1, LT)]) == []
+
+    def test_other_atoms_are_not_read(self):
+        assert lc.difference_graph([atom_le("X", "Y"), atom_le(X().scale(2), "Y")]) is None
+        assert lc.difference_graph([atom_eq(X("D1"), X("D2") + "R1")]) is None
+        assert lc.difference_graph([atom_le(X() + "Y", 3)]) is None
+
+    def test_strict_atoms_are_tightened_into_differences(self):
+        # 2*X - 2*Y + 1 < 0 tightens to X - Y + 1 =< 0.
+        atom = make_atom(LinExpr.build({"X": 2, "Y": -2}, 1), LT)
+        assert lc.difference_graph([atom]) == [("Y", "X", -1)]
+
+    def test_shortest_paths_bound_every_difference(self):
+        edges = lc.difference_graph([atom_lt("X", "Y"), atom_lt("Y", "Z"), atom_le("Z", 10)])
+        dist = lc.shortest_paths(edges)
+        assert dist["Z"]["X"] == -2  # X - Z =< -2
+        assert dist[""]["X"] == 8  # X =< 8
+        assert dist[""]["Y"] == 9
+        # X is unbounded below, so Z - X and -X are unbounded above.
+        assert dist["X"] == {"X": 0}
+
+    def test_shortest_paths_of_a_negative_cycle(self):
+        assert lc.shortest_paths(lc.difference_graph([atom_lt("X", "Y"), atom_le("Y", "X")])) is None
+        assert lc.shortest_paths([]) == {}
+
+    def test_difference_path_is_exact_past_the_atom_cap(self, monkeypatch):
+        # Elimination past the cap would answer "unknown", read as
+        # satisfiable; the graph has no cap and finds the cycle.
+        monkeypatch.setattr(lc, "ATOM_LIMIT", 0)
+        conj = {atom_lt("P", "Q"), atom_lt("Q", "S"), atom_lt("S", "P")}
+        assert not is_satisfiable(conj)
+
+
 class TestImplication:
     def test_difference_grows(self):
         conj = {
@@ -443,3 +489,46 @@ def test_combine_matches_make_atom(x, kx, y, ky, rel):
     got = lc._combine(x, kx, y, ky, rel)
     assert got == make_atom(x.scale(kx) + y.scale(ky), rel)
     assert _int_coefficients([got])
+
+
+_difference_names = st.sampled_from(["W", "X", "Y", "Z"])
+
+
+@st.composite
+def _difference_atoms(draw):
+    """``±x + c rel 0`` or ``x - y + c rel 0`` with c in -8..8."""
+    x, y = draw(_difference_names), draw(st.one_of(st.none(), _difference_names))
+    sign = draw(st.sampled_from([1, -1]))
+    coeffs = {x: sign} if y in (None, x) else {x: sign, y: -sign}
+    return make_atom(LinExpr.build(coeffs, draw(_coeffs)), draw(st.sampled_from([LT, LE, EQ])))
+
+
+@st.composite
+def _difference_conjunctions(draw):
+    """A conjunction of difference atoms, sometimes with one atom of any
+    shape mixed in, and whether it was drawn from difference atoms only."""
+    atoms = draw(st.lists(_difference_atoms(), max_size=6))
+    mixed = draw(st.lists(_atoms(), max_size=1))
+    return frozenset(atoms + mixed), not mixed
+
+
+@settings(deadline=None)
+@given(_difference_conjunctions())
+@example((frozenset({atom_lt("X", "Y"), atom_lt("Y", "Z"), atom_le("Z", "X")}), True))
+@example((frozenset({atom_eq("X", X("Y") + 1), atom_le("X", "Y"), atom_lt("W", 3)}), True))
+@example((frozenset({atom_le("X", "Y"), make_atom(LinExpr.build({"X": 2, "Z": 3}, 1), EQ)}), False))
+def test_difference_verdicts_match_elimination(drawn):
+    conj, pure = drawn
+    verdict = lc._solve_sat(conj)
+    tightened = [lc._tighten(a) for a in conj]
+    assert verdict == (lc._eliminate(tightened, frozenset(), lc.ATOM_LIMIT) is not None)
+    names = conjunction_variables(conj)
+    if len(names) <= 3:
+        # A satisfiable difference conjunction over n variables whose
+        # tightened constants are at most 9 in size has an integer
+        # solution within 9*n of zero (shortest paths over n + 1 nodes),
+        # so on pure ones the grid decides both ways.
+        on_grid = grid_oracle.grid_satisfiable(conj, names, -27, 27)
+        assert verdict or not on_grid
+        if pure:
+            assert verdict == on_grid

@@ -6,19 +6,26 @@ import operator
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import corpus_program
-from helpers import closure_reference, driver_calls
+from helpers import closure_reference, compose_pair, driver_calls
 
 from termiarith import pairs
-from termiarith.answers import build_answer_domain, compute_abstract_answers
+from termiarith.answers import build_answer_domain, call_option, compute_abstract_answers
 from termiarith.constraints import (
+    EQ,
+    LE,
+    LT,
     LinExpr,
+    atom_eq,
+    atom_ge,
     atom_gt,
     atom_le,
     atom_lt,
+    implies,
+    make_atom,
     rename,
     render_expr,
 )
@@ -39,7 +46,6 @@ from termiarith.pairs import (
     QueryMappingPair,
     TerminationFunction,
     check_forward_positive_cycle,
-    compose_pair,
     compose_until_fixpoint,
     generate_pairs,
     guess_termination_functions,
@@ -52,6 +58,7 @@ from termiarith.pairs import (
 from termiarith.syntax import (
     MODE_BOUND,
     MODE_INT,
+    UserAtom,
     normalize_program,
     parse_program,
     parse_query_pattern,
@@ -218,6 +225,110 @@ class TestGeneration:
         closure, _ = pipeline("r", "r(i)")
         negative = frozenset({_lt(A1)})
         assert all(p.mapping.range_atom.constraint != negative for p in closure)
+
+
+    def test_answer_priors_are_built_only_before_a_later_call(self, monkeypatch):
+        # Only the calls after a call read its answer options, so gcd's
+        # clauses build them for mod(X, Y, U) alone, which gcd(Y, U, Z)
+        # follows; neither last call builds any.
+        built = set()
+
+        def recording(element, args):
+            built.add(tuple(args))
+            return call_option(element, args)
+
+        monkeypatch.setattr(pairs, "call_option", recording)
+        closure, base = pipeline("gcd", "gcd(i,i,f)", answers=True)
+        assert (len(base), len(closure)) == (16, 51)
+        earlier = {
+            tuple(lit.args)
+            for clause in corpus_program("gcd").clauses
+            for lit in clause.body[:-1]
+            if isinstance(lit, UserAtom)
+        }
+        assert len(earlier) == 1 and built == earlier
+
+
+def _implied_relations(context, mode, domain_modes, range_modes):
+    """`pairs._relations` as one `implies` check per relation tried."""
+    found = set()
+    for i, dmode in enumerate(domain_modes):
+        for j, rmode in enumerate(range_modes):
+            if dmode == rmode == mode:
+                d, r = f"d{i + 1}", f"r{j + 1}"
+                for rel, relate in (("=", atom_eq), (">", atom_gt), ("<", atom_lt)):
+                    if implies(context, relate(d, r)):
+                        found.add((i, rel, j))
+                        break
+    return found
+
+
+def _row_relations(context, domain_modes, range_modes, mode=MODE_INT):
+    return pairs._relations(
+        context, mode, domain_modes, range_modes, lambda i: f"d{i + 1}", lambda j: f"r{j + 1}"
+    )
+
+
+_row_positions = st.sampled_from(["d1", "d2", "d3", "r1", "r2", "r3"])
+_row_modes = st.tuples(*[st.sampled_from([MODE_INT, MODE_BOUND])] * 3)
+
+
+@st.composite
+def _difference_contexts(draw):
+    """Difference atoms over the row variables, constants in -8..8."""
+    atoms = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        x, y = draw(_row_positions), draw(st.one_of(st.none(), _row_positions))
+        sign = draw(st.sampled_from([1, -1]))
+        coeffs = {x: sign} if y in (None, x) else {x: sign, y: -sign}
+        const = draw(st.integers(min_value=-8, max_value=8))
+        atoms.append(make_atom(LinExpr.build(coeffs, const), draw(st.sampled_from([LT, LE, EQ]))))
+    return frozenset(atoms)
+
+
+#: gcd's recursive clause selecting gcd(Y, U, Z): d1 = d2 + r1 comes
+#: from mod's answer, and is not a difference atom.
+_GCD_CONTEXT = frozenset(
+    {
+        atom_le("d2", "d1"),
+        atom_eq("d1", LinExpr.var("d2") + "r1"),
+        atom_gt("d2", 0),
+        atom_ge("d2", 1),
+        atom_eq("d2", "r2"),
+        atom_le("r2", "r1"),
+        atom_gt("r2", 0),
+    }
+)
+
+
+class TestRelations:
+    @settings(deadline=None)
+    @given(_difference_contexts(), _row_modes, _row_modes)
+    @example(frozenset({atom_lt("d1", "r1"), atom_lt("r1", "d1")}), (MODE_INT,) * 3, (MODE_INT,) * 3)
+    @example(frozenset({atom_le("d1", "r2"), atom_lt("r2", "d2"), atom_eq("d2", "d1")}), (MODE_INT,) * 3, (MODE_INT,) * 3)
+    def test_closure_matches_implication(self, context, domain_modes, range_modes):
+        for mode in (MODE_INT, MODE_BOUND):
+            got = _row_relations(context, domain_modes, range_modes, mode)
+            assert got == _implied_relations(context, mode, domain_modes, range_modes)
+
+    def test_difference_context_takes_no_implication(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pairs, "implies", lambda *args: calls.append(args) or implies(*args))
+        context = _GCD_CONTEXT - {atom_eq("d1", LinExpr.var("d2") + "r1")}
+        modes = (MODE_INT, MODE_INT, "f")
+        assert _row_relations(context, modes, modes) == {(1, "=", 1)}
+        assert calls == []
+
+    def test_gcd_context_takes_the_implication_loop(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pairs, "implies", lambda *args: calls.append(args) or implies(*args))
+        modes = (MODE_INT, MODE_INT, "f")
+        assert _row_relations(_GCD_CONTEXT, modes, modes) == {
+            (0, ">", 0),
+            (0, ">", 1),
+            (1, "=", 1),
+        }
+        assert calls and all(context == _GCD_CONTEXT for context, _ in calls)
 
 
 def _gt(expr):
