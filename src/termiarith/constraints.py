@@ -292,7 +292,20 @@ def substitute(expr: LinExpr, mapping: Mapping[str, ExprLike]) -> LinExpr:
 
 
 def rename(conj: Iterable[LinAtom], mapping: Mapping[str, str]) -> Conjunction:
-    return conjunction(make_atom(substitute(a.expr, mapping), a.rel) for a in conj)
+    """The canonical atoms renamed by `mapping`, all at once.  The
+    renaming must be one-to-one on the variables of `conj`: no two of
+    them get the same name, and no image is a variable of `conj` that
+    keeps its own name.  Then no two terms merge and an atom's numbers
+    stay the same, so their gcd does too, and only the term order and
+    the sign of an equality need fixing."""
+    renamed = []
+    for (terms, const), rel in conj:
+        terms = sorted([(mapping.get(v, v), c) for v, c in terms])
+        if rel == EQ and terms and terms[0][1] < 0:
+            terms = [(v, -c) for v, c in terms]
+            const = -const
+        renamed.append(_new(LinAtom, (_new(LinExpr, (tuple(terms), const)), rel)))
+    return conjunction(renamed)
 
 
 class _CapExceeded(Exception):

@@ -17,7 +17,20 @@ or one more unfolding of the previous rung's program), that program's
 modes and loops, and its query domains, then tries them without answer
 abstraction and, if that fails under `--answers auto`, with it; the
 next unfolding is built only when both attempts fail.  A program's size
-table is built only if pair generation asks for it."""
+table is built only if pair generation asks for it.
+
+A rung attempt depends only on the rung program, its query domains
+(every rung is numeric) and the answer-table entries pair generation
+reads: those of the predicates some clause calls before a later call
+(`_ProgramStages.answer_reads`), an empty entry reading as no entry.
+Pair generation collects every satisfiable pick of partition elements
+and entries into a set of pairs, and reports sort what they render, so
+domains and entries are compared as sets.  An attempt whose inputs
+equal an earlier one's in the same `analyse_termination` call is not
+made again: its tally is logged under its own label and the earlier
+verdict and reports are reused.  A program without such a call computes
+no answer table; its answer domains are still built, as their notes are
+logged."""
 
 import json
 from functools import cached_property
@@ -47,7 +60,7 @@ from .pairs import (
     prove_pair,
     render_pair,
 )
-from .syntax import Clause, Program, QueryPattern, UserAtom, render_query_pattern
+from .syntax import Clause, PredKey, Program, QueryPattern, UserAtom, render_query_pattern
 
 YES = "YES"
 NO = "NO"
@@ -160,6 +173,13 @@ class _ProgramStages:
         self.loops = find_integer_loops(program, pattern, self.modes)
 
     @cached_property
+    def answer_reads(self) -> frozenset[PredKey]:
+        """The predicates some clause calls before a later call: the only
+        answer-table entries `generate_pairs` reads."""
+        calls = [[l.key for l in c.body if isinstance(l, UserAtom)] for c in self.program.clauses]
+        return frozenset(key for keys in calls for key in keys[:-1])
+
+    @cached_property
     def size_table(self):
         return infer_size_relations(self.program, self.modes)
 
@@ -221,10 +241,10 @@ def _rungs(options: AnalysisOptions):
         yield f"unfold x{depth} + inferred comparisons", True, True
 
 
-def _attempt(stage, stages, options, log, domains, table, numeric=True):
+def _attempt(stages, options, domains, table, numeric=True):
     """Generate the pairs of one rung program, close them and prove the
-    circular ones.  Logs the tally under `stage` and returns whether
-    every circular pair was proved, with the loop reports.  Raises
+    circular ones.  Returns the tally the rung log shows, whether every
+    circular pair was proved, and the loop reports.  Raises
     PairCapExceeded when the closure passes the pair cap."""
     base = generate_pairs(
         stages.program,
@@ -239,8 +259,8 @@ def _attempt(stage, stages, options, log, domains, table, numeric=True):
     circular = sorted((p for p in closure if is_circular(p)), key=pair_sort_key)
     proofs = [(p, prove_pair(p)) for p in circular]
     proved = sum(1 for _, found in proofs if found is not None)
-    log(f"{stage}: {proved} of {len(proofs)} circular pairs proved")
-    return proved == len(proofs), _loop_reports(stages.loops, domains, proofs)
+    tally = f"{proved} of {len(proofs)} circular pairs proved"
+    return tally, proved == len(proofs), _loop_reports(stages.loops, domains, proofs)
 
 
 def _log_abort(log, stage: str, exc: Exception):
@@ -275,7 +295,8 @@ def analyse_termination(
 
     stage = "structural attempt (simplified norm analysis)"
     try:
-        all_proved, reports = _attempt(stage, top, options, log, {}, None, numeric=False)
+        tally, all_proved, reports = _attempt(top, options, {}, None, numeric=False)
+        log(f"{stage}: {tally}")
     except PairCapExceeded as exc:
         _log_abort(log, stage, exc)
         all_proved, reports = False, ()
@@ -304,6 +325,8 @@ def analyse_termination(
         options.answer_abstraction
     ]
 
+    # Rung attempts by their inputs (see the module docstring).
+    attempts = {}
     stages = top
     for label, unfold, prefer_inference in _rungs(options):
         if unfold:
@@ -324,14 +347,21 @@ def analyse_termination(
                 for answer_domain in answer_domains:
                     for note in answer_domain.notes:
                         log(f"rung {name}: {note}")
+                reads = stages.answer_reads if with_answers else ()
                 table = (
                     compute_abstract_answers(stages.loops, stages.modes, answer_domains)
-                    if with_answers
+                    if reads
                     else None
                 )
-                ok, rung_reports = _attempt(
-                    f"rung {name}", stages, options, log, domains, table
+                key = (
+                    stages,
+                    frozenset((k, frozenset(v)) for k, v in domains.items()),
+                    frozenset((k, frozenset(table[k])) for k in reads if table.get(k)),
                 )
+                if key not in attempts:
+                    attempts[key] = _attempt(stages, options, domains, table)
+                tally, ok, rung_reports = attempts[key]
+                log(f"rung {name}: {tally}")
             except (DomainTooLarge, PairCapExceeded) as exc:
                 _log_abort(log, f"rung {name}", exc)
                 continue

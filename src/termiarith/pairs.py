@@ -20,6 +20,7 @@ from domain to range."""
 
 from __future__ import annotations
 
+from collections import deque
 from functools import cache, cached_property, partial
 from math import inf
 from typing import Callable, Iterable, Mapping as MappingType, NamedTuple, Optional, Sequence
@@ -300,7 +301,14 @@ def generate_pairs(
     size table they come from, `infer_size_relations(program, modes)`,
     is fetched at the first such call: from `size_table` when the caller
     holds it lazily, computed here otherwise, and never for a program
-    without such a call."""
+    without such a call.
+
+    Whatever does not depend on a query's constraint is built once per
+    predicate and query modes: each applicable clause's domain modes and
+    head bindings and, per call, the guards before it, its range modes
+    and bindings, norm relations, row levels and the answer levels of
+    the calls before it.  Per query, only its constraint is instantiated
+    on the head and the walks over those levels run."""
     answers = answers or {}
     domains = domains or {}
     table: Optional[MappingType[PredKey, Conjunction]] = None
@@ -328,27 +336,17 @@ def generate_pairs(
         names = _row_names(key[1], _PREFIX[row])
         return tuple((e, rename(e, names)) for e in elements)
 
-    # Position i of the domain and range rows as a value variable.
-    row_vars = (partial(_row_var, ROW_DOMAIN), partial(_row_var, ROW_RANGE))
-    initial = AbstractQuery(
-        key=pattern.key,
-        modes=effective_call_modes(pattern.key, modes),
-        constraint=frozenset(),
-    )
-    pairs: set[QueryMappingPair] = set()
-    seen = {initial}
-    queue = [initial]
-    while queue:
-        query = queue.pop(0)
-        for clause in program.clauses_for(query.key):
-            if not clause_applicable(clause, query.modes):
+    @cache
+    def skeletons(key: PredKey, query_modes: tuple[str, ...]) -> list[tuple]:
+        """The applicable clauses of `key` under `query_modes`, each with
+        its domain modes, head bindings and calls (see the docstring)."""
+        out = []
+        for clause in program.clauses_for(key):
+            if not clause_applicable(clause, query_modes):
                 continue
-            domain_modes = _theta_modes(query.modes, clause.head.args)
-            base_atoms: list[LinAtom] = []
-            if numeric:
-                base_atoms += _value_bindings(domain_modes, clause.head.args, ROW_DOMAIN)
-                base_atoms += instantiate_element(query.constraint, clause.head.args)
-            base = conjunction(base_atoms)
+            domain_modes = _theta_modes(query_modes, clause.head.args)
+            head = _value_bindings(domain_modes, clause.head.args, ROW_DOMAIN) if numeric else []
+            calls = []
             # One level per call before the selected one: its answer
             # elements instantiated on its arguments; a call with none
             # constrains nothing.  Only later calls read them, so the
@@ -368,24 +366,41 @@ def generate_pairs(
                 # Term sizes implied by the clause and the calls before
                 # the selected one.
                 norms = norm_relations(clause, index, domain_modes, range_modes)
-                prefix = conjunction(base | frozenset(guards)) if numeric else base
-                bindings = (
-                    _value_bindings(range_modes, literal.args, ROW_RANGE)
-                    if numeric
-                    else []
-                )
+                bindings = _value_bindings(range_modes, literal.args, ROW_RANGE) if numeric else []
                 # Row elements and relations mention only the row
                 # variables, so the clause's own are eliminated once.
                 rows = [
-                    *_row_names(query.key[1], _PREFIX[ROW_DOMAIN]).values(),
+                    *_row_names(key[1], _PREFIX[ROW_DOMAIN]).values(),
                     *_row_names(literal.key[1], _PREFIX[ROW_RANGE]).values(),
                 ]
-                row_levels = (
-                    row_options(query.key, ROW_DOMAIN),
-                    row_options(literal.key, ROW_RANGE),
-                )
-                for _, chosen in satisfiable_choices(prefix, priors):
-                    grown = conjunction(chosen | frozenset(bindings))
+                row_levels = (row_options(key, ROW_DOMAIN), row_options(literal.key, ROW_RANGE))
+                calls.append((literal.key, range_modes, frozenset(guards), tuple(priors),
+                              frozenset(bindings), rows, row_levels, norms))
+                if numeric and index < last_call:
+                    entries = answers.get(literal.key)
+                    elements = [e.element for e in entries] if entries else [frozenset()]
+                    priors.append([call_option(e, literal.args) for e in elements])
+            out.append((clause.head.args, domain_modes, head, calls))
+        return out
+
+    # Position i of the domain and range rows as a value variable.
+    row_vars = (partial(_row_var, ROW_DOMAIN), partial(_row_var, ROW_RANGE))
+    initial = AbstractQuery(
+        key=pattern.key,
+        modes=effective_call_modes(pattern.key, modes),
+        constraint=frozenset(),
+    )
+    pairs: set[QueryMappingPair] = set()
+    seen = {initial}
+    queue = deque([initial])
+    while queue:
+        query = queue.popleft()
+        for head_args, domain_modes, head, calls in skeletons(query.key, query.modes):
+            # Without `numeric` every constraint is empty, so are these.
+            base = conjunction([*head, *instantiate_element(query.constraint, head_args)])
+            for callee, range_modes, guards, priors, bindings, rows, row_levels, norms in calls:
+                for _, chosen in satisfiable_choices(conjunction(base | guards), priors):
+                    grown = conjunction(chosen | bindings)
                     if numeric:
                         grown = eliminate_outside(grown, rows)
                     for (d_elem, r_elem), full in satisfiable_choices(grown, row_levels):
@@ -394,7 +409,7 @@ def generate_pairs(
                             relations = norms | _relations(
                                 full, MODE_INT, domain_modes, range_modes, *row_vars
                             )
-                        range_atom = AbstractQuery(literal.key, range_modes, r_elem)
+                        range_atom = AbstractQuery(callee, range_modes, r_elem)
                         mapping = Mapping(
                             AbstractQuery(query.key, domain_modes, d_elem),
                             range_atom,
@@ -404,10 +419,6 @@ def generate_pairs(
                         if range_atom not in seen:
                             seen.add(range_atom)
                             queue.append(range_atom)
-                if numeric and index < last_call:
-                    entries = answers.get(literal.key)
-                    elements = [e.element for e in entries] if entries else [frozenset()]
-                    priors.append([call_option(e, literal.args) for e in elements])
     return frozenset(pairs)
 
 
@@ -489,7 +500,7 @@ def compose_until_fixpoint(
     is filed.  A composition's identity needs no solver, so one already
     in the closure is skipped before its constraints are checked; only a
     new one costs a satisfiability check."""
-    pending = sorted(pairs, key=pair_sort_key)
+    pending = deque(sorted(pairs, key=pair_sort_key))
     closure = set(pending)
     # Filed pairs by their query, where they chain as a second step, and
     # by their range, where they chain as a first step.
@@ -503,7 +514,7 @@ def compose_until_fixpoint(
             pending.append(composed)
 
     while pending:
-        pair = pending.pop(0)
+        pair = pending.popleft()
         by_query.setdefault(pair.query, []).append(pair)
         for second in by_query.get(pair.mapping.range_atom, ()):
             extend(pair, second)
@@ -548,10 +559,10 @@ def check_forward_positive_cycle(pair: QueryMappingPair) -> bool:
         if mode != MODE_BOUND:
             continue
         start = ((ROW_DOMAIN, position), False)
-        frontier = [start]
+        frontier = deque([start])
         visited = {start}
         while frontier:
-            node, through_arc = frontier.pop(0)
+            node, through_arc = frontier.popleft()
             if node == (ROW_RANGE, position) and through_arc:
                 return True
             for nxt, is_arc in moves.get(node, ()):

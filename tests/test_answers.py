@@ -8,7 +8,7 @@ import pytest
 from conftest import corpus_program
 from helpers import answers_reference, driver_calls, widen
 
-from termiarith import answers
+from termiarith import answers, driver
 from termiarith.answers import (
     AbstractAtom,
     build_answer_domain,
@@ -323,9 +323,24 @@ class TestAnswerReference:
         ids=["gcd", "mc91", "chain-div-2", "guard-div-2", "nest-div-2", "mutual"],
     )
     def test_tables_match_unprojected_reference(self, monkeypatch, program, query, rungs):
-        calls = driver_calls(
-            monkeypatch, "compute_abstract_answers", program, parse_query_pattern(query)
-        )
+        # The driver computes no table that no clause reads, so each
+        # answer rung's table is computed here from the answer domains
+        # the driver built: one per loop of the rung program, in loop
+        # order, with that program's modes.
+        built = []
+
+        def record(loop, modes, *args, **kwargs):
+            built.append((loop, modes, build_answer_domain(loop, modes, *args, **kwargs)))
+            return built[-1][2]
+
+        monkeypatch.setattr(driver, "build_answer_domain", record)
+        analyse_termination(program, parse_query_pattern(query))
+        calls = []
+        for loop, modes, answer_domain in built:
+            if not calls or loop in calls[-1][0] or modes is not calls[-1][1]:
+                calls.append(([], modes, []))
+            calls[-1][0].append(loop)
+            calls[-1][2].append(answer_domain)
         assert len(calls) == rungs
         for args in calls:
             table = compute_abstract_answers(*args)
@@ -347,6 +362,26 @@ def test_each_rung_is_tried_plain_then_with_answers():
         "rung unfold x1 + inferred comparisons: 0 of 1 circular pairs proved",
         "rung unfold x1 + inferred comparisons + answer abstraction: 0 of 1 circular pairs proved",
     )
+
+
+@pytest.mark.parametrize(
+    "program,query,generated,tabled",
+    [
+        # Each clause makes one call, so no clause reads the answer
+        # table: it is never computed, each answer attempt repeats the
+        # plain one, and the inferred rung repeats the collected one.
+        (normalize_program(parse_program(DIVERGENT[1])), "g(i)", 3, 0),
+        # The inferred rung builds the collected rung's domain and table.
+        (corpus_program("mc91"), "mc_carthy_91(i,f)", 5, 3),
+    ],
+    ids=["guard-div-2", "mc91"],
+)
+def test_each_distinct_attempt_is_made_once(monkeypatch, program, query, generated, tabled):
+    # Both rung logs are pinned: see the test above and
+    # `test_driver.py::TestEscalationLadder::test_mc91_rung_log`.
+    pattern = parse_query_pattern(query)
+    assert len(driver_calls(monkeypatch, "generate_pairs", program, pattern)) == generated
+    assert len(driver_calls(monkeypatch, "compute_abstract_answers", program, pattern)) == tabled
 
 
 class TestSemiNaive:

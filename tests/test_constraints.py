@@ -461,6 +461,16 @@ def test_rename_round_trip(conj):
     assert rename(rename(conj, fwd), back) == lc.conjunction(conj)
 
 
+@settings(deadline=None)
+@given(_conjunctions(), st.permutations(["X", "Y", "Z", "d1", "d2", "d3"]))
+def test_rename_equals_the_substitution_round_trip(conj, images):
+    # A one-to-one renaming of X, Y and Z, possibly onto each other;
+    # a variable that keeps its name is left out of the mapping.
+    mapping = {v: image for v, image in zip("XYZ", images) if image != v}
+    expected = lc.conjunction(make_atom(substitute(a.expr, mapping), a.rel) for a in conj)
+    assert rename(conj, mapping) == expected
+
+
 def _int_coefficients(conj):
     numbers = [c for a in conj for c in (a.expr.const, *dict(a.expr.terms).values())]
     return all(type(c) is int for c in numbers)
