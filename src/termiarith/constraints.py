@@ -16,19 +16,20 @@ conjunction the prover checks is a difference conjunction: each atom is
 ``±x + c rel 0`` or ``x - y + c rel 0``.  `difference_graph` reads such
 a conjunction as a graph with an edge u -> v of weight w for each
 ``v - u =< w``, a zero node standing for constants, and it is
-unsatisfiable exactly when the graph has a negative cycle, found by
-Bellman-Ford (Cormen et al., Introduction to Algorithms, 24.4).  Any
-other conjunction goes to `_eliminate`.  The two routes agree: on the
+unsatisfiable exactly when the graph has a negative cycle.  Any other
+conjunction goes to `_eliminate`.  The two routes agree: on the
 tightened atoms Fourier-Motzkin answers a rational question exactly,
 and for difference atoms the graph answers that same question exactly,
 so every verdict is the same, except where elimination would pass
 `ATOM_LIMIT` and answer "unknown": the graph, which has no cap, gives
-the exact verdict there.  The all-pairs closure of the same graph
-(`shortest_paths`) bounds every ``v - u`` at once, which is how
-`pairs._relations` reads a pair's relations.  With unit coefficients
-and integer constants the shortest paths are integers, so on this route
-a rational solution implies an integer one and the rational and integer
-answers coincide.
+the exact verdict there.  One Bellman-Ford routine, `_bellman_ford`,
+answers both questions the graph is asked (Cormen et al., Introduction
+to Algorithms, 24.1 and 24.4): from every node at once it finds a
+negative cycle, and from one start it bounds every ``v - start``, which
+is how `implied_orders` reads the order between two variables.  With
+unit coefficients and integer constants the shortest paths are
+integers, so on this route a rational solution implies an integer one
+and the rational and integer answers coincide.
 
 `LinExpr` and `LinAtom` are tuples, so hashing, equality and ordering
 run in C: the prover makes thousands of small solver calls, each
@@ -269,10 +270,6 @@ def conjunction(atoms: Iterable[LinAtom]) -> Conjunction:
     return frozenset(conj)
 
 
-def sorted_atoms(conj: Iterable[LinAtom]) -> list[LinAtom]:
-    return sorted(conj)
-
-
 def substitute(expr: LinExpr, mapping: Mapping[str, ExprLike]) -> LinExpr:
     """Replace every variable of `mapping` by its image (a variable
     name, a number or an expression), all at once, so images are never
@@ -443,12 +440,20 @@ def difference_graph(conj: Iterable[LinAtom]) -> Optional[list[Edge]]:
     return edges
 
 
-def _negative_cycle(edges: list[Edge]) -> bool:
-    """Bellman-Ford from a virtual source with a zero edge to every
-    node.  Without a negative cycle the distances settle within n - 1
+def _bellman_ford(edges: list[Edge], start: Optional[str] = None) -> Optional[dict[str, float]]:
+    """Bellman-Ford distances, or None when it finds a negative cycle.
+    With no `start` every node starts at 0, as from a virtual source
+    with a zero edge to each, so every negative cycle is found.  From a
+    `start`, ``dist[v]`` is the least upper bound of ``v - start``
+    (`inf` when there is none), and only the cycles it reaches are
+    found.  Without a negative cycle the distances settle within n - 1
     passes over n nodes, so distances that still fall in pass n + 1
     prove one."""
-    dist = {node: 0 for u, v, _ in edges for node in (u, v)}
+    if start is None:
+        dist = {node: 0 for u, v, _ in edges for node in (u, v)}
+    else:
+        dist = {node: inf for u, v, _ in edges for node in (u, v)}
+        dist[start] = 0
     for _ in range(len(dist) + 1):
         changed = False
         for u, v, w in edges:
@@ -456,31 +461,8 @@ def _negative_cycle(edges: list[Edge]) -> bool:
                 dist[v] = dist[u] + w
                 changed = True
         if not changed:
-            return False
-    return True
-
-
-def shortest_paths(edges: list[Edge]) -> Optional[dict[str, dict[str, int]]]:
-    """All-pairs closure by Floyd-Warshall: ``dist[u][v]`` is the least
-    upper bound of ``v - u`` the edges imply, absent when v - u is
-    unbounded above.  None when the graph has a negative cycle."""
-    dist: dict[str, dict[str, int]] = {}
-    for u, v, w in edges:
-        row = dist.setdefault(u, {u: 0})
-        dist.setdefault(v, {v: 0})
-        if w < row.get(v, inf):
-            row[v] = w
-    for k, via in dist.items():
-        for i, row in dist.items():
-            ik = row.get(k)
-            if ik is None or i == k:
-                continue
-            for j, kj in via.items():
-                if ik + kj < row.get(j, inf):
-                    row[j] = ik + kj
-    if any(row[u] < 0 for u, row in dist.items()):
-        return None
-    return dist
+            return dist
+    return None
 
 
 @lru_cache(maxsize=SAT_CACHE_SIZE)
@@ -488,7 +470,7 @@ def _solve_sat(conj: Conjunction) -> Optional[bool]:
     """True = satisfiable, False = unsatisfiable, None = cap exceeded."""
     edges = difference_graph(conj)
     if edges is not None:
-        return not _negative_cycle(edges)
+        return _bellman_ford(edges) is not None
     try:
         tightened = [_tighten(a) for a in conj]
         return _eliminate(tightened, frozenset(), ATOM_LIMIT) is not None
@@ -524,7 +506,49 @@ def implies(conj: Iterable[LinAtom], atom: LinAtom) -> bool:
 
 def implies_all(conj: Iterable[LinAtom], atoms: Iterable[LinAtom]) -> bool:
     conj = frozenset(conj)
-    return all(implies(conj, a) for a in sorted_atoms(atoms))
+    return all(implies(conj, a) for a in sorted(atoms))
+
+
+#: Each order between two expressions as a constraint, in the order
+#: `implied_orders` tries them.
+ORDERS = {"=": atom_eq, ">": atom_gt, "<": atom_lt}
+
+
+def implied_orders(
+    conj: Conjunction, pairs: Iterable[tuple[str, str]]
+) -> dict[tuple[str, str], str]:
+    """For each pair (x, y) of variables, the first of "=", ">", "<"
+    between x and y that `conj` implies; a pair with none is absent.
+
+    An unsatisfiable difference conjunction implies everything, so every
+    pair gets "=".  A satisfiable one is read off its graph, one
+    Bellman-Ford per distinct start: the search from y bounds x - y
+    above, and the one from x bounds y - x above, so x - y below.  The
+    bounds are exact, so these are the verdicts of `implies`, which
+    every other conjunction takes, up to three calls per pair."""
+    edges = difference_graph(conj)
+    if edges is None:
+        orders = {}
+        for x, y in pairs:
+            for rel, relate in ORDERS.items():
+                if implies(conj, relate(x, y)):
+                    orders[x, y] = rel
+                    break
+        return orders
+    if not _solve_sat(conj):
+        return dict.fromkeys(pairs, "=")
+    pairs = list(pairs)
+    bounds = {start: _bellman_ford(edges, start) for start in {v for pair in pairs for v in pair}}
+    orders = {}
+    for x, y in pairs:
+        most, least = bounds[y].get(x, inf), -bounds[x].get(y, inf)
+        if most <= 0 <= least:
+            orders[x, y] = "="
+        elif least >= 1:
+            orders[x, y] = ">"
+        elif most <= -1:
+            orders[x, y] = "<"
+    return orders
 
 
 def project_or_none(conj: Iterable[LinAtom], keep: Iterable[str]) -> Optional[Conjunction]:
@@ -582,7 +606,7 @@ def simplify(conj: Iterable[LinAtom]) -> Conjunction:
     get no divisibility test: {Y =< 0, 2*Y - 1 = 0} loses Y =< 0).  Such
     an input therefore simplifies to {FALSE}."""
     atoms = conjunction(conj)
-    kept = sorted_atoms(atoms)
+    kept = sorted(atoms)
     for a in list(kept):
         if a not in kept:
             continue
@@ -642,7 +666,7 @@ def _render_sum(terms: list[tuple[str, int]], const: Optional[int]) -> str:
 
 
 def render_conjunction(conj: Iterable[LinAtom]) -> str:
-    atoms = sorted_atoms(conj)
+    atoms = sorted(conj)
     if not atoms:
         return "true"
     return ", ".join(render_atom(a) for a in atoms)

@@ -56,7 +56,6 @@ from .constraints import (
     project_or_none,
     rename,
     simplify,
-    sorted_atoms,
     weak_halves,
 )
 from .graph import LoopInfo
@@ -211,7 +210,7 @@ def projected_halves(clause: Clause, positions: tuple[int, ...]) -> Optional[lis
         return None
     if FALSE in projected:
         return []
-    return [half for atom in sorted_atoms(projected) for half in weak_halves(atom)]
+    return [half for atom in sorted(projected) for half in weak_halves(atom)]
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +478,7 @@ def build_domain(comparisons: ComparisonSet) -> Domain:
     `PARTITION_BUDGET` solver checks (read when it runs)."""
     out: Domain = {}
     for key in sorted(comparisons):
-        atoms = sorted_atoms(comparisons[key])
+        atoms = sorted(comparisons[key])
         if any(a.rel == EQ for a in atoms):
             raise ValueError("comparison sets hold inequalities only")
         try:

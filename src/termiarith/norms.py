@@ -32,7 +32,6 @@ from .constraints import (
     make_atom,
     project,
     simplify,
-    sorted_atoms,
     substitute,
     weak_halves,
 )
@@ -118,7 +117,7 @@ def _common(candidates: Iterable[LinAtom], projections: list[Conjunction]) -> Co
     """The candidates every projection implies, simplified."""
     kept = [
         atom
-        for atom in sorted_atoms(candidates)
+        for atom in sorted(candidates)
         if all(implies(proj, atom) for proj in projections)
     ]
     return simplify(conjunction(kept))

@@ -22,30 +22,26 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cache, cached_property, partial
-from math import inf
 from typing import Callable, Iterable, Mapping as MappingType, NamedTuple, Optional, Sequence
 
 from .answers import AnswerTable, CallOption, call_option, instantiate_element
 from .constraints import (
     LE,
     LT,
+    ORDERS,
     Conjunction,
     LinAtom,
     LinExpr,
     atom_eq,
-    atom_gt,
-    atom_lt,
     conjunction,
-    difference_graph,
     eliminate_outside,
+    implied_orders,
     implies,
     is_satisfiable,
     make_atom,
     rename,
     render_conjunction,
     render_expr,
-    shortest_paths,
-    sorted_atoms,
     substitute,
 )
 from .domain import (
@@ -102,10 +98,6 @@ class AbstractQuery(NamedTuple):
 
 #: (domain position, "=" | ">" | "<", range position).
 Relation = tuple[int, str, int]
-
-#: Each relation as a constraint between its two position variables,
-#: in the order `_relations` tries them.
-_RELATE = {"=": atom_eq, ">": atom_gt, "<": atom_lt}
 
 
 class _MappingRows(NamedTuple):
@@ -202,7 +194,7 @@ def _relation_atoms(mapping: Mapping) -> list[LinAtom]:
     row variables (norm relations carry no value atoms)."""
     domain_modes, range_modes = mapping.domain_atom.modes, mapping.range_atom.modes
     return [
-        _RELATE[rel](_row_var(ROW_DOMAIN, i), _row_var(ROW_RANGE, j))
+        ORDERS[rel](_row_var(ROW_DOMAIN, i), _row_var(ROW_RANGE, j))
         for i, rel, j in mapping.relations
         if domain_modes[i] == MODE_INT and range_modes[j] == MODE_INT
     ]
@@ -233,49 +225,16 @@ def _relations(
 ) -> set[Relation]:
     """Relations between the `mode` positions of the two rows that the
     constraint implies, position values being named by `domain_var` and
-    `range_var`: values for i positions, term sizes for b ones.  Each
-    position pair gets the first of "=", ">", "<" that holds.
-
-    A difference constraint is read off one all-pairs closure of its
-    graph, where ``dist[r][d]`` is the largest value of d - r and
-    ``-dist[d][r]`` the smallest: "=" when the largest is at most 0 and
-    the smallest at least 0, ">" when the smallest is at least 1, "<"
-    when the largest is at most -1, and "=" for every pair when the
-    graph has a negative cycle, as an unsatisfiable constraint implies
-    everything.  These are the verdicts `implies` reaches on the same
-    graph, one check at a time; any other constraint takes up to three
-    `implies` calls per position pair."""
-    positions = [
-        (i, j)
+    `range_var`: values for i positions, term sizes for b ones."""
+    positions = {
+        (domain_var(i), range_var(j)): (i, j)
         for i, dmode in enumerate(domain_modes)
         if dmode == mode
         for j, rmode in enumerate(range_modes)
         if rmode == mode
-    ]
-    relations: set[Relation] = set()
-    edges = difference_graph(constraint)
-    if edges is None:
-        for i, j in positions:
-            dvar, rvar = LinExpr.var(domain_var(i)), LinExpr.var(range_var(j))
-            for rel, relate in _RELATE.items():
-                if implies(constraint, relate(dvar, rvar)):
-                    relations.add((i, rel, j))
-                    break
-        return relations
-    dist = shortest_paths(edges)
-    if dist is None:
-        return {(i, "=", j) for i, j in positions}
-    for i, j in positions:
-        d, r = domain_var(i), range_var(j)
-        most = dist.get(r, {}).get(d, inf)
-        least = -dist.get(d, {}).get(r, inf)
-        if most <= 0 <= least:
-            relations.add((i, "=", j))
-        elif least >= 1:
-            relations.add((i, ">", j))
-        elif most <= -1:
-            relations.add((i, "<", j))
-    return relations
+    }
+    orders = implied_orders(constraint, positions)
+    return {(positions[pair][0], rel, positions[pair][1]) for pair, rel in orders.items()}
 
 
 def generate_pairs(
@@ -348,9 +307,9 @@ def generate_pairs(
             head = _value_bindings(domain_modes, clause.head.args, ROW_DOMAIN) if numeric else []
             calls = []
             # One level per call before the selected one: its answer
-            # elements instantiated on its arguments; a call with none
-            # constrains nothing.  Only later calls read them, so the
-            # last call gets none.
+            # elements instantiated on its arguments.  A call without
+            # entries would constrain nothing, so it gets no level; only
+            # later calls read them, so the last call gets none either.
             priors: list[Sequence[CallOption]] = []
             guards: list[LinAtom] = []
             last_call = max(
@@ -376,10 +335,8 @@ def generate_pairs(
                 row_levels = (row_options(key, ROW_DOMAIN), row_options(literal.key, ROW_RANGE))
                 calls.append((literal.key, range_modes, frozenset(guards), tuple(priors),
                               frozenset(bindings), rows, row_levels, norms))
-                if numeric and index < last_call:
-                    entries = answers.get(literal.key)
-                    elements = [e.element for e in entries] if entries else [frozenset()]
-                    priors.append([call_option(e, literal.args) for e in elements])
+                if index < last_call and (entries := answers.get(literal.key)):
+                    priors.append([call_option(e.element, literal.args) for e in entries])
             out.append((clause.head.args, domain_modes, head, calls))
         return out
 
@@ -586,7 +543,7 @@ def guess_termination_functions(pair: QueryMappingPair) -> list[TerminationFunct
 
     domain = pair.mapping.domain_atom.constraint
     for constraint in (domain, pair.mapping.range_atom.constraint):
-        for atom in sorted_atoms(constraint):
+        for atom in sorted(constraint):
             if atom.rel in (LT, LE):
                 suggest(-atom.expr)
     for j, mode in enumerate(pair.mapping.domain_atom.modes):

@@ -18,7 +18,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from conftest import corpus_program
 
-from termiarith.constraints import is_satisfiable, negate_atom, rename, sorted_atoms
+from termiarith.constraints import is_satisfiable, negate_atom, rename
 from termiarith.domain import (
     collect_comparisons,
     infer_comparisons,
@@ -44,7 +44,7 @@ def census(name: str, pred: str, modes_str: str) -> int:
         for perm in permutations(component):
             mapping = {position_var(a): position_var(b) for a, b in zip(component, perm)}
             union |= set(rename(comparisons[key], mapping))
-    atoms = sorted_atoms(union)
+    atoms = sorted(union)
     count = 0
     for signs in product((True, False), repeat=len(atoms)):
         chosen = [a if s else negate_atom(a) for a, s in zip(atoms, signs)]

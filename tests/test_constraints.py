@@ -1,6 +1,7 @@
 """Solver tests: frozen examples, brute-force oracles, property tests."""
 
 import random
+from math import inf
 
 import pytest
 from hypothesis import example, given, settings
@@ -192,16 +193,18 @@ class TestDifferenceGraph:
 
     def test_shortest_paths_bound_every_difference(self):
         edges = lc.difference_graph([atom_lt("X", "Y"), atom_lt("Y", "Z"), atom_le("Z", 10)])
-        dist = lc.shortest_paths(edges)
-        assert dist["Z"]["X"] == -2  # X - Z =< -2
-        assert dist[""]["X"] == 8  # X =< 8
-        assert dist[""]["Y"] == 9
+        from_z, from_zero = lc._bellman_ford(edges, "Z"), lc._bellman_ford(edges, "")
+        assert from_z["X"] == -2  # X - Z =< -2
+        assert from_zero["X"] == 8  # X =< 8
+        assert from_zero["Y"] == 9
         # X is unbounded below, so Z - X and -X are unbounded above.
-        assert dist["X"] == {"X": 0}
+        assert lc._bellman_ford(edges, "X") == {"X": 0, "Y": inf, "Z": inf, "": inf}
 
     def test_shortest_paths_of_a_negative_cycle(self):
-        assert lc.shortest_paths(lc.difference_graph([atom_lt("X", "Y"), atom_le("Y", "X")])) is None
-        assert lc.shortest_paths([]) == {}
+        edges = lc.difference_graph([atom_lt("X", "Y"), atom_le("Y", "X")])
+        assert lc._bellman_ford(edges) is None
+        assert lc._bellman_ford(edges, "X") is None
+        assert lc._bellman_ford([]) == {}
 
     def test_difference_path_is_exact_past_the_atom_cap(self, monkeypatch):
         # Elimination past the cap would answer "unknown", read as

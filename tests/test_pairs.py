@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import corpus_program
 from helpers import closure_reference, compose_pair, driver_calls
 
-from termiarith import pairs
+from termiarith import constraints, pairs
 from termiarith.answers import build_answer_domain, call_option, compute_abstract_answers
 from termiarith.constraints import (
     EQ,
@@ -313,7 +313,7 @@ class TestRelations:
 
     def test_difference_context_takes_no_implication(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(pairs, "implies", lambda *args: calls.append(args) or implies(*args))
+        monkeypatch.setattr(constraints, "implies", lambda *args: calls.append(args) or implies(*args))
         context = _GCD_CONTEXT - {atom_eq("d1", LinExpr.var("d2") + "r1")}
         modes = (MODE_INT, MODE_INT, "f")
         assert _row_relations(context, modes, modes) == {(1, "=", 1)}
@@ -321,7 +321,7 @@ class TestRelations:
 
     def test_gcd_context_takes_the_implication_loop(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(pairs, "implies", lambda *args: calls.append(args) or implies(*args))
+        monkeypatch.setattr(constraints, "implies", lambda *args: calls.append(args) or implies(*args))
         modes = (MODE_INT, MODE_INT, "f")
         assert _row_relations(_GCD_CONTEXT, modes, modes) == {
             (0, ">", 0),
@@ -329,6 +329,12 @@ class TestRelations:
             (1, "=", 1),
         }
         assert calls and all(context == _GCD_CONTEXT for context, _ in calls)
+
+    def test_unreached_negative_cycle_relates_everything(self):
+        # A search from the row positions never meets the cycle between
+        # X and Y, so the satisfiability check must come first.
+        context = frozenset({atom_lt("X", "Y"), atom_lt("Y", "X")})
+        assert _row_relations(context, (MODE_INT,), (MODE_INT,)) == {(0, "=", 0)}
 
 
 def _gt(expr):
