@@ -208,6 +208,70 @@ class TestFlags:
         assert set(kwargs) == set(AnalysisOptions._fields)
 
 
+MOD = str(corpus_path("mod"))
+MOD_QUERY = "mod(i,i,f)"
+
+BAD_ARGUMENTS = {
+    "no-arguments": [],
+    "missing-query": [MOD],
+    "two-programs": [MOD, MOD, "--query", MOD_QUERY],
+    "unknown-flag": [MOD, "--query", MOD_QUERY, "--stats"],
+    "ambiguous-prefix": [MOD, "--query", MOD_QUERY, "--t", "1"],
+    "switch-with-value": [MOD, "--query", MOD_QUERY, "--trace=1"],
+    "format-choice": [MOD, "--query", MOD_QUERY, "--format", "xml"],
+    "answers-choice": [MOD, "--query", MOD_QUERY, "--answers", "x"],
+    "max-unfold-not-int": [MOD, "--query", MOD_QUERY, "--max-unfold", "x"],
+    "pair-cap-not-int": [MOD, "--query", MOD_QUERY, "--pair-cap", "1.5"],
+    "timeout-not-float": [MOD, "--query", MOD_QUERY, "--timeout", "abc"],
+}
+
+CANONICAL = [MOD, "--query", MOD_QUERY, "--max-unfold", "0", "--format", "json"]
+# Each spelling means the same as CANONICAL: the same exit code, report
+# and diagnostics.
+SPELLINGS = {
+    "equals-sign": [MOD, "--query=" + MOD_QUERY, "--max-unfold=0", "--format=json"],
+    "unique-prefix": [MOD, "--q", MOD_QUERY, "--max-u", "0", "--fo", "json"],
+    "flags-around-program": ["--query", MOD_QUERY, MOD, "--max-unfold", "0", "--format", "json"],
+    "double-dash": ["--query", MOD_QUERY, "--max-unfold", "0", "--format", "json", "--", MOD],
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS)
+    def test_bad_arguments_exit_two_with_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert info.value.code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("usage: termi-arith ")
+        assert "\ntermi-arith: error: " in err
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_lists_every_flag_and_exits_zero(self, capsys, flag):
+        with pytest.raises(SystemExit) as info:
+            main([flag])
+        out, err = capsys.readouterr()
+        assert info.value.code == 0
+        assert err == ""
+        for name in ("program", "--query", "--format", "--max-unfold", "--answers",
+                     "--trace", "--pair-cap", "--timeout", "-h, --help"):
+            assert name in out
+
+    @pytest.mark.parametrize("argv", SPELLINGS.values(), ids=SPELLINGS)
+    def test_spellings_give_the_canonical_report(self, capsys, argv):
+        expected = run(capsys, *CANONICAL)
+        assert expected[0] == EXIT_YES
+        assert run(capsys, *argv) == expected
+
+    def test_no_argv_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["termi-arith", *CANONICAL])
+        expected = run(capsys, *CANONICAL)
+        code = main(None)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == expected
+
+
 @pytest.mark.parametrize(
     "name,query", [("gcd", "gcd(i,i,f)"), ("mc91", "mc_carthy_91(i,f)")]
 )
@@ -352,7 +416,7 @@ def test_any_input_gets_a_contract_exit_code(case, max_unfold, pair_cap):
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             try:
                 code = main(argv)
-            except SystemExit as exc:  # argparse rejects the arguments
+            except SystemExit as exc:  # the parser rejects the arguments
                 code = exc.code
     assert code in (EXIT_YES, EXIT_NO, EXIT_INPUT, EXIT_TIMEOUT)
     if HAS_ALARM:

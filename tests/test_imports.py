@@ -56,3 +56,19 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_cli_run_loads_no_argparse_or_locale():
+    # Fixed cost of every command-line verdict: building an argparse
+    # parser imports `locale`, about 2 ms before any analysis starts.
+    root = Path(__file__).parent.parent
+    probe = (
+        "import sys, termiarith.cli as cli\n"
+        f"code = cli.main([{str(root / 'tests' / 'corpus' / 'mod.pl')!r}, '--query', 'mod(i,i,f)'])\n"
+        "print(code, sorted({'argparse', 'locale'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines()[-1] == "0 []"
