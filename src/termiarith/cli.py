@@ -1,10 +1,10 @@
 """Command line front end; `HELP` lists its flags and exit codes.
 
-The arguments are read with `getopt`: building an `argparse` parser
-imports `locale` through its first `gettext` call, about 2 ms of every
-cold run before any analysis starts."""
+The arguments are read by one short loop, not `argparse` or `getopt`:
+building an `argparse` parser imports `locale` through its first
+`gettext` call, and `getopt` imports `gettext` for its messages, which
+together cost about 3 ms of every cold run before any analysis starts."""
 
-import getopt
 import math
 import signal
 import sys
@@ -68,12 +68,13 @@ The report goes to stdout, diagnostics go to stderr.
 """
 _USAGE = HELP[: HELP.index("\n\n") + 1]
 
-# Every flag that takes a value, with its default; `--trace` is a switch.
+# Every flag that takes a value, with its default; `--help` and
+# `--trace` are switches.
 _DEFAULTS = {"--query": None, "--format": "text", "--max-unfold": 1,
              "--answers": "auto", "--pair-cap": PAIR_CAP, "--timeout": None}
 _CHOICES = {"--format": ("text", "json"), "--answers": ("on", "off", "auto")}
 _TYPES = {"--max-unfold": int, "--pair-cap": int, "--timeout": float}
-_LONG = ["help", "trace", *(flag[2:] + "=" for flag in _DEFAULTS)]
+_FLAGS = ("--help", "--trace", *_DEFAULTS)
 
 
 def _usage_error(message: str):
@@ -81,29 +82,52 @@ def _usage_error(message: str):
     raise SystemExit(EXIT_INPUT)
 
 
+def _flag(name: str) -> str:
+    """The flag that `name` is, or is a unique prefix of."""
+    if name == "-h":
+        return "--help"
+    matches = [flag for flag in _FLAGS if name.startswith("--") and flag.startswith(name)]
+    if len(matches) != 1:
+        _usage_error(f"ambiguous option: {name} could match {', '.join(matches)}"
+                     if matches else f"unrecognized arguments: {name}")
+    return matches[0]
+
+
 def _parse_args(argv: list[str]) -> tuple[str, dict]:
     """The program path and every flag's value, its default if absent.
     Flags may follow the program, and may be written `--flag=value` or
-    as a unique prefix.  Bad arguments print the usage and exit 2."""
-    try:
-        pairs, positional = getopt.gnu_getopt(argv, "h", _LONG)
-    except getopt.GetoptError as exc:
-        _usage_error(exc.msg)
+    as a unique prefix; `--` ends them.  Bad arguments print the usage
+    and exit 2."""
     args = {**_DEFAULTS, "--trace": False}
-    for flag, value in pairs:
-        if flag in ("-h", "--help"):
+    positional = []
+    rest = iter(argv)
+    for arg in rest:
+        if arg == "--":
+            positional += rest
+            break
+        if not arg.startswith("-") or arg == "-":
+            positional.append(arg)
+            continue
+        name, explicit, value = arg.partition("=")
+        flag = _flag(name)
+        if flag in _DEFAULTS:
+            if not explicit and (value := next(rest, None)) is None:
+                _usage_error(f"argument {flag}: expected one argument")
+            if flag in _CHOICES and value not in _CHOICES[flag]:
+                choices = ", ".join(map(repr, _CHOICES[flag]))
+                _usage_error(f"argument {flag}: invalid choice: {value!r} (choose from {choices})")
+            elif flag in _TYPES:
+                try:
+                    value = _TYPES[flag](value)
+                except ValueError:
+                    _usage_error(f"argument {flag}: invalid {_TYPES[flag].__name__} value: {value!r}")
+        elif explicit:
+            _usage_error(f"argument {flag}: ignored explicit argument {value!r}")
+        elif flag == "--help":
             sys.stdout.write(HELP)
             raise SystemExit(0)
-        if flag == "--trace":
+        else:
             value = True
-        elif flag in _CHOICES and value not in _CHOICES[flag]:
-            choices = ", ".join(map(repr, _CHOICES[flag]))
-            _usage_error(f"argument {flag}: invalid choice: {value!r} (choose from {choices})")
-        elif flag in _TYPES:
-            try:
-                value = _TYPES[flag](value)
-            except ValueError:
-                _usage_error(f"argument {flag}: invalid {_TYPES[flag].__name__} value: {value!r}")
         args[flag] = value
     missing = [name for name, absent in (("program", not positional),
                                          ("--query", args["--query"] is None)) if absent]

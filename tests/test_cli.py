@@ -214,6 +214,7 @@ MOD_QUERY = "mod(i,i,f)"
 BAD_ARGUMENTS = {
     "no-arguments": [],
     "missing-query": [MOD],
+    "missing-value": [MOD, "--query"],
     "two-programs": [MOD, MOD, "--query", MOD_QUERY],
     "unknown-flag": [MOD, "--query", MOD_QUERY, "--stats"],
     "ambiguous-prefix": [MOD, "--query", MOD_QUERY, "--t", "1"],
@@ -223,6 +224,8 @@ BAD_ARGUMENTS = {
     "max-unfold-not-int": [MOD, "--query", MOD_QUERY, "--max-unfold", "x"],
     "pair-cap-not-int": [MOD, "--query", MOD_QUERY, "--pair-cap", "1.5"],
     "timeout-not-float": [MOD, "--query", MOD_QUERY, "--timeout", "abc"],
+    # `--` ends the flags, so `--query` after it is a second program.
+    "flags-after-double-dash": ["--", MOD, "--query", MOD_QUERY],
 }
 
 CANONICAL = [MOD, "--query", MOD_QUERY, "--max-unfold", "0", "--format", "json"]
@@ -263,6 +266,14 @@ class TestParser:
         expected = run(capsys, *CANONICAL)
         assert expected[0] == EXIT_YES
         assert run(capsys, *argv) == expected
+
+    def test_parse_ignores_posixly_correct(self, capsys, monkeypatch):
+        # GNU getopt stops at the first program path when this is set;
+        # the parser reads flags after the program all the same.
+        expected = run(capsys, *CANONICAL)
+        monkeypatch.setenv("POSIXLY_CORRECT", "1")
+        assert run(capsys, *CANONICAL) == expected
+        assert run(capsys, *SPELLINGS["flags-around-program"]) == expected
 
     def test_no_argv_reads_sys_argv(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["termi-arith", *CANONICAL])

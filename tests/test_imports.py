@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "termiarith").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "termiarith").glob("*.py"))
 TEST_SOURCES = sorted(Path(__file__).parent.glob("*.py"))
 
 
@@ -46,29 +47,31 @@ def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
 
 
+def probe(code: str) -> str:
+    """The last line `code` prints in a fresh interpreter that imports
+    the package from the source tree."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    return out.splitlines()[-1]
+
+
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # Start-up cost: the records are tuples, so importing the command
     # line must not pull in `dataclasses` (and through it `inspect`).
-    src = Path(__file__).parent.parent / "src"
-    probe = "import sys, termiarith.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == "[]"
+    code = "import sys, termiarith.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    assert probe(code) == "[]"
 
 
-def test_cli_run_loads_no_argparse_or_locale():
+def test_cli_run_loads_no_argparse_getopt_or_locale():
     # Fixed cost of every command-line verdict: building an argparse
-    # parser imports `locale`, about 2 ms before any analysis starts.
-    root = Path(__file__).parent.parent
-    probe = (
+    # parser imports `locale`, about 2 ms before any analysis starts,
+    # and `getopt` imports `gettext` for its messages.
+    program = str(ROOT / "tests" / "corpus" / "mod.pl")
+    code = (
         "import sys, termiarith.cli as cli\n"
-        f"code = cli.main([{str(root / 'tests' / 'corpus' / 'mod.pl')!r}, '--query', 'mod(i,i,f)'])\n"
-        "print(code, sorted({'argparse', 'locale'} & set(sys.modules)))"
+        f"code = cli.main([{program!r}, '--query', 'mod(i,i,f)'])\n"
+        "print(code, sorted({'argparse', 'getopt', 'gettext', 'locale'} & set(sys.modules)))"
     )
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.splitlines()[-1] == "0 []"
+    assert probe(code) == "0 []"
