@@ -36,8 +36,6 @@ from . import domain
 from .constraints import (
     Conjunction,
     LinAtom,
-    atom_is_false,
-    atom_is_true,
     conjunction,
     eliminate_outside,
     is_satisfiable,
@@ -65,15 +63,9 @@ from .graph import LoopInfo
 from .modes import ModeAssignment
 from .syntax import PredKey, Term, UserAtom
 
-AnswerTable = dict[PredKey, tuple["AbstractAtom", ...]]
-
-
-class AbstractAtom(NamedTuple):
-    """One published answer: calls to `key` can succeed with argument
-    values inside `element` (over arg1, arg2, ...)."""
-
-    key: PredKey
-    element: Conjunction
+#: Per predicate, the partition elements (over arg1, arg2, ...) that
+#: calls can succeed with, in partition order.
+AnswerTable = Domain
 
 
 class AnswerDomain(NamedTuple):
@@ -107,7 +99,7 @@ def _refinement_atoms(
             continue
         found = out[clause.key]
         for half in halves:
-            if not (atom_is_true(half) or atom_is_false(half) or half in found):
+            if half.expr.terms and half not in found:
                 found.append(half)
     return out
 
@@ -129,11 +121,6 @@ def build_answer_domain(
     positions = answer_positions(loop, modes)
     notes: list[str] = []
     pieces: dict[PredKey, dict[Conjunction, Conjunction]] = {}
-    query_domain = {
-        key: elements
-        for key, elements in query_domain.items()
-        if key in loop.predicates
-    }
     collected = collect_answer_comparisons(loop, modes)
     if any(unconstrained_positions(loop, modes, collected).values()):
         extended = extend_domain(query_domain, loop)
@@ -158,11 +145,11 @@ def build_answer_domain(
                 origin = {element: element for element in elements}
             pieces[key] = origin
     else:
-        comparisons = {k: set(v) for k, v in collected.items()}
+        comparisons = collected
         if used_inference:
-            for key, atoms in infer_comparisons(loop, modes, positions=positions).items():
-                comparisons[key] |= atoms
-        partition = build_domain({k: frozenset(v) for k, v in comparisons.items()})
+            inferred = infer_comparisons(loop, modes, positions=positions)
+            comparisons = {key: atoms | inferred[key] for key, atoms in collected.items()}
+        partition = build_domain(comparisons)
         for key, elements in partition.items():
             pieces[key] = {element: element for element in elements}
     return AnswerDomain(pieces=pieces, notes=tuple(notes))
@@ -227,7 +214,7 @@ def compute_abstract_answers(
                     levels = []
                     for i, lit in enumerate(calls):
                         if lit.key in published:
-                            chosen = [entry.element for entry in published[lit.key]]
+                            chosen = published[lit.key]
                         elif i < pivot:
                             chosen = older[lit.key]
                         elif i == pivot:
@@ -246,5 +233,5 @@ def compute_abstract_answers(
             older = entries
         for key in sorted(loop.predicates):
             elements = dict.fromkeys(e for p, e in pieces[key].items() if p in table[key])
-            published[key] = tuple(AbstractAtom(key=key, element=e) for e in elements)
+            published[key] = tuple(elements)
     return published

@@ -1,4 +1,4 @@
-"""Exact linear constraint solving over the rationals.
+"""Exact linear constraint solving over integer variables.
 
 This module is the arithmetic engine of the analyzer.  Everything it
 handles is a conjunction of linear atoms ``expr rel 0`` with ``rel`` one
@@ -36,12 +36,16 @@ run in C: the prover makes thousands of small solver calls, each
 building and hashing atoms by the dozen.  Their field order fixes the
 canonical order of atoms.
 
-Rational reasoning is what the callers in this package need: they rely
-only on the direction "unsatisfiable over the rationals implies
-unsatisfiable over the integers".  When an elimination blows past the
-atom cap the solver reports "unknown" internally, and each public entry
-point maps that to its safe answer (satisfiable for `is_satisfiable`,
-not-implied for `implies`, a weaker conjunction for `project`).
+Every variable ranges over the integers, so strict atoms are tightened
+before either route runs and ``0 < X, X < 1`` is unsatisfiable.  The
+invariant callers rely on is one-sided: a verdict of unsatisfiable means
+the conjunction has no integer solution.  A verdict of satisfiable
+means a rational solution of the tightened atoms exists; off the
+difference route that solution may not be integral (``2*X = 1``).
+When an elimination blows past the atom cap the solver reports
+"unknown" internally, and each public entry point maps that to its safe
+answer (satisfiable for `is_satisfiable`, not-implied for `implies`, a
+weaker conjunction for `project`).
 
 The per-layer tracer of the benchmark (`perfbench/tracer.py`) rebinds
 the six public entry points `is_satisfiable`, `implies`, `implies_all`,
@@ -509,9 +513,9 @@ def implies_all(conj: Iterable[LinAtom], atoms: Iterable[LinAtom]) -> bool:
     return all(implies(conj, a) for a in sorted(atoms))
 
 
-#: Each order between two expressions as a constraint, in the order
-#: `implied_orders` tries them.
-ORDERS = {"=": atom_eq, ">": atom_gt, "<": atom_lt}
+#: Each relation between two expressions as a constraint, by its
+#: spelling in programs and pair relations.
+RELATIONS = {"=": atom_eq, ">": atom_gt, "<": atom_lt, ">=": atom_ge, "=<": atom_le}
 
 
 def implied_orders(
@@ -530,8 +534,8 @@ def implied_orders(
     if edges is None:
         orders = {}
         for x, y in pairs:
-            for rel, relate in ORDERS.items():
-                if implies(conj, relate(x, y)):
+            for rel in ("=", ">", "<"):
+                if implies(conj, RELATIONS[rel](x, y)):
                     orders[x, y] = rel
                     break
         return orders

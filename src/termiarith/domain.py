@@ -40,16 +40,11 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 from .constraints import (
     EQ,
     FALSE,
+    RELATIONS,
     Conjunction,
     LinAtom,
     LinExpr,
     atom_eq,
-    atom_ge,
-    atom_gt,
-    atom_is_false,
-    atom_is_true,
-    atom_le,
-    atom_lt,
     conjunction,
     is_satisfiable,
     negate_atom,
@@ -169,9 +164,6 @@ def linear_term(term: Term) -> Optional[LinExpr]:
     return None
 
 
-_ATOM_BUILDERS = {"<": atom_lt, "=<": atom_le, ">=": atom_ge, ">": atom_gt}
-
-
 def literal_atoms(lit: Literal) -> list[LinAtom]:
     """The linear atom a body literal imposes: a comparison, or an
     ``is/2`` whose expression is linear read as an equality.  Literals
@@ -179,8 +171,7 @@ def literal_atoms(lit: Literal) -> list[LinAtom]:
     if isinstance(lit, (Comparison, Is)):
         lhs, rhs = linear_term(lit.lhs), linear_term(lit.rhs)
         if lhs is not None and rhs is not None:
-            build = atom_eq if isinstance(lit, Is) else _ATOM_BUILDERS[lit.op]
-            return [build(lhs, rhs)]
+            return [RELATIONS["=" if isinstance(lit, Is) else lit.op](lhs, rhs)]
     return []
 
 
@@ -217,48 +208,35 @@ def projected_halves(clause: Clause, positions: tuple[int, ...]) -> Optional[lis
 # Collection.
 
 
-def _strict_mapping(clause: Clause, positions: tuple[int, ...]) -> Optional[dict[str, str]]:
-    """Head variable name -> position variable, requiring the positions
-    to hold pairwise-distinct variables."""
-    mapping: dict[str, str] = {}
-    for j in positions:
-        arg = clause.head.args[j]
-        if not isinstance(arg, Var) or arg.name in mapping:
-            return None
-        mapping[arg.name] = position_var(j)
-    return mapping
-
-
-def _lenient_mapping(clause: Clause, positions: tuple[int, ...]) -> dict[str, str]:
+def _head_mapping(clause: Clause, positions: tuple[int, ...]) -> dict[str, str]:
     """Head variable name -> position variable of its first occurrence."""
     mapping: dict[str, str] = {}
     for j in positions:
         arg = clause.head.args[j]
-        if isinstance(arg, Var) and arg.name not in mapping:
-            mapping[arg.name] = position_var(j)
+        if isinstance(arg, Var):
+            mapping.setdefault(arg.name, position_var(j))
     return mapping
 
 
-def _operand_expr(term: Term, mapping: Mapping[str, str]) -> Optional[LinExpr]:
-    if isinstance(term, Var):
-        name = mapping.get(term.name)
-        return None if name is None else LinExpr.var(name)
-    if isinstance(term, IntConst):
-        return LinExpr.of(term.value)
-    return None
-
-
-def _mapped_comparison(lit: Comparison, mapping: Mapping[str, str]) -> Optional[LinAtom]:
-    lhs = _operand_expr(lit.lhs, mapping)
-    rhs = _operand_expr(lit.rhs, mapping)
-    if lhs is None or rhs is None:
-        return None
-    return _ATOM_BUILDERS[lit.op](lhs, rhs)
-
-
-def _add_atom(store: set[LinAtom], atom: Optional[LinAtom]):
-    if atom is not None and not atom_is_true(atom) and not atom_is_false(atom):
-        store.add(atom)
+def _position_atoms(literals: Iterable[Literal], mapping: Mapping[str, str]) -> set[LinAtom]:
+    """The comparisons among `literals` whose sides are mapped variables
+    or integer constants, as atoms over the position variables, with the
+    trivially true or false ones dropped."""
+    found: set[LinAtom] = set()
+    for lit in literals:
+        if not isinstance(lit, Comparison):
+            continue
+        sides: list[LinExpr] = []
+        for term in (lit.lhs, lit.rhs):
+            if isinstance(term, IntConst):
+                sides.append(LinExpr.of(term.value))
+            elif isinstance(term, Var) and term.name in mapping:
+                sides.append(LinExpr.var(mapping[term.name]))
+        if len(sides) == 2:
+            atom = RELATIONS[lit.op](*sides)
+            if atom.expr.terms:
+                found.add(atom)
+    return found
 
 
 def collect_comparisons(
@@ -271,22 +249,13 @@ def collect_comparisons(
     variables; returns None when some clause does not, and the caller
     should infer instead."""
     positions = query_positions(loop, modes)
-    clauses = applicable_clauses(loop, modes)
-    mappings: dict[int, dict[str, str]] = {}
-    for i, clause in enumerate(clauses):
-        mapping = _strict_mapping(clause, positions[clause.key])
-        if mapping is None:
-            return None
-        mappings[i] = mapping
     out: ComparisonSet = {key: frozenset() for key in positions}
-    for i, clause in enumerate(clauses):
-        if not loop.is_recursive_clause(clause):
-            continue
-        found: set[LinAtom] = set(out[clause.key])
-        for lit in clause.body:
-            if isinstance(lit, Comparison):
-                _add_atom(found, _mapped_comparison(lit, mappings[i]))
-        out[clause.key] = frozenset(found)
+    for clause in applicable_clauses(loop, modes):
+        mapping = _head_mapping(clause, positions[clause.key])
+        if len(mapping) != len(positions[clause.key]):
+            return None
+        if loop.is_recursive_clause(clause):
+            out[clause.key] |= _position_atoms(clause.body, mapping)
     return out
 
 
@@ -340,19 +309,16 @@ def collect_answer_comparisons(loop: LoopInfo, modes: ModeAssignment) -> Compari
     positions = answer_positions(loop, modes)
     out: ComparisonSet = {key: frozenset() for key in positions}
     for clause in applicable_clauses(loop, modes):
-        mapping = _lenient_mapping(clause, positions[clause.key])
         aliases = _alias_classes(clause)
-        found: set[LinAtom] = set(out[clause.key])
-        for lit in clause.body:
-            if not isinstance(lit, Comparison):
-                continue
-            _add_atom(found, _mapped_comparison(lit, mapping))
-            if isinstance(lit.lhs, Var) and isinstance(lit.rhs, Var):
-                for a in aliases.get(lit.lhs.name, (lit.lhs.name,)):
-                    for b in aliases.get(lit.rhs.name, (lit.rhs.name,)):
-                        copy = Comparison(Var(a), lit.op, Var(b))
-                        _add_atom(found, _mapped_comparison(copy, mapping))
-        out[clause.key] = frozenset(found)
+        copies = [
+            Comparison(Var(a), lit.op, Var(b))
+            for lit in clause.body
+            if isinstance(lit, Comparison) and isinstance(lit.lhs, Var) and isinstance(lit.rhs, Var)
+            for a in aliases[lit.lhs.name]
+            for b in aliases[lit.rhs.name]
+        ]
+        mapping = _head_mapping(clause, positions[clause.key])
+        out[clause.key] |= _position_atoms([*clause.body, *copies], mapping)
     return out
 
 
@@ -405,15 +371,11 @@ def infer_comparisons(
     out: ComparisonSet = {key: frozenset() for key in positions}
     for clause in applicable_clauses(loop, modes):
         pos = positions[clause.key]
-        mapping = _lenient_mapping(clause, pos)
-        found: set[LinAtom] = set(out[clause.key])
-        for lit in clause.body:
-            if isinstance(lit, Comparison):
-                _add_atom(found, _mapped_comparison(lit, mapping))
+        found = _position_atoms(clause.body, _head_mapping(clause, pos))
         for half in projected_halves(clause, pos) or ():
             if _comparison_shape(half):
-                _add_atom(found, half)
-        out[clause.key] = frozenset(found)
+                found.add(half)
+        out[clause.key] |= found
     return out
 
 

@@ -28,7 +28,7 @@ from .answers import AnswerTable, CallOption, call_option, instantiate_element
 from .constraints import (
     LE,
     LT,
-    ORDERS,
+    RELATIONS,
     Conjunction,
     LinAtom,
     LinExpr,
@@ -194,7 +194,7 @@ def _relation_atoms(mapping: Mapping) -> list[LinAtom]:
     row variables (norm relations carry no value atoms)."""
     domain_modes, range_modes = mapping.domain_atom.modes, mapping.range_atom.modes
     return [
-        ORDERS[rel](_row_var(ROW_DOMAIN, i), _row_var(ROW_RANGE, j))
+        RELATIONS[rel](_row_var(ROW_DOMAIN, i), _row_var(ROW_RANGE, j))
         for i, rel, j in mapping.relations
         if domain_modes[i] == MODE_INT and range_modes[j] == MODE_INT
     ]
@@ -336,7 +336,7 @@ def generate_pairs(
                 calls.append((literal.key, range_modes, frozenset(guards), tuple(priors),
                               frozenset(bindings), rows, row_levels, norms))
                 if index < last_call and (entries := answers.get(literal.key)):
-                    priors.append([call_option(e.element, literal.args) for e in entries])
+                    priors.append([call_option(e, literal.args) for e in entries])
             out.append((clause.head.args, domain_modes, head, calls))
         return out
 

@@ -9,7 +9,7 @@ text that round-trips through `parse_program`."""
 from typing import Iterable, Iterator, Optional, Sequence
 
 from termiarith import driver
-from termiarith.answers import AbstractAtom, AnswerDomain, AnswerTable, call_option
+from termiarith.answers import AnswerDomain, AnswerTable, call_option
 from termiarith.constraints import (
     Conjunction,
     LinAtom,
@@ -119,7 +119,7 @@ def answers_reference(
         changed = True
         while changed:
             changed = False
-            snapshot = {key: [e.element for e in entries] for key, entries in published.items()}
+            snapshot = {key: list(entries) for key, entries in published.items()}
             snapshot.update({key: list(found) for key, found in table.items()})
             for clause in applicable_clauses(loop, modes):
                 levels = [
@@ -135,7 +135,7 @@ def answers_reference(
                             changed = True
         for key in sorted(loop.predicates):
             elements = dict.fromkeys(e for p, e in pieces[key].items() if p in table[key])
-            published[key] = tuple(AbstractAtom(key=key, element=e) for e in elements)
+            published[key] = tuple(elements)
     return published
 
 

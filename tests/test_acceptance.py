@@ -127,7 +127,7 @@ def test_ac01_mc91_is_proved_with_the_expected_evidence():
         for pair in loop.pairs
     )
     table = answer_table("mc91", "mc_carthy_91(i,f)", unfold=(1, 2), infer=True)
-    assert set(e.element for e in table[("mc_carthy_91", 2)]) == {
+    assert set(table[("mc_carthy_91", 2)]) == {
         conjunction([atom_gt(A1, 100), atom_gt(A2, 100)]),
         conjunction([atom_gt(A1, 100), atom_gt(A2, 89), atom_le(A2, 100)]),
         conjunction(
@@ -169,7 +169,7 @@ def test_ac03_mod_comparison_sets_and_answer_bound():
     table = answer_table("mod", "mod(i,i,f)")
     entries = table[("mod", 3)]
     assert entries
-    assert all(implies(e.element, atom_lt(A3, A2)) for e in entries)
+    assert all(implies(e, atom_lt(A3, A2)) for e in entries)
 
 
 def test_ac04_gcd_is_proved_through_answer_abstraction():

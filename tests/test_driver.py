@@ -10,12 +10,14 @@ import pytest
 from conftest import corpus_program
 
 from termiarith import domain
+from termiarith.answers import build_answer_domain, compute_abstract_answers
 from termiarith.driver import (
     NO,
     NO_HEADLINE,
     YES,
     AnalysisOptions,
     _ProgramStages,
+    _query_domains,
     analyse_termination,
     render_report,
     verdict_payload,
@@ -23,6 +25,7 @@ from termiarith.driver import (
 from termiarith.graph import find_integer_loops
 from termiarith.modes import infer_argument_modes
 from termiarith.norms import infer_size_relations
+from termiarith.pairs import generate_pairs
 from termiarith.syntax import (
     normalize_program,
     parse_program,
@@ -286,6 +289,36 @@ class TestStageReuse:
         assert calls["infer_argument_modes"] == programs
         assert calls["find_integer_loops"] == programs
         assert calls["infer_size_relations"] == self.SIZE_TABLES[name]
+
+
+# The corpus tasks whose loops are numerical, so the ladder runs.
+NUMERICAL = [(name, query) for name, query, *_ in VERDICTS if name not in ("facts", "loop", "s")]
+
+
+@pytest.mark.parametrize("name,query", NUMERICAL)
+def test_attempt_key_holds_every_answer_entry_pair_generation_reads(name, query):
+    # A rung attempt is reused when its answer entries agree on
+    # `answer_reads` alone, so on each rung program of a numerical
+    # corpus loop (collected, inferred, unfold x1) the pairs must not
+    # change when the table keeps only the entries the key holds.
+    pattern = parse_query_pattern(query)
+    stages = _ProgramStages(corpus_program(name), pattern)
+    for unfold, prefer_inference in [(False, False), (False, True), (True, True)]:
+        if unfold:
+            stages = stages.unfolded()
+        built = _query_domains(stages, prefer_inference)
+        domains = {k: v for _, elements, _ in built for k, v in elements.items()}
+        answer_domains = [
+            build_answer_domain(loop, stages.modes, elements, used_inference=inferred)
+            for loop, elements, inferred in built
+        ]
+        table = compute_abstract_answers(stages.loops, stages.modes, answer_domains)
+        keyed = {k: table[k] for k in stages.answer_reads if table.get(k)}
+
+        def pairs(answers):
+            return generate_pairs(stages.program, pattern, stages.modes, answers, domains=domains)
+
+        assert pairs(table) == pairs(keyed), (unfold, prefer_inference)
 
 
 class TestUnfoldingStep:
