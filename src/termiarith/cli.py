@@ -168,11 +168,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     except RecursionError:
         return _input_error(_TOO_DEEP)
 
-    timed = timeout is not None and hasattr(signal, "SIGALRM")
-    if timed:
-        previous = signal.signal(signal.SIGALRM, _alarm)
+    if timeout is not None:
+        try:
+            previous = signal.signal(signal.SIGALRM, _alarm)
+        except (AttributeError, ValueError):
+            # No SIGALRM on this platform, or not the main thread.
+            return _input_error("--timeout needs SIGALRM in the main thread, which this run lacks")
     try:
-        if timed:
+        if timeout is not None:
             try:
                 signal.setitimer(signal.ITIMER_REAL, timeout)
             except OverflowError:
@@ -187,7 +190,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except RecursionError:
         return _input_error(_TOO_DEEP)
     finally:
-        if timed:
+        if timeout is not None:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
 

@@ -70,6 +70,7 @@ from .syntax import (
     Var,
     clause_vars,
     is_equality_pair,
+    is_numeric_operand,
     literal_terms,
     mode_meet,
     rename_clause,
@@ -222,21 +223,15 @@ def _position_atoms(literals: Iterable[Literal], mapping: Mapping[str, str]) -> 
     """The comparisons among `literals` whose sides are mapped variables
     or integer constants, as atoms over the position variables, with the
     trivially true or false ones dropped."""
-    found: set[LinAtom] = set()
-    for lit in literals:
-        if not isinstance(lit, Comparison):
-            continue
-        sides: list[LinExpr] = []
-        for term in (lit.lhs, lit.rhs):
-            if isinstance(term, IntConst):
-                sides.append(LinExpr.of(term.value))
-            elif isinstance(term, Var) and term.name in mapping:
-                sides.append(LinExpr.var(mapping[term.name]))
-        if len(sides) == 2:
-            atom = RELATIONS[lit.op](*sides)
-            if atom.expr.terms:
-                found.add(atom)
-    return found
+    return {
+        atom
+        for lit in literals
+        if isinstance(lit, Comparison)
+        and all(is_numeric_operand(t) for t in literal_terms(lit))
+        and all(v.name in mapping for t in literal_terms(lit) for v in term_vars(t))
+        for atom in rename(literal_atoms(lit), mapping)
+        if atom.expr.terms
+    }
 
 
 def collect_comparisons(

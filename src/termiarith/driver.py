@@ -28,9 +28,10 @@ and entries into a set of pairs, and reports sort what they render, so
 domains and entries are compared as sets.  An attempt whose inputs
 equal an earlier one's in the same `analyse_termination` call is not
 made again: its tally is logged under its own label and the earlier
-verdict and reports are reused.  A program without such a call computes
-no answer table; its answer domains are still built, as their notes are
-logged."""
+verdict and reports are reused.  Answer domains and tables are built
+only for the loops of the read predicates and of all they call, kept
+callee-first.  No entry read, so no attempt key, changes: a loop's
+entries depend only on its clauses, query domain and callees' tables."""
 
 import json
 from functools import cached_property
@@ -47,7 +48,7 @@ from .domain import (
     literal_atoms,
     unfold_once,
 )
-from .graph import LoopInfo, find_integer_loops
+from .graph import LoopInfo, find_integer_loops, reachable_from
 from .modes import infer_argument_modes
 from .norms import infer_size_relations
 from .pairs import (
@@ -340,19 +341,18 @@ def analyse_termination(
         for with_answers in answer_passes:
             name = label + (" + answer abstraction" if with_answers else "")
             try:
+                reads = stages.answer_reads if with_answers else ()
+                called = reachable_from(stages.program.callees, reads)
+                answered = [entry for entry in built if entry[0].predicates & called]
                 answer_domains = [
                     build_answer_domain(loop, stages.modes, domain, used_inference=inferred)
-                    for loop, domain, inferred in (built if with_answers else ())
+                    for loop, domain, inferred in answered
                 ]
                 for answer_domain in answer_domains:
                     for note in answer_domain.notes:
                         log(f"rung {name}: {note}")
-                reads = stages.answer_reads if with_answers else ()
-                table = (
-                    compute_abstract_answers(stages.loops, stages.modes, answer_domains)
-                    if reads
-                    else None
-                )
+                tabled = [loop for loop, _, _ in answered]
+                table = compute_abstract_answers(tabled, stages.modes, answer_domains) if tabled else {}
                 key = (
                     stages,
                     frozenset((k, frozenset(v)) for k, v in domains.items()),

@@ -322,9 +322,14 @@ class TestAnswerReference:
             (corpus_program("gcd"), "gcd(i,i,f)", 1),
             # proved on the unfold x1 rung, the third
             (corpus_program("mc91"), "mc_carthy_91(i,f)", 3),
+            # Each clause of the chain and guard variants makes one call,
+            # so no answer is read and no answer domain is built; the
+            # nest variant reads l2/1's answers on every rung.
             *(
-                (normalize_program(parse_program(source)), query, 3)
-                for source, query in zip(DIVERGENT, ("c(i,i)", "g(i)", "l1(i)"))
+                (normalize_program(parse_program(source)), query, rungs)
+                for source, query, rungs in zip(
+                    DIVERGENT, ("c(i,i)", "g(i)", "l1(i)"), (0, 0, 3)
+                )
             ),
             # proved on the first answer rung
             (normalize_program(parse_program(MUTUAL)), "p(i,f)", 1),
@@ -334,8 +339,8 @@ class TestAnswerReference:
     def test_tables_match_unprojected_reference(self, monkeypatch, program, query, rungs):
         # The driver computes no table that no clause reads, so each
         # answer rung's table is computed here from the answer domains
-        # the driver built: one per loop of the rung program, in loop
-        # order, with that program's modes.
+        # the driver built: one per loop whose answers are read or that
+        # such a loop calls, in loop order, with the rung program's modes.
         built = []
 
         def record(loop, modes, *args, **kwargs):
@@ -374,23 +379,34 @@ def test_each_rung_is_tried_plain_then_with_answers():
 
 
 @pytest.mark.parametrize(
-    "program,query,generated,tabled",
+    "program,query,generated,tabled,answer_domains",
     [
         # Each clause makes one call, so no clause reads the answer
-        # table: it is never computed, each answer attempt repeats the
-        # plain one, and the inferred rung repeats the collected one.
-        (normalize_program(parse_program(DIVERGENT[1])), "g(i)", 3, 0),
+        # table: no answer domain or table is built, each answer attempt
+        # repeats the plain one, and the inferred rung repeats the
+        # collected one.
+        (normalize_program(parse_program(DIVERGENT[1])), "g(i)", 3, 0, 0),
+        (normalize_program(parse_program(DIVERGENT[0])), "c(i,i)", 3, 0, 0),
+        # l1/1 reads l2/1's answers, so each of the three answer rungs
+        # builds l2/1's answer domain alone; l1/1's is never read.
+        (normalize_program(parse_program(DIVERGENT[2])), "l1(i)", 5, 3, 3),
+        # gcd/3 reads mod/3's answers on its first answer rung; gcd/3's
+        # own loop is never read.
+        (corpus_program("gcd"), "gcd(i,i,f)", 3, 1, 1),
         # The inferred rung builds the collected rung's domain and table.
-        (corpus_program("mc91"), "mc_carthy_91(i,f)", 5, 3),
+        (corpus_program("mc91"), "mc_carthy_91(i,f)", 5, 3, 3),
     ],
-    ids=["guard-div-2", "mc91"],
+    ids=["guard-div-2", "chain-div-2", "nest-div-2", "gcd", "mc91"],
 )
-def test_each_distinct_attempt_is_made_once(monkeypatch, program, query, generated, tabled):
-    # Both rung logs are pinned: see the test above and
-    # `test_driver.py::TestEscalationLadder::test_mc91_rung_log`.
+def test_each_distinct_attempt_is_made_once(
+    monkeypatch, program, query, generated, tabled, answer_domains
+):
+    # The guard-div-2 and mc91 rung logs are pinned: see the test above
+    # and `test_driver.py::TestEscalationLadder::test_mc91_rung_log`.
     pattern = parse_query_pattern(query)
     assert len(driver_calls(monkeypatch, "generate_pairs", program, pattern)) == generated
     assert len(driver_calls(monkeypatch, "compute_abstract_answers", program, pattern)) == tabled
+    assert len(driver_calls(monkeypatch, "build_answer_domain", program, pattern)) == answer_domains
 
 
 class TestSemiNaive:

@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
 from pathlib import Path
@@ -357,6 +358,33 @@ class TestTimeout:
         assert err.startswith("error: --timeout")
         assert err.count("\n") == 1
         assert signal.getsignal(signal.SIGALRM) is before
+
+
+class TestUnarmableTimeout:
+    """A `--timeout` that no SIGALRM handler can enforce is bad input,
+    not a run without a limit or a traceback."""
+
+    ARGV = [str(corpus_path("mod")), "--query", "mod(i,i,f)", "--timeout", "5"]
+
+    def check(self, code, out, err):
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: --timeout")
+        assert err.count("\n") == 1
+
+    def test_platform_without_sigalrm_is_two(self, capsys, monkeypatch):
+        monkeypatch.delattr(cli.signal, "SIGALRM", raising=False)
+        self.check(*run(capsys, *self.ARGV))
+
+    def test_thread_other_than_the_main_one_is_two(self, capsys):
+        # `signal.signal` raises ValueError off the main thread.
+        codes = []
+        thread = threading.Thread(target=lambda: codes.append(main(self.ARGV)))
+        thread.start()
+        thread.join()
+        captured = capsys.readouterr()
+        assert len(codes) == 1
+        self.check(codes[0], captured.out, captured.err)
 
 
 COUNTDOWN = b"p(0).\np(X) :- X > 0, Y is X - 1, p(Y).\n"

@@ -22,7 +22,7 @@ from termiarith.driver import (
     render_report,
     verdict_payload,
 )
-from termiarith.graph import find_integer_loops
+from termiarith.graph import find_integer_loops, reachable_from
 from termiarith.modes import infer_argument_modes
 from termiarith.norms import infer_size_relations
 from termiarith.pairs import generate_pairs
@@ -308,17 +308,25 @@ def test_attempt_key_holds_every_answer_entry_pair_generation_reads(name, query)
             stages = stages.unfolded()
         built = _query_domains(stages, prefer_inference)
         domains = {k: v for _, elements, _ in built for k, v in elements.items()}
-        answer_domains = [
-            build_answer_domain(loop, stages.modes, elements, used_inference=inferred)
-            for loop, elements, inferred in built
-        ]
-        table = compute_abstract_answers(stages.loops, stages.modes, answer_domains)
-        keyed = {k: table[k] for k in stages.answer_reads if table.get(k)}
+
+        def table(loops):
+            answer_domains = [
+                build_answer_domain(loop, stages.modes, elements, used_inference=inferred)
+                for loop, elements, inferred in built
+                if loop in loops
+            ]
+            return compute_abstract_answers(loops, stages.modes, answer_domains)
+
+        # As the driver does, table only the loops of the read predicates
+        # and of those they call.
+        called = reachable_from(stages.program.callees, stages.answer_reads)
+        answered = table([loop for loop in stages.loops if loop.predicates & called])
+        keyed = {k: answered[k] for k in stages.answer_reads if answered.get(k)}
 
         def pairs(answers):
             return generate_pairs(stages.program, pattern, stages.modes, answers, domains=domains)
 
-        assert pairs(table) == pairs(keyed), (unfold, prefer_inference)
+        assert pairs(table(stages.loops)) == pairs(keyed), (unfold, prefer_inference)
 
 
 class TestUnfoldingStep:
@@ -415,15 +423,36 @@ class TestResourceCaps:
         )
 
     def test_answer_domain_notes_are_logged(self, monkeypatch):
-        # gcd's propagation takes 637 checks.
-        monkeypatch.setattr(domain, "PARTITION_BUDGET", 200)
-        verdict = analyse("gcd", "gcd(i, i, f)")
+        # mc91's answers are read (its recursive clause calls itself
+        # twice), and refining its widening targets takes more than 20
+        # checks.  gcd's own loop is never read, so it has no note.
+        monkeypatch.setattr(domain, "PARTITION_BUDGET", 20)
+        verdict = analyse("mc91", "mc_carthy_91(i, f)")
         assert verdict.answer == YES
         assert (
-            "rung collected comparisons + answer abstraction: gcd/3: propagating"
-            " the domain passed the budget of 200 permutations and solver checks,"
-            " keeping the original domain" in verdict.diagnostics
+            "rung collected comparisons + answer abstraction: mc_carthy_91/2:"
+            " refinement passed the budget of 20 solver checks; widening stays"
+            " unrefined" in verdict.diagnostics
         )
+
+    def test_unread_loop_does_not_abort_the_answer_pass(self, monkeypatch):
+        # Only mod/3's answers are read, so outer/2's answer domain,
+        # whose 22 comparisons pass this budget, is never built and
+        # cannot abort the answer attempts.
+        monkeypatch.setattr(domain, "PARTITION_BUDGET", 200)
+        guards = [f"X > {k}" for k in range(1, 11)] + [f"Y < -{k}" for k in range(1, 11)]
+        source = (
+            "mod(A, B, C) :- A >= B, B > 0, D is A - B, mod(D, B, C).\n"
+            "mod(A, B, C) :- A < B, A >= 0, A = C.\n"
+            "outer(X, Y) :- Y > 0, mod(X, Y, U), outer(Y, U).\n"
+            f"outer(X, Y) :- Y =< 0, {', '.join(guards)}.\n"
+        )
+        verdict = analyse_termination(
+            normalize_program(parse_program(source)), parse_query_pattern("outer(i, i)")
+        )
+        assert verdict.answer == YES
+        assert verdict.method == "collected comparisons + answer abstraction"
+        assert not any("resource cap" in line for line in verdict.diagnostics)
 
     def test_comparison_cap_guards_inference(self, monkeypatch):
         # The collected set takes 3 checks, the inferred one more.
