@@ -59,7 +59,8 @@ options:
                         answer abstraction: always, never, or on each rung
                         after a plain try (default)
   --trace               render every circular pair of the reported run
-  --pair-cap N          abort a run past this many pairs (default {PAIR_CAP})
+  --pair-cap N          abort a run whose closure of the pairs on a cycle of
+                        the query graph passes this many (default {PAIR_CAP})
   --timeout SECONDS     give up on the whole analysis after this long (a
                         positive number)
 

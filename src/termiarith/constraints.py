@@ -421,12 +421,19 @@ def difference_graph(conj: Iterable[LinAtom]) -> Optional[list[Edge]]:
     constant atom gives a negative loop on the zero node."""
     edges: list[Edge] = []
     for atom in conj:
-        atom = _tighten(atom)
-        terms, const = atom.expr
+        (terms, const), rel = atom
         if not terms:
             if not atom_is_true(atom):
                 edges.append(("", "", -1))
             continue
+        if rel == LT:
+            # With every coefficient ±1 the gcd is 1, so `_tighten` would
+            # only add one to the constant.
+            if all(c * c == 1 for _, c in terms):
+                const += 1
+            else:
+                (terms, const), _ = _tighten(atom)
+            rel = LE
         if len(terms) == 1:
             ((x, a),) = terms
             plus, minus = (x, "") if a == 1 else ("", x)
@@ -439,7 +446,7 @@ def difference_graph(conj: Iterable[LinAtom]) -> Optional[list[Edge]]:
             return None
         # plus - minus + const rel 0
         edges.append((minus, plus, -const))
-        if atom.rel == EQ:
+        if rel == EQ:
             edges.append((plus, minus, const))
     return edges
 

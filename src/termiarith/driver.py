@@ -7,10 +7,12 @@ inferred after unfolding), each rung without, then with answers.
 The verdict carries per-loop, per-pair evidence and feeds the text and
 JSON report emitters.
 
-Every attempt is one `_attempt`: generate pairs, close them, prove the
-circular ones, report per loop.  The structural attempt goes through
-`prove_pair` too: its pairs carry empty row constraints, so no
-termination function is suggested and the proof is the structural test.
+Every attempt is one `_attempt`: generate pairs, close the recurrent
+ones (those on a cycle of the query graph, the only factors of a
+circular pair), prove the circular ones, report per loop.  The
+structural attempt goes through `prove_pair` too: its pairs carry empty
+row constraints, so no termination function is suggested and the proof
+is the structural test.
 
 The ladder is climbed once.  Each rung builds its program (the input,
 or one more unfolding of the previous rung's program), that program's
@@ -59,6 +61,7 @@ from .pairs import (
     is_circular,
     pair_sort_key,
     prove_pair,
+    recurrent_pairs,
     render_pair,
 )
 from .syntax import Clause, PredKey, Program, QueryPattern, UserAtom, render_query_pattern
@@ -243,10 +246,10 @@ def _rungs(options: AnalysisOptions):
 
 
 def _attempt(stages, options, domains, table, numeric=True):
-    """Generate the pairs of one rung program, close them and prove the
-    circular ones.  Returns the tally the rung log shows, whether every
-    circular pair was proved, and the loop reports.  Raises
-    PairCapExceeded when the closure passes the pair cap."""
+    """Generate the pairs of one rung program, close the recurrent ones
+    and prove the circular ones.  Returns the tally the rung log shows,
+    whether every circular pair was proved, and the loop reports.
+    Raises PairCapExceeded when the closure passes the pair cap."""
     base = generate_pairs(
         stages.program,
         stages.pattern,
@@ -256,7 +259,7 @@ def _attempt(stages, options, domains, table, numeric=True):
         numeric=numeric,
         size_table=lambda: stages.size_table,
     )
-    closure = compose_until_fixpoint(base, cap=options.pair_cap)
+    closure = compose_until_fixpoint(recurrent_pairs(base), cap=options.pair_cap)
     circular = sorted((p for p in closure if is_circular(p)), key=pair_sort_key)
     proofs = [(p, prove_pair(p)) for p in circular]
     proved = sum(1 for _, found in proofs if found is not None)

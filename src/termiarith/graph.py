@@ -18,7 +18,7 @@ explain a negative verdict.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, NamedTuple, TypeVar
 
 from .syntax import (
     Clause,
@@ -33,6 +33,8 @@ from .syntax import (
 
 if TYPE_CHECKING:
     from .modes import ModeAssignment
+
+Node = TypeVar("Node", bound=Hashable)
 
 
 def reachable_from(
@@ -51,22 +53,23 @@ def reachable_from(
 
 
 def strongly_connected_components(
-    callees: Mapping[PredKey, Iterable[PredKey]],
-) -> tuple[frozenset[PredKey], ...]:
-    """Tarjan's algorithm, iterative, over the nodes that are keys of
-    `callees`.  Components come out callee-first: every arc leaving a
+    callees: Mapping[Node, Iterable[Node]],
+) -> tuple[frozenset[Node], ...]:
+    """Tarjan's algorithm, iterative, over the keys of `callees` and the
+    nodes their arcs lead to, started from the keys in the mapping's
+    order.  Components come out callee-first: every arc leaving a
     component points into an earlier one."""
-    index: dict[PredKey, int] = {}
-    lowlink: dict[PredKey, int] = {}
-    on_stack: set[PredKey] = set()
-    stack: list[PredKey] = []
-    components: list[frozenset[PredKey]] = []
+    index: dict[Node, int] = {}
+    lowlink: dict[Node, int] = {}
+    on_stack: set[Node] = set()
+    stack: list[Node] = []
+    components: list[frozenset[Node]] = []
     counter = 0
 
-    for root in sorted(callees):
+    for root in callees:
         if root in index:
             continue
-        work: list[tuple[PredKey, Iterable[PredKey]]] = [(root, iter(callees.get(root, ())))]
+        work: list[tuple[Node, Iterable[Node]]] = [(root, iter(callees.get(root, ())))]
         index[root] = lowlink[root] = counter
         counter += 1
         stack.append(root)

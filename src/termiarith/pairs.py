@@ -11,12 +11,15 @@ structurally instantiated positions it compares term-size norms.  The
 report shows "=" relations as edges and the strict ones as arcs pointing
 from the larger position to the smaller.
 
-Pairs are closed under composition, which is finite because rows range
-over finite partitions.  A circular pair (range abstraction equal to the
-query) is suspicious; each one must be discharged either by the
-structural test (a norm decrease along instantiated positions) or by a
-bounded linear function of the integer positions that provably shrinks
-from domain to range."""
+Only the recurrent pairs are closed under composition: those whose
+query and range atom lie on one cycle of the graph of abstract queries
+(`recurrent_pairs`), for every circular pair is a composition of them
+alone.  The closure is finite because rows range over finite
+partitions.  A circular pair (range abstraction equal to the query) is
+suspicious; each one must be discharged either by the structural test
+(a norm decrease along instantiated positions) or by a bounded linear
+function of the integer positions that provably shrinks from domain to
+range."""
 
 from __future__ import annotations
 
@@ -52,6 +55,7 @@ from .domain import (
     position_var,
     satisfiable_choices,
 )
+from .graph import strongly_connected_components
 from .modes import ModeAssignment, clause_applicable
 from .norms import call_size_var, head_call_sizes, head_size_var, infer_size_relations
 from .syntax import (
@@ -442,6 +446,33 @@ def pair_sort_key(pair: QueryMappingPair) -> tuple:
         tuple(sorted((i, j) for i, rel, j in relations if rel == "=")),
         tuple(sorted(_arc_key(r) for r in relations if r[1] != "=")),
     )
+
+
+def recurrent_pairs(pairs: Iterable[QueryMappingPair]) -> frozenset[QueryMappingPair]:
+    """The pairs whose query and range atom lie in one strongly connected
+    component of the abstract-query graph, which has one arc from each
+    pair's query to its range atom.
+
+    Closing these instead of all the pairs is exact for every pair whose
+    range atom lies in its query's component, circular pairs included.
+    A closure pair from q to s is a composition along a path of the
+    graph; so if s lies in q's component, every middle query on the path
+    is reached from q and reaches s, hence q, and lies in that component
+    too.  By induction over compositions, the closure of the recurrent
+    pairs is exactly the part of the full closure inside components,
+    each composition with the same satisfiability check.  The circular
+    pairs, their proofs and every report stay the same; only the pair
+    cap sees fewer pairs."""
+    pairs = tuple(pairs)
+    arcs: dict[AbstractQuery, set[AbstractQuery]] = {}
+    for pair in pairs:
+        arcs.setdefault(pair.query, set()).add(pair.mapping.range_atom)
+    component = {
+        query: members
+        for members in strongly_connected_components(arcs)
+        for query in members
+    }
+    return frozenset(p for p in pairs if p.mapping.range_atom in component[p.query])
 
 
 def compose_until_fixpoint(

@@ -174,7 +174,8 @@ class Program:
     @cached_property
     def callees(self) -> dict[PredKey, tuple[PredKey, ...]]:
         """The call graph: every predicate the program defines or calls,
-        mapped to the predicates its clauses call, sorted."""
+        in sorted order, mapped to the predicates its clauses call,
+        sorted."""
         calls: dict[PredKey, set[PredKey]] = {}
         for clause in self.clauses:
             out = calls.setdefault(clause.key, set())
@@ -182,7 +183,7 @@ class Program:
                 if isinstance(lit, UserAtom):
                     out.add(lit.key)
                     calls.setdefault(lit.key, set())
-        return {key: tuple(sorted(out)) for key, out in calls.items()}
+        return {key: tuple(sorted(calls[key])) for key in sorted(calls)}
 
     def clauses_for(self, key: PredKey) -> tuple[Clause, ...]:
         return tuple(self.clauses[i] for i in self.index.get(key, ()))

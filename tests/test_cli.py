@@ -126,7 +126,7 @@ class TestExitCodes:
             "--query",
             "gcd(i,i,f)",
             "--pair-cap",
-            "20",
+            "2",
         )
         assert code == EXIT_NO
         assert "resource cap" in err

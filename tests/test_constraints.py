@@ -190,6 +190,9 @@ class TestDifferenceGraph:
         # 2*X - 2*Y + 1 < 0 tightens to X - Y + 1 =< 0.
         atom = make_atom(LinExpr.build({"X": 2, "Y": -2}, 1), LT)
         assert lc.difference_graph([atom]) == [("Y", "X", -1)]
+        # 2*X + 1 < 0 tightens to X + 1 =< 0.
+        atom = make_atom(LinExpr.build({"X": 2}, 1), LT)
+        assert lc.difference_graph([atom]) == [("", "X", -1)]
 
     def test_shortest_paths_bound_every_difference(self):
         edges = lc.difference_graph([atom_lt("X", "Y"), atom_lt("Y", "Z"), atom_le("Z", 10)])
@@ -508,10 +511,11 @@ _difference_names = st.sampled_from(["W", "X", "Y", "Z"])
 
 
 @st.composite
-def _difference_atoms(draw):
-    """``±x + c rel 0`` or ``x - y + c rel 0`` with c in -8..8."""
+def _difference_atoms(draw, scales=st.just(1)):
+    """``±k*x + c rel 0`` or ``k*(x - y) + c rel 0`` with c in -8..8 and
+    k drawn from `scales`, 1 by default."""
     x, y = draw(_difference_names), draw(st.one_of(st.none(), _difference_names))
-    sign = draw(st.sampled_from([1, -1]))
+    sign = draw(st.sampled_from([1, -1])) * draw(scales)
     coeffs = {x: sign} if y in (None, x) else {x: sign, y: -sign}
     return make_atom(LinExpr.build(coeffs, draw(_coeffs)), draw(st.sampled_from([LT, LE, EQ])))
 
@@ -545,3 +549,12 @@ def test_difference_verdicts_match_elimination(drawn):
         assert verdict or not on_grid
         if pure:
             assert verdict == on_grid
+
+
+@settings(deadline=None)
+@given(st.lists(st.one_of(_difference_atoms(st.integers(1, 3)), _atoms()), max_size=5))
+@example([make_atom(LinExpr.build({"X": 2}, 1), LT), atom_lt("X", "Y")])
+def test_unit_strict_atoms_need_no_tightening(atoms):
+    # `difference_graph` adds one to the constant of a strict atom whose
+    # coefficients are all ±1 and tightens every other one.
+    assert lc.difference_graph(atoms) == lc.difference_graph([lc._tighten(a) for a in atoms])

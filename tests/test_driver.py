@@ -411,10 +411,12 @@ class TestUnfoldingStep:
 
 class TestResourceCaps:
     def test_pair_cap_turns_into_no_with_diagnostics(self):
-        verdict = analyse("gcd", "gcd(i, i, f)", pair_cap=20)
+        # gcd's recurrent closures hold 2, 3 and 5 pairs, so a cap of 2
+        # lets the structural attempt through and stops the first rung.
+        verdict = analyse("gcd", "gcd(i, i, f)", pair_cap=2)
         assert verdict.answer == NO
         assert (
-            "resource cap: query-mapping closure passed 20 pairs; "
+            "resource cap: query-mapping closure passed 2 pairs; "
             "raise the pair cap or simplify the query" in verdict.diagnostics
         )
         assert (

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import corpus_program
 from helpers import closure_reference, compose_pair, driver_calls
+from test_acceptance import CORPUS
 
 from termiarith import constraints, pairs
 from termiarith.answers import build_answer_domain, call_option, compute_abstract_answers
@@ -35,7 +36,7 @@ from termiarith.domain import (
     infer_comparisons,
     unfold_once,
 )
-from termiarith.graph import find_integer_loops
+from termiarith.graph import find_integer_loops, reachable_from
 from termiarith.modes import infer_argument_modes
 from termiarith.pairs import (
     ROW_DOMAIN,
@@ -52,6 +53,7 @@ from termiarith.pairs import (
     is_circular,
     pair_sort_key,
     prove_pair,
+    recurrent_pairs,
     render_pair,
     verify_decrease,
 )
@@ -552,6 +554,92 @@ class TestClosureReference:
             compose_until_fixpoint(base)
         assert any(checked)
         assert [len(set(combinations)) for combinations in checked] == list(map(len, checked))
+
+
+def generated_bases(monkeypatch, program, query):
+    """Every base the driver generates, whole, in the order it closes
+    them (the first is the structural attempt's)."""
+    calls = driver_calls(monkeypatch, "recurrent_pairs", program, parse_query_pattern(query))
+    return [base for base, in calls]
+
+
+def on_cycles(closure, base):
+    """The pairs of `closure` whose range atom leads back to their query
+    along the arcs of `base`, one arc from each pair's query to its
+    range atom."""
+    arcs = {}
+    for pair in base:
+        arcs.setdefault(pair.query, set()).add(pair.mapping.range_atom)
+    return frozenset(
+        p for p in closure if p.query in reachable_from(arcs, [p.mapping.range_atom])
+    )
+
+
+EXACTNESS_TASKS = [(corpus_program(name), query) for name, query, _ in CORPUS] + RUNG_TASKS
+
+
+def _row_query(key, constraint=frozenset()):
+    return AbstractQuery(key=key, modes=(MODE_INT,), constraint=constraint)
+
+
+def _step(query, range_atom):
+    return QueryMappingPair(query, Mapping(query, range_atom, frozenset()))
+
+
+class TestRecurrentPairs:
+    """Closing the recurrent pairs alone gives exactly the part of the
+    full closure that lies on cycles, circular pairs included."""
+
+    @pytest.mark.parametrize(
+        "program,query",
+        EXACTNESS_TASKS,
+        ids=[f"{name}-{query}" for name, query, _ in CORPUS] + ["gcd", "mc91", "nest-6"],
+    )
+    def test_recurrent_closure_is_the_cyclic_part(self, monkeypatch, program, query):
+        for base in generated_bases(monkeypatch, program, query)[1:]:
+            full = compose_until_fixpoint(base)
+            recurrent = compose_until_fixpoint(recurrent_pairs(base))
+            assert recurrent == on_cycles(full, base)
+            assert set(filter(is_circular, recurrent)) == set(filter(is_circular, full))
+
+    def test_numeric_bases_are_checked(self, monkeypatch):
+        bases = [
+            base
+            for program, query in EXACTNESS_TASKS
+            for base in generated_bases(monkeypatch, program, query)[1:]
+        ]
+        assert len(bases) >= 10
+        assert any(recurrent_pairs(base) != base for base in bases)
+
+    def test_entry_and_callee_pairs_are_dropped(self):
+        start = _row_query(("p", 1))
+        up = _row_query(("p", 1), frozenset({_gt(A1)}))
+        down = _row_query(("p", 1), frozenset({_lt(A1)}))
+        inner = _row_query(("l", 1))
+        entry, there, back = _step(start, up), _step(up, down), _step(down, up)
+        call, spin = _step(up, inner), _step(inner, inner)
+        base = frozenset({entry, there, back, call, spin})
+        assert recurrent_pairs(base) == {there, back, spin}
+        full = compose_until_fixpoint(base)
+        closure = compose_until_fixpoint(recurrent_pairs(base))
+        assert closure == on_cycles(full, base)
+        assert {(p.query, p.mapping.range_atom) for p in filter(is_circular, closure)} == {
+            (up, up),
+            (down, down),
+            (inner, inner),
+        }
+        # The full closure also leaves the start and enters the callee.
+        assert len(full) > len(closure)
+
+    def test_gcd_closure_sizes(self, monkeypatch):
+        # The structural attempt, then the collected rung without and
+        # with answers; all of gcd's pairs closed they numbered 3, 62
+        # and 51.
+        program, query = RUNG_TASKS[0]
+        bases = driver_calls(
+            monkeypatch, "compose_until_fixpoint", program, parse_query_pattern(query)
+        )
+        assert [len(compose_until_fixpoint(base)) for base, in bases] == [2, 3, 5]
 
 
 class TestStructuralTest:
