@@ -69,7 +69,6 @@ from .syntax import (
     UserAtom,
     Var,
     clause_vars,
-    is_equality_pair,
     is_numeric_operand,
     literal_terms,
     mode_meet,
@@ -221,16 +220,18 @@ def _head_mapping(clause: Clause, positions: tuple[int, ...]) -> dict[str, str]:
 
 def _position_atoms(literals: Iterable[Literal], mapping: Mapping[str, str]) -> set[LinAtom]:
     """The comparisons among `literals` whose sides are mapped variables
-    or integer constants, as atoms over the position variables, with the
-    trivially true or false ones dropped."""
+    or integer constants, as atoms over the position variables with
+    every equality split into its weak halves, and the trivially true or
+    false ones dropped."""
     return {
-        atom
+        half
         for lit in literals
         if isinstance(lit, Comparison)
         and all(is_numeric_operand(t) for t in literal_terms(lit))
         and all(v.name in mapping for t in literal_terms(lit) for v in term_vars(t))
         for atom in rename(literal_atoms(lit), mapping)
         if atom.expr.terms
+        for half in weak_halves(atom)
     }
 
 
@@ -283,11 +284,16 @@ class _Classes:
 
 
 def _alias_classes(clause: Clause) -> dict[str, tuple[str, ...]]:
-    """Variable name -> its equality class, read from adjacent
-    ``>=``/``=<`` pairs (the normalized spelling of ``=``)."""
+    """Variable name -> its equality class, read from the ``=``
+    comparisons between variables."""
     aliases = _Classes()
-    for lit, partner in zip(clause.body, clause.body[1:]):
-        if is_equality_pair(lit, partner) and isinstance(lit.lhs, Var) and isinstance(lit.rhs, Var):
+    for lit in clause.body:
+        if (
+            isinstance(lit, Comparison)
+            and lit.op == "="
+            and isinstance(lit.lhs, Var)
+            and isinstance(lit.rhs, Var)
+        ):
             aliases.union(lit.lhs.name, lit.rhs.name)
     names = sorted({x.name for x in clause_vars(clause)})
     return {v: members for members in aliases.classes(names) for v in members}
@@ -298,9 +304,9 @@ def collect_answer_comparisons(loop: LoopInfo, modes: ModeAssignment) -> Compari
     integer-typed head positions.
 
     Variable-to-variable comparisons are also copied along body equality
-    aliases (adjacent ``>=``/``=<`` pairs), so a comparison on a variable
-    that is merely equated to an output position still lands on that
-    position."""
+    aliases (``=`` comparisons between variables), so a comparison on a
+    variable that is merely equated to an output position still lands on
+    that position."""
     positions = answer_positions(loop, modes)
     out: ComparisonSet = {key: frozenset() for key in positions}
     for clause in applicable_clauses(loop, modes):

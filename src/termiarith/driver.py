@@ -18,7 +18,8 @@ The ladder is climbed once.  Each rung builds its program (the input,
 or one more unfolding of the previous rung's program), that program's
 modes and loops, and its query domains, then tries them without answer
 abstraction and, if that fails under `--answers auto`, with it; the
-next unfolding is built only when both attempts fail.  A program's size
+next unfolding is built only when both attempts fail, and the ladder
+stops at one that would pass `UNFOLD_CLAUSE_CAP`.  A program's size
 table is built only if pair generation asks for it.
 
 A rung attempt depends only on the rung program, its query domains
@@ -70,6 +71,11 @@ YES = "YES"
 NO = "NO"
 
 NO_HEADLINE = "no termination proof found"
+
+#: Clauses an unfolded rung program may have.  Unfolding can double a
+#: program at every step (gcd: 4, 6, 10, 18, 34, 66, 130 clauses), so
+#: the ladder stops before building a rung program past this cap.
+UNFOLD_CLAUSE_CAP = 128
 
 
 class _OptionFields(NamedTuple):
@@ -187,9 +193,10 @@ class _ProgramStages:
     def size_table(self):
         return infer_size_relations(self.program, self.modes)
 
-    def unfolded(self) -> "_ProgramStages":
+    def unfolded(self) -> Optional["_ProgramStages"]:
         """The program with the first in-loop body atom of each recursive
-        clause unfolded once.  Every clause is resolved against this
+        clause unfolded once, or None when it has more than
+        `UNFOLD_CLAUSE_CAP` clauses.  Every clause is resolved against this
         program, never against clauses rewritten in the same step, so
         one step replaces a clause by at most as many resolvents as its
         selected atom has clauses.  In integer-based loops (a float
@@ -212,6 +219,8 @@ class _ProgramStages:
                     break
             else:
                 clauses.append(clause)
+        if len(clauses) > UNFOLD_CLAUSE_CAP:
+            return None
         return _ProgramStages(Program(tuple(clauses)), self.pattern)
 
 
@@ -335,6 +344,12 @@ def analyse_termination(
     for label, unfold, prefer_inference in _rungs(options):
         if unfold:
             stages = stages.unfolded()
+            if stages is None:
+                log(
+                    f"rung {label}: not built; its program passes the cap of"
+                    f" {UNFOLD_CLAUSE_CAP} clauses"
+                )
+                break
         try:
             built = _query_domains(stages, prefer_inference)
         except DomainTooLarge as exc:

@@ -11,12 +11,11 @@ pattern, by a combined fixpoint over call modes and success modes:
 Call modes start from the query pattern and weaken toward f as call
 sites are discovered; success modes start from the optimistic bottom
 (everything integer) and weaken as clauses are evaluated.  A clause is
-walked left to right, tracking a per-variable state in the same i/b/f
-lattice: comparisons and `is/2` ground their operands, adjacent
-``>=``/``=<`` pairs (the normalized form of a numeric equality) equate
-their operand states, and user calls first contribute their argument
-states to the callee's call modes and then import the callee's success
-modes.
+walked left to right, one literal at a time, tracking a per-variable
+state in the same i/b/f lattice: comparisons and `is/2` ground their
+operands, a numeric ``=`` comparison equates its operand states, and
+user calls first contribute their argument states to the callee's call
+modes and then import the callee's success modes.
 
 The walk also records integer violations: arithmetic over ``/`` or float
 constants, and arithmetic consuming values not guaranteed to be
@@ -37,7 +36,6 @@ from .syntax import (
     Clause,
     Comparison,
     Compound,
-    Disunify,
     FloatConst,
     IntConst,
     Is,
@@ -48,11 +46,9 @@ from .syntax import (
     Program,
     QueryPattern,
     Term,
-    TrueLit,
     Unify,
     UserAtom,
     Var,
-    is_equality_pair,
     literal_terms,
     literal_text,
     mode_join,
@@ -64,9 +60,9 @@ from .syntax import (
 
 def clause_applicable(clause: Clause, call_modes: tuple[str, ...]) -> bool:
     """Can a query with these modes unify with the clause head?  An i
-    position cannot match a non-numeric or float constant."""
+    position cannot match an atom, a float or a compound term."""
     for arg, mode in zip(clause.head.args, call_modes):
-        if mode == MODE_INT and isinstance(arg, (AtomConst, FloatConst)):
+        if mode == MODE_INT and isinstance(arg, (AtomConst, FloatConst, Compound)):
             return False
     return True
 
@@ -246,30 +242,22 @@ class _Engine:
             refine(arg, mode)
 
         calls: list[tuple[PredKey, tuple[str, ...]]] = []
-        body = clause.body
-        k = 0
-        while k < len(body):
-            lit = body[k]
-            if isinstance(lit, TrueLit) or isinstance(lit, Disunify):
-                k += 1
+        for lit in clause.body:
+            if isinstance(lit, Comparison) and lit.op == "=":
+                met = mode_meet(term_state(lit.lhs), term_state(lit.rhs))
+                met = mode_meet(met, MODE_BOUND)
+                if met != MODE_INT:
+                    note(f"operands of `{literal_text(lit)}` are not guaranteed integers")
+                refine(lit.lhs, met)
+                refine(lit.rhs, met)
             elif isinstance(lit, Comparison):
-                if is_equality_pair(lit, body[k + 1] if k + 1 < len(body) else None):
-                    met = mode_meet(term_state(lit.lhs), term_state(lit.rhs))
-                    met = mode_meet(met, MODE_BOUND)
-                    if met != MODE_INT:
-                        note(f"operands of `{literal_text(lit)}` are not guaranteed integers")
-                    refine(lit.lhs, met)
-                    refine(lit.rhs, met)
-                    k += 2
-                else:
-                    for side in (lit.lhs, lit.rhs):
-                        if isinstance(side, Var) and term_state(side) != MODE_INT:
-                            note(
-                                f"variable {side.name} in `{literal_text(lit)}`"
-                                " is not guaranteed to be an integer"
-                            )
-                        refine(side, MODE_BOUND)
-                    k += 1
+                for side in (lit.lhs, lit.rhs):
+                    if isinstance(side, Var) and term_state(side) != MODE_INT:
+                        note(
+                            f"variable {side.name} in `{literal_text(lit)}`"
+                            " is not guaranteed to be an integer"
+                        )
+                    refine(side, MODE_BOUND)
             elif isinstance(lit, Is):
                 info = survey_arith(lit.rhs)
                 for op in sorted(info.operators - set(ARITH_OPS)):
@@ -286,19 +274,15 @@ class _Engine:
                         result = MODE_BOUND
                     state[name] = mode_meet(state.get(name, MODE_FREE), MODE_BOUND)
                 refine(lit.lhs, result)
-                k += 1
             elif isinstance(lit, Unify):
                 met = mode_meet(term_state(lit.lhs), term_state(lit.rhs))
                 refine(lit.lhs, met)
                 refine(lit.rhs, met)
-                k += 1
-            else:
-                assert isinstance(lit, UserAtom)
+            elif isinstance(lit, UserAtom):
                 modes = tuple(term_state(a) for a in lit.args)
                 calls.append((lit.key, modes))
                 for arg, sm in zip(lit.args, self.si_of(lit.key)):
                     refine(arg, sm)
-                k += 1
 
         success = tuple(term_state(a) for a in clause.head.args)
         return success, calls

@@ -9,9 +9,10 @@ other non-logical features are parse errors.
 
 `normalize_program` removes the sugar the analysis does not want to see:
 disequalities become clause pairs with ``>`` / ``<``, numeric equalities
-become ``>=``/``=<`` pairs, and compound arithmetic operands of
+become one ``=`` comparison, and compound arithmetic operands of
 comparisons are pulled out through fresh ``is/2`` literals, so every
-comparison ends up with variable-or-integer operands.
+comparison ends up with variable-or-integer operands.  The analysis
+reads a normalized body one literal at a time.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ class Is(NamedTuple):
 @_record
 class Comparison(NamedTuple):
     lhs: Term
-    op: str  # one of < =< >= >
+    op: str  # one of < =< >= >, or = for a normalized numeric equality
     rhs: Term
 
 
@@ -603,24 +604,13 @@ def is_numeric_operand(term: Term) -> bool:
     return isinstance(term, (Var, IntConst))
 
 
-def is_equality_pair(lit: Literal, partner: Optional[Literal]) -> bool:
-    """Are two adjacent body literals the ``>=``/``=<`` pair that
-    `normalize_program` writes for a numeric ``=``?"""
-    return (
-        isinstance(lit, Comparison)
-        and isinstance(partner, Comparison)
-        and {lit.op, partner.op} == {">=", "=<"}
-        and (partner.lhs, partner.rhs) in ((lit.lhs, lit.rhs), (lit.rhs, lit.lhs))
-    )
-
-
 # ---------------------------------------------------------------------------
 # Normalization.
 
 
 def normalize_program(program: Program) -> Program:
-    """Split disequalities, rewrite numeric equalities into comparison
-    pairs, and pull compound arithmetic out of comparison operands.
+    """Split disequalities, rewrite numeric equalities into ``=``
+    comparisons, and pull compound arithmetic out of comparison operands.
 
     Idempotent, and afterwards every Comparison literal has operands that
     are variables or integer constants.
@@ -674,8 +664,7 @@ def _normalize_clause(clause: Clause) -> Clause:
                 rhs = v
             body.append(Comparison(lhs, lit.op, rhs))
         elif isinstance(lit, Unify) and is_numeric_operand(lit.lhs) and is_numeric_operand(lit.rhs):
-            body.append(Comparison(lit.lhs, ">=", lit.rhs))
-            body.append(Comparison(lit.lhs, "=<", lit.rhs))
+            body.append(Comparison(lit.lhs, "=", lit.rhs))
         else:
             body.append(lit)
     return Clause(clause.head, tuple(body))

@@ -238,7 +238,24 @@ class TestTables:
         entries = table[("gcd", 3)]
         assert len(entries) == 3
         assert all(implies(e, atom_gt(A3, 0)) for e in entries)
-        assert ("mod", 3) in table
+        assert table == {
+            ("mod", 3): (
+                conjunction([atom_le(A2, A1), atom_gt(A2, 0), atom_lt(A3, A2)]),
+                conjunction(
+                    [atom_ge(A1, 0), atom_le(A3, A1), atom_le(A1, A3), atom_lt(A3, A2)]
+                ),
+            ),
+            ("gcd", 3): (
+                conjunction([atom_gt(A1, 0), atom_gt(A2, 0), atom_gt(A3, 0)]),
+                conjunction(
+                    [atom_gt(A1, 0), atom_ge(A2, 0), atom_le(A2, 0), atom_gt(A3, 0)]
+                ),
+                conjunction(
+                    [atom_ge(A1, 0), atom_le(A1, 0), atom_gt(A2, 0), atom_gt(A3, 0)]
+                ),
+            ),
+        }
+        assert analysis("mod", "mod(i,i,f)")[0] == {("mod", 3): table[("mod", 3)]}
 
     def test_loop_without_successful_answers(self):
         table, _, _, _ = analysis("t", "t(i)")

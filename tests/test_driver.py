@@ -14,6 +14,7 @@ from termiarith.answers import build_answer_domain, compute_abstract_answers
 from termiarith.driver import (
     NO,
     NO_HEADLINE,
+    UNFOLD_CLAUSE_CAP,
     YES,
     AnalysisOptions,
     _ProgramStages,
@@ -138,10 +139,58 @@ class TestGateDiagnostics:
             in verdict.diagnostics
         )
 
+    def test_integer_query_of_a_list_loop(self):
+        # No clause head of p/1 unifies with an integer, so no pair is
+        # circular; the loop used to read as non-numerical, and got NO.
+        verdict = analyse_termination(
+            normalize_program(parse_program("p([H|T]) :- H > 0, p(T).\np([]).\n")),
+            parse_query_pattern("p(i)"),
+        )
+        assert verdict.answer == YES
+        assert verdict.method == "no circular pairs reachable under the query modes"
+        assert verdict.diagnostics[0] == (
+            "mode conflict: no clause of p/1 matches an integer query of modes (i)"
+        )
+
     def test_float_arithmetic_is_named(self):
         verdict = analyse("ex2_q", "q(i)")
         assert "q/1 clause 1: float constant 0.0" in verdict.diagnostics
         assert "q/1 clause 2: float constant 0.1" in verdict.diagnostics
+
+
+class TestNumericEquality:
+    """A user's own `X >= Z, X =< Z` is two comparisons, not a numeric
+    `=`: the Z they read is a free variable, as it is for `X >= Z`
+    alone."""
+
+    PAIR = "p(0, 0).\np(X, Z) :- X > 0, X >= Z, X =< Z, X1 is X - 1, p(X1, _).\n"
+    LONE = "p(0, 0).\np(X, Z) :- X > 0, X >= Z, X1 is X - 1, p(X1, _).\n"
+
+    def test_written_pair_is_not_an_equality(self):
+        pattern = parse_query_pattern("p(i, f)")
+        pair, lone = (
+            analyse_termination(normalize_program(parse_program(source)), pattern)
+            for source in (self.PAIR, self.LONE)
+        )
+        assert pair.answer == lone.answer == NO
+        assert pair.loops == lone.loops
+        lone_free = "p/2 clause 2: variable Z in `X >= Z` is not guaranteed to be an integer"
+        pair_free = "p/2 clause 2: variable Z in `X =< Z` is not guaranteed to be an integer"
+        assert lone_free in lone.diagnostics
+        at = lone.diagnostics.index(lone_free) + 1
+        assert pair.diagnostics == lone.diagnostics[:at] + (pair_free,) + lone.diagnostics[at:]
+        assert (
+            "a numerical loop is not integer based; the analysis does not apply"
+            in pair.diagnostics
+        )
+
+    def test_numeric_equality_still_equates(self):
+        # The same clause with `X = Z` binds Z to the integer X.
+        source = "p(0, 0).\np(X, Z) :- X > 0, X = Z, X1 is X - 1, p(X1, _).\n"
+        verdict = analyse_termination(
+            normalize_program(parse_program(source)), parse_query_pattern("p(i, f)")
+        )
+        assert verdict.answer == YES
 
 
 class TestEscalationLadder:
@@ -473,6 +522,17 @@ class TestResourceCaps:
         assert (
             "rung collected comparisons: 1 of 2 circular pairs proved"
             in verdict.diagnostics
+        )
+
+    def test_unfolding_stops_at_the_clause_cap(self):
+        # gcd's rung programs have 4, 6, 10, 18, 34, 66 and 130 clauses;
+        # the one past the cap is never analysed, nor any deeper one.
+        verdict = analyse("gcd", "gcd(i, i, f)", answer_abstraction="off", max_unfold=12)
+        assert verdict.answer == NO
+        assert verdict.diagnostics[-2:] == (
+            "rung unfold x5 + inferred comparisons: 1 of 2 circular pairs proved",
+            "rung unfold x6 + inferred comparisons: not built; its program passes"
+            f" the cap of {UNFOLD_CLAUSE_CAP} clauses",
         )
 
     def test_option_validation(self):

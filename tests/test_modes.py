@@ -52,6 +52,13 @@ class TestAssignment:
         assert modes.call_modes[("mod", 3)] == ("i", "i", "f")
         assert modes_of(modes, ("mod", 3)) == ("i", "i", "i")
         assert not modes.violations
+        # mod's `A = C` makes its output an integer, alone as under gcd.
+        for query, keys in (("gcd(i,i,f)", ("gcd", "mod")), ("mod(i,i,f)", ("mod",))):
+            modes = infer(keys[0], query)
+            assert modes.call_modes == {(k, 3): ("i", "i", "f") for k in keys}
+            assert modes.success_modes == {(k, 3): ("i", "i", "i") for k in keys}
+            assert modes.integer_typed == {(k, 3): (True, True, True) for k in keys}
+            assert not modes.conflicts and not modes.violations
 
     def test_countdown_depends_on_query_mode(self):
         assert modes_of(infer("r", "r(i)"), ("r", 1)) == ("i",)
@@ -64,6 +71,25 @@ class TestAssignment:
         modes = infer("mc91", "mc_carthy_91(i,f)")
         assert modes_of(modes, ("nowhere", 2)) == ("f", "f")
         assert not modes.is_reachable(("nowhere", 2))
+
+
+class TestNumericEquality:
+    """A normalized numeric `=` is one comparison that equates the
+    states of its operands."""
+
+    def test_equality_with_a_free_operand_is_flagged(self):
+        program = normalize_program(parse_program("p(X, Y) :- Y = X, X > 0."))
+        modes = infer_argument_modes(program, parse_query_pattern("p(f,f)"))
+        assert [v.detail for v in modes.violations] == [
+            "operands of `Y = X` are not guaranteed integers",
+            "variable X in `X > 0` is not guaranteed to be an integer",
+        ]
+
+    def test_equality_passes_an_integer_on(self):
+        program = normalize_program(parse_program("p(X, Y) :- Y = X, Y > 0."))
+        modes = infer_argument_modes(program, parse_query_pattern("p(i,f)"))
+        assert modes.success_modes[("p", 2)] == ("i", "i")
+        assert not modes.violations
 
 
 class TestSuccessModes:
@@ -114,6 +140,14 @@ class TestConflicts:
         assert modes.conflicts
         assert "p/1" in modes.conflicts[0]
 
+    def test_compound_heads_do_not_match_an_integer(self):
+        program = normalize_program(parse_program("p([H|T]) :- H > 0, p(T).\np([])."))
+        modes = infer_argument_modes(program, parse_query_pattern("p(i)"))
+        assert modes.conflicts == (
+            "mode conflict: no clause of p/1 matches an integer query of modes (i)",
+        )
+        assert not modes.violations
+
     def test_no_conflict_when_some_clause_matches(self):
         program = normalize_program(parse_program("p(a).\np(0)."))
         modes = infer_argument_modes(program, parse_query_pattern("p(i)"))
@@ -122,14 +156,16 @@ class TestConflicts:
 
 class TestHelpers:
     def test_clause_applicable(self):
-        program = parse_program("p(a).\np(0).\np(0.5).\np(X) :- p(X).")
-        a, zero, half, var = program.clauses
+        program = parse_program("p(a).\np(0).\np(0.5).\np(X) :- p(X).\np(s(X)).")
+        a, zero, half, var, compound = program.clauses
         assert not clause_applicable(a, (MODE_INT,))
         assert clause_applicable(zero, (MODE_INT,))
         assert not clause_applicable(half, (MODE_INT,))
         assert clause_applicable(var, (MODE_INT,))
+        assert not clause_applicable(compound, (MODE_INT,))
         assert clause_applicable(a, (MODE_BOUND,))
         assert clause_applicable(half, (MODE_FREE,))
+        assert clause_applicable(compound, (MODE_BOUND,))
 
     def test_mode_meet(self):
         assert mode_meet(MODE_INT, MODE_FREE) == MODE_INT
