@@ -32,10 +32,6 @@ class _Timeout(Exception):
     pass
 
 
-def _alarm(signum, frame):
-    raise _Timeout()
-
-
 HELP = f"""\
 usage: termi-arith [-h] --query PATTERN [--format {{text,json}}]
                    [--max-unfold N] [--answers {{on,off,auto}}] [--trace]
@@ -169,19 +165,35 @@ def main(argv: Optional[list[str]] = None) -> int:
     except RecursionError:
         return _input_error(_TOO_DEEP)
 
+    running = []
+
+    def alarm(signum, frame):
+        # Raise once, and only while the analysis runs, which the
+        # `except _Timeout` below covers: an alarm that lands as the
+        # timer is disarmed is dropped.
+        if running:
+            running.clear()
+            raise _Timeout()
+
     if timeout is not None:
         try:
-            previous = signal.signal(signal.SIGALRM, _alarm)
+            previous = signal.signal(signal.SIGALRM, alarm)
         except (AttributeError, ValueError):
             # No SIGALRM on this platform, or not the main thread.
             return _input_error("--timeout needs SIGALRM in the main thread, which this run lacks")
     try:
-        if timeout is not None:
-            try:
-                signal.setitimer(signal.ITIMER_REAL, timeout)
-            except OverflowError:
-                return _input_error(f"--timeout {timeout} is past what the timer can hold")
-        verdict = analyse_termination(program, pattern, options)
+        try:
+            if timeout is not None:
+                running.append(True)
+                try:
+                    signal.setitimer(signal.ITIMER_REAL, timeout)
+                except OverflowError:
+                    return _input_error(f"--timeout {timeout} is past what the timer can hold")
+            verdict = analyse_termination(program, pattern, options)
+        finally:
+            running.clear()
+            if timeout is not None:
+                signal.setitimer(signal.ITIMER_REAL, 0)
     except _Timeout:
         print(
             f"error: analysis timed out after {timeout} seconds",
@@ -192,7 +204,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _input_error(_TOO_DEEP)
     finally:
         if timeout is not None:
-            signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
 
     print(render_report(verdict, args["--format"], trace=args["--trace"]))

@@ -19,8 +19,8 @@ or one more unfolding of the previous rung's program), that program's
 modes and loops, and its query domains, then tries them without answer
 abstraction and, if that fails under `--answers auto`, with it; the
 next unfolding is built only when both attempts fail, and the ladder
-stops at one that would pass `UNFOLD_CLAUSE_CAP`.  A program's size
-table is built only if pair generation asks for it.
+stops at one whose body literals would pass `UNFOLD_LITERAL_CAP`.  A
+program's size table is built only if pair generation asks for it.
 
 A rung attempt depends only on the rung program, its query domains
 (every rung is numeric) and the answer-table entries pair generation
@@ -72,10 +72,12 @@ NO = "NO"
 
 NO_HEADLINE = "no termination proof found"
 
-#: Clauses an unfolded rung program may have.  Unfolding can double a
-#: program at every step (gcd: 4, 6, 10, 18, 34, 66, 130 clauses), so
-#: the ladder stops before building a rung program past this cap.
-UNFOLD_CLAUSE_CAP = 128
+#: Body literals an unfolded rung program may have, over all its
+#: clauses.  Unfolding can double a program at every step, in clauses
+#: (gcd: 4, 6, 10, 18, 34, 66, 130) or in the body of one clause (a
+#: one-clause loop: 3, 5, 9, 17, 33, 65, 129 literals), so the ladder
+#: stops before building a rung program past this cap.
+UNFOLD_LITERAL_CAP = 1024
 
 
 class _OptionFields(NamedTuple):
@@ -195,11 +197,12 @@ class _ProgramStages:
 
     def unfolded(self) -> Optional["_ProgramStages"]:
         """The program with the first in-loop body atom of each recursive
-        clause unfolded once, or None when it has more than
-        `UNFOLD_CLAUSE_CAP` clauses.  Every clause is resolved against this
-        program, never against clauses rewritten in the same step, so
-        one step replaces a clause by at most as many resolvents as its
-        selected atom has clauses.  In integer-based loops (a float
+        clause unfolded once, or None when its clauses would hold more
+        than `UNFOLD_LITERAL_CAP` body literals in all.  Every clause is
+        resolved against this program, never against clauses rewritten
+        in the same step, so one step replaces a clause by at most as
+        many resolvents as its selected atom has clauses, each body at
+        most the two bodies together.  In integer-based loops (a float
         satisfies X > 0, X < 1) a resolvent is dropped when its arithmetic
         before its first call is unsatisfiable: it fails before any call."""
         loops = {key: loop for loop in self.loops for key in loop.predicates}
@@ -219,7 +222,7 @@ class _ProgramStages:
                     break
             else:
                 clauses.append(clause)
-        if len(clauses) > UNFOLD_CLAUSE_CAP:
+        if sum(len(c.body) for c in clauses) > UNFOLD_LITERAL_CAP:
             return None
         return _ProgramStages(Program(tuple(clauses)), self.pattern)
 
@@ -347,7 +350,7 @@ def analyse_termination(
             if stages is None:
                 log(
                     f"rung {label}: not built; its program passes the cap of"
-                    f" {UNFOLD_CLAUSE_CAP} clauses"
+                    f" {UNFOLD_LITERAL_CAP} body literals"
                 )
                 break
         try:

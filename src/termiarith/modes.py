@@ -13,14 +13,23 @@ sites are discovered; success modes start from the optimistic bottom
 (everything integer) and weaken as clauses are evaluated.  A clause is
 walked left to right, one literal at a time, tracking a per-variable
 state in the same i/b/f lattice: comparisons and `is/2` ground their
-operands, a numeric ``=`` comparison equates its operand states, and
+operands, every ``=`` is unification and meets its operand states, and
 user calls first contribute their argument states to the callee's call
-modes and then import the callee's success modes.
+modes and then import the callee's success modes.  A position is
+integer-typed when its predicate succeeds with an integer there and no
+call site passes a non-integer into it.
 
-The walk also records integer violations: arithmetic over ``/`` or float
-constants, and arithmetic consuming values not guaranteed to be
-integers.  The loop classifier turns those into its integer-basedness
-verdict and diagnostics.
+The walk also records integer violations, only from the literals that
+do arithmetic: ``/`` or float constants under `is/2`, and `is/2` or a
+comparison consuming values not guaranteed to be integers.  The loop
+classifier turns those into its integer-basedness verdict and
+diagnostics.  A numeric ``=`` needs no check of its own: it does no
+arithmetic, and `is/2` and the comparisons are still checked where they
+run.  The equality atom `literal_atoms` reads from it relates two
+integers whenever either operand is one (the meet refines the other to
+i), and otherwise variables that no integer position has bound yet;
+unification makes those one term, so the atom holds of any integer
+they later take.
 """
 
 from __future__ import annotations
@@ -243,11 +252,8 @@ class _Engine:
 
         calls: list[tuple[PredKey, tuple[str, ...]]] = []
         for lit in clause.body:
-            if isinstance(lit, Comparison) and lit.op == "=":
+            if isinstance(lit, Unify) or isinstance(lit, Comparison) and lit.op == "=":
                 met = mode_meet(term_state(lit.lhs), term_state(lit.rhs))
-                met = mode_meet(met, MODE_BOUND)
-                if met != MODE_INT:
-                    note(f"operands of `{literal_text(lit)}` are not guaranteed integers")
                 refine(lit.lhs, met)
                 refine(lit.rhs, met)
             elif isinstance(lit, Comparison):
@@ -274,10 +280,6 @@ class _Engine:
                         result = MODE_BOUND
                     state[name] = mode_meet(state.get(name, MODE_FREE), MODE_BOUND)
                 refine(lit.lhs, result)
-            elif isinstance(lit, Unify):
-                met = mode_meet(term_state(lit.lhs), term_state(lit.rhs))
-                refine(lit.lhs, met)
-                refine(lit.rhs, met)
             elif isinstance(lit, UserAtom):
                 modes = tuple(term_state(a) for a in lit.args)
                 calls.append((lit.key, modes))
@@ -316,32 +318,12 @@ class _Engine:
         return texts
 
     def _integer_typed(self) -> dict[PredKey, tuple[bool, ...]]:
-        typed: dict[PredKey, tuple[bool, ...]] = {}
-        for key in sorted(self.cm):
-            arity = key[1]
-            flags = [True] * arity
-            if key not in self.walk_set or key not in self.program.index:
-                flags = [False] * arity
-                typed[key] = tuple(flags)
-                continue
-            call_modes = tuple(self.cm[key])
-            success = self.si_of(key)
-            for pos in range(arity):
-                if success[pos] != MODE_INT:
-                    flags[pos] = False
-            for index in self.program.index[key]:
-                clause = self.program.clauses[index]
-                if not clause_applicable(clause, call_modes):
-                    continue
-                for pos, arg in enumerate(clause.head.args):
-                    if not isinstance(arg, (Var, IntConst)):
-                        flags[pos] = False
-            typed[key] = tuple(flags)
-
+        typed = {
+            key: tuple(key in self.program.index and m == MODE_INT for m in self.si_of(key))
+            for key in sorted(self.cm)
+        }
         # Call sites can push non-integer values into a position.
         for callee, arg_states, args in chain.from_iterable(self.call_sites.values()):
-            if callee not in typed:
-                continue
             flags = list(typed[callee])
             for pos, (s, arg) in enumerate(zip(arg_states, args)):
                 if isinstance(arg, Var):

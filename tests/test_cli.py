@@ -348,6 +348,26 @@ class TestTimeout:
         assert "timed out after 1e-06 seconds" in err
         assert signal.getsignal(signal.SIGALRM) is before
 
+    def test_alarm_landing_as_the_timer_is_disarmed_is_dropped(self, capsys, monkeypatch):
+        # The analysis has finished; an alarm that fires inside the call
+        # that disarms the timer must not leave `main` as an exception.
+        setitimer = signal.setitimer
+
+        def late_alarm(which, seconds):
+            setitimer(which, seconds)
+            if seconds == 0:
+                signal.getsignal(signal.SIGALRM)(signal.SIGALRM, None)
+
+        monkeypatch.setattr(cli.signal, "setitimer", late_alarm)
+        before = signal.getsignal(signal.SIGALRM)
+        code, out, err = run(
+            capsys, str(corpus_path("mod")), "--query", "mod(i,i,f)", "--timeout", "60"
+        )
+        assert code == EXIT_YES
+        assert out.startswith("YES")
+        assert "timed out" not in err
+        assert signal.getsignal(signal.SIGALRM) is before
+
     def test_timeout_past_the_timer_range_is_two(self, capsys):
         before = signal.getsignal(signal.SIGALRM)
         code, out, err = run(

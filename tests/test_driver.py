@@ -3,6 +3,7 @@ handling, resource caps, and both report formats."""
 
 import json
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -14,7 +15,7 @@ from termiarith.answers import build_answer_domain, compute_abstract_answers
 from termiarith.driver import (
     NO,
     NO_HEADLINE,
-    UNFOLD_CLAUSE_CAP,
+    UNFOLD_LITERAL_CAP,
     YES,
     AnalysisOptions,
     _ProgramStages,
@@ -191,6 +192,30 @@ class TestNumericEquality:
             normalize_program(parse_program(source)), parse_query_pattern("p(i, f)")
         )
         assert verdict.answer == YES
+
+    @pytest.mark.parametrize(
+        "source, query",
+        [
+            (
+                "count(0, _).\n"
+                "count(X, L) :- X > 0, X1 is X - 1, copy(L, L2), count(X1, L2).\n"
+                "copy(X, Y) :- X = Y.\n",
+                "count(i, b)",
+            ),
+            ("p(0, _).\np(X, L) :- X > 0, L = M, X1 is X - 1, p(X1, M).\n", "p(i, f)"),
+        ],
+        ids=["helper", "inline"],
+    )
+    def test_equality_between_non_integers_is_unification(self, source, query):
+        # `X = Y` and `L = M` relate only values that no integer position
+        # binds, so the loop is integer based and proved like its twin
+        # that passes L on directly.
+        verdict = analyse_termination(
+            normalize_program(parse_program(source)), parse_query_pattern(query)
+        )
+        assert verdict.answer == YES
+        assert verdict.method == "collected comparisons"
+        assert all(report.integer_based for report in verdict.loops)
 
 
 class TestEscalationLadder:
@@ -524,15 +549,31 @@ class TestResourceCaps:
             in verdict.diagnostics
         )
 
-    def test_unfolding_stops_at_the_clause_cap(self):
-        # gcd's rung programs have 4, 6, 10, 18, 34, 66 and 130 clauses;
-        # the one past the cap is never analysed, nor any deeper one.
+    def test_unfolding_stops_at_the_literal_cap(self):
+        # gcd's rung programs have 11, 25, 68, 214, 746 and 2770 body
+        # literals; the one past the cap is never analysed, nor any
+        # deeper one.
         verdict = analyse("gcd", "gcd(i, i, f)", answer_abstraction="off", max_unfold=12)
         assert verdict.answer == NO
         assert verdict.diagnostics[-2:] == (
-            "rung unfold x5 + inferred comparisons: 1 of 2 circular pairs proved",
-            "rung unfold x6 + inferred comparisons: not built; its program passes"
-            f" the cap of {UNFOLD_CLAUSE_CAP} clauses",
+            "rung unfold x4 + inferred comparisons: 1 of 2 circular pairs proved",
+            "rung unfold x5 + inferred comparisons: not built; its program passes"
+            f" the cap of {UNFOLD_LITERAL_CAP} body literals",
+        )
+
+    def test_unfolding_a_one_clause_loop_stops_at_the_literal_cap(self):
+        # Unfolding keeps one clause, but its body doubles at every step
+        # (3, 5, 9, ..., 513, 1025 literals).
+        program = normalize_program(parse_program("p(X) :- X > 0, X1 is X + 1, p(X1).\n"))
+        options = AnalysisOptions(max_unfold=12, answer_abstraction="off")
+        started = time.perf_counter()
+        verdict = analyse_termination(program, parse_query_pattern("p(i)"), options)
+        assert time.perf_counter() - started < 20
+        assert verdict.answer == NO
+        assert verdict.diagnostics[-2:] == (
+            "rung unfold x8 + inferred comparisons: 0 of 1 circular pairs proved",
+            "rung unfold x9 + inferred comparisons: not built; its program passes"
+            f" the cap of {UNFOLD_LITERAL_CAP} body literals",
         )
 
     def test_option_validation(self):

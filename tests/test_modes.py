@@ -74,14 +74,16 @@ class TestAssignment:
 
 
 class TestNumericEquality:
-    """A normalized numeric `=` is one comparison that equates the
-    states of its operands."""
+    """A normalized numeric `=` is one comparison that the walk reads as
+    unification: it equates the states of its operands and does no
+    arithmetic of its own."""
 
-    def test_equality_with_a_free_operand_is_flagged(self):
+    def test_equality_between_free_operands_unifies(self):
+        # Only the comparison that reads X is flagged; Y stays free.
         program = normalize_program(parse_program("p(X, Y) :- Y = X, X > 0."))
         modes = infer_argument_modes(program, parse_query_pattern("p(f,f)"))
+        assert modes.success_modes[("p", 2)] == ("b", "f")
         assert [v.detail for v in modes.violations] == [
-            "operands of `Y = X` are not guaranteed integers",
             "variable X in `X > 0` is not guaranteed to be an integer",
         ]
 
