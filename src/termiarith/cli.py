@@ -6,10 +6,11 @@ building an `argparse` parser imports `locale` through its first
 together cost about 3 ms of every cold run before any analysis starts."""
 
 import math
-import signal
 import sys
+from contextlib import nullcontext
 from typing import Optional
 
+from .constraints import DeadlinePassed, deadline
 from .driver import (
     AnalysisOptions,
     analyse_termination,
@@ -26,10 +27,6 @@ EXIT_TIMEOUT = 3
 # Terms are read and walked recursively, so nesting thousands deep runs
 # out of interpreter stack: bad input, not a failed proof.
 _TOO_DEEP = "the program nests terms too deeply to be analysed"
-
-
-class _Timeout(Exception):
-    pass
 
 
 HELP = f"""\
@@ -165,36 +162,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except RecursionError:
         return _input_error(_TOO_DEEP)
 
-    running = []
-
-    def alarm(signum, frame):
-        # Raise once, and only while the analysis runs, which the
-        # `except _Timeout` below covers: an alarm that lands as the
-        # timer is disarmed is dropped.
-        if running:
-            running.clear()
-            raise _Timeout()
-
-    if timeout is not None:
-        try:
-            previous = signal.signal(signal.SIGALRM, alarm)
-        except (AttributeError, ValueError):
-            # No SIGALRM on this platform, or not the main thread.
-            return _input_error("--timeout needs SIGALRM in the main thread, which this run lacks")
     try:
-        try:
-            if timeout is not None:
-                running.append(True)
-                try:
-                    signal.setitimer(signal.ITIMER_REAL, timeout)
-                except OverflowError:
-                    return _input_error(f"--timeout {timeout} is past what the timer can hold")
+        with nullcontext() if timeout is None else deadline(timeout):
             verdict = analyse_termination(program, pattern, options)
-        finally:
-            running.clear()
-            if timeout is not None:
-                signal.setitimer(signal.ITIMER_REAL, 0)
-    except _Timeout:
+    except DeadlinePassed:
         print(
             f"error: analysis timed out after {timeout} seconds",
             file=sys.stderr,
@@ -202,9 +173,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_TIMEOUT
     except RecursionError:
         return _input_error(_TOO_DEEP)
-    finally:
-        if timeout is not None:
-            signal.signal(signal.SIGALRM, previous)
 
     print(render_report(verdict, args["--format"], trace=args["--trace"]))
     for line in verdict.diagnostics:

@@ -47,6 +47,15 @@ When an elimination blows past the atom cap the solver reports
 answer (satisfiable for `is_satisfiable`, not-implied for `implies`, a
 weaker conjunction for `project`).
 
+A time limit is a deadline held in a context variable and set by the
+`deadline` context manager.  `is_satisfiable`, `implies` and
+`implied_orders` read it on entry, before the verdict cache, and raise
+`DeadlinePassed` once it has passed, so a warm cache cannot hide it.
+Every partition walk, closure check, unfolding filter and norm round
+goes through them.  A context variable is local to its thread (and
+asyncio task), so a deadline stops only the analysis it was set for,
+on any thread and any platform.
+
 The per-layer tracer of the benchmark (`perfbench/tracer.py`) rebinds
 the six public entry points `is_satisfiable`, `implies`, `implies_all`,
 `project`, `project_or_none` and `simplify` by name, so they stay
@@ -56,9 +65,12 @@ module-level functions.
 from __future__ import annotations
 
 from collections import defaultdict
+from contextlib import contextmanager
+from contextvars import ContextVar
 from functools import lru_cache
 from math import gcd, inf
-from typing import FrozenSet, Iterable, Mapping, NamedTuple, Optional, Union
+from time import monotonic
+from typing import FrozenSet, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 LT = "<"
 LE = "=<"
@@ -476,6 +488,32 @@ def _bellman_ford(edges: list[Edge], start: Optional[str] = None) -> Optional[di
     return None
 
 
+#: The `monotonic` time after which a solver call raises, if any.
+_DEADLINE: ContextVar[Optional[float]] = ContextVar("deadline", default=None)
+
+
+class DeadlinePassed(Exception):
+    """A solver call started after the deadline set by `deadline`."""
+
+
+@contextmanager
+def deadline(seconds: float) -> Iterator[None]:
+    """Raise `DeadlinePassed` from every solver call that starts
+    `seconds` or more from now, until the block ends; the outer
+    deadline, if any, holds again after it."""
+    token = _DEADLINE.set(monotonic() + seconds)
+    try:
+        yield
+    finally:
+        _DEADLINE.reset(token)
+
+
+def _check_deadline() -> None:
+    when = _DEADLINE.get()
+    if when is not None and monotonic() >= when:
+        raise DeadlinePassed()
+
+
 @lru_cache(maxsize=SAT_CACHE_SIZE)
 def _solve_sat(conj: Conjunction) -> Optional[bool]:
     """True = satisfiable, False = unsatisfiable, None = cap exceeded."""
@@ -493,6 +531,7 @@ def is_satisfiable(conj: Iterable[LinAtom]) -> bool:
     """Satisfiability over the integers, decided by strict-atom
     sharpening followed by exact rational elimination; "unknown" maps to
     True (the sound side)."""
+    _check_deadline()
     verdict = _solve_sat(frozenset(conj))
     return True if verdict is None else verdict
 
@@ -509,6 +548,7 @@ def implies(conj: Iterable[LinAtom], atom: LinAtom) -> bool:
     if atom.rel == EQ:
         return all(implies(conj, half) for half in weak_halves(atom))
     refuter = negate_atom(atom)
+    _check_deadline()
     verdict = _solve_sat(conjunction([*conj, refuter]))
     if verdict is None:
         return False
@@ -537,6 +577,7 @@ def implied_orders(
     above, and the one from x bounds y - x above, so x - y below.  The
     bounds are exact, so these are the verdicts of `implies`, which
     every other conjunction takes, up to three calls per pair."""
+    _check_deadline()
     edges = difference_graph(conj)
     if edges is None:
         orders = {}

@@ -290,7 +290,9 @@ def analyse_termination(
     options: AnalysisOptions = AnalysisOptions(),
 ) -> Verdict:
     """Decide YES (universal termination proved for the query pattern)
-    or NO (no proof found).  Never raises on resource caps."""
+    or NO (no proof found).  Never raises on resource caps; raises
+    `constraints.DeadlinePassed` when a solver call starts after the
+    deadline of an enclosing `constraints.deadline` block."""
     query = render_query_pattern(pattern.pred, pattern.modes)
     diagnostics: list[str] = []
     log = diagnostics.append

@@ -38,7 +38,6 @@ from collections import deque
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .graph import reachable_from
 from .syntax import (
     ARITH_OPS,
     AtomConst,
@@ -124,13 +123,6 @@ class _Engine:
         for caller, callees in program.callees.items():
             for callee in callees:
                 self.callers.setdefault(callee, set()).add(caller)
-        numeric = {
-            c.key
-            for c in program.clauses
-            if any(isinstance(l, (Is, Comparison)) for l in c.body)
-        }
-        relevant = reachable_from(program.callees, numeric)
-        self.walk_set = relevant | reachable_from(self.callers, relevant)
 
     def si_of(self, key: PredKey) -> list[str]:
         got = self.si.get(key)
@@ -178,18 +170,6 @@ class _Engine:
         if key not in self.cm or key not in self.program.index:
             return touched
         call_modes = tuple(self.cm[key])
-        if key not in self.walk_set:
-            # Outside the numeric-relevant set: do not type this
-            # predicate, assume nothing of its answers, and propagate
-            # maximally weak call modes to its callees.
-            if self.si_of(key) != [MODE_FREE] * key[1]:
-                self.si[key] = [MODE_FREE] * key[1]
-                touched.extend(self.callers.get(key, ()))
-            for callee in self.program.callees[key]:
-                if self._join_cm(callee, (MODE_FREE,) * callee[1]):
-                    touched.append(callee)
-            return touched
-
         new_si: Optional[list[str]] = None
         violations = self.violations[key] = []
         call_sites = self.call_sites[key] = []

@@ -302,8 +302,15 @@ def test_json_report_is_identical_across_hash_seeds(name, query):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.skipif(not HAS_ALARM, reason="needs SIGALRM")
+def alarm_handler():
+    """The SIGALRM handler, which `main` leaves as it found it."""
+    return signal.getsignal(signal.SIGALRM) if HAS_ALARM else None
+
+
 class TestTimeout:
+    """`--timeout` is a deadline that every solver call reads, so it
+    needs no signal and holds on any thread."""
+
     def test_timeout_is_three(self, capsys):
         # Without answer abstraction gcd climbs four unfolding rungs: even
         # with the solver cache warm it runs several times longer than
@@ -325,7 +332,7 @@ class TestTimeout:
         assert "timed out after 0.05 seconds" in err
 
     def test_generous_timeout_restores_the_handler(self, capsys):
-        before = signal.getsignal(signal.SIGALRM)
+        before = alarm_handler()
         code, _, _ = run(
             capsys,
             str(corpus_path("mod")),
@@ -335,76 +342,54 @@ class TestTimeout:
             "60",
         )
         assert code == EXIT_YES
-        assert signal.getsignal(signal.SIGALRM) is before
+        assert alarm_handler() is before
 
     def test_timeout_shorter_than_the_setup_is_three(self, capsys):
-        # The timer can fire before the analysis starts.
-        before = signal.getsignal(signal.SIGALRM)
+        # The deadline can pass before the analysis makes its first
+        # solver call.
+        before = alarm_handler()
         code, out, err = run(
             capsys, str(corpus_path("gcd")), "--query", "gcd(i,i,f)", "--timeout", "1e-6"
         )
         assert code == EXIT_TIMEOUT
         assert out == ""
         assert "timed out after 1e-06 seconds" in err
-        assert signal.getsignal(signal.SIGALRM) is before
+        assert alarm_handler() is before
 
-    def test_alarm_landing_as_the_timer_is_disarmed_is_dropped(self, capsys, monkeypatch):
-        # The analysis has finished; an alarm that fires inside the call
-        # that disarms the timer must not leave `main` as an exception.
-        setitimer = signal.setitimer
-
-        def late_alarm(which, seconds):
-            setitimer(which, seconds)
-            if seconds == 0:
-                signal.getsignal(signal.SIGALRM)(signal.SIGALRM, None)
-
-        monkeypatch.setattr(cli.signal, "setitimer", late_alarm)
-        before = signal.getsignal(signal.SIGALRM)
+    def test_timeout_past_any_timer_range_is_zero(self, capsys):
+        before = alarm_handler()
         code, out, err = run(
-            capsys, str(corpus_path("mod")), "--query", "mod(i,i,f)", "--timeout", "60"
+            capsys, str(corpus_path("mod")), "--query", "mod(i,i,f)", "--timeout", "1e12"
         )
         assert code == EXIT_YES
         assert out.startswith("YES")
         assert "timed out" not in err
-        assert signal.getsignal(signal.SIGALRM) is before
+        assert alarm_handler() is before
 
-    def test_timeout_past_the_timer_range_is_two(self, capsys):
-        before = signal.getsignal(signal.SIGALRM)
-        code, out, err = run(
-            capsys, str(corpus_path("mod")), "--query", "mod(i,i,f)", "--timeout", "1e12"
-        )
-        assert code == EXIT_INPUT
-        assert out == ""
-        assert err.startswith("error: --timeout")
-        assert err.count("\n") == 1
-        assert signal.getsignal(signal.SIGALRM) is before
-
-
-class TestUnarmableTimeout:
-    """A `--timeout` that no SIGALRM handler can enforce is bad input,
-    not a run without a limit or a traceback."""
-
-    ARGV = [str(corpus_path("mod")), "--query", "mod(i,i,f)", "--timeout", "5"]
-
-    def check(self, code, out, err):
-        assert code == EXIT_INPUT
-        assert out == ""
-        assert err.startswith("error: --timeout")
-        assert err.count("\n") == 1
-
-    def test_platform_without_sigalrm_is_two(self, capsys, monkeypatch):
-        monkeypatch.delattr(cli.signal, "SIGALRM", raising=False)
-        self.check(*run(capsys, *self.ARGV))
-
-    def test_thread_other_than_the_main_one_is_two(self, capsys):
-        # `signal.signal` raises ValueError off the main thread.
+    @staticmethod
+    def off_the_main_thread(capsys, argv):
         codes = []
-        thread = threading.Thread(target=lambda: codes.append(main(self.ARGV)))
+        thread = threading.Thread(target=lambda: codes.append(main(argv)))
         thread.start()
-        thread.join()
+        thread.join(60)
+        assert not thread.is_alive()
         captured = capsys.readouterr()
         assert len(codes) == 1
-        self.check(codes[0], captured.out, captured.err)
+        return codes[0], captured.out, captured.err
+
+    def test_timeout_off_the_main_thread_is_three(self, capsys):
+        argv = [str(corpus_path("gcd")), "--query", "gcd(i,i,f)", "--timeout", "1e-6"]
+        code, out, err = self.off_the_main_thread(capsys, argv)
+        assert code == EXIT_TIMEOUT
+        assert out == ""
+        assert "timed out after 1e-06 seconds" in err
+
+    def test_generous_timeout_off_the_main_thread_is_zero(self, capsys):
+        argv = [str(corpus_path("mod")), "--query", "mod(i,i,f)", "--timeout", "60"]
+        code, out, err = self.off_the_main_thread(capsys, argv)
+        assert code == EXIT_YES
+        assert out.startswith("YES")
+        assert "timed out" not in err
 
 
 COUNTDOWN = b"p(0).\np(X) :- X > 0, Y is X - 1, p(Y).\n"
@@ -471,12 +456,11 @@ def test_any_input_gets_a_contract_exit_code(case, max_unfold, pair_cap):
             "--pair-cap",
             str(pair_cap),
         ]
-        before = signal.getsignal(signal.SIGALRM) if HAS_ALARM else None
+        before = alarm_handler()
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             try:
                 code = main(argv)
             except SystemExit as exc:  # the parser rejects the arguments
                 code = exc.code
     assert code in (EXIT_YES, EXIT_NO, EXIT_INPUT, EXIT_TIMEOUT)
-    if HAS_ALARM:
-        assert signal.getsignal(signal.SIGALRM) is before
+    assert alarm_handler() is before

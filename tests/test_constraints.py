@@ -15,12 +15,15 @@ from termiarith.constraints import (
     FALSE,
     LE,
     LT,
+    DeadlinePassed,
     LinExpr,
     atom_eq,
     atom_ge,
     atom_gt,
     atom_le,
     atom_lt,
+    deadline,
+    implied_orders,
     implies,
     is_satisfiable,
     make_atom,
@@ -164,6 +167,26 @@ class TestSatisfiability:
         # verdicts must not keep all of them.
         maxsize = lc._solve_sat.cache_info().maxsize
         assert maxsize is not None and maxsize > 0
+
+
+class TestDeadline:
+    CONJ = frozenset({atom_lt("X", "Y"), atom_le("Y", 10)})
+
+    def calls(self):
+        return (
+            lambda: is_satisfiable(self.CONJ),
+            lambda: implies(self.CONJ, atom_lt("X", 10)),
+            lambda: implied_orders(self.CONJ, [("X", "Y")]),
+        )
+
+    def test_every_entry_point_reads_it_before_the_cache(self):
+        answers = [call() for call in self.calls()]  # warm the cache
+        assert answers == [True, True, {("X", "Y"): "<"}]
+        with deadline(0):
+            for call in self.calls():
+                with pytest.raises(DeadlinePassed):
+                    call()
+        assert [call() for call in self.calls()] == answers
 
 
 class TestDifferenceGraph:

@@ -3,6 +3,7 @@ handling, resource caps, and both report formats."""
 
 import json
 import sys
+import threading
 import time
 from collections import Counter
 
@@ -12,6 +13,7 @@ from conftest import corpus_program
 
 from termiarith import domain
 from termiarith.answers import build_answer_domain, compute_abstract_answers
+from termiarith.constraints import DeadlinePassed, deadline
 from termiarith.driver import (
     NO,
     NO_HEADLINE,
@@ -216,6 +218,88 @@ class TestNumericEquality:
         assert verdict.answer == YES
         assert verdict.method == "collected comparisons"
         assert all(report.integer_based for report in verdict.loops)
+
+
+class TestUnrelatedHelpers:
+    """The mode fixpoint walks every predicate reachable from the query,
+    so a helper that neither does arithmetic nor calls a predicate that
+    does still passes its answers on."""
+
+    @pytest.mark.parametrize(
+        "source, method",
+        [
+            (
+                "start :- seed(N), down(N).\nseed(5).\n"
+                "down(0).\ndown(N) :- N > 0, M is N - 1, down(M).\n",
+                "collected comparisons",
+            ),
+            (
+                "start :- seed(L), len(L).\nseed([a, b]).\n"
+                "len([]).\nlen([_|T]) :- len(T).\n",
+                "structural norm decrease (simplified analysis)",
+            ),
+        ],
+        ids=["integer", "list"],
+    )
+    def test_fact_feeds_the_loop_its_instantiation(self, source, method):
+        verdict = analyse_termination(
+            normalize_program(parse_program(source)), parse_query_pattern("start")
+        )
+        assert verdict.answer == YES
+        assert verdict.method == method
+        assert all(report.integer_based for report in verdict.loops)
+
+
+class TestDeadline:
+    """A library caller bounds an analysis with `constraints.deadline`;
+    a solver call that starts once it has passed raises
+    `DeadlinePassed`."""
+
+    @staticmethod
+    def gcd():
+        return analyse("gcd", "gcd(i, i, f)")
+
+    def test_passed_deadline_raises_even_with_a_warm_cache(self):
+        report = render_report(self.gcd(), "json", trace=True)
+        with deadline(0):
+            with pytest.raises(DeadlinePassed):
+                self.gcd()
+        verdict = self.gcd()
+        assert verdict.answer == YES
+        assert render_report(verdict, "json", trace=True) == report
+
+    def test_deadline_of_one_thread_leaves_another_alone(self):
+        entered, finished = threading.Event(), threading.Event()
+        raised = []
+
+        def bounded():
+            with deadline(0):
+                entered.set()
+                try:
+                    self.gcd()
+                except DeadlinePassed:
+                    raised.append(True)
+                finished.wait(60)
+
+        thread = threading.Thread(target=bounded)
+        thread.start()
+        try:
+            assert entered.wait(60)
+            verdict = self.gcd()  # while the other thread's deadline has passed
+        finally:
+            finished.set()
+            thread.join(60)
+        assert not thread.is_alive()
+        assert verdict.answer == YES
+        assert raised == [True]
+
+    def test_nested_deadline_restores_the_outer_one(self):
+        with deadline(0):
+            with deadline(60):
+                assert self.gcd().answer == YES
+            with pytest.raises(DeadlinePassed):
+                self.gcd()
+        assert self.gcd().answer == YES
 
 
 class TestEscalationLadder:
