@@ -326,13 +326,13 @@ class _CapExceeded(Exception):
 
 
 def _eliminate(
-    atoms: Iterable[LinAtom], keep: frozenset[str], limit: int
+    atoms: Iterable[LinAtom], keep: frozenset[str]
 ) -> Optional[list[LinAtom]]:
     """Eliminate every variable outside `keep`.
 
     Returns the residual atoms (all over `keep` variables) or None when a
     contradiction is derived.  Raises `_CapExceeded` when the working set
-    grows past `limit`.
+    grows past `ATOM_LIMIT`, read when the call runs.
     """
     work: set[LinAtom] = set()
     for a in atoms:
@@ -403,7 +403,7 @@ def _eliminate(
                     work.add(nb)
                 elif atom_is_false(nb):
                     return None
-                if len(work) > limit:
+                if len(work) > ATOM_LIMIT:
                     raise _CapExceeded()
     return sorted(work)
 
@@ -522,7 +522,7 @@ def _solve_sat(conj: Conjunction) -> Optional[bool]:
         return _bellman_ford(edges) is not None
     try:
         tightened = [_tighten(a) for a in conj]
-        return _eliminate(tightened, frozenset(), ATOM_LIMIT) is not None
+        return _eliminate(tightened, frozenset()) is not None
     except _CapExceeded:
         return None
 
@@ -607,7 +607,7 @@ def project_or_none(conj: Iterable[LinAtom], keep: Iterable[str]) -> Optional[Co
     """Exact projection onto `keep`, or None when the cap was hit."""
     keep = frozenset(keep)
     try:
-        res = _eliminate(conj, keep, ATOM_LIMIT)
+        res = _eliminate(conj, keep)
     except _CapExceeded:
         return None
     if res is None:
@@ -641,7 +641,7 @@ def eliminate_outside(conj: Iterable[LinAtom], keep: Iterable[str]) -> Conjuncti
     back unchanged."""
     conj = frozenset(conj)
     try:
-        res = _eliminate([_tighten(a) for a in conj], frozenset(keep), ATOM_LIMIT)
+        res = _eliminate([_tighten(a) for a in conj], frozenset(keep))
     except _CapExceeded:
         return conj
     if res is None or not is_satisfiable(res):

@@ -390,8 +390,7 @@ def analyse_termination(
                 continue
             if ok:
                 return Verdict(YES, query, rung_reports, tuple(diagnostics), method=name)
-            if rung_reports:
-                fallback_reports = rung_reports
+            fallback_reports = rung_reports
 
     return Verdict(NO, query, fallback_reports, tuple(diagnostics))
 

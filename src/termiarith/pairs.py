@@ -17,9 +17,9 @@ query and range atom lie on one cycle of the graph of abstract queries
 alone.  The closure is finite because rows range over finite
 partitions.  A circular pair (range abstraction equal to the query) is
 suspicious; each one must be discharged either by the structural test
-(a norm decrease along instantiated positions) or by a bounded linear
-function of the integer positions that provably shrinks from domain to
-range."""
+(a norm decrease along instantiated positions) or by a linear function
+of the integer positions, guessed from the domain row and at least 0
+there, that provably shrinks from domain to range."""
 
 from __future__ import annotations
 
@@ -147,28 +147,18 @@ class QueryMappingPair(NamedTuple):
     mapping: Mapping
 
 
-class TerminationFunction(NamedTuple):
-    """A linear function of one row's integer positions, admissible for
-    a pair once the domain constraint implies expr >= lower_bound."""
-
-    expr: LinExpr
-    lower_bound: int = 0
-
-    def describe(self) -> str:
-        return f"{render_expr(self.expr)} (bound {self.lower_bound})"
-
-
 class PairProof(NamedTuple):
     """How a circular pair was discharged: 'structural' for the norm
-    test, 'function' with the witness otherwise."""
+    test, 'function' with the witness otherwise: a linear function of
+    arg1, arg2, ... that decreases and is at least 0 (`verify_decrease`)."""
 
     method: str
-    function: Optional[TerminationFunction] = None
+    function: Optional[LinExpr] = None
 
     def describe(self) -> str:
         if self.method == "structural":
             return "structural norm decrease"
-        return f"decreasing function {self.function.describe()}"
+        return f"decreasing function {render_expr(self.function)} (bound 0)"
 
 
 def _row_var(row: str, position: int) -> str:
@@ -561,11 +551,20 @@ def check_forward_positive_cycle(pair: QueryMappingPair) -> bool:
     return False
 
 
-def guess_termination_functions(pair: QueryMappingPair) -> list[TerminationFunction]:
+def guess_termination_functions(pair: QueryMappingPair) -> list[LinExpr]:
     """Candidate bounded functions, simplest first, at most
-    `CANDIDATE_CAP` of them.  Every inequality in the row constraints
-    suggests its slack, and every integer position that is provably
-    non-negative suggests itself."""
+    `CANDIDATE_CAP` of them.  Every inequality in the domain row's
+    constraint suggests its slack, and every integer position that is
+    provably non-negative suggests itself.
+
+    On a circular pair the range row's constraint is the domain row's,
+    so it would suggest the same.  A domain element is drawn from the
+    query's partition, consistent with the query's constraint, and
+    elements are pairwise unsatisfiable, so it is that constraint.  The
+    unconstrained initial query over a non-trivial partition is no
+    range atom, as no element of such a partition is empty, so it
+    starts no circular pair.  A composition keeps its first pair's
+    query and domain row, and a circular pair's range atom is its query."""
     suggestions: list[LinExpr] = []
 
     def suggest(expr: LinExpr):
@@ -573,10 +572,9 @@ def guess_termination_functions(pair: QueryMappingPair) -> list[TerminationFunct
             suggestions.append(expr)
 
     domain = pair.mapping.domain_atom.constraint
-    for constraint in (domain, pair.mapping.range_atom.constraint):
-        for atom in sorted(constraint):
-            if atom.rel in (LT, LE):
-                suggest(-atom.expr)
+    for atom in sorted(domain):
+        if atom.rel in (LT, LE):
+            suggest(-atom.expr)
     for j, mode in enumerate(pair.mapping.domain_atom.modes):
         if mode == MODE_INT:
             expr = LinExpr.var(position_var(j))
@@ -585,21 +583,21 @@ def guess_termination_functions(pair: QueryMappingPair) -> list[TerminationFunct
     ordered = sorted(
         suggestions, key=lambda e: (len(e.variables()), render_expr(e))
     )
-    return [TerminationFunction(expr=e) for e in ordered[:CANDIDATE_CAP]]
+    return ordered[:CANDIDATE_CAP]
 
 
-def verify_decrease(pair: QueryMappingPair, function: TerminationFunction) -> bool:
+def verify_decrease(pair: QueryMappingPair, function: LinExpr) -> bool:
     """True when the pair's relations and row constraints imply both a
-    strict decrease of the function from domain to range and its lower
-    bound on the domain."""
+    strict decrease of the function from domain to range and its bound
+    0 on the domain."""
     mapping = pair.mapping
     collection = mapping.chain_blocks[0]
     f_domain = substitute(
-        function.expr, _row_names(mapping.domain_atom.key[1], _PREFIX[ROW_DOMAIN])
+        function, _row_names(mapping.domain_atom.key[1], _PREFIX[ROW_DOMAIN])
     )
-    f_range = substitute(function.expr, _row_names(mapping.range_atom.key[1], _MIDDLE))
+    f_range = substitute(function, _row_names(mapping.range_atom.key[1], _MIDDLE))
     decrease = make_atom(f_range - f_domain, LT)
-    bounded = make_atom(LinExpr.of(function.lower_bound) - f_domain, LE)
+    bounded = make_atom(-f_domain, LE)
     return implies(collection, decrease) and implies(collection, bounded)
 
 

@@ -49,6 +49,8 @@ from termiarith.syntax import (
     IntConst,
     UserAtom,
     Var,
+    normalize_program,
+    parse_program,
     parse_query_pattern,
 )
 
@@ -272,6 +274,14 @@ def test_ac10_unfolding_preserves_answers_to_depth_12():
         before = run_query(program, goal, max_depth=12)
         after = run_query(unfolded, goal, max_depth=12)
         assert Counter(before) == Counter(after)
+
+
+def test_reference_interpreter_reads_a_normalized_numeric_equality():
+    # normalize_program writes `X = 5` as Comparison(X, "=", 5); ac10
+    # runs normalized programs.
+    program = normalize_program(parse_program("q(X) :- X = 5.\n"))
+    assert run_query(program, UserAtom("q", (IntConst(5),))) == [(IntConst(5),)]
+    assert run_query(program, UserAtom("q", (IntConst(7),))) == []
 
 
 def _sample_int(rng):

@@ -561,7 +561,7 @@ def test_difference_verdicts_match_elimination(drawn):
     conj, pure = drawn
     verdict = lc._solve_sat(conj)
     tightened = [lc._tighten(a) for a in conj]
-    assert verdict == (lc._eliminate(tightened, frozenset(), lc.ATOM_LIMIT) is not None)
+    assert verdict == (lc._eliminate(tightened, frozenset()) is not None)
     names = conjunction_variables(conj)
     if len(names) <= 3:
         # A satisfiable difference conjunction over n variables whose

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import corpus_program
 
-from termiarith import domain
+from termiarith import domain, driver
 from termiarith.answers import build_answer_domain, compute_abstract_answers
 from termiarith.constraints import DeadlinePassed, deadline
 from termiarith.driver import (
@@ -397,6 +397,43 @@ class TestEscalationLadder:
         ]
         assert verdict.answer == YES
         assert "inferred comparisons" in verdict.method
+
+
+class TestStagePins:
+    """Stages that no default corpus verdict needs, each pinned by a
+    program whose verdict it decides: without the stage it gets NO."""
+
+    def test_inferred_rung_before_any_unfolding(self):
+        # Y > 0 mentions no head variable, so nothing is collected; only
+        # the inferred arg1 > 2 bounds the countdown.
+        verdict = analyse_termination(
+            normalize_program(parse_program("p(X) :- Y is X - 2, Y > 0, p(Y).\n")),
+            parse_query_pattern("p(i)"),
+            AnalysisOptions(max_unfold=0),
+        )
+        assert verdict.answer == YES
+        assert verdict.method == "inferred comparisons"
+
+    def test_answer_comparisons_copied_along_aliases(self):
+        # mod/3 answers C = A after A < B; only the copy of A < B onto C
+        # bounds its output, which gcd's recursive call reads.
+        verdict = analyse("gcd", "gcd(i, i, f)", max_unfold=0)
+        assert verdict.answer == YES
+        assert verdict.method == "collected comparisons + answer abstraction"
+
+    def test_dead_resolvents_leave_the_unfolded_program(self, monkeypatch):
+        # The swap needs one unfolding.  Its resolvent with the second
+        # clause reads X > 0, Z is X - 1, Z < 0 and is dropped, so the
+        # unfolded program keeps 5 + 1 body literals, within this cap.
+        monkeypatch.setattr(driver, "UNFOLD_LITERAL_CAP", 6)
+        verdict = analyse_termination(
+            normalize_program(
+                parse_program("p(X, Y) :- X > 0, Z is X - 1, p(Y, Z).\np(X, Y) :- Y < 0.\n")
+            ),
+            parse_query_pattern("p(i, i)"),
+        )
+        assert verdict.answer == YES
+        assert verdict.method == "unfold x1 + inferred comparisons"
 
 
 class TestStageReuse:

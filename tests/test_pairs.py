@@ -45,7 +45,6 @@ from termiarith.pairs import (
     Mapping,
     PairCapExceeded,
     QueryMappingPair,
-    TerminationFunction,
     check_forward_positive_cycle,
     compose_until_fixpoint,
     generate_pairs,
@@ -698,9 +697,8 @@ class TestGuessing:
     def test_mod_candidates_simplest_first(self):
         closure, _ = pipeline("mod", "mod(i,i,f)")
         (pair,) = circular(closure)
-        rendered = [render_expr(f.expr) for f in guess_termination_functions(pair)]
+        rendered = [render_expr(f) for f in guess_termination_functions(pair)]
         assert rendered == ["arg1", "arg2", "arg1 - arg2"]
-        assert all(f.lower_bound == 0 for f in guess_termination_functions(pair))
 
     def test_mc91_candidates_start_with_the_slack(self):
         closure, _ = pipeline(
@@ -712,8 +710,19 @@ class TestGuessing:
             if constraint_of(p) == atom_set(atom_gt(A1, 89), atom_le(A1, 100))
         ]
         (pair,) = med
-        rendered = [render_expr(f.expr) for f in guess_termination_functions(pair)]
+        rendered = [render_expr(f) for f in guess_termination_functions(pair)]
         assert rendered[0] == "100 - arg1"
+
+    @pytest.mark.parametrize(
+        "program,query",
+        EXACTNESS_TASKS,
+        ids=[f"{name}-{query}" for name, query, _ in CORPUS] + ["gcd", "mc91", "nest-6"],
+    )
+    def test_a_circular_range_row_is_its_domain_row(self, monkeypatch, program, query):
+        # Why only the domain row suggests slacks.
+        for base in generated_bases(monkeypatch, program, query)[1:]:
+            for pair in circular(compose_until_fixpoint(recurrent_pairs(base))):
+                assert pair.mapping.range_atom.constraint == pair.mapping.domain_atom.constraint
 
     def test_cap_limits_candidates(self, monkeypatch):
         closure, _ = pipeline("mod", "mod(i,i,f)")
@@ -738,18 +747,19 @@ class TestVerification:
     def test_difference_function_verifies(self):
         pair = self.qmdl_pair()
         assert edge_positions(pair) >= {(D2, R2)}
-        assert verify_decrease(pair, TerminationFunction(expr=A2 - A1))
+        assert verify_decrease(pair, A2 - A1)
 
     def test_single_arguments_fail_on_the_increasing_loop(self):
         pair = self.qmdl_pair()
-        assert not verify_decrease(pair, TerminationFunction(expr=A1))
-        assert not verify_decrease(pair, TerminationFunction(expr=A2))
+        assert not verify_decrease(pair, A1)
+        assert not verify_decrease(pair, A2)
 
     def test_lower_bound_is_checked(self):
         closure, _ = pipeline("r", "r(i)")
         (pair,) = circular(closure)
-        assert verify_decrease(pair, TerminationFunction(expr=A1))
-        assert not verify_decrease(pair, TerminationFunction(expr=A1, lower_bound=10))
+        assert verify_decrease(pair, A1)
+        # arg1 - 10 decreases too, but arg1 > 0 does not bound it by 0.
+        assert not verify_decrease(pair, A1 - 10)
 
     def test_verify_matches_grid_enumeration(self):
         closure, _ = pipeline("mod", "mod(i,i,f)")
@@ -766,10 +776,10 @@ class TestVerification:
             if not (v2 == u2 and v1 > u1 and v1 > u2):
                 continue
             seen += 1
-            fv = f.expr.const + f.expr.coeff("arg1") * v1 + f.expr.coeff("arg2") * v2
-            fu = f.expr.const + f.expr.coeff("arg1") * u1 + f.expr.coeff("arg2") * u2
+            fv = f.const + f.coeff("arg1") * v1 + f.coeff("arg2") * v2
+            fu = f.const + f.coeff("arg1") * u1 + f.coeff("arg2") * u2
             assert fv > fu
-            assert fv >= f.lower_bound
+            assert fv >= 0
         assert seen > 20
 
 
@@ -811,7 +821,7 @@ class TestCircularProofs:
         pairs = circular(closure)
         assert len(pairs) == 2
         functions = {
-            render_expr(prove_pair(p).function.expr) for p in pairs
+            render_expr(prove_pair(p).function) for p in pairs
         }
         assert functions == {"100 - arg1", "89 - arg1"}
 
@@ -825,8 +835,7 @@ class TestCircularProofs:
         (pair,) = countdown
         proof = prove_pair(pair)
         assert proof.method == "function"
-        assert render_expr(proof.function.expr) == "arg3"
-        assert proof.function.lower_bound == 0
+        assert proof.describe() == "decreasing function arg3 (bound 0)"
 
     def test_p_difficult_all_pairs_discharge(self):
         closure, _ = pipeline("p_difficult", "p(i,i)")
