@@ -1,18 +1,23 @@
 """Analysis driver.
 
-Runs the whole pipeline for one (program, query pattern) task: a first
-attempt with structural norms only, the integer-basedness gates, then
-an escalation ladder over comparison sources (collected, inferred,
-inferred after unfolding), each rung without, then with answers.
-The verdict carries per-loop, per-pair evidence and feeds the text and
-JSON report emitters.
+Runs the whole pipeline for one (program, query pattern) task.  The
+gates come first: a task with no numerical loop, or with any loop that
+is not integer based, gets only the attempt with structural norms, a
+YES or the gate's NO.  Every other task climbs the escalation ladder
+over comparison sources (collected, inferred, inferred after
+unfolding), each rung without, then with answers.  The verdict carries
+per-loop, per-pair evidence and feeds the text and JSON report emitters.
 
 Every attempt is one `_attempt`: generate pairs, close the recurrent
 ones (those on a cycle of the query graph, the only factors of a
-circular pair), prove the circular ones, report per loop.  The
-structural attempt goes through `prove_pair` too: its pairs carry empty
-row constraints, so no termination function is suggested and the proof
-is the structural test.
+circular pair), prove the circular ones, report per loop.  Structural
+pairs carry no row constraints, so `prove_pair` suggests no function.
+A completed rung proves all the structural attempt would: a circular
+pair of it has the norm relations of the structural circular pair over
+the same clause path, since the modes and size table are the same and
+an integer relation never links two b positions (`_theta_modes` only
+strengthens modes), and `prove_pair` runs the structural test first.
+Only a rung that a cap aborts could lose such a YES.
 
 The ladder is climbed once.  Each rung builds its program (the input,
 or one more unfolding of the previous rung's program), that program's
@@ -299,9 +304,8 @@ def analyse_termination(
 
     top = _ProgramStages(program, pattern)
     diagnostics.extend(top.modes.conflicts)
-    loops = top.loops
 
-    if not loops:
+    if not top.loops:
         if pattern.key not in program.index:
             log(f"{_pred_name(pattern.key)} has no clauses; every query fails finitely")
         else:
@@ -311,33 +315,30 @@ def analyse_termination(
             )
         return Verdict(YES, query, (), tuple(diagnostics), method="acyclic program")
 
-    stage = "structural attempt (simplified norm analysis)"
-    try:
-        tally, all_proved, reports = _attempt(top, options, {}, None, numeric=False)
-        log(f"{stage}: {tally}")
-    except PairCapExceeded as exc:
-        _log_abort(log, stage, exc)
-        all_proved, reports = False, ()
-    if all_proved:
-        if any(report.pairs for report in reports):
-            method = "structural norm decrease (simplified analysis)"
-        else:
+    # The reports of the last attempt made, or of the loops without pairs.
+    reports = _loop_reports(top.loops, {}, [])
+    numerical = any(loop.is_numerical for loop in top.loops)
+    unsafe = [loop for loop in top.loops if not loop.is_integer_based]
+    if not numerical or unsafe:
+        stage = "structural attempt (simplified norm analysis)"
+        try:
+            tally, all_proved, reports = _attempt(top, options, {}, None, numeric=False)
+            log(f"{stage}: {tally}")
+        except PairCapExceeded as exc:
+            _log_abort(log, stage, exc)
+            all_proved = False
+        if all_proved:
             method = "no circular pairs reachable under the query modes"
-        return Verdict(YES, query, reports, tuple(diagnostics), method=method)
-    fallback_reports = reports or _loop_reports(loops, {}, [])
-
-    if not any(loop.is_numerical for loop in loops):
-        for loop in loops:
+            if any(report.pairs for report in reports):
+                method = "structural norm decrease (simplified analysis)"
+            return Verdict(YES, query, reports, tuple(diagnostics), method=method)
+        for loop in unsafe if numerical else top.loops:
             diagnostics.extend(loop.diagnostics)
-        log("no numerical loop: integer reasoning cannot go beyond the norm analysis")
-        return Verdict(NO, query, fallback_reports, tuple(diagnostics))
-
-    gate = [l for l in loops if l.is_numerical and not l.is_integer_based]
-    if gate:
-        for loop in gate:
-            diagnostics.extend(loop.diagnostics)
-        log("a numerical loop is not integer based; the analysis does not apply")
-        return Verdict(NO, query, fallback_reports, tuple(diagnostics))
+        if numerical:
+            log("a loop is not integer based; the analysis does not apply")
+        else:
+            log("no numerical loop: integer reasoning cannot go beyond the norm analysis")
+        return Verdict(NO, query, reports, tuple(diagnostics))
 
     answer_passes = {"on": (True,), "off": (False,), "auto": (False, True)}[
         options.answer_abstraction
@@ -383,16 +384,15 @@ def analyse_termination(
                 )
                 if key not in attempts:
                     attempts[key] = _attempt(stages, options, domains, table)
-                tally, ok, rung_reports = attempts[key]
+                tally, ok, reports = attempts[key]
                 log(f"rung {name}: {tally}")
             except (DomainTooLarge, PairCapExceeded) as exc:
                 _log_abort(log, f"rung {name}", exc)
                 continue
             if ok:
-                return Verdict(YES, query, rung_reports, tuple(diagnostics), method=name)
-            fallback_reports = rung_reports
+                return Verdict(YES, query, reports, tuple(diagnostics), method=name)
 
-    return Verdict(NO, query, fallback_reports, tuple(diagnostics))
+    return Verdict(NO, query, reports, tuple(diagnostics))
 
 
 # ---------------------------------------------------------------------------

@@ -246,8 +246,8 @@ def generate_pairs(
     entries.  `domains` supplies the finite partition each row is
     widened into (absent predicates get the trivial partition);
     `answers` abstracts the calls before the selected one.  With
-    `numeric` off only norm relations are produced, which is the purely
-    structural reading used as a first attempt.
+    `numeric` off only norm relations are produced: the structural reading
+    the driver gives the tasks its gates keep off the ladder.
 
     Norm relations relate b positions only, so they are derived only for
     a clause call whose domain row and range row both have one.  The

@@ -138,7 +138,7 @@ class TestGateDiagnostics:
             in verdict.diagnostics
         )
         assert (
-            "a numerical loop is not integer based; the analysis does not apply"
+            "a loop is not integer based; the analysis does not apply"
             in verdict.diagnostics
         )
 
@@ -159,6 +159,67 @@ class TestGateDiagnostics:
         verdict = analyse("ex2_q", "q(i)")
         assert "q/1 clause 1: float constant 0.0" in verdict.diagnostics
         assert "q/1 clause 2: float constant 0.1" in verdict.diagnostics
+
+    def test_loop_with_float_arithmetic_in_a_helper(self):
+        # a/1 does no arithmetic of its own, but half/2 divides: from
+        # start(1), a/1 runs forever on 0.5, 0.25, ...  The gate covers
+        # every loop, not only the numerical d/1.
+        source = (
+            "start(N) :- d(N), a(N).\n"
+            "d(0).\nd(N) :- N > 0, M is N - 1, d(M).\n"
+            "a(X) :- half(X, Y), Y > 0, Y < 1, a(Y).\n"
+            "half(X, Y) :- Y is X / 2.\n"
+        )
+        verdict = analyse_termination(
+            normalize_program(parse_program(source)), parse_query_pattern("start(i)")
+        )
+        assert verdict.answer == NO
+        assert (
+            "half/2 clause 5: operator / in `Y is X / 2` is not integer-safe"
+            in verdict.diagnostics
+        )
+        assert verdict.diagnostics[-1] == (
+            "a loop is not integer based; the analysis does not apply"
+        )
+
+
+class TestRouting:
+    """Only a task the gates keep off the ladder gets the structural
+    attempt; every other task goes straight to the ladder, whose rungs
+    run the structural test on each circular pair first."""
+
+    LEN = "len([], 0).\nlen([_|T], N) :- N > 0, M is N - 1, len(T, M).\n"
+
+    def test_only_gated_corpus_tasks_get_the_structural_attempt(self, monkeypatch):
+        gated = []
+        attempt = driver._attempt
+
+        def counted(*args, numeric=True):
+            if not numeric:
+                gated.append(name)
+            return attempt(*args, numeric=numeric)
+
+        monkeypatch.setattr(driver, "_attempt", counted)
+        for name, query, _, _ in VERDICTS:
+            analyse(name, query)
+        assert gated == ["loop", "s", "ex2_p", "ex2_q"]
+
+    def test_list_length_is_proved_on_the_first_rung(self):
+        verdict = analyse_termination(
+            normalize_program(parse_program(self.LEN)), parse_query_pattern("len(b, i)")
+        )
+        assert verdict.answer == YES
+        assert verdict.method == "collected comparisons"
+        (report,) = verdict.loops
+        assert [pair.proof for pair in report.pairs] == ["structural norm decrease"]
+
+    def test_integer_list_argument_leaves_no_circular_pair(self):
+        verdict = analyse_termination(
+            normalize_program(parse_program(self.LEN)), parse_query_pattern("len(i, i)")
+        )
+        assert verdict.answer == YES
+        assert verdict.method == "collected comparisons"
+        assert [report.pairs for report in verdict.loops] == [()]
 
 
 class TestNumericEquality:
@@ -183,7 +244,7 @@ class TestNumericEquality:
         at = lone.diagnostics.index(lone_free) + 1
         assert pair.diagnostics == lone.diagnostics[:at] + (pair_free,) + lone.diagnostics[at:]
         assert (
-            "a numerical loop is not integer based; the analysis does not apply"
+            "a loop is not integer based; the analysis does not apply"
             in pair.diagnostics
         )
 
@@ -306,7 +367,6 @@ class TestEscalationLadder:
     def test_mc91_rung_log(self):
         verdict = analyse("mc91", "mc_carthy_91(i, f)")
         assert verdict.diagnostics == (
-            "structural attempt (simplified norm analysis): 0 of 1 circular pairs proved",
             "rung collected comparisons: 1 of 2 circular pairs proved",
             "rung collected comparisons + answer abstraction: 1 of 2 circular pairs proved",
             "rung inferred comparisons: 1 of 2 circular pairs proved",
@@ -321,7 +381,6 @@ class TestEscalationLadder:
         shallow = analyse("gcd", "gcd(i, i, f)", max_unfold=0)
         deep = analyse("gcd", "gcd(i, i, f)", max_unfold=4)
         assert shallow.diagnostics == deep.diagnostics == (
-            "structural attempt (simplified norm analysis): 0 of 2 circular pairs proved",
             "rung collected comparisons: 1 of 3 circular pairs proved",
             "rung collected comparisons + answer abstraction: 5 of 5 circular pairs proved",
         )
@@ -345,7 +404,6 @@ class TestEscalationLadder:
     def test_ladder_stops_at_first_success(self):
         verdict = analyse("mod", "mod(i, i, f)")
         assert verdict.diagnostics == (
-            "structural attempt (simplified norm analysis): 0 of 1 circular pairs proved",
             "rung collected comparisons: 1 of 1 circular pairs proved",
         )
 
@@ -370,7 +428,6 @@ class TestEscalationLadder:
         assert verdict.answer == YES
         assert verdict.method == "collected comparisons + answer abstraction"
         assert verdict.diagnostics == (
-            "structural attempt (simplified norm analysis): 0 of 1 circular pairs proved",
             "rung collected comparisons + answer abstraction: 1 of 1 circular pairs proved",
         )
 
@@ -444,8 +501,8 @@ class TestStageReuse:
     STAGES = (infer_argument_modes, find_integer_loops, infer_size_relations)
 
     # Size tables built per task.  Only q_mixed has a b position in both
-    # rows of a pair: its table is built for the structural attempt and
-    # reused by the first rung.  The others have integer positions only.
+    # rows of a pair: its table is built once, for the first rung, which
+    # proves it.  The others have integer positions only.
     SIZE_TABLES = {"mc91": 0, "gcd": 0, "p_difficult": 0, "q_mixed": 1}
 
     @pytest.mark.parametrize(
@@ -606,8 +663,8 @@ class TestUnfoldingStep:
 
 class TestResourceCaps:
     def test_pair_cap_turns_into_no_with_diagnostics(self):
-        # gcd's recurrent closures hold 2, 3 and 5 pairs, so a cap of 2
-        # lets the structural attempt through and stops the first rung.
+        # gcd's rung closures hold 3 and 5 pairs, so a cap of 2 stops the
+        # first rung.
         verdict = analyse("gcd", "gcd(i, i, f)", pair_cap=2)
         assert verdict.answer == NO
         assert (
@@ -759,7 +816,7 @@ class TestPartitionBudget:
         # pass instead of logging the same stop again.
         monkeypatch.setattr(domain, "PARTITION_BUDGET", 2**5)
         verdict = analyse_termination(chain_program(5), parse_query_pattern("c(i,i,i,i,i)"))
-        assert verdict.diagnostics[1:] == (
+        assert verdict.diagnostics == (
             "resource cap: comparison set of c/5 has 5 atoms; "
             "its partition needs more than 32 solver checks",
             "rung collected comparisons: aborted by resource cap",
