@@ -8,9 +8,9 @@ over comparison sources (collected, inferred, inferred after
 unfolding), each rung without, then with answers.  The verdict carries
 per-loop, per-pair evidence and feeds the text and JSON report emitters.
 
-Every attempt is one `_attempt`: generate pairs, close the recurrent
-ones (those on a cycle of the query graph, the only factors of a
-circular pair), prove the circular ones, report per loop.  Structural
+Every attempt is one `_attempt`: generate the recurrent pairs (those
+on a cycle of the query graph, the only factors of a circular pair),
+close them, prove the circular ones, report per loop.  Structural
 pairs carry no row constraints, so `prove_pair` suggests no function.
 A completed rung proves all the structural attempt would: a circular
 pair of it has the norm relations of the structural circular pair over
@@ -67,7 +67,6 @@ from .pairs import (
     is_circular,
     pair_sort_key,
     prove_pair,
-    recurrent_pairs,
     render_pair,
 )
 from .syntax import Clause, PredKey, Program, QueryPattern, UserAtom, render_query_pattern
@@ -263,8 +262,8 @@ def _rungs(options: AnalysisOptions):
 
 
 def _attempt(stages, options, domains, table, numeric=True):
-    """Generate the pairs of one rung program, close the recurrent ones
-    and prove the circular ones.  Returns the tally the rung log shows,
+    """Generate the recurrent pairs of one rung program, close them and
+    prove the circular ones.  Returns the tally the rung log shows,
     whether every circular pair was proved, and the loop reports.
     Raises PairCapExceeded when the closure passes the pair cap."""
     base = generate_pairs(
@@ -276,7 +275,7 @@ def _attempt(stages, options, domains, table, numeric=True):
         numeric=numeric,
         size_table=lambda: stages.size_table,
     )
-    closure = compose_until_fixpoint(recurrent_pairs(base), cap=options.pair_cap)
+    closure = compose_until_fixpoint(base, cap=options.pair_cap)
     circular = sorted((p for p in closure if is_circular(p)), key=pair_sort_key)
     proofs = [(p, prove_pair(p)) for p in circular]
     proved = sum(1 for _, found in proofs if found is not None)

@@ -11,15 +11,15 @@ structurally instantiated positions it compares term-size norms.  The
 report shows "=" relations as edges and the strict ones as arcs pointing
 from the larger position to the smaller.
 
-Only the recurrent pairs are closed under composition: those whose
-query and range atom lie on one cycle of the graph of abstract queries
-(`recurrent_pairs`), for every circular pair is a composition of them
-alone.  The closure is finite because rows range over finite
-partitions.  A circular pair (range abstraction equal to the query) is
-suspicious; each one must be discharged either by the structural test
-(a norm decrease along instantiated positions) or by a linear function
-of the integer positions, guessed from the domain row and at least 0
-there, that provably shrinks from domain to range."""
+Only the recurrent pairs are generated and closed under composition:
+those whose query and range atom lie on one cycle of the graph of
+abstract queries (`generate_pairs`), for every circular pair is a
+composition of them alone.  The closure is finite because rows range
+over finite partitions.  A circular pair (range abstraction equal to
+the query) is suspicious; each one must be discharged either by the
+structural test (a norm decrease along instantiated positions) or by a
+linear function of the integer positions, guessed from the domain row
+and at least 0 there, that provably shrinks from domain to range."""
 
 from __future__ import annotations
 
@@ -231,6 +231,19 @@ def _relations(
     return {(positions[pair][0], rel, positions[pair][1]) for pair, rel in orders.items()}
 
 
+def _may_recur(
+    query: AbstractQuery,
+    callee: PredKey,
+    partners: MappingType[PredKey, frozenset[PredKey]],
+    entry: Optional[AbstractQuery],
+) -> bool:
+    """Whether a step from `query` to a call of `callee` can lie on a
+    cycle of the abstract-query graph: `partners` maps each predicate to
+    its component of the predicate graph, and `entry` is the initial
+    query when no step can lead back to it."""
+    return query != entry and callee in partners[query.key]
+
+
 def generate_pairs(
     program: Program,
     pattern: QueryPattern,
@@ -241,13 +254,39 @@ def generate_pairs(
     numeric: bool = True,
     size_table: Optional[Callable[[], MappingType[PredKey, Conjunction]]] = None,
 ) -> frozenset[QueryMappingPair]:
-    """One pair per reachable abstract query, applicable clause, body
-    call, and consistent combination of row elements and prior answer
-    entries.  `domains` supplies the finite partition each row is
-    widened into (absent predicates get the trivial partition);
-    `answers` abstracts the calls before the selected one.  With
-    `numeric` off only norm relations are produced: the structural reading
-    the driver gives the tasks its gates keep off the ladder.
+    """The recurrent pairs: one per reachable abstract query, applicable
+    clause, body call, and consistent combination of row elements and
+    prior answer entries (a step) whose range atom lies in its query's
+    strongly connected component of the abstract-query graph, which has
+    one arc from each step's query to its range atom.  `domains`
+    supplies the finite partition each row is widened into (absent
+    predicates get the trivial partition); `answers` abstracts the calls
+    before the selected one.  With `numeric` off only norm relations are
+    produced: the structural reading the driver gives the tasks its
+    gates keep off the ladder.
+
+    Closing the recurrent pairs instead of every step's pair is exact
+    for every closure pair whose range atom lies in its query's
+    component, circular pairs included.  A closure pair from q to s is a
+    composition along a path of the graph; so if s lies in q's
+    component, every middle query on the path is reached from q and
+    reaches s, hence q, and lies in that component too.  By induction
+    over compositions, the closure of the recurrent pairs is exactly the
+    part of the full closure inside components, each composition with
+    the same satisfiability check.  The circular pairs, their proofs and
+    every report stay the same; only the pair cap sees fewer pairs.
+
+    So relations are derived for the recurrent steps alone.  The walk
+    over abstract queries still follows every step, but keeps one
+    pending only when it may recur (`_may_recur`): its callee shares
+    its query's component of `program.callees`, since the predicates
+    along a cycle of abstract queries form a cycle of calls, and its
+    query is not the constraint-free initial query of a partition with
+    no empty element, which is no step's range atom (see
+    `guess_termination_functions`) and so lies on no cycle.  Every arc
+    of a cycle thus belongs to a pending step, so the components of the
+    pending steps' arcs, computed once the walk ends, place each pending
+    range atom as the arcs of all steps would.
 
     Norm relations relate b positions only, so they are derived only for
     a clause call whose domain row and range row both have one.  The
@@ -281,13 +320,15 @@ def generate_pairs(
             call_size_var,
         )
 
+    def partition(key: PredKey) -> Sequence[Conjunction]:
+        return domains.get(key, (frozenset(),)) if numeric else (frozenset(),)
+
     @cache
     def row_options(key: PredKey, row: str) -> tuple[tuple[Conjunction, Conjunction], ...]:
         """Each element of the key's partition with its copy renamed
         onto `row`, renamed once per call of `generate_pairs`."""
-        elements = domains.get(key, (frozenset(),)) if numeric else (frozenset(),)
         names = _row_names(key[1], _PREFIX[row])
-        return tuple((e, rename(e, names)) for e in elements)
+        return tuple((e, rename(e, names)) for e in partition(key))
 
     @cache
     def skeletons(key: PredKey, query_modes: tuple[str, ...]) -> list[tuple]:
@@ -341,7 +382,14 @@ def generate_pairs(
         modes=effective_call_modes(pattern.key, modes),
         constraint=frozenset(),
     )
-    pairs: set[QueryMappingPair] = set()
+    partners = {
+        key: members
+        for members in strongly_connected_components(program.callees)
+        for key in members
+    }
+    entry = initial if all(partition(pattern.key)) else None
+    # (query, domain atom, range atom, norm relations, row constraint)
+    steps: list[tuple] = []
     seen = {initial}
     queue = deque([initial])
     while queue:
@@ -350,26 +398,38 @@ def generate_pairs(
             # Without `numeric` every constraint is empty, so are these.
             base = conjunction([*head, *instantiate_element(query.constraint, head_args)])
             for callee, range_modes, guards, priors, bindings, rows, row_levels, norms in calls:
+                pending = _may_recur(query, callee, partners, entry)
                 for _, chosen in satisfiable_choices(conjunction(base | guards), priors):
                     grown = conjunction(chosen | bindings)
                     if numeric:
                         grown = eliminate_outside(grown, rows)
                     for (d_elem, r_elem), full in satisfiable_choices(grown, row_levels):
-                        relations = norms
-                        if numeric:
-                            relations = norms | _relations(
-                                full, MODE_INT, domain_modes, range_modes, *row_vars
-                            )
                         range_atom = AbstractQuery(callee, range_modes, r_elem)
-                        mapping = Mapping(
-                            AbstractQuery(query.key, domain_modes, d_elem),
-                            range_atom,
-                            frozenset(relations),
-                        )
-                        pairs.add(QueryMappingPair(query, mapping))
+                        if pending:
+                            domain_atom = AbstractQuery(query.key, domain_modes, d_elem)
+                            steps.append((query, domain_atom, range_atom, norms, full))
                         if range_atom not in seen:
                             seen.add(range_atom)
                             queue.append(range_atom)
+
+    arcs: dict[AbstractQuery, set[AbstractQuery]] = {}
+    for query, _, range_atom, _, _ in steps:
+        arcs.setdefault(query, set()).add(range_atom)
+    component = {
+        query: members
+        for members in strongly_connected_components(arcs)
+        for query in members
+    }
+    pairs: set[QueryMappingPair] = set()
+    for query, domain_atom, range_atom, norms, full in steps:
+        if range_atom not in component[query]:
+            continue
+        relations = norms
+        if numeric:
+            relations = norms | _relations(
+                full, MODE_INT, domain_atom.modes, range_atom.modes, *row_vars
+            )
+        pairs.add(QueryMappingPair(query, Mapping(domain_atom, range_atom, frozenset(relations))))
     return frozenset(pairs)
 
 
@@ -436,33 +496,6 @@ def pair_sort_key(pair: QueryMappingPair) -> tuple:
         tuple(sorted((i, j) for i, rel, j in relations if rel == "=")),
         tuple(sorted(_arc_key(r) for r in relations if r[1] != "=")),
     )
-
-
-def recurrent_pairs(pairs: Iterable[QueryMappingPair]) -> frozenset[QueryMappingPair]:
-    """The pairs whose query and range atom lie in one strongly connected
-    component of the abstract-query graph, which has one arc from each
-    pair's query to its range atom.
-
-    Closing these instead of all the pairs is exact for every pair whose
-    range atom lies in its query's component, circular pairs included.
-    A closure pair from q to s is a composition along a path of the
-    graph; so if s lies in q's component, every middle query on the path
-    is reached from q and reaches s, hence q, and lies in that component
-    too.  By induction over compositions, the closure of the recurrent
-    pairs is exactly the part of the full closure inside components,
-    each composition with the same satisfiability check.  The circular
-    pairs, their proofs and every report stay the same; only the pair
-    cap sees fewer pairs."""
-    pairs = tuple(pairs)
-    arcs: dict[AbstractQuery, set[AbstractQuery]] = {}
-    for pair in pairs:
-        arcs.setdefault(pair.query, set()).add(pair.mapping.range_atom)
-    component = {
-        query: members
-        for members in strongly_connected_components(arcs)
-        for query in members
-    }
-    return frozenset(p for p in pairs if p.mapping.range_atom in component[p.query])
 
 
 def compose_until_fixpoint(

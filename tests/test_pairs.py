@@ -52,7 +52,6 @@ from termiarith.pairs import (
     is_circular,
     pair_sort_key,
     prove_pair,
-    recurrent_pairs,
     render_pair,
     verify_decrease,
 )
@@ -118,6 +117,18 @@ def pipeline(
     return compose_until_fixpoint(base), base
 
 
+def every_step(monkeypatch):
+    """Make `generate_pairs` keep every step's pair, as if each step lay
+    on a cycle of the abstract-query graph: the base the recurrent pairs
+    are selected from."""
+    monkeypatch.setattr(pairs, "_may_recur", lambda *step: True)
+    monkeypatch.setattr(
+        pairs,
+        "strongly_connected_components",
+        lambda arcs: (frozenset(arcs).union(*arcs.values()),),
+    )
+
+
 def circular(closure):
     return sorted((p for p in closure if is_circular(p)), key=pair_sort_key)
 
@@ -156,11 +167,17 @@ def atom_set(*atoms):
 
 
 class TestGeneration:
-    def test_initial_query_has_no_constraint(self):
+    def test_initial_query_has_no_constraint(self, monkeypatch):
+        # r's partition has no empty element, so the constraint-free
+        # initial query is no range atom: it starts pairs, but no
+        # recurrent one.  Those all start at arg1 > 0.
         closure, base = pipeline("r", "r(i)")
-        assert any(p.query.constraint == frozenset() for p in base)
+        assert base and all(p.query.constraint == frozenset({_gt(A1)}) for p in base)
+        every_step(monkeypatch)
+        _, every = pipeline("r", "r(i)")
+        assert any(p.query.constraint == frozenset() for p in every)
         assert all(
-            p.query.constraint in (frozenset(), frozenset({_gt(A1)})) for p in base
+            p.query.constraint in (frozenset(), frozenset({_gt(A1)})) for p in every
         )
 
     def test_unsatisfiable_guard_generates_nothing(self):
@@ -168,20 +185,23 @@ class TestGeneration:
         assert base == frozenset()
         assert closure == frozenset()
 
-    def test_corpus_pair_counts(self):
+    def test_corpus_pair_counts(self, monkeypatch):
+        # Recurrent base and closure, then with every step's pair kept.
         table = [
-            ("r", "r(i)", {}, 4, 4),
-            ("p_int", "p(i)", {}, 4, 4),
-            ("mod", "mod(i,i,f)", {}, 4, 6),
-            ("p_difficult", "p(i,i)", {}, 16, 34),
-            ("q_mixed", "q(b,b,i)", {}, 8, 12),
-            ("gcd", "gcd(i,i,f)", {}, 16, 62),
-            ("gcd", "gcd(i,i,f)", {"answers": True}, 16, 51),
+            ("r", "r(i)", {}, 1, 1, 4, 4),
+            ("p_int", "p(i)", {}, 1, 1, 4, 4),
+            ("mod", "mod(i,i,f)", {}, 1, 1, 4, 6),
+            ("p_difficult", "p(i,i)", {}, 4, 7, 16, 34),
+            ("q_mixed", "q(b,b,i)", {}, 3, 3, 8, 12),
+            ("gcd", "gcd(i,i,f)", {}, 2, 3, 16, 62),
+            ("gcd", "gcd(i,i,f)", {"answers": True}, 3, 5, 16, 51),
         ]
-        for name, query, kwargs, base_count, closure_count in table:
+        for name, query, kwargs, *counts in table:
             closure, base = pipeline(name, query, **kwargs)
-            assert len(base) == base_count, name
-            assert len(closure) == closure_count, name
+            with monkeypatch.context() as patched:
+                every_step(patched)
+                every_closure, every = pipeline(name, query, **kwargs)
+            assert [len(base), len(closure), len(every), len(every_closure)] == counts, name
 
     def test_head_constants_strengthen_domain_modes(self):
         closure, base = pipeline(
@@ -240,7 +260,7 @@ class TestGeneration:
 
         monkeypatch.setattr(pairs, "call_option", recording)
         closure, base = pipeline("gcd", "gcd(i,i,f)", answers=True)
-        assert (len(base), len(closure)) == (16, 51)
+        assert (len(base), len(closure)) == (3, 5)
         earlier = {
             tuple(lit.args)
             for clause in corpus_program("gcd").clauses
@@ -466,9 +486,11 @@ class TestComposition:
         assert compose_until_fixpoint(closure) == closure
 
     def test_cap_is_enforced(self):
+        # gcd's recurrent pairs with answers close to 5 pairs.
         _, base = pipeline("gcd", "gcd(i,i,f)", answers=True)
+        assert len(compose_until_fixpoint(base, cap=5)) == 5
         with pytest.raises(PairCapExceeded):
-            compose_until_fixpoint(base, cap=20)
+            compose_until_fixpoint(base, cap=4)
 
 
 def nest_source(depth):
@@ -488,9 +510,10 @@ RUNG_TASKS = [
 ]
 
 
-def numeric_rung_bases(monkeypatch, program, query):
-    """The base pairs the driver closes on each numeric rung: every
-    closure of a task the ladder analyses."""
+def closed_bases(monkeypatch, program, query):
+    """Every base the driver closes, in order: one structural base for a
+    task the gates keep off the ladder, one per numeric attempt the
+    driver makes for any other."""
     calls = driver_calls(
         monkeypatch, "compose_until_fixpoint", program, parse_query_pattern(query)
     )
@@ -503,14 +526,14 @@ class TestClosureReference:
 
     @pytest.mark.parametrize("program,query", RUNG_TASKS, ids=["gcd", "mc91", "nest-6"])
     def test_closure_matches_brute_force(self, monkeypatch, program, query):
-        bases = numeric_rung_bases(monkeypatch, program, query)
+        bases = closed_bases(monkeypatch, program, query)
         assert bases
         for base in bases:
             assert compose_until_fixpoint(base) == closure_reference(base)
 
     @pytest.mark.parametrize("program,query", RUNG_TASKS, ids=["gcd", "mc91", "nest-6"])
     def test_solver_checks_only_new_compositions(self, monkeypatch, program, query):
-        bases = numeric_rung_bases(monkeypatch, program, query)
+        bases = closed_bases(monkeypatch, program, query)
         verdicts = []
 
         def recorded(conj):
@@ -538,7 +561,7 @@ class TestClosureReference:
         bases = [
             base
             for program, query in RUNG_TASKS[:2]
-            for base in numeric_rung_bases(monkeypatch, program, query)
+            for base in closed_bases(monkeypatch, program, query)
         ]
         checked = []
 
@@ -556,11 +579,20 @@ class TestClosureReference:
 
 
 def generated_bases(monkeypatch, program, query):
-    """Every base the driver generates, whole, in the order it closes
-    them: one structural base for a task the gates keep off the ladder,
-    one per numeric attempt the driver makes for any other."""
-    calls = driver_calls(monkeypatch, "recurrent_pairs", program, parse_query_pattern(query))
-    return [base for base, in calls]
+    """Each base the driver closes (`closed_bases`) after the base of
+    every step's pair (`every_step`) the driver closes in its place, as
+    (every, recurrent) pairs.  Asserts a base for every task with a
+    loop."""
+    with monkeypatch.context() as patched:
+        every_step(patched)
+        every = closed_bases(patched, program, query)
+    recurrent = closed_bases(monkeypatch, program, query)
+    pattern = parse_query_pattern(query)
+    assert recurrent or not find_integer_loops(
+        program, pattern, infer_argument_modes(program, pattern)
+    )
+    assert len(every) == len(recurrent)
+    return list(zip(every, recurrent))
 
 
 def on_cycles(closure, base):
@@ -582,10 +614,6 @@ def _row_query(key, constraint=frozenset()):
     return AbstractQuery(key=key, modes=(MODE_INT,), constraint=constraint)
 
 
-def _step(query, range_atom):
-    return QueryMappingPair(query, Mapping(query, range_atom, frozenset()))
-
-
 class TestRecurrentPairs:
     """Closing the recurrent pairs alone gives exactly the part of the
     full closure that lies on cycles, circular pairs included."""
@@ -596,10 +624,11 @@ class TestRecurrentPairs:
         ids=[f"{name}-{query}" for name, query, _ in CORPUS] + ["gcd", "mc91", "nest-6"],
     )
     def test_recurrent_closure_is_the_cyclic_part(self, monkeypatch, program, query):
-        for base in generated_bases(monkeypatch, program, query):
-            full = compose_until_fixpoint(base)
-            recurrent = compose_until_fixpoint(recurrent_pairs(base))
-            assert recurrent == on_cycles(full, base)
+        for every, base in generated_bases(monkeypatch, program, query):
+            assert base == on_cycles(every, every)
+            full = compose_until_fixpoint(every)
+            recurrent = compose_until_fixpoint(base)
+            assert recurrent == on_cycles(full, every)
             assert set(filter(is_circular, recurrent)) == set(filter(is_circular, full))
 
     def test_numeric_bases_are_checked(self, monkeypatch):
@@ -608,32 +637,64 @@ class TestRecurrentPairs:
         gated = ("loop", "s", "ex2_p", "ex2_q")
         ladder = [(corpus_program(n), query) for n, query, _ in CORPUS if n not in gated]
         bases = [
-            base
+            pair
             for program, query in ladder + RUNG_TASKS
-            for base in generated_bases(monkeypatch, program, query)
+            for pair in generated_bases(monkeypatch, program, query)
         ]
         assert len(bases) >= 10
-        assert any(recurrent_pairs(base) != base for base in bases)
+        assert any(every != base for every, base in bases)
 
-    def test_entry_and_callee_pairs_are_dropped(self):
-        start = _row_query(("p", 1))
-        up = _row_query(("p", 1), frozenset({_gt(A1)}))
-        down = _row_query(("p", 1), frozenset({_lt(A1)}))
-        inner = _row_query(("l", 1))
-        entry, there, back = _step(start, up), _step(up, down), _step(down, up)
-        call, spin = _step(up, inner), _step(inner, inner)
-        base = frozenset({entry, there, back, call, spin})
-        assert recurrent_pairs(base) == {there, back, spin}
-        full = compose_until_fixpoint(base)
-        closure = compose_until_fixpoint(recurrent_pairs(base))
-        assert closure == on_cycles(full, base)
+    def test_entry_and_callee_pairs_are_dropped(self, monkeypatch):
+        # l1 calls l2 before itself: the steps from the constraint-free
+        # initial query and those into l2 are followed, so l2 is
+        # explored, but none of them is recurrent.
+        source = nest_source(2)
+        closure, base = pipeline(source, "l1(i)", inline=True)
+        with monkeypatch.context() as patched:
+            every_step(patched)
+            full, every = pipeline(source, "l1(i)", inline=True)
+        start = _row_query(("l1", 1))
+        up = _row_query(("l1", 1), frozenset({_gt(A1)}))
+        inner = _row_query(("l2", 1), frozenset({_gt(A1)}))
+        arcs = {(p.query, p.mapping.range_atom) for p in every}
+        assert {(start, up), (up, inner), (up, up), (inner, inner)} <= arcs
+        assert {(p.query, p.mapping.range_atom) for p in base} == {(up, up), (inner, inner)}
+        assert base == on_cycles(every, every)
+        assert closure == on_cycles(full, every)
         assert {(p.query, p.mapping.range_atom) for p in filter(is_circular, closure)} == {
             (up, up),
-            (down, down),
             (inner, inner),
         }
         # The full closure also leaves the start and enters the callee.
         assert len(full) > len(closure)
+
+    @pytest.mark.parametrize(
+        "name,query,derived,picks", [("r", "r(i)", 1, 4), ("gcd", "gcd(i,i,f)", 5, 32)]
+    )
+    def test_relations_are_derived_for_recurrent_steps_alone(
+        self, monkeypatch, name, query, derived, picks
+    ):
+        # Over every attempt of the task.  With every step's pair kept,
+        # each step derives its relations once and gives a pair of its
+        # own, so the pairs closed count the steps; neither task has a b
+        # position, so no norm relations are derived.  Otherwise only
+        # the recurrent steps derive theirs.
+        def derivations(patch):
+            calls = []
+            relations = pairs._relations
+
+            def counted(*args):
+                calls.append(args)
+                return relations(*args)
+
+            patch.setattr(pairs, "_relations", counted)
+            bases = closed_bases(patch, corpus_program(name), query)
+            return len(calls), sum(map(len, bases))
+
+        with monkeypatch.context() as patched:
+            every_step(patched)
+            assert derivations(patched) == (picks, picks)
+        assert derivations(monkeypatch) == (derived, derived)
 
     def test_gcd_closure_sizes(self, monkeypatch):
         # The collected rung without and with answers; all of gcd's
@@ -724,8 +785,8 @@ class TestGuessing:
     )
     def test_a_circular_range_row_is_its_domain_row(self, monkeypatch, program, query):
         # Why only the domain row suggests slacks.
-        for base in generated_bases(monkeypatch, program, query):
-            for pair in circular(compose_until_fixpoint(recurrent_pairs(base))):
+        for base in closed_bases(monkeypatch, program, query):
+            for pair in circular(compose_until_fixpoint(base)):
                 assert pair.mapping.range_atom.constraint == pair.mapping.domain_atom.constraint
 
     def test_cap_limits_candidates(self, monkeypatch):
