@@ -10,7 +10,9 @@ reads the table as it stood when the round began, and a clause with
 calls into the loop once per such call: that call takes the entries the
 previous round added, the calls before it the older entries and the
 calls after it all of them, so no combination is read twice.  A clause
-without calls into the loop is read in the first round only.  Pieces
+without calls into the loop is read in the first round only.  Each
+call's option for an entry, the entry instantiated on the call's
+arguments, is built once per fixpoint and read in every round.  Pieces
 mention only the argument positions, so a combination is projected onto
 them (`eliminate_outside`) before the pieces not yet in the table are
 tested against it, and not read at all once every piece is in.  Loops
@@ -30,6 +32,7 @@ fixpoint."""
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Mapping, NamedTuple, Sequence
 
 from . import domain
@@ -188,6 +191,8 @@ def compute_abstract_answers(
     for answer_domain in domains:
         pieces.update(answer_domain.pieces)
     published: AnswerTable = {}
+    # Each answer element instantiated on each call's arguments, once.
+    option = cache(call_option)
     for loop in loops:
         positions = answer_positions(loop, modes)
         table: dict[PredKey, dict[Conjunction, None]] = {key: {} for key in loop.predicates}
@@ -221,7 +226,7 @@ def compute_abstract_answers(
                             chosen = entries[lit.key][len(older[lit.key]) :]
                         else:
                             chosen = entries[lit.key]
-                        levels.append([call_option(element, lit.args) for element in chosen])
+                        levels.append([option(element, lit.args) for element in chosen])
                     for _, candidate in satisfiable_choices(base, levels):
                         unseen = [piece for piece in pieces[key] if piece not in table[key]]
                         if not unseen:

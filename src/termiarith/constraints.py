@@ -434,28 +434,35 @@ def difference_graph(conj: Iterable[LinAtom]) -> Optional[list[Edge]]:
     edges: list[Edge] = []
     for atom in conj:
         (terms, const), rel = atom
-        if not terms:
+        if len(terms) == 1:
+            ((plus, a),) = terms
+            minus = ""
+        elif len(terms) == 2:
+            (plus, a), (minus, b) = terms
+            if a != -b:
+                return None
+        elif terms:
+            return None
+        else:
             if not atom_is_true(atom):
                 edges.append(("", "", -1))
             continue
-        if rel == LT:
-            # With every coefficient ±1 the gcd is 1, so `_tighten` would
+        # a*(plus - minus) + const rel 0
+        if a != 1 and a != -1:
+            # Tightening divides by a gcd, which can make a unit.
+            if rel != LT:
+                return None
+            (terms, const), rel = _tighten(atom)
+            a = terms[0][1]
+            if a != 1 and a != -1:
+                return None
+        elif rel == LT:
+            # With a unit coefficient the gcd is 1, so `_tighten` would
             # only add one to the constant.
-            if all(c * c == 1 for _, c in terms):
-                const += 1
-            else:
-                (terms, const), _ = _tighten(atom)
+            const += 1
             rel = LE
-        if len(terms) == 1:
-            ((x, a),) = terms
-            plus, minus = (x, "") if a == 1 else ("", x)
-        elif len(terms) == 2 and terms[0][1] == -terms[1][1]:
-            (x, a), (y, _) = terms
-            plus, minus = (x, y) if a == 1 else (y, x)
-        else:
-            return None
-        if a * a != 1:
-            return None
+        if a == -1:
+            plus, minus = minus, plus
         # plus - minus + const rel 0
         edges.append((minus, plus, -const))
         if rel == EQ:

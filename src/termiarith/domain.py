@@ -349,7 +349,7 @@ def _comparison_shape(atom: LinAtom) -> bool:
     if len(names) == 1:
         return abs(coeffs[0]) == 1
     if len(names) == 2:
-        return sorted(coeffs) == [-1, 1] and atom.expr.const == 0
+        return sorted(coeffs) == [-1, 1]
     return False
 
 
@@ -363,10 +363,13 @@ def infer_comparisons(
 
     Each clause body is read as a linear constraint (head bindings,
     comparisons, linear ``is/2``), projected onto its head positions and
-    split into atoms; only atoms of the variable/constant shape are kept.
-    Body comparisons over head position variables are always included
-    verbatim, so the result extends anything collection can find, and
-    they are all a clause gives when its projection hits the cap."""
+    split into atoms; only the difference atoms ``±x + c`` and
+    ``x - y + c`` are kept, which the solver's difference route
+    (`constraints.difference_graph`) decides exactly, with no
+    elimination.  Body comparisons over head position variables are
+    always included verbatim, so the result extends anything collection
+    can find, and they are all a clause gives when its projection hits
+    the cap."""
     if positions is None:
         positions = query_positions(loop, modes)
     out: ComparisonSet = {key: frozenset() for key in positions}

@@ -27,7 +27,7 @@ from collections import deque
 from functools import cache, cached_property, partial
 from typing import Callable, Iterable, Mapping as MappingType, NamedTuple, Optional, Sequence
 
-from .answers import AnswerTable, CallOption, call_option, instantiate_element
+from .answers import AnswerTable, CallOption, call_option
 from .constraints import (
     LE,
     LT,
@@ -296,11 +296,22 @@ def generate_pairs(
     without such a call.
 
     Whatever does not depend on a query's constraint is built once per
-    predicate and query modes: each applicable clause's domain modes and
-    head bindings and, per call, the guards before it, its range modes
-    and bindings, norm relations, row levels and the answer levels of
-    the calls before it.  Per query, only its constraint is instantiated
-    on the head and the walks over those levels run."""
+    predicate and query modes: each applicable clause's domain modes
+    and, per call, its range modes, norm relations, row levels and step
+    constraints: the head bindings, the guards before the call, one
+    satisfiable pick of the answers of the calls before it and its own
+    bindings, projected onto the rows by one `eliminate_outside` per
+    pick.  Per query, only the row walks run, each over a step and the
+    query's constraint Q renamed onto the domain row (`row_options`).
+    This is exact: Q(d) mentions only kept variables, so projecting with
+    it gives the atoms of projecting without it, plus Q(d); the head
+    bindings make Q(d) equivalent to the Q(t) of instantiating Q on the
+    head terms, and `instantiate_element` would drop no atom, since Q
+    mentions only positions the query's modes fill with integers, where
+    an applicable clause's head has a variable or an integer; a pick Q
+    contradicts fails the row walk's first check.  Only integer
+    tightening can tell them apart, where substituting head terms raises
+    a non-difference atom's gcd; Q(d) is then weaker, which is sound."""
     answers = answers or {}
     domains = domains or {}
     table: Optional[MappingType[PredKey, Conjunction]] = None
@@ -333,20 +344,20 @@ def generate_pairs(
     @cache
     def skeletons(key: PredKey, query_modes: tuple[str, ...]) -> list[tuple]:
         """The applicable clauses of `key` under `query_modes`, each with
-        its domain modes, head bindings and calls (see the docstring)."""
+        its domain modes and calls (see the docstring)."""
         out = []
         for clause in program.clauses_for(key):
             if not clause_applicable(clause, query_modes):
                 continue
             domain_modes = _theta_modes(query_modes, clause.head.args)
-            head = _value_bindings(domain_modes, clause.head.args, ROW_DOMAIN) if numeric else []
             calls = []
             # One level per call before the selected one: its answer
             # elements instantiated on its arguments.  A call without
             # entries would constrain nothing, so it gets no level; only
             # later calls read them, so the last call gets none either.
             priors: list[Sequence[CallOption]] = []
-            guards: list[LinAtom] = []
+            # The head bindings, then the guards before each call.
+            guards = _value_bindings(domain_modes, clause.head.args, ROW_DOMAIN) if numeric else []
             last_call = max(
                 (k for k, lit in enumerate(clause.body) if isinstance(lit, UserAtom)),
                 default=-1,
@@ -367,12 +378,15 @@ def generate_pairs(
                     *_row_names(key[1], _PREFIX[ROW_DOMAIN]).values(),
                     *_row_names(literal.key[1], _PREFIX[ROW_RANGE]).values(),
                 ]
+                step_constraints = [
+                    eliminate_outside(chosen.union(bindings), rows) if numeric else chosen
+                    for _, chosen in satisfiable_choices(conjunction(guards), tuple(priors))
+                ]
                 row_levels = (row_options(key, ROW_DOMAIN), row_options(literal.key, ROW_RANGE))
-                calls.append((literal.key, range_modes, frozenset(guards), tuple(priors),
-                              frozenset(bindings), rows, row_levels, norms))
+                calls.append((literal.key, range_modes, step_constraints, row_levels, norms))
                 if index < last_call and (entries := answers.get(literal.key)):
                     priors.append([call_option(e, literal.args) for e in entries])
-            out.append((clause.head.args, domain_modes, head, calls))
+            out.append((domain_modes, calls))
         return out
 
     # Position i of the domain and range rows as a value variable.
@@ -394,16 +408,14 @@ def generate_pairs(
     queue = deque([initial])
     while queue:
         query = queue.popleft()
-        for head_args, domain_modes, head, calls in skeletons(query.key, query.modes):
-            # Without `numeric` every constraint is empty, so are these.
-            base = conjunction([*head, *instantiate_element(query.constraint, head_args)])
-            for callee, range_modes, guards, priors, bindings, rows, row_levels, norms in calls:
+        on_row = dict(row_options(query.key, ROW_DOMAIN)).get(query.constraint, frozenset())
+        for domain_modes, calls in skeletons(query.key, query.modes):
+            for callee, range_modes, step_constraints, row_levels, norms in calls:
                 pending = _may_recur(query, callee, partners, entry)
-                for _, chosen in satisfiable_choices(conjunction(base | guards), priors):
-                    grown = conjunction(chosen | bindings)
-                    if numeric:
-                        grown = eliminate_outside(grown, rows)
-                    for (d_elem, r_elem), full in satisfiable_choices(grown, row_levels):
+                for step in step_constraints:
+                    for (d_elem, r_elem), full in satisfiable_choices(
+                        conjunction(on_row | step), row_levels
+                    ):
                         range_atom = AbstractQuery(callee, range_modes, r_elem)
                         if pending:
                             domain_atom = AbstractQuery(query.key, domain_modes, d_elem)

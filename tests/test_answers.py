@@ -12,6 +12,7 @@ from helpers import answers_reference, driver_calls, widen
 from termiarith import answers, driver
 from termiarith.answers import (
     build_answer_domain,
+    call_option,
     compute_abstract_answers,
     instantiate_element,
 )
@@ -448,3 +449,26 @@ class TestSemiNaive:
             compute_abstract_answers(*args)
             assert picks
             assert len(set(picks)) == len(picks)
+
+    def test_each_option_is_built_once(self, monkeypatch):
+        # Every round and pivot reads the options of mc91's calls into
+        # its loop; each (literal, element) option is built once per
+        # fixpoint.
+        program, pattern = corpus_program("mc91"), parse_query_pattern("mc_carthy_91(i,f)")
+        calls = driver_calls(monkeypatch, "compute_abstract_answers", program, pattern)
+        built = []
+
+        def recording(element, args):
+            built.append((element, tuple(args)))
+            return call_option(element, args)
+
+        monkeypatch.setattr(answers, "call_option", recording)
+        counts = []
+        for args in calls:
+            built.clear()
+            compute_abstract_answers(*args)
+            assert len(built) == len(set(built))
+            counts.append(len(built))
+        # Built per round and pivot instead, the three fixpoints would
+        # build 13, 13 and 58 options.
+        assert counts == [6, 6, 12]

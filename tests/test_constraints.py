@@ -216,6 +216,17 @@ class TestDifferenceGraph:
         # 2*X + 1 < 0 tightens to X + 1 =< 0.
         atom = make_atom(LinExpr.build({"X": 2}, 1), LT)
         assert lc.difference_graph([atom]) == [("", "X", -1)]
+        # 1 - 2*X < 0 tightens to 1 - X =< 0, that is 0 - X =< -1.
+        atom = make_atom(LinExpr.build({"X": -2}, 1), LT)
+        assert lc.difference_graph([atom]) == [("X", "", -1)]
+
+    def test_tightening_that_leaves_a_coefficient_is_not_read(self):
+        # 3*X - 3*Y + 1 < 0 tightens to 3*X - 3*Y + 2 =< 0: no unit.
+        atom = make_atom(LinExpr.build({"X": 3, "Y": -3}, 1), LT)
+        assert lc.difference_graph([atom]) is None
+        # Only strict atoms are tightened.
+        assert lc.difference_graph([make_atom(LinExpr.build({"X": 2}, 1), LE)]) is None
+        assert lc.difference_graph([make_atom(LinExpr.build({"X": 2, "Y": -2}, 1), EQ)]) is None
 
     def test_shortest_paths_bound_every_difference(self):
         edges = lc.difference_graph([atom_lt("X", "Y"), atom_lt("Y", "Z"), atom_le("Z", 10)])

@@ -492,6 +492,25 @@ class TestStagePins:
         assert verdict.answer == YES
         assert verdict.method == "unfold x1 + inferred comparisons"
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "p(X, Z) :- Y is X - 2, Y > Z, p(Y, Z).\n",
+            # The same loop with the guard written on X: normalization
+            # splits X - 2 > Z into its own arithmetic.
+            "p(X, Z) :- X - 2 > Z, Y is X - 2, p(Y, Z).\n",
+        ],
+        ids=["bound-after", "bound-before"],
+    )
+    def test_inferred_difference_with_constant(self, source):
+        # Only the inferred arg1 - arg2 > 2 bounds the countdown; the
+        # difference atom keeps its constant.
+        verdict = analyse_termination(
+            normalize_program(parse_program(source)), parse_query_pattern("p(i, i)")
+        )
+        assert verdict.answer == YES
+        assert verdict.method == "inferred comparisons"
+
 
 class TestStageReuse:
     """Modes and loops run once per distinct program the ladder reaches;

@@ -13,7 +13,7 @@ from conftest import corpus_program
 from helpers import closure_reference, compose_pair, driver_calls
 from test_acceptance import CORPUS
 
-from termiarith import constraints, pairs
+from termiarith import constraints, driver, pairs
 from termiarith.answers import build_answer_domain, call_option, compute_abstract_answers
 from termiarith.constraints import (
     EQ,
@@ -239,6 +239,71 @@ class TestGeneration:
         # domain row and once onto the range row.
         assert len(renamed) == len(set(renamed))
         assert len(renamed) == 2 * sum(len(elements) for elements in domains.values())
+
+    @pytest.mark.parametrize(
+        "name,query,steps",
+        [
+            ("r", "r(i)", [1]),
+            # gcd's calls of mod and gcd, and mod's own call; with
+            # answers, gcd's call reads two entries of mod's table.
+            ("gcd", "gcd(i,i,f)", [3, 4]),
+            # mc91's two calls; with answers, the second reads three
+            # entries of the first's table; then the unfolded program.
+            ("mc91", "mc_carthy_91(i,f)", [2, 4, 4, 11]),
+        ],
+    )
+    def test_each_step_is_projected_once(self, monkeypatch, name, query, steps):
+        # Over every attempt of the task: one elimination per clause
+        # call and satisfiable pick of prior answer entries, made once
+        # per `generate_pairs` call, not once per abstract query.
+        eliminated = []
+        eliminate = pairs.eliminate_outside
+        generate = driver.generate_pairs
+
+        def recording(conj, keep):
+            eliminated[-1].append((conj, tuple(keep)))
+            return eliminate(conj, keep)
+
+        def counting(*args, **kwargs):
+            eliminated.append([])
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(pairs, "eliminate_outside", recording)
+        monkeypatch.setattr(driver, "generate_pairs", counting)
+        driver.analyse_termination(corpus_program(name), parse_query_pattern(query))
+        assert [len(calls) for calls in eliminated] == steps
+        assert all(len(set(calls)) == len(calls) for calls in eliminated)
+
+    def test_projections_do_not_grow_with_the_queries(self, monkeypatch):
+        # gcd under the trivial partition reaches one query per
+        # predicate, under its inferred partition many more; both make
+        # the same three eliminations.
+        program = corpus_program("gcd")
+        pattern = parse_query_pattern("gcd(i,i,f)")
+        modes = infer_argument_modes(program, pattern)
+        domains = {}
+        for loop in find_integer_loops(program, pattern, modes):
+            domains.update(build_domain(infer_comparisons(loop, modes)))
+        eliminate, may_recur = pairs.eliminate_outside, pairs._may_recur
+        counts = []
+        for partition in ({}, domains):
+            eliminated, queries = [], set()
+
+            def recording(conj, keep):
+                eliminated.append(conj)
+                return eliminate(conj, keep)
+
+            def reached(query, *rest):
+                queries.add(query)
+                return may_recur(query, *rest)
+
+            monkeypatch.setattr(pairs, "eliminate_outside", recording)
+            monkeypatch.setattr(pairs, "_may_recur", reached)
+            generate_pairs(program, pattern, modes, domains=partition)
+            counts.append((len(eliminated), len(queries)))
+        (trivial_steps, trivial_queries), (inferred_steps, inferred_queries) = counts
+        assert trivial_steps == inferred_steps == 3
+        assert trivial_queries == 2 < inferred_queries
 
     def test_integer_reasoning_prunes_value_ranges(self):
         # r counts down from a positive integer, so the recursive call
