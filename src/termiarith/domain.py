@@ -14,8 +14,7 @@ comparison set:
   clause so that a later inference pass finds sharper guards;
 * `build_domain` turns a comparison set into the partition;
 * `extend_domain` spreads a partition across argument positions that
-  exchange values, for predicates whose comparisons constrain only some
-  of their integer positions;
+  exchange values (the prover does not call it; see its section);
 * `satisfiable_choices` is the one walk over a finite product of
   options (sign assignments, partition copies, answer entries, row
   elements) that enters only satisfiable prefixes; the prover builds
@@ -79,8 +78,8 @@ from .syntax import (
 )
 
 #: Solver checks one partition walk may make, its base check included:
-#: the sign tree of a set, the propagation of a domain (which also counts
-#: its permutations) and its refinement for answers.  A 12-atom sign tree
+#: the sign tree of a query or answer comparison set, or the propagation
+#: of a domain (which also counts its permutations).  A 12-atom sign tree
 #: has at most 2**13 - 1 nodes, so every such set is partitioned.
 PARTITION_BUDGET = 2**13
 
@@ -323,22 +322,6 @@ def collect_answer_comparisons(loop: LoopInfo, modes: ModeAssignment) -> Compari
     return out
 
 
-def unconstrained_positions(
-    loop: LoopInfo, modes: ModeAssignment, collected: ComparisonSet
-) -> dict[PredKey, tuple[int, ...]]:
-    """Integer-typed positions that no comparison of `collected` (the
-    loop's `collect_answer_comparisons`) mentions, even counting
-    non-recursive clauses.  Nonempty means the loop needs its domain
-    propagated across positions."""
-    out: dict[PredKey, tuple[int, ...]] = {}
-    for key, pos in answer_positions(loop, modes).items():
-        mentioned: set[str] = set()
-        for atom in collected[key]:
-            mentioned |= atom.expr.variables()
-        out[key] = tuple(j for j in pos if position_var(j) not in mentioned)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Inference.
 
@@ -494,7 +477,9 @@ def unfold_once(program: Program, clause_index: int, atom_index: int) -> Program
 
 
 # ---------------------------------------------------------------------------
-# Propagation across positions.
+# Propagation across positions.  The prover calls neither function below;
+# they stay because the benchmark tracer wraps `extend_domain` by name and
+# fails on a name it cannot find.  Both can go once it drops that name.
 
 
 class ExtendedDomain(NamedTuple):

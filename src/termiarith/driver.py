@@ -26,6 +26,10 @@ abstraction and, if that fails under `--answers auto`, with it; the
 next unfolding is built only when both attempts fail, and the ladder
 stops at one whose body literals would pass `UNFOLD_LITERAL_CAP`.  A
 program's size table is built only if pair generation asks for it.
+Its answer table is a stage of the program too: a loop's answer
+partition depends only on the loop and its modes, so the collected and
+inferred rungs share one table, built when the first answer attempt
+asks for it.
 
 A rung attempt depends only on the rung program, its query domains
 (every rung is numeric) and the answer-table entries pair generation
@@ -39,16 +43,18 @@ made again: its tally is logged under its own label and the earlier
 verdict and reports are reused.  Answer domains and tables are built
 only for the loops of the read predicates and of all they call, kept
 callee-first.  No entry read, so no attempt key, changes: a loop's
-entries depend only on its clauses, query domain and callees' tables."""
+entries depend only on its clauses, its modes and its callees'
+tables."""
 
 import json
 from functools import cached_property
 from itertools import takewhile
 from typing import NamedTuple, Optional
 
-from .answers import build_answer_domain, compute_abstract_answers
+from .answers import AnswerTable, build_answer_domain, compute_abstract_answers
 from .constraints import is_satisfiable, render_conjunction
 from .domain import (
+    Domain,
     DomainTooLarge,
     build_domain,
     collect_comparisons,
@@ -199,6 +205,17 @@ class _ProgramStages:
     def size_table(self):
         return infer_size_relations(self.program, self.modes)
 
+    @cached_property
+    def answer_table(self) -> AnswerTable:
+        """The answer tables of the loops of the `answer_reads` predicates
+        and of all they call, callee-first; no other table is read.
+        Raises DomainTooLarge, and is built again when read again, if an
+        answer partition passes `domain.PARTITION_BUDGET`."""
+        called = reachable_from(self.program.callees, self.answer_reads)
+        tabled = [loop for loop in self.loops if loop.predicates & called]
+        domains = [build_answer_domain(loop, self.modes) for loop in tabled]
+        return compute_abstract_answers(tabled, self.modes, domains) if tabled else {}
+
     def unfolded(self) -> Optional["_ProgramStages"]:
         """The program with the first in-loop body atom of each recursive
         clause unfolded once, or None when its clauses would hold more
@@ -238,18 +255,17 @@ def _may_call(clause: Clause) -> bool:
     return is_satisfiable([atom for lit in prefix for atom in literal_atoms(lit)])
 
 
-def _query_domains(stages: _ProgramStages, prefer_inference):
-    """Each loop's query domain on one rung, with whether inference built
-    it.  Raises DomainTooLarge when a comparison set's partition passes
-    `domain.PARTITION_BUDGET`, which stops the rung."""
-    built = []
+def _query_domains(stages: _ProgramStages, prefer_inference) -> Domain:
+    """The query domains of a rung's loops.  Raises DomainTooLarge when a
+    comparison set's partition passes `domain.PARTITION_BUDGET`, which
+    stops the rung."""
+    domains: Domain = {}
     for loop in stages.loops:
         comparisons = None if prefer_inference else collect_comparisons(loop, stages.modes)
-        used_inference = comparisons is None
-        if used_inference:
+        if comparisons is None:
             comparisons = infer_comparisons(loop, stages.modes)
-        built.append((loop, build_domain(comparisons), used_inference))
-    return built
+        domains.update(build_domain(comparisons))
+    return domains
 
 
 def _rungs(options: AnalysisOptions):
@@ -356,30 +372,18 @@ def analyse_termination(
                 )
                 break
         try:
-            built = _query_domains(stages, prefer_inference)
+            domains = _query_domains(stages, prefer_inference)
         except DomainTooLarge as exc:
             _log_abort(log, f"rung {label}", exc)
             continue
-        domains = {k: v for _, domain, _ in built for k, v in domain.items()}
         for with_answers in answer_passes:
             name = label + (" + answer abstraction" if with_answers else "")
             try:
-                reads = stages.answer_reads if with_answers else ()
-                called = reachable_from(stages.program.callees, reads)
-                answered = [entry for entry in built if entry[0].predicates & called]
-                answer_domains = [
-                    build_answer_domain(loop, stages.modes, domain, used_inference=inferred)
-                    for loop, domain, inferred in answered
-                ]
-                for answer_domain in answer_domains:
-                    for note in answer_domain.notes:
-                        log(f"rung {name}: {note}")
-                tabled = [loop for loop, _, _ in answered]
-                table = compute_abstract_answers(tabled, stages.modes, answer_domains) if tabled else {}
+                table = stages.answer_table if with_answers else {}
                 key = (
                     stages,
                     frozenset((k, frozenset(v)) for k, v in domains.items()),
-                    frozenset((k, frozenset(table[k])) for k in reads if table.get(k)),
+                    frozenset((k, frozenset(table[k])) for k in stages.answer_reads if table.get(k)),
                 )
                 if key not in attempts:
                     attempts[key] = _attempt(stages, options, domains, table)

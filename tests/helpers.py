@@ -9,7 +9,7 @@ text that round-trips through `parse_program`."""
 from typing import Iterable, Iterator, Optional, Sequence
 
 from termiarith import driver
-from termiarith.answers import AnswerDomain, AnswerTable, call_option
+from termiarith.answers import AnswerTable, call_option
 from termiarith.constraints import (
     Conjunction,
     LinAtom,
@@ -17,7 +17,7 @@ from termiarith.constraints import (
     implies_all,
     is_satisfiable,
 )
-from termiarith.domain import answer_positions, applicable_clauses, clause_constraint
+from termiarith.domain import Domain, answer_positions, applicable_clauses, clause_constraint
 from termiarith.graph import LoopInfo
 from termiarith.modes import ModeAssignment
 from termiarith.pairs import QueryMappingPair, _composition, _satisfiable_through
@@ -101,7 +101,7 @@ def closure_reference(pairs: Iterable[QueryMappingPair]) -> frozenset[QueryMappi
 
 
 def answers_reference(
-    loops: Sequence[LoopInfo], modes: ModeAssignment, domains: Sequence[AnswerDomain]
+    loops: Sequence[LoopInfo], modes: ModeAssignment, domains: Sequence[Domain]
 ) -> AnswerTable:
     """`compute_abstract_answers` by naive rounds, without projection or
     pruning: each round reads every clause against a snapshot of the
@@ -109,9 +109,9 @@ def answers_reference(
     the calls' entries, and each piece is tested against the whole
     candidate, clause variables included.  Tables are published in
     partition order."""
-    pieces: dict[PredKey, dict[Conjunction, Conjunction]] = {}
+    pieces: Domain = {}
     for answer_domain in domains:
-        pieces.update(answer_domain.pieces)
+        pieces.update(answer_domain)
     published: AnswerTable = {}
     for loop in loops:
         positions = answer_positions(loop, modes)
@@ -134,8 +134,7 @@ def answers_reference(
                             table[clause.key].append(piece)
                             changed = True
         for key in sorted(loop.predicates):
-            elements = dict.fromkeys(e for p, e in pieces[key].items() if p in table[key])
-            published[key] = tuple(elements)
+            published[key] = tuple(piece for piece in pieces[key] if piece in table[key])
     return published
 
 

@@ -32,7 +32,6 @@ from termiarith.domain import (
     build_domain,
     collect_answer_comparisons,
     collect_comparisons,
-    infer_comparisons,
     unfold_once,
 )
 from termiarith.driver import (
@@ -95,23 +94,12 @@ def loop_of(name, query, unfold=None):
     return loop, modes
 
 
-def answer_table(name, query, unfold=None, infer=False):
+def answer_table(name, query):
     program = corpus_program(name)
-    if unfold is not None:
-        program = unfold_once(program, *unfold)
     pattern = parse_query_pattern(query)
     modes = infer_argument_modes(program, pattern)
     loops = find_integer_loops(program, pattern, modes)
-    domains = []
-    for loop in loops:
-        comparisons = None if infer else collect_comparisons(loop, modes)
-        if comparisons is None:
-            comparisons = infer_comparisons(loop, modes)
-        domains.append(
-            build_answer_domain(
-                loop, modes, build_domain(comparisons), used_inference=infer
-            )
-        )
+    domains = [build_answer_domain(loop, modes) for loop in loops]
     return compute_abstract_answers(loops, modes, domains)
 
 
@@ -119,23 +107,15 @@ def test_ac01_mc91_is_proved_with_the_expected_evidence():
     verdict = analyse("mc91", "mc_carthy_91(i,f)")
     assert verdict.answer == YES
     (loop,) = verdict.loops
-    assert set(loop.domain["mc_carthy_91/2"]) == {
-        "arg1 =< 89",
-        "arg1 > 89, arg1 =< 100",
-        "arg1 > 100",
-    }
+    assert set(loop.domain["mc_carthy_91/2"]) == {"arg1 =< 100", "arg1 > 100"}
     assert any(
         pair.proof == "decreasing function 100 - arg1 (bound 0)"
         for pair in loop.pairs
     )
-    table = answer_table("mc91", "mc_carthy_91(i,f)", unfold=(1, 2), infer=True)
+    table = answer_table("mc91", "mc_carthy_91(i,f)")
     assert set(table[("mc_carthy_91", 2)]) == {
-        conjunction([atom_gt(A1, 100), atom_gt(A2, 100)]),
-        conjunction([atom_gt(A1, 100), atom_gt(A2, 89), atom_le(A2, 100)]),
-        conjunction(
-            [atom_gt(A1, 89), atom_le(A1, 100), atom_gt(A2, 89), atom_le(A2, 100)]
-        ),
-        conjunction([atom_le(A1, 89), atom_gt(A2, 89), atom_le(A2, 100)]),
+        conjunction([atom_gt(A1, 100), atom_le(A2 + 10, A1), atom_le(A1, A2 + 10)]),
+        conjunction([atom_le(A1, 100), atom_lt(A1, A2 + 10)]),
     }
 
 

@@ -1,7 +1,7 @@
 """Abstract answer-table tests: widening targets, the fixpoint, and the
 published tables for the corpus loops."""
 
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -28,13 +28,15 @@ from termiarith.constraints import (
     atom_is_true,
     conjunction,
     implies,
+    is_satisfiable,
 )
 from termiarith.domain import (
+    answer_positions,
     build_domain,
-    collect_comparisons,
+    collect_answer_comparisons,
     infer_comparisons,
+    position_var,
     satisfiable_choices,
-    unfold_once,
 )
 from termiarith.driver import analyse_termination
 from termiarith.graph import find_integer_loops
@@ -53,24 +55,21 @@ A2 = LinExpr.var("arg2")
 A3 = LinExpr.var("arg3")
 
 
-def analysis(name, query, unfold=None, used_inference=False, infer=False):
+def analysis(name, query, answer_domain=build_answer_domain):
+    """Every loop's answer table over the partitions `answer_domain`
+    builds, with those partitions, the loops and the modes."""
     program = corpus_program(name)
-    if unfold is not None:
-        program = unfold_once(program, *unfold)
     pattern = parse_query_pattern(query)
     modes = infer_argument_modes(program, pattern)
     loops = find_integer_loops(program, pattern, modes)
-    domains = []
-    for loop in loops:
-        comparisons = None if infer else collect_comparisons(loop, modes)
-        if comparisons is None:
-            comparisons = infer_comparisons(loop, modes)
-        query_domain = build_domain(comparisons)
-        domains.append(
-            build_answer_domain(loop, modes, query_domain, used_inference=used_inference)
-        )
+    domains = [answer_domain(loop, modes) for loop in loops]
     table = compute_abstract_answers(loops, modes, domains)
     return table, domains, loops, modes
+
+
+def collected_answer_domain(loop, modes):
+    """The partition of the collected answer comparisons alone."""
+    return build_domain(collect_answer_comparisons(loop, modes))
 
 
 def holds(atom, env):
@@ -84,92 +83,78 @@ def holds(atom, env):
     return total == 0
 
 
+def assert_partition(pieces, names):
+    """The pieces are satisfiable and pairwise disjoint, and every point
+    of an integer grid over `names` lies in exactly one of them.  The
+    grid's axis holds every sum of two of the pieces' constants or their
+    negations, give or take 3, so for `x - y + c` atoms it reaches both
+    sides of each bound."""
+    assert all(is_satisfiable(piece) for piece in pieces)
+    for a, b in combinations(pieces, 2):
+        assert not is_satisfiable(conjunction(a | b))
+    constants = {0} | {sign * atom.expr.const for p in pieces for atom in p for sign in (1, -1)}
+    axis = sorted({a + b + d for a in constants for b in constants for d in range(-3, 4)})
+    for values in product(axis, repeat=len(names)):
+        env = dict(zip(names, values))
+        assert sum(all(holds(atom, env) for atom in p) for p in pieces) == 1, env
+
+
 class TestAnswerDomain:
     def test_mod_widens_into_the_answer_partition(self):
         _, domains, _, _ = analysis("mod", "mod(i,i,f)")
         (domain,) = domains
-        assert len(domain.pieces[("mod", 3)]) == 24
-        assert all(
-            domain.pieces[("mod", 3)][piece] == piece
-            for piece in domain.pieces[("mod", 3)]
-        )
+        assert len(domain[("mod", 3)]) == 24
 
     def test_mod_partition_is_exhaustive_and_disjoint(self):
         _, domains, _, _ = analysis("mod", "mod(i,i,f)")
-        pieces = domains[0].pieces[("mod", 3)]
-        for a, b, c in product(range(-2, 4), repeat=3):
-            env = {"arg1": a, "arg2": b, "arg3": c}
-            assert sum(all(holds(atom, env) for atom in p) for p in pieces) == 1
+        assert_partition(domains[0][("mod", 3)], ["arg1", "arg2", "arg3"])
 
-    def test_mc91_refined_pieces_expose_propagated_elements(self):
-        _, domains, _, _ = analysis(
-            "mc91", "mc_carthy_91(i,f)", unfold=(1, 2), used_inference=True, infer=True
-        )
-        (domain,) = domains
-        key = ("mc_carthy_91", 2)
-        assert len(domain.pieces[key]) == 18
-        assert len({domain.pieces[key][p] for p in domain.pieces[key]}) == 9
-        assert domain.notes == ()
+    # Every other corpus task with integer loops.  The driver builds the
+    # answer domains of mod/3 (under gcd), mc91 and q_mixed; the others
+    # are the tables no clause of the corpus reads.
+    @pytest.mark.parametrize(
+        "name,query",
+        [(name, query) for name, query, _ in CORPUS if name not in ("facts", "mod")],
+    )
+    def test_every_answer_partition_is_exhaustive_and_disjoint(self, name, query):
+        _, domains, loops, modes = analysis(name, query)
+        for loop, domain in zip(loops, domains):
+            for key, positions in answer_positions(loop, modes).items():
+                assert_partition(domain[key], [position_var(j) for j in positions])
+
+    def test_mc91_output_is_bounded_by_its_input(self):
+        # No comparison mentions mc91's output; the inferred difference
+        # atoms of its base clause relate it to the input.
+        _, domains, _, _ = analysis("mc91", "mc_carthy_91(i,f)")
+        assert set(domains[0][("mc_carthy_91", 2)]) == {
+            conjunction([atom_gt(A1, 100), atom_le(A2 + 10, A1), atom_le(A1, A2 + 10)]),
+            conjunction([atom_gt(A1, 100), atom_lt(A2 + 10, A1)]),
+            conjunction([atom_gt(A1, 100), atom_lt(A1, A2 + 10)]),
+            conjunction([atom_le(A1, 100), atom_le(A2 + 10, A1), atom_le(A1, A2 + 10)]),
+            conjunction([atom_le(A1, 100), atom_lt(A2 + 10, A1)]),
+            conjunction([atom_le(A1, 100), atom_lt(A1, A2 + 10)]),
+        }
 
     def test_unpropagated_loop_reuses_its_partition(self):
-        _, domains, _, _ = analysis("p_difficult", "p(i,i)", used_inference=True, infer=True)
+        # Both positions of p/2 are inputs, and the collected answer
+        # comparisons are among the inferred ones: the answer partition
+        # is the inferred query partition.
+        _, domains, (loop,), modes = analysis("p_difficult", "p(i,i)")
         (domain,) = domains
-        assert len(domain.pieces[("p", 2)]) == 6
-
-    def test_refine_cap_leaves_widening_unrefined(self, monkeypatch):
-        # mod's answer partition takes 107 checks.  gcd's propagation
-        # needs more than 120 and keeps the 6-element query domain, and
-        # refining that by 8 atoms needs more than 120 too.
-        monkeypatch.setattr("termiarith.domain.PARTITION_BUDGET", 120)
-        _, domains, _, _ = analysis("gcd", "gcd(i,i,f)", used_inference=True, infer=True)
-        domain = [d for d in domains if ("gcd", 3) in d.pieces][0]
-        assert domain.notes == (
-            "gcd/3: propagating the domain passed the budget of 120"
-            " permutations and solver checks, keeping the original domain",
-            "gcd/3: refinement passed the budget of 120 solver checks;"
-            " widening stays unrefined",
-        )
-        assert len(domain.pieces[("gcd", 3)]) == 6
-        assert all(
-            domain.pieces[("gcd", 3)][piece] == piece
-            for piece in domain.pieces[("gcd", 3)]
-        )
-
-    def test_product_cap_leaves_widening_unrefined(self, monkeypatch):
-        # extend_domain builds mc91's 9 propagated elements in 13 checks,
-        # and the refinement into 18 pieces takes 72
-        monkeypatch.setattr("termiarith.domain.PARTITION_BUDGET", 40)
-        _, domains, _, _ = analysis(
-            "mc91", "mc_carthy_91(i,f)", unfold=(1, 2), used_inference=True, infer=True
-        )
-        (domain,) = domains
-        key = ("mc_carthy_91", 2)
-        assert domain.notes == (
-            "mc_carthy_91/2: refinement passed the budget of 40 solver checks;"
-            " widening stays unrefined",
-        )
-        assert len(domain.pieces[key]) == 9
-        assert all(domain.pieces[key][piece] == piece for piece in domain.pieces[key])
+        assert len(domain[("p", 2)]) == 6
+        assert domain == build_domain(infer_comparisons(loop, modes))
 
 
 class TestWiden:
     def pieces(self):
-        _, domains, _, _ = analysis(
-            "mc91", "mc_carthy_91(i,f)", unfold=(1, 2), used_inference=True, infer=True
-        )
-        return domains[0]
+        _, domains, _, _ = analysis("mc91", "mc_carthy_91(i,f)")
+        return domains[0][("mc_carthy_91", 2)]
 
     def test_point_lands_in_one_piece(self):
-        domain = self.pieces()
-        key = ("mc_carthy_91", 2)
-        hits = widen([atom_eq(A1, 100), atom_eq(A2, 91)], domain.pieces[key])
-        assert len(hits) == 1
-        assert domain.pieces[key][hits[0]] == conjunction(
-            [atom_gt(A1, 89), atom_le(A1, 100), atom_gt(A2, 89), atom_le(A2, 100)]
-        )
+        hits = widen([atom_eq(A1, 100), atom_eq(A2, 91)], self.pieces())
+        assert hits == (conjunction([atom_le(A1, 100), atom_lt(A1, A2 + 10)]),)
 
     def test_open_constraint_hits_every_compatible_piece(self):
-        _, domains, _, _ = analysis("mc91", "mc_carthy_91(i,f)", unfold=(1, 2), infer=True)
         elements = build_domain(
             {("mc_carthy_91", 2): frozenset({atom_le(A1, 89), atom_le(A1, 100)})}
         )[("mc_carthy_91", 2)]
@@ -180,15 +165,12 @@ class TestWiden:
         }
 
     def test_pieces_are_fixed_points(self):
-        domain = self.pieces()
-        for piece in domain.pieces[("mc_carthy_91", 2)]:
-            assert widen(piece, domain.pieces[("mc_carthy_91", 2)]) == (piece,)
+        pieces = self.pieces()
+        for piece in pieces:
+            assert widen(piece, pieces) == (piece,)
 
     def test_unsatisfiable_constraint_hits_nothing(self):
-        domain = self.pieces()
-        hits = widen(
-            [atom_gt(A1, 100), atom_le(A1, 89)], domain.pieces[("mc_carthy_91", 2)]
-        )
+        hits = widen([atom_gt(A1, 100), atom_le(A1, 89)], self.pieces())
         assert hits == ()
 
 
@@ -207,17 +189,13 @@ class TestInstantiate:
 
 class TestTables:
     def test_mc91(self):
-        table, _, _, _ = analysis(
-            "mc91", "mc_carthy_91(i,f)", unfold=(1, 2), used_inference=True, infer=True
+        # The base clause answers arg2 = arg1 - 10 above 100; the
+        # recursive one answers more than arg1 - 10 up to 100.
+        table, _, _, _ = analysis("mc91", "mc_carthy_91(i,f)")
+        assert table[("mc_carthy_91", 2)] == (
+            conjunction([atom_gt(A1, 100), atom_le(A2 + 10, A1), atom_le(A1, A2 + 10)]),
+            conjunction([atom_le(A1, 100), atom_lt(A1, A2 + 10)]),
         )
-        assert set(table[("mc_carthy_91", 2)]) == {
-            conjunction([atom_gt(A1, 100), atom_gt(A2, 100)]),
-            conjunction([atom_gt(A1, 100), atom_gt(A2, 89), atom_le(A2, 100)]),
-            conjunction(
-                [atom_gt(A1, 89), atom_le(A1, 100), atom_gt(A2, 89), atom_le(A2, 100)]
-            ),
-            conjunction([atom_le(A1, 89), atom_gt(A2, 89), atom_le(A2, 100)]),
-        }
 
     def test_mod_entries_bound_the_output(self):
         table, _, _, _ = analysis("mod", "mod(i,i,f)")
@@ -235,10 +213,9 @@ class TestTables:
         }
 
     def test_gcd_uses_the_inner_table(self):
-        table, _, _, _ = analysis("gcd", "gcd(i,i,f)", used_inference=True, infer=True)
-        entries = table[("gcd", 3)]
-        assert len(entries) == 3
-        assert all(implies(e, atom_gt(A3, 0)) for e in entries)
+        # gcd(0, B, G) answers G = B through mod(0, B, 0): the last
+        # entry, whose output lies above a non-positive input.
+        table, _, _, _ = analysis("gcd", "gcd(i,i,f)")
         assert table == {
             ("mod", 3): (
                 conjunction([atom_le(A2, A1), atom_gt(A2, 0), atom_lt(A3, A2)]),
@@ -247,13 +224,21 @@ class TestTables:
                 ),
             ),
             ("gcd", 3): (
-                conjunction([atom_gt(A1, 0), atom_gt(A2, 0), atom_gt(A3, 0)]),
                 conjunction(
-                    [atom_gt(A1, 0), atom_ge(A2, 0), atom_le(A2, 0), atom_gt(A3, 0)]
+                    [atom_gt(A1, 0), atom_le(A3, A1), atom_le(A1, A3), atom_gt(A2, 0)]
                 ),
                 conjunction(
-                    [atom_ge(A1, 0), atom_le(A1, 0), atom_gt(A2, 0), atom_gt(A3, 0)]
+                    [
+                        atom_gt(A1, 0),
+                        atom_le(A3, A1),
+                        atom_le(A1, A3),
+                        atom_ge(A2, 0),
+                        atom_le(A2, 0),
+                    ]
                 ),
+                conjunction([atom_gt(A1, 0), atom_lt(A3, A1), atom_gt(A2, 0)]),
+                conjunction([atom_gt(A1, 0), atom_lt(A1, A3), atom_gt(A2, 0)]),
+                conjunction([atom_le(A1, 0), atom_lt(A1, A3), atom_gt(A2, 0)]),
             ),
         }
         assert analysis("mod", "mod(i,i,f)")[0] == {("mod", 3): table[("mod", 3)]}
@@ -263,7 +248,7 @@ class TestTables:
         assert table[("t", 1)] == ()
 
     def test_counting_loop(self):
-        table, _, _, _ = analysis("p_int", "p(i)", used_inference=True, infer=True)
+        table, _, _, _ = analysis("p_int", "p(i)")
         assert set(table[("p", 1)]) == {
             conjunction([atom_ge(A1, 0), atom_le(A1, 0)]),
             conjunction([atom_gt(A1, 0)]),
@@ -277,7 +262,7 @@ class TestTables:
         }
 
     def test_difficult_loop(self):
-        table, _, _, _ = analysis("p_difficult", "p(i,i)", used_inference=True, infer=True)
+        table, _, _, _ = analysis("p_difficult", "p(i,i)")
         assert set(table[("p", 2)]) == {
             conjunction([atom_ge(A1, 0), atom_le(A1, 0), atom_ge(A1, A2)]),
             conjunction([atom_ge(A1, 0), atom_le(A1, 0), atom_lt(A1, A2)]),
@@ -286,18 +271,20 @@ class TestTables:
         }
 
     # Every corpus task but the acyclic `facts` ones has integer loops.
+    # Any partition is a sound widening target: the tables over the
+    # collected answer comparisons alone are published the same way.
     @pytest.mark.parametrize("inferred", [False, True], ids=["collected", "inferred"])
     @pytest.mark.parametrize(
         "name,query", [(name, query) for name, query, _ in CORPUS if name != "facts"]
     )
     def test_entries_are_distinct_elements_in_partition_order(self, name, query, inferred):
-        table, domains, _, _ = analysis(name, query, used_inference=inferred, infer=inferred)
+        builder = build_answer_domain if inferred else collected_answer_domain
+        table, domains, _, _ = analysis(name, query, answer_domain=builder)
         assert domains
         for answer_domain in domains:
-            for key, pieces in answer_domain.pieces.items():
+            for key, pieces in answer_domain.items():
                 entries = table[key]
-                order = [e for e in dict.fromkeys(pieces.values()) if e in entries]
-                assert list(entries) == order, key
+                assert list(entries) == [piece for piece in pieces if piece in entries], key
 
     def test_tables_grow_monotonically_with_entries(self):
         table, domains, loops, modes = analysis("mod", "mod(i,i,f)")
@@ -338,15 +325,16 @@ class TestAnswerReference:
         [
             # proved on the first answer rung
             (corpus_program("gcd"), "gcd(i,i,f)", 1),
-            # proved on the unfold x1 rung, the third
-            (corpus_program("mc91"), "mc_carthy_91(i,f)", 3),
+            # proved on the first answer rung
+            (corpus_program("mc91"), "mc_carthy_91(i,f)", 1),
             # Each clause of the chain and guard variants makes one call,
             # so no answer is read and no answer domain is built; the
-            # nest variant reads l2/1's answers on every rung.
+            # nest variant reads l2/1's answers on every rung, whose
+            # collected and inferred rungs share one program and table.
             *(
                 (normalize_program(parse_program(source)), query, rungs)
                 for source, query, rungs in zip(
-                    DIVERGENT, ("c(i,i)", "g(i)", "l1(i)"), (0, 0, 3)
+                    DIVERGENT, ("c(i,i)", "g(i)", "l1(i)"), (0, 0, 2)
                 )
             ),
             # proved on the first answer rung
@@ -356,13 +344,13 @@ class TestAnswerReference:
     )
     def test_tables_match_unprojected_reference(self, monkeypatch, program, query, rungs):
         # The driver computes no table that no clause reads, so each
-        # answer rung's table is computed here from the answer domains
+        # rung program's table is computed here from the answer domains
         # the driver built: one per loop whose answers are read or that
-        # such a loop calls, in loop order, with the rung program's modes.
+        # such a loop calls, in loop order, with the program's modes.
         built = []
 
-        def record(loop, modes, *args, **kwargs):
-            built.append((loop, modes, build_answer_domain(loop, modes, *args, **kwargs)))
+        def record(loop, modes):
+            built.append((loop, modes, build_answer_domain(loop, modes)))
             return built[-1][2]
 
         monkeypatch.setattr(driver, "build_answer_domain", record)
@@ -404,14 +392,15 @@ def test_each_rung_is_tried_plain_then_with_answers():
         # collected one.
         (normalize_program(parse_program(DIVERGENT[1])), "g(i)", 2, 0, 0),
         (normalize_program(parse_program(DIVERGENT[0])), "c(i,i)", 2, 0, 0),
-        # l1/1 reads l2/1's answers, so each of the three answer rungs
-        # builds l2/1's answer domain alone; l1/1's is never read.
-        (normalize_program(parse_program(DIVERGENT[2])), "l1(i)", 4, 3, 3),
+        # l1/1 reads l2/1's answers, so each of the two rung programs
+        # builds l2/1's answer domain alone, once for its collected and
+        # inferred rungs; l1/1's is never read.
+        (normalize_program(parse_program(DIVERGENT[2])), "l1(i)", 4, 2, 2),
         # gcd/3 reads mod/3's answers on its first answer rung; gcd/3's
         # own loop is never read.
         (corpus_program("gcd"), "gcd(i,i,f)", 2, 1, 1),
-        # The inferred rung builds the collected rung's domain and table.
-        (corpus_program("mc91"), "mc_carthy_91(i,f)", 4, 3, 3),
+        # mc91 is proved on its first answer rung.
+        (corpus_program("mc91"), "mc_carthy_91(i,f)", 2, 1, 1),
     ],
     ids=["guard-div-2", "chain-div-2", "nest-div-2", "gcd", "mc91"],
 )
@@ -426,12 +415,34 @@ def test_each_distinct_attempt_is_made_once(
     assert len(driver_calls(monkeypatch, "build_answer_domain", program, pattern)) == answer_domains
 
 
+@pytest.mark.parametrize(
+    "program,query",
+    [
+        (corpus_program("gcd"), "gcd(i,i,f)"),
+        (corpus_program("mc91"), "mc_carthy_91(i,f)"),
+        (normalize_program(parse_program(DIVERGENT[2])), "l1(i)"),
+        (normalize_program(parse_program(MUTUAL)), "p(i,f)"),
+    ],
+    ids=["gcd", "mc91", "nest-div-2", "mutual"],
+)
+@pytest.mark.parametrize("answers", ["auto", "on"])
+def test_each_rung_program_tables_its_answers_once(monkeypatch, program, query, answers):
+    # The answer table is a stage of the rung program: the collected and
+    # inferred rungs, which analyse one program with one set of modes,
+    # share it, so no two tables are computed with the same modes.
+    options = driver.AnalysisOptions(answer_abstraction=answers)
+    pattern = parse_query_pattern(query)
+    calls = driver_calls(monkeypatch, "compute_abstract_answers", program, pattern, options)
+    assert calls
+    assert len({id(modes) for _, modes, _ in calls}) == len(calls)
+
+
 class TestSemiNaive:
     """The answer fixpoint reads every combination once: no
     `(base, labels)` pick repeats within one call."""
 
     @pytest.mark.parametrize(
-        "name,query,rungs", [("gcd", "gcd(i,i,f)", 1), ("mc91", "mc_carthy_91(i,f)", 3)]
+        "name,query,rungs", [("gcd", "gcd(i,i,f)", 1), ("mc91", "mc_carthy_91(i,f)", 1)]
     )
     def test_each_pick_is_read_once(self, monkeypatch, name, query, rungs):
         program, pattern = corpus_program(name), parse_query_pattern(query)
@@ -469,6 +480,6 @@ class TestSemiNaive:
             compute_abstract_answers(*args)
             assert len(built) == len(set(built))
             counts.append(len(built))
-        # Built per round and pivot instead, the three fixpoints would
-        # build 13, 13 and 58 options.
-        assert counts == [6, 6, 12]
+        # Built per round and pivot instead, the fixpoint would build 8
+        # options.
+        assert counts == [4]

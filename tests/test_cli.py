@@ -173,16 +173,13 @@ class TestFlags:
         assert code == EXIT_NO
         assert out.startswith("NO:")
 
-    def test_max_unfold_zero(self, capsys):
-        code, _, _ = run(
-            capsys,
-            str(corpus_path("mc91")),
-            "--query",
-            "mc_carthy_91(i,f)",
-            "--max-unfold",
-            "0",
-        )
-        assert code == EXIT_NO
+    def test_max_unfold_zero(self, capsys, tmp_path):
+        # The swap of X and Y is proved only after one unfolding.
+        program = tmp_path / "swap.pl"
+        program.write_text("p(X, Y) :- X > 0, Z is X - 1, p(Y, Z).\np(X, Y) :- Y < 0.\n")
+        argv = (str(program), "--query", "p(i,i)")
+        assert run(capsys, *argv)[0] == EXIT_YES
+        assert run(capsys, *argv, "--max-unfold", "0")[0] == EXIT_NO
 
     def test_zero_arity_query_is_rendered_as_written(self, capsys, tmp_path):
         program = tmp_path / "p.pl"

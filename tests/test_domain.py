@@ -41,10 +41,10 @@ from termiarith.domain import (
     infer_comparisons,
     influence_components,
     linear_term,
+    position_var,
     query_positions,
     satisfiable_choices,
     sign_levels,
-    unconstrained_positions,
     unfold_once,
 )
 from termiarith.graph import find_integer_loops
@@ -512,7 +512,20 @@ class TestInfluence:
 
 
 def uncovered(loop, modes):
-    return unconstrained_positions(loop, modes, collect_answer_comparisons(loop, modes))
+    """Per predicate, the integer-typed positions that no collected
+    answer comparison mentions.  The inferred comparisons mention each
+    of them, so every answer partition bounds every position."""
+    collected = collect_answer_comparisons(loop, modes)
+    inferred = infer_comparisons(loop, modes, positions=answer_positions(loop, modes))
+    out = {}
+    for key, positions in answer_positions(loop, modes).items():
+        out[key] = tuple(j for j in positions if not _mention(collected[key], j))
+        assert all(_mention(inferred[key], j) for j in out[key])
+    return out
+
+
+def _mention(atoms, position):
+    return any(position_var(position) in atom.expr.variables() for atom in atoms)
 
 
 class TestUnconstrained:

@@ -26,7 +26,7 @@ from termiarith.driver import (
     render_report,
     verdict_payload,
 )
-from termiarith.graph import find_integer_loops, reachable_from
+from termiarith.graph import find_integer_loops
 from termiarith.modes import infer_argument_modes
 from termiarith.norms import infer_size_relations
 from termiarith.pairs import generate_pairs
@@ -56,12 +56,7 @@ VERDICTS = [
     ("p_difficult", "p(i, i)", YES, "collected comparisons"),
     ("q_mixed", "q(b, f, i)", YES, "collected comparisons"),
     ("gcd", "gcd(i, i, f)", YES, "collected comparisons + answer abstraction"),
-    (
-        "mc91",
-        "mc_carthy_91(i, f)",
-        YES,
-        "unfold x1 + inferred comparisons + answer abstraction",
-    ),
+    ("mc91", "mc_carthy_91(i, f)", YES, "collected comparisons + answer abstraction"),
     ("loop", "loop(i)", NO, None),
     ("s", "s(i)", NO, None),
     ("ex2_p", "p(i)", NO, None),
@@ -368,11 +363,7 @@ class TestEscalationLadder:
         verdict = analyse("mc91", "mc_carthy_91(i, f)")
         assert verdict.diagnostics == (
             "rung collected comparisons: 1 of 2 circular pairs proved",
-            "rung collected comparisons + answer abstraction: 1 of 2 circular pairs proved",
-            "rung inferred comparisons: 1 of 2 circular pairs proved",
-            "rung inferred comparisons + answer abstraction: 1 of 2 circular pairs proved",
-            "rung unfold x1 + inferred comparisons: 2 of 3 circular pairs proved",
-            "rung unfold x1 + inferred comparisons + answer abstraction: 2 of 2 circular pairs proved",
+            "rung collected comparisons + answer abstraction: 1 of 1 circular pairs proved",
         )
 
     def test_gcd_is_proved_before_any_unfolding(self):
@@ -391,15 +382,12 @@ class TestEscalationLadder:
         loop = verdict.loops[0]
         assert loop.predicates == ("mc_carthy_91/2",)
         assert loop.integer_based
-        assert loop.domain["mc_carthy_91/2"] == (
-            "arg1 =< 89",
-            "arg1 > 100",
-            "arg1 > 89, arg1 =< 100",
-        )
-        assert {pair.proof for pair in loop.pairs} == {
-            "decreasing function 89 - arg1 (bound 0)",
-            "decreasing function 100 - arg1 (bound 0)",
-        }
+        assert loop.domain["mc_carthy_91/2"] == ("arg1 =< 100", "arg1 > 100")
+        # The answer entry arg1 < arg2 + 10 up to 100 gives the second
+        # call an input above the head's, and both stay up to 100.
+        assert [(pair.constraint, pair.proof) for pair in loop.pairs] == [
+            ("arg1 =< 100", "decreasing function 100 - arg1 (bound 0)"),
+        ]
 
     def test_ladder_stops_at_first_success(self):
         verdict = analyse("mod", "mod(i, i, f)")
@@ -431,29 +419,25 @@ class TestEscalationLadder:
             "rung collected comparisons + answer abstraction: 1 of 1 circular pairs proved",
         )
 
-    def test_mc91_needs_unfolding(self):
-        verdict = analyse("mc91", "mc_carthy_91(i, f)", max_unfold=0)
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"max_unfold": 0}, {"answer_abstraction": "on"}],
+        ids=["default", "max_unfold=0", "answers=on"],
+    )
+    def test_mc91_is_proved_on_the_first_answer_rung(self, options):
+        verdict = analyse("mc91", "mc_carthy_91(i, f)", **options)
+        assert verdict.answer == YES
+        assert verdict.method == "collected comparisons + answer abstraction"
+
+    def test_mc91_needs_answer_abstraction(self):
+        verdict = analyse("mc91", "mc_carthy_91(i, f)", answer_abstraction="off")
         assert verdict.answer == NO
-        assert all("unfold" not in line for line in verdict.diagnostics)
+        assert all("answer" not in line for line in verdict.diagnostics)
 
     def test_extra_unfold_rounds_change_nothing_once_proved(self):
         verdict = analyse("mc91", "mc_carthy_91(i, f)", max_unfold=2)
         assert verdict.answer == YES
-        assert verdict.method == "unfold x1 + inferred comparisons + answer abstraction"
-
-    def test_mc91_needs_inference(self):
-        verdict = analyse("mc91", "mc_carthy_91(i, f)")
-        collected = [
-            line
-            for line in verdict.diagnostics
-            if line.startswith("rung collected comparisons")
-        ]
-        assert collected == [
-            "rung collected comparisons: 1 of 2 circular pairs proved",
-            "rung collected comparisons + answer abstraction: 1 of 2 circular pairs proved",
-        ]
-        assert verdict.answer == YES
-        assert "inferred comparisons" in verdict.method
+        assert verdict.method == "collected comparisons + answer abstraction"
 
 
 class TestStagePins:
@@ -527,10 +511,8 @@ class TestStageReuse:
     @pytest.mark.parametrize(
         "name,query,programs",
         [
-            # the program and its unfolding, each shared by the rung's
-            # plain and answer attempts
-            ("mc91", "mc_carthy_91(i, f)", 2),
             # proved before the unfolding rung: the unfolding is never built
+            ("mc91", "mc_carthy_91(i, f)", 1),
             ("gcd", "gcd(i, i, f)", 1),
             ("p_difficult", "p(i, i)", 1),
             ("q_mixed", "q(b, f, i)", 1),
@@ -577,27 +559,18 @@ def test_attempt_key_holds_every_answer_entry_pair_generation_reads(name, query)
     for unfold, prefer_inference in [(False, False), (False, True), (True, True)]:
         if unfold:
             stages = stages.unfolded()
-        built = _query_domains(stages, prefer_inference)
-        domains = {k: v for _, elements, _ in built for k, v in elements.items()}
-
-        def table(loops):
-            answer_domains = [
-                build_answer_domain(loop, stages.modes, elements, used_inference=inferred)
-                for loop, elements, inferred in built
-                if loop in loops
-            ]
-            return compute_abstract_answers(loops, stages.modes, answer_domains)
-
-        # As the driver does, table only the loops of the read predicates
-        # and of those they call.
-        called = reachable_from(stages.program.callees, stages.answer_reads)
-        answered = table([loop for loop in stages.loops if loop.predicates & called])
+        domains = _query_domains(stages, prefer_inference)
+        answer_domains = [build_answer_domain(loop, stages.modes) for loop in stages.loops]
+        every = compute_abstract_answers(stages.loops, stages.modes, answer_domains)
+        # The driver tables only the loops of the read predicates and of
+        # those they call.
+        answered = stages.answer_table
         keyed = {k: answered[k] for k in stages.answer_reads if answered.get(k)}
 
         def pairs(answers):
             return generate_pairs(stages.program, pattern, stages.modes, answers, domains=domains)
 
-        assert pairs(table(stages.loops)) == pairs(keyed), (unfold, prefer_inference)
+        assert pairs(every) == pairs(keyed), (unfold, prefer_inference)
 
 
 class TestUnfoldingStep:
@@ -695,17 +668,27 @@ class TestResourceCaps:
             in verdict.diagnostics
         )
 
-    def test_answer_domain_notes_are_logged(self, monkeypatch):
+    def test_answer_partition_past_the_budget_aborts_the_answer_attempt(self, monkeypatch):
         # mc91's answers are read (its recursive clause calls itself
-        # twice), and refining its widening targets takes more than 20
-        # checks.  gcd's own loop is never read, so it has no note.
-        monkeypatch.setattr(domain, "PARTITION_BUDGET", 20)
+        # twice).  Its collected and inferred query partitions take 3
+        # and 7 checks, its 4-atom answer partition more than 7; so
+        # does the unfolded program's query partition.
+        monkeypatch.setattr(domain, "PARTITION_BUDGET", 7)
         verdict = analyse("mc91", "mc_carthy_91(i, f)")
-        assert verdict.answer == YES
-        assert (
-            "rung collected comparisons + answer abstraction: mc_carthy_91/2:"
-            " refinement passed the budget of 20 solver checks; widening stays"
-            " unrefined" in verdict.diagnostics
+        assert verdict.answer == NO
+        cap = (
+            "resource cap: comparison set of mc_carthy_91/2 has 4 atoms; "
+            "its partition needs more than 7 solver checks"
+        )
+        assert verdict.diagnostics == (
+            "rung collected comparisons: 1 of 2 circular pairs proved",
+            cap,
+            "rung collected comparisons + answer abstraction: aborted by resource cap",
+            "rung inferred comparisons: 1 of 2 circular pairs proved",
+            cap,
+            "rung inferred comparisons + answer abstraction: aborted by resource cap",
+            cap,
+            "rung unfold x1 + inferred comparisons: aborted by resource cap",
         )
 
     def test_unread_loop_does_not_abort_the_answer_pass(self, monkeypatch):

@@ -92,17 +92,11 @@ def pipeline(
     answer_domains = []
     for loop in loops:
         comparisons = None if infer else collect_comparisons(loop, modes)
-        used_inference = comparisons is None
         if comparisons is None:
             comparisons = infer_comparisons(loop, modes)
-        query_domain = build_domain(comparisons)
-        domains.update(query_domain)
+        domains.update(build_domain(comparisons))
         if answers:
-            answer_domains.append(
-                build_answer_domain(
-                    loop, modes, query_domain, used_inference=used_inference
-                )
-            )
+            answer_domains.append(build_answer_domain(loop, modes))
     table = (
         compute_abstract_answers(loops, modes, answer_domains) if answers else None
     )
@@ -247,9 +241,9 @@ class TestGeneration:
             # gcd's calls of mod and gcd, and mod's own call; with
             # answers, gcd's call reads two entries of mod's table.
             ("gcd", "gcd(i,i,f)", [3, 4]),
-            # mc91's two calls; with answers, the second reads three
-            # entries of the first's table; then the unfolded program.
-            ("mc91", "mc_carthy_91(i,f)", [2, 4, 4, 11]),
+            # mc91's two calls; with answers, the second reads both
+            # entries of the first's table.
+            ("mc91", "mc_carthy_91(i,f)", [2, 3]),
         ],
     )
     def test_each_step_is_projected_once(self, monkeypatch, name, query, steps):
@@ -940,9 +934,19 @@ class TestCircularProofs:
             assert proof is not None and proof.method == "function"
 
     def test_mc91_collect_rung_fails(self):
-        closure, _ = pipeline("mc91", "mc_carthy_91(i,f)", answers=True)
+        # without answers
+        closure, _ = pipeline("mc91", "mc_carthy_91(i,f)")
         undischarged = [p for p in circular(closure) if prove_pair(p) is None]
         assert undischarged
+
+    def test_mc91_collect_rung_is_discharged_with_answers(self):
+        # The entry arg1 < arg2 + 10 up to 100 puts the second call's
+        # input above the head's.
+        closure, _ = pipeline("mc91", "mc_carthy_91(i,f)", answers=True)
+        (pair,) = circular(closure)
+        assert constraint_of(pair) == atom_set(atom_le(A1, 100))
+        assert arc_positions(pair) == {(R1, D1)}
+        assert render_expr(prove_pair(pair).function) == "100 - arg1"
 
     def test_mc91_refined_rung_uses_the_slack_functions(self):
         closure, _ = pipeline(
