@@ -31,6 +31,7 @@ from termiarith.constraints import (
     is_satisfiable,
 )
 from termiarith.domain import (
+    DomainTooLarge,
     answer_positions,
     build_domain,
     collect_answer_comparisons,
@@ -143,6 +144,38 @@ class TestAnswerDomain:
         (domain,) = domains
         assert len(domain[("p", 2)]) == 6
         assert domain == build_domain(infer_comparisons(loop, modes))
+
+    def test_refine_cap_leaves_widening_unrefined(self, monkeypatch):
+        # gcd/3's collected answer comparisons are partitioned in 7
+        # checks, with the inferred ones in 87.  Past the budget the
+        # builder raises; it never falls back to the coarser partition.
+        program = corpus_program("gcd")
+        pattern = parse_query_pattern("gcd(i,i,f)")
+        modes = infer_argument_modes(program, pattern)
+        loops = find_integer_loops(program, pattern, modes)
+        (loop,) = [loop for loop in loops if ("gcd", 3) in loop.predicates]
+        monkeypatch.setattr("termiarith.domain.PARTITION_BUDGET", 86)
+        assert len(collected_answer_domain(loop, modes)[("gcd", 3)]) == 4
+        with pytest.raises(DomainTooLarge) as raised:
+            build_answer_domain(loop, modes)
+        assert str(raised.value) == (
+            "comparison set of gcd/3 has 6 atoms; its partition needs more than 86 solver checks"
+        )
+
+    def test_product_cap_leaves_widening_unrefined(self, monkeypatch):
+        # The budget bounds the one sign tree of mc91's 4 answer atoms,
+        # which takes 23 checks; no product of partitions is walked on
+        # top of it.
+        monkeypatch.setattr("termiarith.domain.PARTITION_BUDGET", 23)
+        _, domains, _, _ = analysis("mc91", "mc_carthy_91(i,f)")
+        assert len(domains[0][("mc_carthy_91", 2)]) == 6
+        monkeypatch.setattr("termiarith.domain.PARTITION_BUDGET", 22)
+        with pytest.raises(DomainTooLarge) as raised:
+            analysis("mc91", "mc_carthy_91(i,f)")
+        assert str(raised.value) == (
+            "comparison set of mc_carthy_91/2 has 4 atoms; its partition needs more than 22"
+            " solver checks"
+        )
 
 
 class TestWiden:

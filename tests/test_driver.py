@@ -668,7 +668,7 @@ class TestResourceCaps:
             in verdict.diagnostics
         )
 
-    def test_answer_partition_past_the_budget_aborts_the_answer_attempt(self, monkeypatch):
+    def test_answer_domain_notes_are_logged(self, monkeypatch):
         # mc91's answers are read (its recursive clause calls itself
         # twice).  Its collected and inferred query partitions take 3
         # and 7 checks, its 4-atom answer partition more than 7; so
