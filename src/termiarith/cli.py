@@ -6,6 +6,7 @@ building an `argparse` parser imports `locale` through its first
 together cost about 3 ms of every cold run before any analysis starts."""
 
 import math
+import os
 import sys
 from contextlib import nullcontext
 from typing import Optional
@@ -23,6 +24,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_INPUT = 2
 EXIT_TIMEOUT = 3
+EXIT_OUTPUT = 4
 
 # Terms are read and walked recursively, so nesting thousands deep runs
 # out of interpreter stack: bad input, not a failed proof.
@@ -57,8 +59,11 @@ options:
   --timeout SECONDS     give up on the whole analysis after this long (a
                         positive number)
 
-exit codes: 0 termination proved, 1 no proof found, 2 bad input, 3 timeout.
-The report goes to stdout, diagnostics go to stderr.
+exit codes: 0 termination proved, 1 no proof found, 2 bad input, 3 timeout,
+4 the report could not be written (stdout closed or full).
+The report goes to stdout, diagnostics go to stderr.  A NO whose
+diagnostics hold a "non-termination:" line names a ground query that runs
+forever.
 """
 _USAGE = HELP[: HELP.index("\n\n") + 1]
 
@@ -174,10 +179,28 @@ def main(argv: Optional[list[str]] = None) -> int:
     except RecursionError:
         return _input_error(_TOO_DEEP)
 
-    print(render_report(verdict, args["--format"], trace=args["--trace"]))
+    failure = _write_report(render_report(verdict, args["--format"], trace=args["--trace"]))
     for line in verdict.diagnostics:
         print(line, file=sys.stderr)
+    if failure is not None:
+        print(f"error: the report could not be written: {failure}", file=sys.stderr)
+        return EXIT_OUTPUT
     return EXIT_YES if verdict.answer == "YES" else EXIT_NO
+
+
+def _write_report(text: str) -> Optional[str]:
+    """Write the report to stdout; None, or why it could not be."""
+    if sys.stdout is None:
+        return "stdout is closed"
+    try:
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
+    except OSError as exc:
+        # The interpreter flushes stdout again at exit; aimed at devnull,
+        # that flush cannot fail and print "Exception ignored".
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return exc.strerror or str(exc)
+    return None
 
 
 if __name__ == "__main__":

@@ -44,21 +44,44 @@ verdict and reports are reused.  Answer domains and tables are built
 only for the loops of the read predicates and of all they call, kept
 callee-first.  No entry read, so no attempt key, changes: a loop's
 entries depend only on its clauses, its modes and its callees'
-tables."""
+tables.
+
+When the query pattern's modes are all `i` and the first attempt fails
+or a cap aborts it, one search for a looping query runs
+(`_looping_query`).  If it finds one, the ladder stops there with NO,
+the first attempt's reports and one `non-termination:` line naming the
+query.  This never changes a verdict.  The query is a ground integer
+query, so it matches the pattern, and a run in plain Python has shown
+that its leftmost derivation reaches a goal that is resolved with a
+clause whose first call is that goal again, after arithmetic that
+succeeds deterministically.  So that derivation repeats forever: the
+SLD tree of the query has an infinite branch.  With no cut, nothing
+prunes a branch, so some query of the pattern does not terminate, and
+a sound rung could never prove YES."""
 
 import json
 from functools import cached_property
 from itertools import takewhile
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Union
 
 from .answers import AnswerTable, build_answer_domain, compute_abstract_answers
-from .constraints import is_satisfiable, render_conjunction
+from .constraints import (
+    RELATIONS,
+    _bellman_ford,
+    atom_eq,
+    atom_is_true,
+    difference_graph,
+    is_satisfiable,
+    render_conjunction,
+    substitute,
+)
 from .domain import (
     Domain,
     DomainTooLarge,
     build_domain,
     collect_comparisons,
     infer_comparisons,
+    linear_term,
     literal_atoms,
     unfold_once,
 )
@@ -75,7 +98,20 @@ from .pairs import (
     prove_pair,
     render_pair,
 )
-from .syntax import Clause, PredKey, Program, QueryPattern, UserAtom, render_query_pattern
+from .syntax import (
+    MODE_INT,
+    Clause,
+    IntConst,
+    Is,
+    PredKey,
+    Program,
+    QueryPattern,
+    UserAtom,
+    Var,
+    rename_clause,
+    render_query_pattern,
+    term_vars,
+)
 
 YES = "YES"
 NO = "NO"
@@ -205,15 +241,25 @@ class _ProgramStages:
     def size_table(self):
         return infer_size_relations(self.program, self.modes)
 
-    @cached_property
+    @property
     def answer_table(self) -> AnswerTable:
         """The answer tables of the loops of the `answer_reads` predicates
         and of all they call, callee-first; no other table is read.
-        Raises DomainTooLarge, and is built again when read again, if an
-        answer partition passes `domain.PARTITION_BUDGET`."""
+        Raises DomainTooLarge if an answer partition passes
+        `domain.PARTITION_BUDGET`, and raises it again when read again."""
+        table = self._answer_table
+        if isinstance(table, DomainTooLarge):
+            raise table
+        return table
+
+    @cached_property
+    def _answer_table(self) -> Union[AnswerTable, DomainTooLarge]:
         called = reachable_from(self.program.callees, self.answer_reads)
         tabled = [loop for loop in self.loops if loop.predicates & called]
-        domains = [build_answer_domain(loop, self.modes) for loop in tabled]
+        try:
+            domains = [build_answer_domain(loop, self.modes) for loop in tabled]
+        except DomainTooLarge as exc:
+            return exc
         return compute_abstract_answers(tabled, self.modes, domains) if tabled else {}
 
     def unfolded(self) -> Optional["_ProgramStages"]:
@@ -304,6 +350,130 @@ def _log_abort(log, stage: str, exc: Exception):
     log(f"{stage}: aborted by resource cap")
 
 
+#: Path checks one looping-query search may make.
+LOOP_SEARCH_CHECKS = 256
+
+
+def _plain(terms) -> bool:
+    return all(isinstance(term, (Var, IntConst)) for term in terms)
+
+
+def _step(clause: Clause) -> Optional[int]:
+    """The index of the clause's first call, when its head and call
+    arguments are variables or integers and each literal before the call
+    is linear arithmetic: a comparison, or `is/2` into a variable or an
+    integer.  None otherwise."""
+    body = clause.body
+    j = next((j for j, lit in enumerate(body) if isinstance(lit, UserAtom)), None)
+    if j is None or not _plain(clause.head.args + body[j].args):
+        return None
+    for lit in body[:j]:
+        if not literal_atoms(lit) or isinstance(lit, Is) and not _plain([lit.lhs]):
+            return None
+    return j
+
+
+def _value(term, env: dict[str, int]) -> Optional[int]:
+    """The linear term's integer value, or None if it reads an unbound
+    variable."""
+    if any(var.name not in env for var in term_vars(term)):
+        return None
+    return substitute(linear_term(term), env).const
+
+
+def _replay(path: list[tuple[Clause, int]], values: tuple[int, ...]) -> Optional[tuple]:
+    """Run the path from the ground query `values` in plain Python, as
+    Prolog would: unify each clause head with the values, run the
+    literals before the call taken, and pass the call's arguments on.
+    Returns the arguments the last clause was entered with if its call
+    repeats them; None if a step fails or reads an unbound variable."""
+    for clause, j in path:
+        entered, env = values, {}
+        for arg, value in zip(clause.head.args, values):
+            bound = arg.value if isinstance(arg, IntConst) else env.setdefault(arg.name, value)
+            if bound != value:
+                return None
+        for lit in clause.body[:j]:
+            lhs, rhs = _value(lit.lhs, env), _value(lit.rhs, env)
+            if isinstance(lit, Is) and isinstance(lit.lhs, Var) and lit.lhs.name not in env:
+                lhs = env[lit.lhs.name] = rhs
+            if lhs is None or rhs is None:
+                return None
+            if not atom_is_true(RELATIONS["=" if isinstance(lit, Is) else lit.op](lhs, rhs)):
+                return None
+        values = tuple(_value(arg, env) for arg in clause.body[j].args)
+    return entered if values == entered else None
+
+
+def _ground(name: str, values: tuple[int, ...]) -> str:
+    return f"{name}({', '.join(map(str, values))})" if values else name
+
+
+def _looping_query(program: Program, pattern: QueryPattern) -> Optional[str]:
+    """A diagnostic naming a ground integer query whose derivation runs
+    forever, or None when none is found.
+
+    The query runs a path of clauses, one per predicate, from the
+    query's predicate to a clause C whose call repeats the goal C was
+    entered with.  Each clause on the path passes `_step`, and its call
+    taken is its first.  The search conjoins the path's arithmetic, the
+    links from each call to the next head, and C's call arguments equal
+    to its head arguments.  It takes a point only when the conjunction
+    is a difference-constraint graph (`difference_graph`, exact over the
+    integers) without a negative cycle: the query is read off the
+    Bellman-Ford distances, measured from the zero node.  `_replay`
+    then runs the path on those integers, so the solver is never the
+    only evidence.  A prefix whose conjunction fails the test is not
+    extended, since adding atoms cannot mend it; at most
+    `LOOP_SEARCH_CHECKS` conjunctions are tested."""
+    budget = LOOP_SEARCH_CHECKS
+
+    def search(key, path, atoms, args) -> Optional[str]:
+        nonlocal budget
+        for number, index in enumerate(program.index.get(key, ()), 1):
+            clause = program.clauses[index]
+            j = _step(clause)
+            if j is None:
+                continue
+            if budget == 0:
+                return None
+            renamed = rename_clause(clause, f"#{len(path)}")
+            call = renamed.body[j]
+            links = list(zip(args, renamed.head.args))
+            if call.key == key:
+                links += zip(call.args, renamed.head.args)
+            elif any(call.key == c.key for c, _ in path):
+                continue
+            conj = atoms + [atom_eq(linear_term(a), linear_term(b)) for a, b in links]
+            conj += [atom for lit in renamed.body[:j] for atom in literal_atoms(lit)]
+            budget -= 1
+            edges = difference_graph(conj)
+            dist = None if edges is None else _bellman_ford(edges)
+            if dist is None:
+                continue
+            steps = path + [(clause, j)]
+            if call.key != key:
+                found = search(call.key, steps, conj, call.args)
+                if found:
+                    return found
+                continue
+            zero = dist.get("", 0)
+            values = tuple(
+                a.value if isinstance(a, IntConst) else dist.get(f"{a.name}#0", 0) - zero
+                for a in steps[0][0].head.args
+            )
+            goal = _replay(steps, values)
+            if goal is not None:
+                text = _ground(pattern.pred, values)
+                if len(steps) > 1:
+                    text += f" reaches {_ground(clause.head.pred, goal)}, which"
+                where = f"{_pred_name(key)} clause {number}"
+                return f"non-termination: {text} calls itself again through {where}"
+        return None
+
+    return search(pattern.key, [], [], ())
+
+
 def analyse_termination(
     program: Program,
     pattern: QueryPattern,
@@ -362,6 +532,18 @@ def analyse_termination(
     # Rung attempts by their inputs (see the module docstring).
     attempts = {}
     stages = top
+    searched = not all(mode == MODE_INT for mode in pattern.modes)
+
+    def loops_forever() -> bool:
+        """Once, after the first attempt fails or a cap aborts it:
+        whether a looping query, logged, ends the ladder."""
+        nonlocal searched
+        found = not searched and _looping_query(program, pattern)
+        searched = True
+        if found:
+            log(found)
+        return bool(found)
+
     for label, unfold, prefer_inference in _rungs(options):
         if unfold:
             stages = stages.unfolded()
@@ -375,6 +557,8 @@ def analyse_termination(
             domains = _query_domains(stages, prefer_inference)
         except DomainTooLarge as exc:
             _log_abort(log, f"rung {label}", exc)
+            if loops_forever():
+                break
             continue
         for with_answers in answer_passes:
             name = label + (" + answer abstraction" if with_answers else "")
@@ -391,9 +575,11 @@ def analyse_termination(
                 log(f"rung {name}: {tally}")
             except (DomainTooLarge, PairCapExceeded) as exc:
                 _log_abort(log, f"rung {name}", exc)
-                continue
+                ok = False
             if ok:
                 return Verdict(YES, query, reports, tuple(diagnostics), method=name)
+            if loops_forever():
+                return Verdict(NO, query, reports, tuple(diagnostics))
 
     return Verdict(NO, query, reports, tuple(diagnostics))
 

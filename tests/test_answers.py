@@ -326,8 +326,10 @@ class TestTables:
 
 
 # The divergent variants of the benchmark's chain, guard and nest
-# families at parameter 2 (`perfbench/generators.py`): each climbs every
-# rung, without and then with answers, and gets NO.
+# families at parameter 2 (`perfbench/generators.py`).  The looping-query
+# search ends each after its first attempt; without it (the `full_ladder`
+# fixture) each climbs every rung, without and then with answers, and
+# gets NO.
 DIVERGENT = [
     "c(X, Z) :- X =< 17.\nc(X, Z) :- X > 17, X < Z, Y is X, c(Y, Z).\n",
     "g(X) :- X =< -3.\n"
@@ -375,6 +377,7 @@ class TestAnswerReference:
         ],
         ids=["gcd", "mc91", "chain-div-2", "guard-div-2", "nest-div-2", "mutual"],
     )
+    @pytest.mark.usefixtures("full_ladder")
     def test_tables_match_unprojected_reference(self, monkeypatch, program, query, rungs):
         # The driver computes no table that no clause reads, so each
         # rung program's table is computed here from the answer domains
@@ -401,6 +404,7 @@ class TestAnswerReference:
             assert table == answers_reference(*args)
 
 
+@pytest.mark.usefixtures("full_ladder")
 def test_each_rung_is_tried_plain_then_with_answers():
     verdict = analyse_termination(
         normalize_program(parse_program(DIVERGENT[1])), parse_query_pattern("g(i)")
@@ -437,6 +441,7 @@ def test_each_rung_is_tried_plain_then_with_answers():
     ],
     ids=["guard-div-2", "chain-div-2", "nest-div-2", "gcd", "mc91"],
 )
+@pytest.mark.usefixtures("full_ladder")
 def test_each_distinct_attempt_is_made_once(
     monkeypatch, program, query, generated, tabled, answer_domains
 ):
@@ -459,6 +464,7 @@ def test_each_distinct_attempt_is_made_once(
     ids=["gcd", "mc91", "nest-div-2", "mutual"],
 )
 @pytest.mark.parametrize("answers", ["auto", "on"])
+@pytest.mark.usefixtures("full_ladder")
 def test_each_rung_program_tables_its_answers_once(monkeypatch, program, query, answers):
     # The answer table is a stage of the rung program: the collected and
     # inferred rungs, which analyse one program with one set of modes,

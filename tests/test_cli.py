@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from conftest import corpus_path
 
 from termiarith import cli
-from termiarith.cli import EXIT_INPUT, EXIT_NO, EXIT_TIMEOUT, EXIT_YES, main
+from termiarith.cli import EXIT_INPUT, EXIT_NO, EXIT_OUTPUT, EXIT_TIMEOUT, EXIT_YES, main
 from termiarith.driver import AnalysisOptions
 
 HAS_ALARM = hasattr(signal, "SIGALRM")
@@ -130,6 +130,43 @@ class TestExitCodes:
         )
         assert code == EXIT_NO
         assert "resource cap" in err
+
+
+def run_unwritable(stdout: str) -> subprocess.CompletedProcess:
+    """The CLI on a YES task, in a subprocess whose stdout is a pipe with
+    no reader, the full device, or closed."""
+    argv = [sys.executable, "-m", "termiarith.cli", str(corpus_path("r")), "--query", "r(i)"]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    if stdout == "closed":
+        return subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                              preexec_fn=lambda: os.close(1))
+    if stdout == "full":
+        with open("/dev/full", "w") as full:
+            return subprocess.run(argv, env=env, stdout=full, stderr=subprocess.PIPE)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run(argv, env=env, stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+
+
+@pytest.mark.parametrize(
+    "stdout",
+    [
+        "pipe",
+        pytest.param("full", marks=pytest.mark.skipif(
+            not os.path.exists("/dev/full"), reason="no /dev/full")),
+        "closed",
+    ],
+)
+def test_report_that_cannot_be_written_is_four(stdout):
+    done = run_unwritable(stdout)
+    assert done.returncode == EXIT_OUTPUT
+    lines = done.stderr.decode().splitlines()
+    assert lines[0] == "rung collected comparisons: 1 of 1 circular pairs proved"
+    assert lines[1].startswith("error: the report could not be written: ")
+    assert len(lines) == 2  # no traceback, no "Exception ignored" at exit
 
 
 class TestFlags:
@@ -258,6 +295,11 @@ class TestParser:
         for name in ("program", "--query", "--format", "--max-unfold", "--answers",
                      "--trace", "--pair-cap", "--timeout", "-h, --help"):
             assert name in out
+
+    def test_help_lists_every_exit_code(self):
+        codes = cli.HELP.split("exit codes:")[1].split()
+        for code in (EXIT_YES, EXIT_NO, EXIT_INPUT, EXIT_TIMEOUT, EXIT_OUTPUT):
+            assert str(code) in codes
 
     @pytest.mark.parametrize("argv", SPELLINGS.values(), ids=SPELLINGS)
     def test_spellings_give_the_canonical_report(self, capsys, argv):

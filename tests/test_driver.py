@@ -10,6 +10,7 @@ from collections import Counter
 import pytest
 
 from conftest import corpus_program
+from helpers import driver_calls
 
 from termiarith import domain, driver
 from termiarith.answers import build_answer_domain, compute_abstract_answers
@@ -638,6 +639,7 @@ class TestUnfoldingStep:
         stages = _ProgramStages(program, parse_query_pattern(query))
         assert len(stages.unfolded().program.clauses) == clauses
 
+    @pytest.mark.usefixtures("full_ladder")
     def test_two_unfolding_rungs_answer_no(self):
         verdict = analyse_termination(
             normalize_program(parse_program(self.GUARDS)),
@@ -690,6 +692,14 @@ class TestResourceCaps:
             cap,
             "rung unfold x1 + inferred comparisons: aborted by resource cap",
         )
+
+    def test_capped_answer_table_is_built_once(self, monkeypatch):
+        # The collected and inferred rungs share one program, so the cap
+        # the collected rung's answer domain hit is raised again on the
+        # inferred rung without building that domain again.
+        monkeypatch.setattr(domain, "PARTITION_BUDGET", 7)
+        program, pattern = corpus_program("mc91"), parse_query_pattern("mc_carthy_91(i, f)")
+        assert len(driver_calls(monkeypatch, "build_answer_domain", program, pattern)) == 1
 
     def test_unread_loop_does_not_abort_the_answer_pass(self, monkeypatch):
         # Only mod/3's answers are read, so outer/2's answer domain,
