@@ -345,12 +345,59 @@ def _attempt(stages, options, domains, table, numeric=True):
     return tally, proved == len(proofs), _loop_reports(stages.loops, domains, proofs)
 
 
+def _ladder(top: _ProgramStages, options: AnalysisOptions, reports, log):
+    """The numeric attempts of the ladder, made in order as they are
+    read: (method, proved, reports).  An attempt a cap aborts, and a
+    rung whose query domain a cap aborts, yields proved False with the
+    reports of the last attempt made.  Equal attempts are made once
+    (see the module docstring)."""
+    answer_passes = {"on": (True,), "off": (False,), "auto": (False, True)}[
+        options.answer_abstraction
+    ]
+    attempts = {}
+    stages = top
+    for label, unfold, prefer_inference in _rungs(options):
+        if unfold:
+            stages = stages.unfolded()
+            if stages is None:
+                log(
+                    f"rung {label}: not built; its program passes the cap of"
+                    f" {UNFOLD_LITERAL_CAP} body literals"
+                )
+                return
+        try:
+            domains = _query_domains(stages, prefer_inference)
+        except DomainTooLarge as exc:
+            _log_abort(log, f"rung {label}", exc)
+            yield label, False, reports
+            continue
+        for with_answers in answer_passes:
+            name = label + (" + answer abstraction" if with_answers else "")
+            try:
+                table = stages.answer_table if with_answers else {}
+                key = (
+                    stages,
+                    frozenset((k, frozenset(v)) for k, v in domains.items()),
+                    frozenset((k, frozenset(table[k])) for k in stages.answer_reads if table.get(k)),
+                )
+                if key not in attempts:
+                    attempts[key] = _attempt(stages, options, domains, table)
+                tally, ok, reports = attempts[key]
+                log(f"rung {name}: {tally}")
+            except (DomainTooLarge, PairCapExceeded) as exc:
+                _log_abort(log, f"rung {name}", exc)
+                ok = False
+            yield name, ok, reports
+
+
 def _log_abort(log, stage: str, exc: Exception):
     log(f"resource cap: {exc}")
     log(f"{stage}: aborted by resource cap")
 
 
-#: Path checks one looping-query search may make.
+#: Path checks one looping-query search may make.  The paths branch at
+#: each predicate with several clauses, so their number can grow
+#: exponentially; the benchmark's families need at most 16 checks.
 LOOP_SEARCH_CHECKS = 256
 
 
@@ -386,7 +433,8 @@ def _replay(path: list[tuple[Clause, int]], values: tuple[int, ...]) -> Optional
     Prolog would: unify each clause head with the values, run the
     literals before the call taken, and pass the call's arguments on.
     Returns the arguments the last clause was entered with if its call
-    repeats them; None if a step fails or reads an unbound variable."""
+    repeats them; None if a step fails, reads an unbound variable or
+    passes one on."""
     for clause, j in path:
         entered, env = values, {}
         for arg, value in zip(clause.head.args, values):
@@ -402,6 +450,8 @@ def _replay(path: list[tuple[Clause, int]], values: tuple[int, ...]) -> Optional
             if not atom_is_true(RELATIONS["=" if isinstance(lit, Is) else lit.op](lhs, rhs)):
                 return None
         values = tuple(_value(arg, env) for arg in clause.body[j].args)
+        if None in values:
+            return None
     return entered if values == entered else None
 
 
@@ -525,61 +575,13 @@ def analyse_termination(
             log("no numerical loop: integer reasoning cannot go beyond the norm analysis")
         return Verdict(NO, query, reports, tuple(diagnostics))
 
-    answer_passes = {"on": (True,), "off": (False,), "auto": (False, True)}[
-        options.answer_abstraction
-    ]
-
-    # Rung attempts by their inputs (see the module docstring).
-    attempts = {}
-    stages = top
-    searched = not all(mode == MODE_INT for mode in pattern.modes)
-
-    def loops_forever() -> bool:
-        """Once, after the first attempt fails or a cap aborts it:
-        whether a looping query, logged, ends the ladder."""
-        nonlocal searched
-        found = not searched and _looping_query(program, pattern)
-        searched = True
-        if found:
-            log(found)
-        return bool(found)
-
-    for label, unfold, prefer_inference in _rungs(options):
-        if unfold:
-            stages = stages.unfolded()
-            if stages is None:
-                log(
-                    f"rung {label}: not built; its program passes the cap of"
-                    f" {UNFOLD_LITERAL_CAP} body literals"
-                )
+    for number, (name, ok, reports) in enumerate(_ladder(top, options, reports, log)):
+        if ok:
+            return Verdict(YES, query, reports, tuple(diagnostics), method=name)
+        if number == 0 and all(mode == MODE_INT for mode in pattern.modes):
+            if found := _looping_query(program, pattern):
+                log(found)
                 break
-        try:
-            domains = _query_domains(stages, prefer_inference)
-        except DomainTooLarge as exc:
-            _log_abort(log, f"rung {label}", exc)
-            if loops_forever():
-                break
-            continue
-        for with_answers in answer_passes:
-            name = label + (" + answer abstraction" if with_answers else "")
-            try:
-                table = stages.answer_table if with_answers else {}
-                key = (
-                    stages,
-                    frozenset((k, frozenset(v)) for k, v in domains.items()),
-                    frozenset((k, frozenset(table[k])) for k in stages.answer_reads if table.get(k)),
-                )
-                if key not in attempts:
-                    attempts[key] = _attempt(stages, options, domains, table)
-                tally, ok, reports = attempts[key]
-                log(f"rung {name}: {tally}")
-            except (DomainTooLarge, PairCapExceeded) as exc:
-                _log_abort(log, f"rung {name}", exc)
-                ok = False
-            if ok:
-                return Verdict(YES, query, reports, tuple(diagnostics), method=name)
-            if loops_forever():
-                return Verdict(NO, query, reports, tuple(diagnostics))
 
     return Verdict(NO, query, reports, tuple(diagnostics))
 

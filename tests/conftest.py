@@ -4,7 +4,6 @@ from pathlib import Path
 
 import pytest
 
-from termiarith import driver
 from termiarith.syntax import normalize_program, parse_program, parse_query_pattern
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -31,10 +30,3 @@ def load_program():
 @pytest.fixture
 def load_pattern():
     return parse_query_pattern
-
-
-@pytest.fixture
-def full_ladder(monkeypatch):
-    """No looping-query search (`driver.LOOP_SEARCH_CHECKS` is 0), so a
-    divergent task climbs every rung of the ladder."""
-    monkeypatch.setattr(driver, "LOOP_SEARCH_CHECKS", 0)

@@ -578,12 +578,14 @@ class TestUnfoldingStep:
     """One unfolding step resolves every recursive clause against the
     program it starts from."""
 
-    # Three guarded decrements, the last an identity step: NO.
+    # Two guarded decrements and a guarded increment: NO.  No goal
+    # repeats, so the looping-query search finds no query and the
+    # ladder is climbed.
     GUARDS = (
         "g(X) :- X =< 0.\n"
         "g(X) :- X > 0, X =< 5, Y is X - 2, g(Y).\n"
         "g(X) :- X > 5, X =< 10, Y is X - 3, g(Y).\n"
-        "g(X) :- X > 10, Y is X, g(Y).\n"
+        "g(X) :- X > 10, Y is X + 1, g(Y).\n"
     )
 
     def test_clause_count_does_not_compound(self):
@@ -639,7 +641,6 @@ class TestUnfoldingStep:
         stages = _ProgramStages(program, parse_query_pattern(query))
         assert len(stages.unfolded().program.clauses) == clauses
 
-    @pytest.mark.usefixtures("full_ladder")
     def test_two_unfolding_rungs_answer_no(self):
         verdict = analyse_termination(
             normalize_program(parse_program(self.GUARDS)),

@@ -16,7 +16,7 @@ from meta_interp import BudgetExceeded, run_query
 from option_digests import OPTION_SETS
 from test_acceptance import CORPUS
 
-from termiarith import domain
+from termiarith import domain, driver
 from termiarith.driver import NO, AnalysisOptions, _looping_query, analyse_termination
 from termiarith.syntax import (
     IntConst,
@@ -166,6 +166,11 @@ UNCHECKED = {
     # Z is unbound when `is` reads it: the constraint is satisfiable, and
     # only the concrete run refuses it.
     "unbound read": ("p(X) :- X =< 0.\np(X) :- X > 0, Y is Z + 1, W is X, p(W).\n", "p(i)"),
+    # p/1 passes the unbound Z on to q/2, whose loop then reads it.
+    "unbound call argument": (
+        "p(X) :- X =< 0.\np(X) :- X > 0, q(Z, X).\nq(A, B) :- B > 0, C is B, q(A, C).\n",
+        "p(i)",
+    ),
     # q/1 is called before the loop's own call.
     "user call first": (
         "p(X) :- X =< 0.\np(X) :- X > 0, q(X), Y is X, p(Y).\nq(X) :- X > 0.\n",
@@ -183,6 +188,21 @@ def test_search_finds_no_query_it_cannot_check(source, query):
     assert not looping_lines(verdict)
     program = normalize_program(parse_program(source))
     assert _looping_query(program, parse_query_pattern(query)) is None
+
+
+def test_search_stops_at_its_check_cap(monkeypatch):
+    # Each of p0..p7 has two clauses, so 2^8 paths reach p8's loop, which
+    # never repeats a goal: the uncapped search tests 766 conjunctions.
+    source = "".join(
+        f"p{i}(X) :- X > 0, p{i + 1}(X).\np{i}(X) :- X > 1, p{i + 1}(X).\n" for i in range(8)
+    )
+    source += "p8(X) :- X > 0, Y is X + 1, p8(Y).\n"
+    tested = []
+    graph = driver.difference_graph
+    monkeypatch.setattr(driver, "difference_graph", lambda conj: tested.append(conj) or graph(conj))
+    program = normalize_program(parse_program(source))
+    assert _looping_query(program, parse_query_pattern("p0(i)")) is None
+    assert len(tested) == driver.LOOP_SEARCH_CHECKS
 
 
 @pytest.mark.parametrize("query", ["p(i,b)", "p(i,f)"])
