@@ -23,13 +23,14 @@ and for difference atoms the graph answers that same question exactly,
 so every verdict is the same, except where elimination would pass
 `ATOM_LIMIT` and answer "unknown": the graph, which has no cap, gives
 the exact verdict there.  One Bellman-Ford routine, `_bellman_ford`,
-answers both questions the graph is asked (Cormen et al., Introduction
+answers every question the graph is asked (Cormen et al., Introduction
 to Algorithms, 24.1 and 24.4): from every node at once it finds a
-negative cycle, and from one start it bounds every ``v - start``, which
-is how `implied_orders` reads the order between two variables.  With
-unit coefficients and integer constants the shortest paths are
-integers, so on this route a rational solution implies an integer one
-and the rational and integer answers coincide.
+negative cycle or, failing that, distances that solve the conjunction
+(`difference_point`), and from one start it bounds every
+``v - start``, which is how `implied_orders` reads the order between
+two variables.  With unit coefficients and integer constants the
+shortest paths are integers, so on this route a rational solution
+implies an integer one and the rational and integer answers coincide.
 
 `LinExpr` and `LinAtom` are tuples, so hashing, equality and ordering
 run in C: the prover makes thousands of small solver calls, each
@@ -493,6 +494,20 @@ def _bellman_ford(edges: list[Edge], start: Optional[str] = None) -> Optional[di
         if not changed:
             return dist
     return None
+
+
+def difference_point(conj: Iterable[LinAtom]) -> Optional[dict[str, int]]:
+    """An integer value for each variable of `conj` that satisfies it,
+    or None when `conj` is unsatisfiable or not a difference
+    conjunction (see `difference_graph`).  The values are the
+    Bellman-Ford distances from every node at once, less the zero
+    node's."""
+    edges = difference_graph(conj)
+    dist = None if edges is None else _bellman_ford(edges)
+    if dist is None:
+        return None
+    zero = dist.pop("", 0)
+    return {var: value - zero for var, value in dist.items()}
 
 
 #: The `monotonic` time after which a solver call raises, if any.

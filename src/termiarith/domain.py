@@ -446,16 +446,16 @@ def build_domain(comparisons: ComparisonSet) -> Domain:
 # Unfolding.
 
 
-def unfold_once(program: Program, clause_index: int, atom_index: int) -> Program:
-    """Replace one clause by its resolvents against the selected body
-    atom: one clause per program clause whose head unifies with it.  No
-    head unifies -> the clause is simply deleted."""
+def resolvents(program: Program, clause_index: int, atom_index: int) -> tuple[Clause, ...]:
+    """The resolvents of one clause against its selected body atom: one
+    clause per program clause whose head unifies with it, in program
+    order."""
     clause = program.clauses[clause_index]
     selected = clause.body[atom_index]
     if not isinstance(selected, UserAtom):
         raise ValueError("only a user-defined body atom can be unfolded")
     outer_names = {v.name for v in clause_vars(clause)}
-    resolvents: list[Clause] = []
+    out: list[Clause] = []
     for j in program.index.get(selected.key, ()):
         source = program.clauses[j]
         names = {v.name for v in clause_vars(source)}
@@ -467,13 +467,19 @@ def unfold_once(program: Program, clause_index: int, atom_index: int) -> Program
         if subst is None:
             continue
         body = clause.body[:atom_index] + renamed.body + clause.body[atom_index + 1 :]
-        resolvents.append(apply_subst_clause(Clause(clause.head, body), subst))
-    clauses = (
-        program.clauses[:clause_index]
-        + tuple(resolvents)
-        + program.clauses[clause_index + 1 :]
+        out.append(apply_subst_clause(Clause(clause.head, body), subst))
+    return tuple(out)
+
+
+def unfold_once(program: Program, clause_index: int, atom_index: int) -> Program:
+    """Replace one clause by its `resolvents` against the selected body
+    atom.  No head unifies -> the clause is simply deleted."""
+    clauses = program.clauses
+    return Program(
+        clauses[:clause_index]
+        + resolvents(program, clause_index, atom_index)
+        + clauses[clause_index + 1 :]
     )
-    return Program(clauses)
 
 
 # ---------------------------------------------------------------------------

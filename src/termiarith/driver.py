@@ -67,10 +67,9 @@ from typing import NamedTuple, Optional, Union
 from .answers import AnswerTable, build_answer_domain, compute_abstract_answers
 from .constraints import (
     RELATIONS,
-    _bellman_ford,
     atom_eq,
     atom_is_true,
-    difference_graph,
+    difference_point,
     is_satisfiable,
     render_conjunction,
     substitute,
@@ -83,7 +82,7 @@ from .domain import (
     infer_comparisons,
     linear_term,
     literal_atoms,
-    unfold_once,
+    resolvents,
 )
 from .graph import LoopInfo, find_integer_loops, reachable_from
 from .modes import infer_argument_modes
@@ -108,6 +107,7 @@ from .syntax import (
     QueryPattern,
     UserAtom,
     Var,
+    is_numeric_operand,
     rename_clause,
     render_query_pattern,
     term_vars,
@@ -278,12 +278,9 @@ class _ProgramStages:
             loop = loops.get(clause.key)
             for j, lit in enumerate(clause.body):
                 if loop and isinstance(lit, UserAtom) and lit.key in loop.predicates:
-                    # unfold_once keeps the clauses after i at the end.
-                    resolved = unfold_once(self.program, i, j).clauses
-                    after = len(self.program.clauses) - i - 1
                     clauses.extend(
                         c
-                        for c in resolved[i : len(resolved) - after]
+                        for c in resolvents(self.program, i, j)
                         if not loop.is_integer_based or _may_call(c)
                     )
                     break
@@ -401,10 +398,6 @@ def _log_abort(log, stage: str, exc: Exception):
 LOOP_SEARCH_CHECKS = 256
 
 
-def _plain(terms) -> bool:
-    return all(isinstance(term, (Var, IntConst)) for term in terms)
-
-
 def _step(clause: Clause) -> Optional[int]:
     """The index of the clause's first call, when its head and call
     arguments are variables or integers and each literal before the call
@@ -412,10 +405,10 @@ def _step(clause: Clause) -> Optional[int]:
     integer.  None otherwise."""
     body = clause.body
     j = next((j for j, lit in enumerate(body) if isinstance(lit, UserAtom)), None)
-    if j is None or not _plain(clause.head.args + body[j].args):
+    if j is None or not all(map(is_numeric_operand, clause.head.args + body[j].args)):
         return None
     for lit in body[:j]:
-        if not literal_atoms(lit) or isinstance(lit, Is) and not _plain([lit.lhs]):
+        if not literal_atoms(lit) or isinstance(lit, Is) and not is_numeric_operand(lit.lhs):
             return None
     return j
 
@@ -469,12 +462,11 @@ def _looping_query(program: Program, pattern: QueryPattern) -> Optional[str]:
     taken is its first.  The search conjoins the path's arithmetic, the
     links from each call to the next head, and C's call arguments equal
     to its head arguments.  It takes a point only when the conjunction
-    is a difference-constraint graph (`difference_graph`, exact over the
-    integers) without a negative cycle: the query is read off the
-    Bellman-Ford distances, measured from the zero node.  `_replay`
-    then runs the path on those integers, so the solver is never the
-    only evidence.  A prefix whose conjunction fails the test is not
-    extended, since adding atoms cannot mend it; at most
+    is a satisfiable difference conjunction, whose integer point
+    `difference_point` finds exactly, and reads the query off it.
+    `_replay` then runs the path on those integers, so the solver is
+    never the only evidence.  A prefix whose conjunction fails the test
+    is not extended, since adding atoms cannot mend it; at most
     `LOOP_SEARCH_CHECKS` conjunctions are tested."""
     budget = LOOP_SEARCH_CHECKS
 
@@ -497,9 +489,8 @@ def _looping_query(program: Program, pattern: QueryPattern) -> Optional[str]:
             conj = atoms + [atom_eq(linear_term(a), linear_term(b)) for a, b in links]
             conj += [atom for lit in renamed.body[:j] for atom in literal_atoms(lit)]
             budget -= 1
-            edges = difference_graph(conj)
-            dist = None if edges is None else _bellman_ford(edges)
-            if dist is None:
+            point = difference_point(conj)
+            if point is None:
                 continue
             steps = path + [(clause, j)]
             if call.key != key:
@@ -507,9 +498,8 @@ def _looping_query(program: Program, pattern: QueryPattern) -> Optional[str]:
                 if found:
                     return found
                 continue
-            zero = dist.get("", 0)
             values = tuple(
-                a.value if isinstance(a, IntConst) else dist.get(f"{a.name}#0", 0) - zero
+                a.value if isinstance(a, IntConst) else point.get(f"{a.name}#0", 0)
                 for a in steps[0][0].head.args
             )
             goal = _replay(steps, values)

@@ -13,9 +13,10 @@ from the larger position to the smaller.
 
 Only the recurrent pairs are generated and closed under composition:
 those whose query and range atom lie on one cycle of the graph of
-abstract queries (`generate_pairs`), for every circular pair is a
-composition of them alone.  The closure is finite because rows range
-over finite partitions.  A circular pair (range abstraction equal to
+abstract queries, walked from the elements of the query pattern's
+partition (`generate_pairs`), for every circular pair is a composition
+of them alone.  The closure is finite because rows range over finite
+partitions.  A circular pair (range abstraction equal to
 the query) is suspicious; each one must be discharged either by the
 structural test (a norm decrease along instantiated positions) or by a
 linear function of the integer positions, guessed from the domain row
@@ -231,19 +232,6 @@ def _relations(
     return {(positions[pair][0], rel, positions[pair][1]) for pair, rel in orders.items()}
 
 
-def _may_recur(
-    query: AbstractQuery,
-    callee: PredKey,
-    partners: MappingType[PredKey, frozenset[PredKey]],
-    entry: Optional[AbstractQuery],
-) -> bool:
-    """Whether a step from `query` to a call of `callee` can lie on a
-    cycle of the abstract-query graph: `partners` maps each predicate to
-    its component of the predicate graph, and `entry` is the initial
-    query when no step can lead back to it."""
-    return query != entry and callee in partners[query.key]
-
-
 def generate_pairs(
     program: Program,
     pattern: QueryPattern,
@@ -255,7 +243,7 @@ def generate_pairs(
     size_table: Optional[Callable[[], MappingType[PredKey, Conjunction]]] = None,
 ) -> frozenset[QueryMappingPair]:
     """The recurrent pairs: one per reachable abstract query, applicable
-    clause, body call, and consistent combination of row elements and
+    clause, body call, and consistent combination of range element and
     prior answer entries (a step) whose range atom lies in its query's
     strongly connected component of the abstract-query graph, which has
     one arc from each step's query to its range atom.  `domains`
@@ -264,6 +252,13 @@ def generate_pairs(
     before the selected one.  With `numeric` off only norm relations are
     produced: the structural reading the driver gives the tasks its
     gates keep off the ladder.
+
+    The walk starts at one query per element of the pattern's
+    partition: every query that matches the pattern lies in exactly one.
+    A range atom is an element of its callee's partition, so every
+    query's constraint Q is an element too.  Head unification leaves the
+    call's values as they are, so a step's domain row lies in Q as well,
+    and its domain atom is Q under the clause's domain modes.
 
     Closing the recurrent pairs instead of every step's pair is exact
     for every closure pair whose range atom lies in its query's
@@ -276,17 +271,9 @@ def generate_pairs(
     the same satisfiability check.  The circular pairs, their proofs and
     every report stay the same; only the pair cap sees fewer pairs.
 
-    So relations are derived for the recurrent steps alone.  The walk
-    over abstract queries still follows every step, but keeps one
-    pending only when it may recur (`_may_recur`): its callee shares
-    its query's component of `program.callees`, since the predicates
-    along a cycle of abstract queries form a cycle of calls, and its
-    query is not the constraint-free initial query of a partition with
-    no empty element, which is no step's range atom (see
-    `guess_termination_functions`) and so lies on no cycle.  Every arc
-    of a cycle thus belongs to a pending step, so the components of the
-    pending steps' arcs, computed once the walk ends, place each pending
-    range atom as the arcs of all steps would.
+    So relations are derived for the recurrent steps alone: the walk
+    follows every step, and the components of their arcs, computed once
+    it ends, select them.
 
     Norm relations relate b positions only, so they are derived only for
     a clause call whose domain row and range row both have one.  The
@@ -297,19 +284,19 @@ def generate_pairs(
 
     Whatever does not depend on a query's constraint is built once per
     predicate and query modes: each applicable clause's domain modes
-    and, per call, its range modes, norm relations, row levels and step
-    constraints: the head bindings, the guards before the call, one
+    and, per call, its range modes, norm relations, range row level and
+    step constraints: the head bindings, the guards before the call, one
     satisfiable pick of the answers of the calls before it and its own
     bindings, projected onto the rows by one `eliminate_outside` per
-    pick.  Per query, only the row walks run, each over a step and the
-    query's constraint Q renamed onto the domain row (`row_options`).
+    pick.  Per query, only the range-row walks run, each over a step and
+    the query's constraint Q renamed onto the domain row (`row_options`).
     This is exact: Q(d) mentions only kept variables, so projecting with
     it gives the atoms of projecting without it, plus Q(d); the head
     bindings make Q(d) equivalent to the Q(t) of instantiating Q on the
     head terms, and `instantiate_element` would drop no atom, since Q
     mentions only positions the query's modes fill with integers, where
     an applicable clause's head has a variable or an integer; a pick Q
-    contradicts fails the row walk's first check.  Only integer
+    contradicts fails the walk's first check.  Only integer
     tightening can tell them apart, where substituting head terms raises
     a non-difference atom's gcd; Q(d) is then weaker, which is sound."""
     answers = answers or {}
@@ -335,11 +322,11 @@ def generate_pairs(
         return domains.get(key, (frozenset(),)) if numeric else (frozenset(),)
 
     @cache
-    def row_options(key: PredKey, row: str) -> tuple[tuple[Conjunction, Conjunction], ...]:
-        """Each element of the key's partition with its copy renamed
+    def row_options(key: PredKey, row: str) -> dict[Conjunction, Conjunction]:
+        """Each element of the key's partition mapped to its copy renamed
         onto `row`, renamed once per call of `generate_pairs`."""
         names = _row_names(key[1], _PREFIX[row])
-        return tuple((e, rename(e, names)) for e in partition(key))
+        return {e: rename(e, names) for e in partition(key)}
 
     @cache
     def skeletons(key: PredKey, query_modes: tuple[str, ...]) -> list[tuple]:
@@ -382,7 +369,7 @@ def generate_pairs(
                     eliminate_outside(chosen.union(bindings), rows) if numeric else chosen
                     for _, chosen in satisfiable_choices(conjunction(guards), tuple(priors))
                 ]
-                row_levels = (row_options(key, ROW_DOMAIN), row_options(literal.key, ROW_RANGE))
+                row_levels = (tuple(row_options(literal.key, ROW_RANGE).items()),)
                 calls.append((literal.key, range_modes, step_constraints, row_levels, norms))
                 if index < last_call and (entries := answers.get(literal.key)):
                     priors.append([call_option(e, literal.args) for e in entries])
@@ -391,35 +378,21 @@ def generate_pairs(
 
     # Position i of the domain and range rows as a value variable.
     row_vars = (partial(_row_var, ROW_DOMAIN), partial(_row_var, ROW_RANGE))
-    initial = AbstractQuery(
-        key=pattern.key,
-        modes=effective_call_modes(pattern.key, modes),
-        constraint=frozenset(),
-    )
-    partners = {
-        key: members
-        for members in strongly_connected_components(program.callees)
-        for key in members
-    }
-    entry = initial if all(partition(pattern.key)) else None
+    query_modes = effective_call_modes(pattern.key, modes)
+    queue = deque(AbstractQuery(pattern.key, query_modes, e) for e in partition(pattern.key))
+    seen = set(queue)
     # (query, domain atom, range atom, norm relations, row constraint)
     steps: list[tuple] = []
-    seen = {initial}
-    queue = deque([initial])
     while queue:
         query = queue.popleft()
-        on_row = dict(row_options(query.key, ROW_DOMAIN)).get(query.constraint, frozenset())
+        on_row = row_options(query.key, ROW_DOMAIN)[query.constraint]
         for domain_modes, calls in skeletons(query.key, query.modes):
+            domain_atom = AbstractQuery(query.key, domain_modes, query.constraint)
             for callee, range_modes, step_constraints, row_levels, norms in calls:
-                pending = _may_recur(query, callee, partners, entry)
                 for step in step_constraints:
-                    for (d_elem, r_elem), full in satisfiable_choices(
-                        conjunction(on_row | step), row_levels
-                    ):
+                    for (r_elem,), full in satisfiable_choices(conjunction(on_row | step), row_levels):
                         range_atom = AbstractQuery(callee, range_modes, r_elem)
-                        if pending:
-                            domain_atom = AbstractQuery(query.key, domain_modes, d_elem)
-                            steps.append((query, domain_atom, range_atom, norms, full))
+                        steps.append((query, domain_atom, range_atom, norms, full))
                         if range_atom not in seen:
                             seen.add(range_atom)
                             queue.append(range_atom)
@@ -603,13 +576,9 @@ def guess_termination_functions(pair: QueryMappingPair) -> list[LinExpr]:
     provably non-negative suggests itself.
 
     On a circular pair the range row's constraint is the domain row's,
-    so it would suggest the same.  A domain element is drawn from the
-    query's partition, consistent with the query's constraint, and
-    elements are pairwise unsatisfiable, so it is that constraint.  The
-    unconstrained initial query over a non-trivial partition is no
-    range atom, as no element of such a partition is empty, so it
-    starts no circular pair.  A composition keeps its first pair's
-    query and domain row, and a circular pair's range atom is its query."""
+    so it would suggest the same: a generated pair's domain row carries
+    its query's constraint, a composition keeps its first pair's query
+    and domain row, and a circular pair's range atom is its query."""
     suggestions: list[LinExpr] = []
 
     def suggest(expr: LinExpr):

@@ -2,7 +2,7 @@
 
 The corpus golden files pin fourteen hand-written tasks.  This module
 pins the chain, guard and nest families of `perfbench/generators.py`
-(chain 2-5, guard 2-6, nest 2/4/6, YES and divergent variants, seed 7):
+(chain 2-9, guard 2-16, nest 2-16, YES and divergent variants, seed 7):
 one sha256 per task over the text, JSON and trace reports, the method
 and the diagnostics.  The fixture stores each task's source and query,
 so checking it needs nothing outside `tests/`; only regenerating it
@@ -26,7 +26,7 @@ from termiarith.syntax import normalize_program, parse_program
 FAMILY_DIGESTS = Path(__file__).parent / "golden" / "family_digests.json"
 
 SEED = 7
-PARAMS = {"chain": (2, 3, 4, 5), "guard": (2, 3, 4, 5, 6), "nest": (2, 4, 6)}
+PARAMS = {"chain": range(2, 10), "guard": range(2, 17), "nest": range(2, 17)}
 
 
 def task_digest(source: str, query: str) -> str:

@@ -592,3 +592,21 @@ def test_unit_strict_atoms_need_no_tightening(atoms):
     # `difference_graph` adds one to the constant of a strict atom whose
     # coefficients are all ±1 and tightens every other one.
     assert lc.difference_graph(atoms) == lc.difference_graph([lc._tighten(a) for a in atoms])
+
+
+@settings(deadline=None)
+@given(_difference_conjunctions())
+@example((frozenset({atom_lt("X", "Y"), atom_lt("Y", "Z"), atom_le("Z", "X")}), True))
+@example((frozenset({atom_eq("X", X("Y") + 1), atom_lt("Y", -4), atom_ge("W", 3)}), True))
+def test_difference_point_solves_its_conjunction(drawn):
+    # A point exactly when the conjunction is a satisfiable difference
+    # conjunction: an integer value for each of its variables that makes
+    # every atom true.
+    conj, _ = drawn
+    point = lc.difference_point(conj)
+    if lc.difference_graph(conj) is None or not is_satisfiable(conj):
+        assert point is None
+        return
+    assert set(point) == conjunction_variables(conj)
+    assert all(isinstance(value, int) for value in point.values())
+    assert all(lc.atom_is_true(make_atom(substitute(a.expr, point), a.rel)) for a in conj)

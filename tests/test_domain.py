@@ -43,6 +43,7 @@ from termiarith.domain import (
     linear_term,
     position_var,
     query_positions,
+    resolvents,
     satisfiable_choices,
     sign_levels,
     unfold_once,
@@ -423,6 +424,15 @@ class TestUnfold:
             " Z_u1 is X_u1 + 11, mc_carthy_91(Z_u1, Z1_u1),"
             " mc_carthy_91(Z1_u1, Y_u1), mc_carthy_91(Y_u1, Y).",
         ]
+
+    def test_unfolding_splices_the_resolvents_in(self):
+        # gcd's recursive clause, its call gcd(Y, U, Z) resolved with
+        # both gcd clauses, lands between the clauses around it.
+        program = corpus_program("gcd")
+        found = resolvents(program, 1, 2)
+        assert [c.key for c in found] == [("gcd", 3)] * 2
+        clauses = program.clauses
+        assert unfold_once(program, 1, 2).clauses == clauses[:1] + found + clauses[2:]
 
     def test_unfolded_program_is_already_normal(self):
         program = corpus_program("mc91")

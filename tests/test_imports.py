@@ -1,6 +1,6 @@
 """The package's imports: every module-level import of the package and
-of the tests is used by its module, and importing the command line
-stays cheap.
+of the tests is used by its module, no package module imports another's
+underscore names, and importing the command line stays cheap.
 
 No linter ships with the project, so this reads each source file's AST:
 a name bound by a top-level ``import``/``from ... import`` must appear
@@ -45,6 +45,28 @@ def test_unused_imports_are_detected():
 )
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """Underscore names a module imports from another module of the
+    package: each one's privacy is broken across a module boundary."""
+    return sorted(
+        f"{node.module or ''}.{alias.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
+def test_private_imports_are_detected():
+    source = "from .constraints import LE, _tighten\nfrom os import _exit\nfrom . import _x\n"
+    assert private_imports(source) == ["._x (line 3)", "constraints._tighten (line 1)"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_package_modules_import_no_private_names(path):
+    assert private_imports(path.read_text()) == []
 
 
 def probe(code: str) -> str:

@@ -198,8 +198,8 @@ def test_search_stops_at_its_check_cap(monkeypatch):
     )
     source += "p8(X) :- X > 0, Y is X + 1, p8(Y).\n"
     tested = []
-    graph = driver.difference_graph
-    monkeypatch.setattr(driver, "difference_graph", lambda conj: tested.append(conj) or graph(conj))
+    point = driver.difference_point
+    monkeypatch.setattr(driver, "difference_point", lambda conj: tested.append(conj) or point(conj))
     program = normalize_program(parse_program(source))
     assert _looping_query(program, parse_query_pattern("p0(i)")) is None
     assert len(tested) == driver.LOOP_SEARCH_CHECKS

@@ -2,6 +2,7 @@
 composition algebra, the structural cycle test, and function-based
 decrease proofs."""
 
+import json
 import operator
 from itertools import product
 
@@ -10,10 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import corpus_program
+from family_digests import FAMILY_DIGESTS
 from helpers import closure_reference, compose_pair, driver_calls
 from test_acceptance import CORPUS
 
-from termiarith import constraints, driver, pairs
+from termiarith import constraints, domain, driver, pairs
 from termiarith.answers import build_answer_domain, call_option, compute_abstract_answers
 from termiarith.constraints import (
     EQ,
@@ -115,7 +117,6 @@ def every_step(monkeypatch):
     """Make `generate_pairs` keep every step's pair, as if each step lay
     on a cycle of the abstract-query graph: the base the recurrent pairs
     are selected from."""
-    monkeypatch.setattr(pairs, "_may_recur", lambda *step: True)
     monkeypatch.setattr(
         pairs,
         "strongly_connected_components",
@@ -161,18 +162,57 @@ def atom_set(*atoms):
 
 
 class TestGeneration:
-    def test_initial_query_has_no_constraint(self, monkeypatch):
-        # r's partition has no empty element, so the constraint-free
-        # initial query is no range atom: it starts pairs, but no
-        # recurrent one.  Those all start at arg1 > 0.
-        closure, base = pipeline("r", "r(i)")
-        assert base and all(p.query.constraint == frozenset({_gt(A1)}) for p in base)
+    def test_walk_starts_at_each_partition_element(self, monkeypatch):
+        # gcd's recursive call passes arg2 > 0 on as arg1, so no step
+        # reaches gcd's element arg1 =< 0, arg2 > 0, yet the walk starts
+        # there as at every element of the pattern's partition.  Its
+        # steps are not recurrent.  No query is constraint-free, and
+        # every domain row is its query's element.
+        closure, base = pipeline("gcd", "gcd(i,i,f)")
         every_step(monkeypatch)
-        _, every = pipeline("r", "r(i)")
-        assert any(p.query.constraint == frozenset() for p in every)
-        assert all(
-            p.query.constraint in (frozenset(), frozenset({_gt(A1)})) for p in every
-        )
+        _, every = pipeline("gcd", "gcd(i,i,f)")
+        ranges = {p.mapping.range_atom for p in every}
+        start = frozenset({atom_le(A1, 0), _gt(A2)})
+        assert {(p.query.key, p.query.constraint) for p in every if p.query not in ranges} == {
+            (("gcd", 3), start)
+        }
+        assert all(p.query.constraint != start for p in base)
+        for pair in every:
+            assert pair.query.constraint
+            assert pair.mapping.domain_atom.constraint == pair.query.constraint
+
+    @pytest.mark.parametrize(
+        "task,checks",
+        [("gcd", [41, 55]), ("guard-6", [90]), ("nest-10", [95]), ("chain-5", [65])],
+        ids=["gcd", "guard-6", "nest-10", "chain-5"],
+    )
+    def test_walk_checks_per_generation(self, monkeypatch, task, checks):
+        # The partition walks' solver checks in each `generate_pairs`
+        # call of the task: gcd's collected rung without and with
+        # answers, the first rung of the others.  Each query walks only
+        # the range row of its steps.
+        if task == "gcd":
+            program, query = corpus_program("gcd"), "gcd(i,i,f)"
+        else:
+            fixture = json.loads(FAMILY_DIGESTS.read_text())[task]
+            program = normalize_program(parse_program(fixture["source"]))
+            query = fixture["query"]
+        walks = []
+        satisfiable, generate = domain.is_satisfiable, driver.generate_pairs
+
+        def counted(conj):
+            walks[-1] += 1
+            return satisfiable(conj)
+
+        def generating(*args, **kwargs):
+            walks.append(0)
+            with monkeypatch.context() as patched:
+                patched.setattr(domain, "is_satisfiable", counted)
+                return generate(*args, **kwargs)
+
+        monkeypatch.setattr(driver, "generate_pairs", generating)
+        driver.analyse_termination(program, parse_query_pattern(query))
+        assert walks == checks
 
     def test_unsatisfiable_guard_generates_nothing(self):
         closure, base = pipeline("t", "t(i)")
@@ -182,13 +222,13 @@ class TestGeneration:
     def test_corpus_pair_counts(self, monkeypatch):
         # Recurrent base and closure, then with every step's pair kept.
         table = [
-            ("r", "r(i)", {}, 1, 1, 4, 4),
-            ("p_int", "p(i)", {}, 1, 1, 4, 4),
-            ("mod", "mod(i,i,f)", {}, 1, 1, 4, 6),
-            ("p_difficult", "p(i,i)", {}, 4, 7, 16, 34),
-            ("q_mixed", "q(b,b,i)", {}, 3, 3, 8, 12),
-            ("gcd", "gcd(i,i,f)", {}, 2, 3, 16, 62),
-            ("gcd", "gcd(i,i,f)", {"answers": True}, 3, 5, 16, 51),
+            ("r", "r(i)", {}, 1, 1, 2, 2),
+            ("p_int", "p(i)", {}, 1, 1, 2, 2),
+            ("mod", "mod(i,i,f)", {}, 1, 1, 2, 3),
+            ("p_difficult", "p(i,i)", {}, 4, 7, 8, 17),
+            ("q_mixed", "q(b,b,i)", {}, 3, 3, 4, 6),
+            ("gcd", "gcd(i,i,f)", {}, 2, 3, 11, 42),
+            ("gcd", "gcd(i,i,f)", {"answers": True}, 3, 5, 10, 28),
         ]
         for name, query, kwargs, *counts in table:
             closure, base = pipeline(name, query, **kwargs)
@@ -278,22 +318,21 @@ class TestGeneration:
         domains = {}
         for loop in find_integer_loops(program, pattern, modes):
             domains.update(build_domain(infer_comparisons(loop, modes)))
-        eliminate, may_recur = pairs.eliminate_outside, pairs._may_recur
+        eliminate = pairs.eliminate_outside
+        # Every step's pair is kept, so its queries and range atoms are
+        # the queries the walk reaches.
+        every_step(monkeypatch)
         counts = []
         for partition in ({}, domains):
-            eliminated, queries = [], set()
+            eliminated = []
 
             def recording(conj, keep):
                 eliminated.append(conj)
                 return eliminate(conj, keep)
 
-            def reached(query, *rest):
-                queries.add(query)
-                return may_recur(query, *rest)
-
             monkeypatch.setattr(pairs, "eliminate_outside", recording)
-            monkeypatch.setattr(pairs, "_may_recur", reached)
-            generate_pairs(program, pattern, modes, domains=partition)
+            every = generate_pairs(program, pattern, modes, domains=partition)
+            queries = {p.query for p in every} | {p.mapping.range_atom for p in every}
             counts.append((len(eliminated), len(queries)))
         (trivial_steps, trivial_queries), (inferred_steps, inferred_queries) = counts
         assert trivial_steps == inferred_steps == 3
@@ -669,7 +708,7 @@ def on_cycles(closure, base):
 EXACTNESS_TASKS = [(corpus_program(name), query) for name, query, _ in CORPUS] + RUNG_TASKS
 
 
-def _row_query(key, constraint=frozenset()):
+def _row_query(key, constraint):
     return AbstractQuery(key=key, modes=(MODE_INT,), constraint=constraint)
 
 
@@ -703,20 +742,20 @@ class TestRecurrentPairs:
         assert len(bases) >= 10
         assert any(every != base for every, base in bases)
 
-    def test_entry_and_callee_pairs_are_dropped(self, monkeypatch):
-        # l1 calls l2 before itself: the steps from the constraint-free
-        # initial query and those into l2 are followed, so l2 is
-        # explored, but none of them is recurrent.
+    def test_callee_pairs_are_dropped(self, monkeypatch):
+        # l1 calls l2 before itself.  The walk starts at l1's elements,
+        # and arg1 =< 0 has no step; the steps into l2 are followed, so
+        # l2 is explored, but none of them is recurrent.
         source = nest_source(2)
         closure, base = pipeline(source, "l1(i)", inline=True)
         with monkeypatch.context() as patched:
             every_step(patched)
             full, every = pipeline(source, "l1(i)", inline=True)
-        start = _row_query(("l1", 1))
         up = _row_query(("l1", 1), frozenset({_gt(A1)}))
         inner = _row_query(("l2", 1), frozenset({_gt(A1)}))
         arcs = {(p.query, p.mapping.range_atom) for p in every}
-        assert {(start, up), (up, inner), (up, up), (inner, inner)} <= arcs
+        assert {(up, inner), (up, up), (inner, inner)} <= arcs
+        assert {p.query for p in every} == {up, inner}
         assert {(p.query, p.mapping.range_atom) for p in base} == {(up, up), (inner, inner)}
         assert base == on_cycles(every, every)
         assert closure == on_cycles(full, every)
@@ -724,11 +763,11 @@ class TestRecurrentPairs:
             (up, up),
             (inner, inner),
         }
-        # The full closure also leaves the start and enters the callee.
+        # The full closure also enters the callee.
         assert len(full) > len(closure)
 
     @pytest.mark.parametrize(
-        "name,query,derived,picks", [("r", "r(i)", 1, 4), ("gcd", "gcd(i,i,f)", 5, 32)]
+        "name,query,derived,picks", [("r", "r(i)", 1, 2), ("gcd", "gcd(i,i,f)", 5, 21)]
     )
     def test_relations_are_derived_for_recurrent_steps_alone(
         self, monkeypatch, name, query, derived, picks
