@@ -8,6 +8,8 @@ comparison set:
 * `collect_comparisons` reads comparisons straight out of the bodies of
   recursive clauses (the cheap route; needs head integer positions to be
   distinct variables);
+* `without_pass_through` drops from a set the atoms over positions the
+  loop passes on unchanged (`pass_through_positions`);
 * `infer_comparisons` projects everything a clause body implies onto the
   head integer positions, which subsumes collection;
 * `unfold_once` performs one resolution step, typically splitting a
@@ -254,6 +256,35 @@ def collect_comparisons(
     return out
 
 
+def pass_through_positions(loop: LoopInfo) -> frozenset[int]:
+    """The argument positions j at which every call to a loop predicate,
+    in every clause of the loop, has the variable its clause's head has
+    at j.  An argument there keeps its value along the loop, so an atom
+    over such positions alone has one truth value at every call."""
+    calls = [
+        (clause.head.args, lit.args)
+        for clause in loop.clauses
+        for lit in clause.body
+        if isinstance(lit, UserAtom) and lit.key in loop.predicates
+    ]
+    width = min((min(len(head), len(args)) for head, args in calls), default=0)
+    return frozenset(
+        j
+        for j in range(width)
+        if all(isinstance(args[j], Var) and args[j] == head[j] for head, args in calls)
+    )
+
+
+def without_pass_through(loop: LoopInfo, comparisons: ComparisonSet) -> ComparisonSet:
+    """The comparison set less its atoms over pass-through positions
+    only (`pass_through_positions`)."""
+    through = {position_var(j) for j in pass_through_positions(loop)}
+    return {
+        key: frozenset(atom for atom in atoms if not atom.expr.variables() <= through)
+        for key, atoms in comparisons.items()
+    }
+
+
 class _Classes:
     """Union-find over ordered items; a class is represented by its
     least member."""
@@ -422,20 +453,26 @@ def build_domain(comparisons: ComparisonSet) -> Domain:
     """All satisfiable sign assignments of each predicate's comparison
     set, as simplified conjunctions.  The result is a partition: elements
     are satisfiable, pairwise disjoint, and every assignment of the
-    comparisons lands in exactly one element.  Raises DomainTooLarge,
+    comparisons lands in exactly one element.  Of an atom and its
+    negation only the first in canonical order gets a level of the sign
+    tree: the other's level would keep one branch, the same conjunction,
+    so the pieces are those of the whole set.  Raises DomainTooLarge,
     naming the predicate, when a set's sign tree needs more than
     `PARTITION_BUDGET` solver checks (read when it runs)."""
     out: Domain = {}
     for key in sorted(comparisons):
-        atoms = sorted(comparisons[key])
-        if any(a.rel == EQ for a in atoms):
+        collected = comparisons[key]
+        if any(a.rel == EQ for a in collected):
             raise ValueError("comparison sets hold inequalities only")
+        atoms = sorted(
+            a for a in collected if negate_atom(a) not in collected or a < negate_atom(a)
+        )
         try:
             pieces = list(satisfiable_choices(frozenset(), sign_levels(atoms), PARTITION_BUDGET))
         except DomainTooLarge:
             name, arity = key
             raise DomainTooLarge(
-                f"comparison set of {name}/{arity} has {len(atoms)} atoms; its"
+                f"comparison set of {name}/{arity} has {len(collected)} atoms; its"
                 f" partition needs more than {PARTITION_BUDGET} solver checks"
             ) from None
         out[key] = tuple(simplify(p) for _, p in pieces)

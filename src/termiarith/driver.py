@@ -4,9 +4,23 @@ Runs the whole pipeline for one (program, query pattern) task.  The
 gates come first: a task with no numerical loop, or with any loop that
 is not integer based, gets only the attempt with structural norms, a
 YES or the gate's NO.  Every other task climbs the escalation ladder
-over comparison sources (collected, inferred, inferred after
-unfolding), each rung without, then with answers.  The verdict carries
-per-loop, per-pair evidence and feeds the text and JSON report emitters.
+over comparison sources (collected without pass-through atoms,
+collected, inferred, inferred after unfolding), each rung without, then
+with answers.  The verdict carries per-loop, per-pair evidence and
+feeds the text and JSON report emitters.
+
+Any finite partition of the integer positions is sound: the proof
+covers every element, and every integer query lies in one.  So the
+first rung may leave atoms out, and it leaves out each loop's
+pass-through atoms (`domain.without_pass_through`), those over positions
+that every in-loop call fills with the variable its clause's head has
+there.  Such an atom keeps its truth value along the loop, so it
+cannot separate one iteration from the next (an unchanged argument
+gives only a non-strict size-change arc), yet it doubles the partition.
+Its sign can still decide a loop's direction, as in a loop that adds a
+passed-through N of either sign, so when atoms were left out the whole
+collected set is the next rung; when none were, that rung would repeat
+the first and is skipped.
 
 Every attempt is one `_attempt`: generate the recurrent pairs (those
 on a cycle of the query graph, the only factors of a circular pair),
@@ -26,7 +40,9 @@ abstraction and, if that fails under `--answers auto`, with it; the
 next unfolding is built only when both attempts fail, and the ladder
 stops at one whose body literals would pass `UNFOLD_LITERAL_CAP`.  A
 program's size table is built only if pair generation asks for it.
-Its answer table is a stage of the program too: a loop's answer
+Its comparison sets and their partitions are stages of it, so its
+collected rungs share one collection and rungs with equal sets one
+partition.  Its answer table is a stage of the program too: a loop's answer
 partition depends only on the loop and its modes, so the collected and
 inferred rungs share one table, built when the first answer attempt
 asks for it.
@@ -67,6 +83,8 @@ from typing import NamedTuple, Optional, Union
 from .answers import AnswerTable, build_answer_domain, compute_abstract_answers
 from .constraints import (
     RELATIONS,
+    Conjunction,
+    LinAtom,
     atom_eq,
     atom_is_true,
     difference_point,
@@ -75,6 +93,7 @@ from .constraints import (
     substitute,
 )
 from .domain import (
+    ComparisonSet,
     Domain,
     DomainTooLarge,
     build_domain,
@@ -83,6 +102,7 @@ from .domain import (
     linear_term,
     literal_atoms,
     resolvents,
+    without_pass_through,
 )
 from .graph import LoopInfo, find_integer_loops, reachable_from
 from .modes import infer_argument_modes
@@ -229,6 +249,46 @@ class _ProgramStages:
         self.pattern = pattern
         self.modes = infer_argument_modes(program, pattern)
         self.loops = find_integer_loops(program, pattern, self.modes)
+        self._inferred: dict[int, ComparisonSet] = {}
+        self._partitions: dict = {}
+
+    @cached_property
+    def _collected(self) -> tuple[Optional[ComparisonSet], ...]:
+        return tuple(collect_comparisons(loop, self.modes) for loop in self.loops)
+
+    def _inferred_of(self, index: int) -> ComparisonSet:
+        if index not in self._inferred:
+            self._inferred[index] = infer_comparisons(self.loops[index], self.modes)
+        return self._inferred[index]
+
+    def comparisons(self, prefer_inference: bool, keep_pass_through: bool = True) -> ComparisonSet:
+        """Every loop's comparison set: the inferred one, or the collected
+        one where collection applies, less its pass-through atoms unless
+        they are kept (`domain.without_pass_through`).  Each loop's
+        collected and inferred sets are built once."""
+        out: ComparisonSet = {}
+        for index, loop in enumerate(self.loops):
+            collected = None if prefer_inference else self._collected[index]
+            if collected is None:
+                collected = self._inferred_of(index)
+            elif not keep_pass_through:
+                collected = without_pass_through(loop, collected)
+            out.update(collected)
+        return out
+
+    def partition(self, key: PredKey, atoms: frozenset[LinAtom]) -> tuple[Conjunction, ...]:
+        """`build_domain` of one predicate's comparison set, built once per
+        set.  Raises DomainTooLarge when the partition passes
+        `domain.PARTITION_BUDGET`, and raises it again when read again."""
+        if (key, atoms) not in self._partitions:
+            try:
+                self._partitions[key, atoms] = build_domain({key: atoms})[key]
+            except DomainTooLarge as exc:
+                self._partitions[key, atoms] = exc
+        found = self._partitions[key, atoms]
+        if isinstance(found, DomainTooLarge):
+            raise found
+        return found
 
     @cached_property
     def answer_reads(self) -> frozenset[PredKey]:
@@ -298,26 +358,25 @@ def _may_call(clause: Clause) -> bool:
     return is_satisfiable([atom for lit in prefix for atom in literal_atoms(lit)])
 
 
-def _query_domains(stages: _ProgramStages, prefer_inference) -> Domain:
-    """The query domains of a rung's loops.  Raises DomainTooLarge when a
-    comparison set's partition passes `domain.PARTITION_BUDGET`, which
-    stops the rung."""
-    domains: Domain = {}
-    for loop in stages.loops:
-        comparisons = None if prefer_inference else collect_comparisons(loop, stages.modes)
-        if comparisons is None:
-            comparisons = infer_comparisons(loop, stages.modes)
-        domains.update(build_domain(comparisons))
-    return domains
+def _query_domains(stages: _ProgramStages, prefer_inference, keep_pass_through=True) -> Domain:
+    """The query domains of a rung's loops (`_ProgramStages.comparisons`).
+    Raises DomainTooLarge when a comparison set's partition passes
+    `domain.PARTITION_BUDGET`, which stops the rung."""
+    comparisons = stages.comparisons(prefer_inference, keep_pass_through)
+    return {key: stages.partition(key, atoms) for key, atoms in comparisons.items()}
 
 
-def _rungs(options: AnalysisOptions):
+def _rungs(top: _ProgramStages, options: AnalysisOptions):
     """The ladder, one rung at a time as it is reached: (label, unfold
-    the previous rung's program once more, prefer inference)."""
-    yield "collected comparisons", False, False
-    yield "inferred comparisons", False, True
+    the previous rung's program once more, prefer inference, keep
+    pass-through atoms).  The rung with pass-through atoms is skipped
+    when the first rung dropped none: it would repeat that rung."""
+    yield "collected comparisons", False, False, False
+    if top.comparisons(False) != top.comparisons(False, keep_pass_through=False):
+        yield "collected comparisons with pass-through atoms", False, False, True
+    yield "inferred comparisons", False, True, True
     for depth in range(1, options.max_unfold + 1):
-        yield f"unfold x{depth} + inferred comparisons", True, True
+        yield f"unfold x{depth} + inferred comparisons", True, True, True
 
 
 def _attempt(stages, options, domains, table, numeric=True):
@@ -353,7 +412,7 @@ def _ladder(top: _ProgramStages, options: AnalysisOptions, reports, log):
     ]
     attempts = {}
     stages = top
-    for label, unfold, prefer_inference in _rungs(options):
+    for label, unfold, prefer_inference, keep_pass_through in _rungs(top, options):
         if unfold:
             stages = stages.unfolded()
             if stages is None:
@@ -363,7 +422,7 @@ def _ladder(top: _ProgramStages, options: AnalysisOptions, reports, log):
                 )
                 return
         try:
-            domains = _query_domains(stages, prefer_inference)
+            domains = _query_domains(stages, prefer_inference, keep_pass_through)
         except DomainTooLarge as exc:
             _log_abort(log, f"rung {label}", exc)
             yield label, False, reports

@@ -34,17 +34,23 @@ def task_digest(source: str, query: str) -> str:
     return report_digest(program, query, AnalysisOptions())
 
 
-def generated_tasks() -> dict[str, dict[str, str]]:
-    """Task id -> source and query, from the benchmark generators."""
-    sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
+def family_task(family: str, value: int, divergent: bool = False):
+    """One task of the benchmark generators at `SEED`."""
+    perfbench = str(Path(__file__).parents[1] / "perfbench")
+    if perfbench not in sys.path:
+        sys.path.insert(0, perfbench)
     from generators import FAMILIES
 
+    return FAMILIES[family](value, random.Random(f"{SEED}/{family}/{value}"), divergent)
+
+
+def generated_tasks() -> dict[str, dict[str, str]]:
+    """Task id -> source and query, from the benchmark generators."""
     tasks = {}
     for family, values in PARAMS.items():
         for value in values:
             for divergent in (False, True):
-                rng = random.Random(f"{SEED}/{family}/{value}")
-                task = FAMILIES[family](value, rng, divergent)
+                task = family_task(family, value, divergent)
                 tasks[task.task_id] = {"source": task.source, "query": task.query}
     return tasks
 

@@ -147,33 +147,34 @@ class TestAnswerDomain:
 
     def test_refine_cap_leaves_widening_unrefined(self, monkeypatch):
         # gcd/3's collected answer comparisons are partitioned in 7
-        # checks, with the inferred ones in 87.  Past the budget the
-        # builder raises; it never falls back to the coarser partition.
+        # checks, with the inferred ones in 51 (87 with arg2 > 0 and its
+        # negation both in the sign tree).  Past the budget the builder
+        # raises; it never falls back to the coarser partition.
         program = corpus_program("gcd")
         pattern = parse_query_pattern("gcd(i,i,f)")
         modes = infer_argument_modes(program, pattern)
         loops = find_integer_loops(program, pattern, modes)
         (loop,) = [loop for loop in loops if ("gcd", 3) in loop.predicates]
-        monkeypatch.setattr("termiarith.domain.PARTITION_BUDGET", 86)
+        monkeypatch.setattr("termiarith.domain.PARTITION_BUDGET", 50)
         assert len(collected_answer_domain(loop, modes)[("gcd", 3)]) == 4
         with pytest.raises(DomainTooLarge) as raised:
             build_answer_domain(loop, modes)
         assert str(raised.value) == (
-            "comparison set of gcd/3 has 6 atoms; its partition needs more than 86 solver checks"
+            "comparison set of gcd/3 has 6 atoms; its partition needs more than 50 solver checks"
         )
 
     def test_product_cap_leaves_widening_unrefined(self, monkeypatch):
         # The budget bounds the one sign tree of mc91's 4 answer atoms,
-        # which takes 23 checks; no product of partitions is walked on
-        # top of it.
-        monkeypatch.setattr("termiarith.domain.PARTITION_BUDGET", 23)
+        # which takes 15 checks (arg1 > 100 and its negation share one
+        # level); no product of partitions is walked on top of it.
+        monkeypatch.setattr("termiarith.domain.PARTITION_BUDGET", 15)
         _, domains, _, _ = analysis("mc91", "mc_carthy_91(i,f)")
         assert len(domains[0][("mc_carthy_91", 2)]) == 6
-        monkeypatch.setattr("termiarith.domain.PARTITION_BUDGET", 22)
+        monkeypatch.setattr("termiarith.domain.PARTITION_BUDGET", 14)
         with pytest.raises(DomainTooLarge) as raised:
             analysis("mc91", "mc_carthy_91(i,f)")
         assert str(raised.value) == (
-            "comparison set of mc_carthy_91/2 has 4 atoms; its partition needs more than 22"
+            "comparison set of mc_carthy_91/2 has 4 atoms; its partition needs more than 14"
             " solver checks"
         )
 
@@ -425,9 +426,10 @@ def test_each_rung_is_tried_plain_then_with_answers():
         # Each clause makes one call, so no clause reads the answer
         # table: no answer domain or table is built, each answer attempt
         # repeats the plain one, and the inferred rung repeats the
-        # collected one.
+        # collected one.  c/2 passes X through, so its first rung drops
+        # X > 17 and the rung with pass-through atoms is one more attempt.
         (normalize_program(parse_program(DIVERGENT[1])), "g(i)", 2, 0, 0),
-        (normalize_program(parse_program(DIVERGENT[0])), "c(i,i)", 2, 0, 0),
+        (normalize_program(parse_program(DIVERGENT[0])), "c(i,i)", 3, 0, 0),
         # l1/1 reads l2/1's answers, so each of the two rung programs
         # builds l2/1's answer domain alone, once for its collected and
         # inferred rungs; l1/1's is never read.

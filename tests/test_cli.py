@@ -195,7 +195,7 @@ class TestFlags:
         _, out, _ = run(
             capsys, str(corpus_path("mod")), "--query", "mod(i,i,f)", "--trace"
         )
-        assert "pair mod(i,i,f) where arg2 =< arg1, arg2 > 0" in out
+        assert "pair mod(i,i,f) where arg2 =< arg1\n" in out
         assert "  arcs: d1 > r1, d1 > r2" in out
 
     def test_answers_off(self, capsys):

@@ -5,6 +5,7 @@ Extended-domain sizes (44, 27, 13) are frozen from the brute-force sign
 enumeration in domain_census.py, which recounts them without going
 through the permuted-copy product."""
 
+import json
 from itertools import product
 
 import pytest
@@ -12,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import corpus_program
+from family_digests import FAMILY_DIGESTS
 from helpers import product_reference, program_text
+from test_acceptance import CORPUS
 
 from termiarith import domain as domain_module
 from termiarith.constraints import (
@@ -30,9 +33,12 @@ from termiarith.constraints import (
     make_atom,
     negate_atom,
     render_atom,
+    simplify,
 )
 from termiarith.domain import (
     DomainTooLarge,
+    pass_through_positions,
+    without_pass_through,
     answer_positions,
     build_domain,
     collect_answer_comparisons,
@@ -166,6 +172,47 @@ class TestCollect:
         source = "p(X, X) :- X > 0, Y is X - 1, p(Y, Y).\n"
         _, _, modes, loop = loop_setup(source, "p(i,i)", inline=True)
         assert collect_comparisons(loop, modes) is None
+
+
+class TestPassThrough:
+    def test_chain_passes_all_but_its_counter(self):
+        source = "c(X, Y, Z) :- X > 0, X < Y, Y < Z, W is X - 1, c(W, Y, Z).\n"
+        _, _, modes, loop = loop_setup(source, "c(i,i,i)", inline=True)
+        assert pass_through_positions(loop) == {1, 2}
+        assert without_pass_through(loop, collect_comparisons(loop, modes)) == {
+            ("c", 3): frozenset({atom_gt(A1, 0), atom_lt(A1, A2)})
+        }
+
+    def test_swapping_loop_keeps_all_its_atoms(self):
+        source = "p(A, B) :- A > 0, B > 0, C is A - 1, p(B, C).\n"
+        _, _, modes, loop = loop_setup(source, "p(i,i)", inline=True)
+        collected = collect_comparisons(loop, modes)
+        assert pass_through_positions(loop) == frozenset()
+        assert without_pass_through(loop, collected) == collected
+
+    def test_position_must_pass_through_every_call_of_the_component(self):
+        # N is passed on by both predicates' calls; X changes.  Atoms
+        # over N alone go, atoms that mention X stay.
+        source = (
+            "p(X, N) :- X > 0, N > 0, X < N, Y is X - 1, q(Y, N).\n"
+            "q(X, N) :- X > 1, N < 100, Y is X - 2, p(Y, N).\n"
+        )
+        _, _, modes, loop = loop_setup(source, "p(i,i)", inline=True)
+        assert loop.predicates == {("p", 2), ("q", 2)}
+        assert pass_through_positions(loop) == {1}
+        collected = collect_comparisons(loop, modes)
+        assert collected == {
+            ("p", 2): frozenset({atom_gt(A1, 0), atom_gt(A2, 0), atom_lt(A1, A2)}),
+            ("q", 2): frozenset({atom_gt(A1, 1), atom_lt(A2, 100)}),
+        }
+        assert without_pass_through(loop, collected) == {
+            ("p", 2): frozenset({atom_gt(A1, 0), atom_lt(A1, A2)}),
+            ("q", 2): frozenset({atom_gt(A1, 1)}),
+        }
+        # q passing N on as its first argument passes nothing through.
+        swapped = source.replace("p(Y, N)", "p(N, Y)")
+        _, _, _, loop = loop_setup(swapped, "p(i,i)", inline=True)
+        assert pass_through_positions(loop) == frozenset()
 
 
 class TestCollectAnswers:
@@ -321,6 +368,55 @@ class TestBuildDomain:
     def test_equalities_rejected(self):
         with pytest.raises(ValueError):
             build_domain({("p", 1): frozenset({atom_eq(A1, 0)})})
+
+    def test_an_atom_and_its_negation_share_one_level(self, monkeypatch):
+        # guard-6's 11 collected atoms hold 5 pairs X =< c, X > c: its
+        # sign tree takes 43 checks, not the 113 of one level per atom.
+        fixture = json.loads(FAMILY_DIGESTS.read_text())["guard-6"]
+        _, _, modes, loop = loop_setup(fixture["source"], fixture["query"], inline=True)
+        comparisons = collect_comparisons(loop, modes)
+        checks = []
+        satisfiable = domain_module.is_satisfiable
+        monkeypatch.setattr(
+            domain_module, "is_satisfiable", lambda conj: checks.append(conj) or satisfiable(conj)
+        )
+        pieces = build_domain(comparisons)[("g", 1)]
+        assert len(comparisons[("g", 1)]) == 11
+        assert len(checks) == 43
+        assert len(pieces) == 7
+
+    def test_pieces_match_the_whole_sign_tree(self):
+        # Every query and answer comparison set of the corpus and of the
+        # seed-7 family tasks is partitioned into the pieces, in order,
+        # of the sign tree with one level per atom.
+        tasks = [(corpus_program(name), query) for name, query, _ in CORPUS]
+        tasks += [
+            (normalize_program(parse_program(task["source"])), task["query"])
+            for task in json.loads(FAMILY_DIGESTS.read_text()).values()
+        ]
+        sets = paired = 0
+        for program, query in tasks:
+            pattern = parse_query_pattern(query)
+            modes = infer_argument_modes(program, pattern)
+            for loop in find_integer_loops(program, pattern, modes):
+                collected = collect_comparisons(loop, modes)
+                answers = infer_comparisons(loop, modes, answer_positions(loop, modes))
+                candidates = [
+                    infer_comparisons(loop, modes),
+                    {k: a | answers[k] for k, a in collect_answer_comparisons(loop, modes).items()},
+                ]
+                if collected is not None:
+                    candidates += [collected, without_pass_through(loop, collected)]
+                for comparisons in candidates:
+                    for key, atoms in comparisons.items():
+                        whole = satisfiable_choices(frozenset(), sign_levels(sorted(atoms)))
+                        assert build_domain({key: atoms})[key] == tuple(
+                            simplify(piece) for _, piece in whole
+                        ), (query, key)
+                        sets += 1
+                        paired += any(negate_atom(atom) in atoms for atom in atoms)
+        # 710 of the 1,308 sets hold an atom and its negation.
+        assert (sets, paired) == (1308, 710)
 
 
 @st.composite

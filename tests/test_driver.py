@@ -10,6 +10,7 @@ from collections import Counter
 import pytest
 
 from conftest import corpus_program
+from family_digests import family_task
 from helpers import driver_calls
 
 from termiarith import domain, driver
@@ -674,14 +675,14 @@ class TestResourceCaps:
     def test_answer_domain_notes_are_logged(self, monkeypatch):
         # mc91's answers are read (its recursive clause calls itself
         # twice).  Its collected and inferred query partitions take 3
-        # and 7 checks, its 4-atom answer partition more than 7; so
-        # does the unfolded program's query partition.
-        monkeypatch.setattr(domain, "PARTITION_BUDGET", 7)
+        # checks each, its 4-atom answer partition 15 and the unfolded
+        # program's 4-atom query partition 7, both more than 6.
+        monkeypatch.setattr(domain, "PARTITION_BUDGET", 6)
         verdict = analyse("mc91", "mc_carthy_91(i, f)")
         assert verdict.answer == NO
         cap = (
             "resource cap: comparison set of mc_carthy_91/2 has 4 atoms; "
-            "its partition needs more than 7 solver checks"
+            "its partition needs more than 6 solver checks"
         )
         assert verdict.diagnostics == (
             "rung collected comparisons: 1 of 2 circular pairs proved",
@@ -697,8 +698,9 @@ class TestResourceCaps:
     def test_capped_answer_table_is_built_once(self, monkeypatch):
         # The collected and inferred rungs share one program, so the cap
         # the collected rung's answer domain hit is raised again on the
-        # inferred rung without building that domain again.
-        monkeypatch.setattr(domain, "PARTITION_BUDGET", 7)
+        # inferred rung without building that domain again.  The
+        # unfolded rung's query partition passes the budget too.
+        monkeypatch.setattr(domain, "PARTITION_BUDGET", 6)
         program, pattern = corpus_program("mc91"), parse_query_pattern("mc_carthy_91(i, f)")
         assert len(driver_calls(monkeypatch, "build_answer_domain", program, pattern)) == 1
 
@@ -722,13 +724,19 @@ class TestResourceCaps:
         assert not any("resource cap" in line for line in verdict.diagnostics)
 
     def test_comparison_cap_guards_inference(self, monkeypatch):
-        # The collected set takes 3 checks, the inferred one more.
-        monkeypatch.setattr(domain, "PARTITION_BUDGET", 3)
-        verdict = analyse("mc91", "mc_carthy_91(i, f)")
+        # No guard is over X, so the collected set is empty and takes 1
+        # check; the inferred one, X > 4 and X < -4, takes 7.  (mc91's
+        # inferred set is arg1 =< 100 and its negation, which take the
+        # collected set's 3 checks.)
+        monkeypatch.setattr(domain, "PARTITION_BUDGET", 6)
+        source = "p(X) :- Y is X + 1, Y > 5, p(Y).\np(X) :- Y is X - 1, Y < -5, p(Y).\n"
+        verdict = analyse_termination(
+            normalize_program(parse_program(source)), parse_query_pattern("p(i)")
+        )
         assert verdict.answer == NO
         assert (
-            "resource cap: comparison set of mc_carthy_91/2 has 2 atoms; "
-            "its partition needs more than 3 solver checks" in verdict.diagnostics
+            "resource cap: comparison set of p/1 has 2 atoms; "
+            "its partition needs more than 6 solver checks" in verdict.diagnostics
         )
         assert (
             "rung inferred comparisons: aborted by resource cap"
@@ -736,7 +744,7 @@ class TestResourceCaps:
         )
         # The collected rung does not run inference and still executes.
         assert (
-            "rung collected comparisons: 1 of 2 circular pairs proved"
+            "rung collected comparisons: 0 of 3 circular pairs proved"
             in verdict.diagnostics
         )
 
@@ -813,33 +821,132 @@ class TestPartitionBudget:
 
     def test_chain_trips_past_the_budget(self, monkeypatch):
         # k chain atoms take 2**(k+1) - 1 checks: 31 for four, 63 for five.
+        # The first rung drops the k - 2 atoms over the positions the
+        # call passes through, so chain 5 is proved on its other 2 atoms
+        # in 7 checks; its whole collected set still trips the budget.
         monkeypatch.setattr(domain, "PARTITION_BUDGET", 2**5)
         four = analyse_termination(chain_program(4), parse_query_pattern("c(i,i,i,i)"))
         assert four.answer == YES
         assert four.method == "collected comparisons"
-        five = analyse_termination(chain_program(5), parse_query_pattern("c(i,i,i,i,i)"))
-        assert five.answer == NO
-        assert (
-            "resource cap: comparison set of c/5 has 5 atoms; "
-            "its partition needs more than 32 solver checks" in five.diagnostics
+        pattern = parse_query_pattern("c(i,i,i,i,i)")
+        five = analyse_termination(chain_program(5), pattern)
+        assert five.answer == YES
+        assert five.method == "collected comparisons"
+        with pytest.raises(domain.DomainTooLarge) as raised:
+            _query_domains(_ProgramStages(chain_program(5), pattern), False)
+        assert str(raised.value) == (
+            "comparison set of c/5 has 5 atoms; its partition needs more than 32 solver checks"
         )
 
     def test_capped_rung_is_logged_once(self, monkeypatch):
         # A rung whose query domain passes the budget skips its answer
-        # pass instead of logging the same stop again.
-        monkeypatch.setattr(domain, "PARTITION_BUDGET", 2**5)
+        # pass instead of logging the same stop again.  The first rung's
+        # 2 atoms take 7 checks.
+        monkeypatch.setattr(domain, "PARTITION_BUDGET", 2**2)
         verdict = analyse_termination(chain_program(5), parse_query_pattern("c(i,i,i,i,i)"))
         assert verdict.diagnostics == (
-            "resource cap: comparison set of c/5 has 5 atoms; "
-            "its partition needs more than 32 solver checks",
+            "resource cap: comparison set of c/5 has 2 atoms; "
+            "its partition needs more than 4 solver checks",
             "rung collected comparisons: aborted by resource cap",
+            "resource cap: comparison set of c/5 has 5 atoms; "
+            "its partition needs more than 4 solver checks",
+            "rung collected comparisons with pass-through atoms: aborted by resource cap",
             "resource cap: comparison set of c/5 has 6 atoms; "
-            "its partition needs more than 32 solver checks",
+            "its partition needs more than 4 solver checks",
             "rung inferred comparisons: aborted by resource cap",
             "resource cap: comparison set of c/5 has 8 atoms; "
+            "its partition needs more than 4 solver checks",
+            "rung unfold x1 + inferred comparisons: aborted by resource cap",
+        )
+
+    def test_moving_atoms_can_trip_the_budget_alone(self, monkeypatch):
+        # Every argument but N changes along the loop, so the first rung
+        # keeps the five chain atoms and drops only N > 0 and N < 9; its
+        # partition still passes the budget, and so does every later one.
+        monkeypatch.setattr(domain, "PARTITION_BUDGET", 2**5)
+        head = "c(A, B, C, D, E, N)"
+        source = (
+            f"{head} :- A =< 0.\n"
+            f"{head} :- A > 0, A < B, B < C, C < D, D < E, N > 0, N < 9,"
+            " A1 is A - 1, B1 is B + 1, C1 is C + 1, D1 is D + 1, E1 is E + 1,"
+            " c(A1, B1, C1, D1, E1, N).\n"
+        )
+        verdict = analyse_termination(
+            normalize_program(parse_program(source)), parse_query_pattern("c(i,i,i,i,i,i)")
+        )
+        assert verdict.answer == NO
+        assert verdict.diagnostics == (
+            "resource cap: comparison set of c/6 has 5 atoms; "
+            "its partition needs more than 32 solver checks",
+            "rung collected comparisons: aborted by resource cap",
+            "resource cap: comparison set of c/6 has 7 atoms; "
+            "its partition needs more than 32 solver checks",
+            "rung collected comparisons with pass-through atoms: aborted by resource cap",
+            "resource cap: comparison set of c/6 has 8 atoms; "
+            "its partition needs more than 32 solver checks",
+            "rung inferred comparisons: aborted by resource cap",
+            "resource cap: comparison set of c/6 has 10 atoms; "
             "its partition needs more than 32 solver checks",
             "rung unfold x1 + inferred comparisons: aborted by resource cap",
         )
+
+
+class TestPassThroughRung:
+    """The first rung partitions each loop without the atoms over
+    positions every in-loop call passes on unchanged; the rung after it
+    keeps them."""
+
+    # N keeps its value along the loop, so only its sign tells which way
+    # X moves: N > 0 and N < 0 are dropped on the first rung.
+    SPLIT = (
+        "p(X, N) :- X > 0, X < 100, N > 0, X1 is X + N, p(X1, N).\n"
+        "p(X, N) :- X > 0, X < 100, N < 0, X1 is X + N, p(X1, N).\n"
+    )
+
+    def test_dropped_atoms_are_tried_on_the_next_rung(self):
+        verdict = analyse_termination(
+            normalize_program(parse_program(self.SPLIT)), parse_query_pattern("p(i,i)")
+        )
+        assert verdict.answer == YES
+        assert verdict.method == "collected comparisons with pass-through atoms"
+        assert verdict.diagnostics == (
+            "rung collected comparisons: 2 of 4 circular pairs proved",
+            "rung collected comparisons + answer abstraction: 2 of 4 circular pairs proved",
+            "rung collected comparisons with pass-through atoms: 2 of 2 circular pairs proved",
+        )
+
+    @pytest.mark.parametrize("k", [13, 16])
+    def test_long_chains_are_proved(self, k):
+        # Their whole collected sets pass `PARTITION_BUDGET` on every
+        # rung; the k - 2 atoms over passed-through positions are dropped.
+        task = family_task("chain", k)
+        verdict = analyse_termination(
+            normalize_program(parse_program(task.source)), parse_query_pattern(task.query)
+        )
+        assert task.expected == verdict.answer == YES
+        assert verdict.method == "collected comparisons"
+
+    def test_swapping_loop_makes_no_extra_rung(self):
+        # Each call swaps the arguments, so nothing is passed through and
+        # the first rung already has every collected atom.
+        program = normalize_program(
+            parse_program("p(X, Y) :- X > 0, Y > 0, Z is X - 1, p(Y, Z).\np(X, Y) :- Y < 0.\n")
+        )
+        verdict = analyse_termination(program, parse_query_pattern("p(i,i)"))
+        assert not any("pass-through" in line for line in verdict.diagnostics)
+
+    def test_collected_rungs_share_their_stages(self, monkeypatch):
+        # One collection of each loop serves both collected rungs, and
+        # gcd/3's set, inferred on all three rungs since collection
+        # cannot read its head, is partitioned once.
+        program, pattern = corpus_program("gcd"), parse_query_pattern("gcd(i,i,f)")
+        options = AnalysisOptions(answer_abstraction="off", max_unfold=0)
+        collected = driver_calls(monkeypatch, "collect_comparisons", program, pattern, options)
+        assert len(collected) == 2
+        partitioned = driver_calls(monkeypatch, "build_domain", program, pattern, options)
+        assert [set(args[0]) for args in partitioned] == [
+            {("mod", 3)}, {("gcd", 3)}, {("mod", 3)}, {("mod", 3)}
+        ]
 
 
 class TestReports:
@@ -851,12 +958,10 @@ class TestReports:
                 "method: collected comparisons",
                 "loop mod/3 (integer based)",
                 "  domain of mod/3:",
-                "    arg1 < arg2, arg2 =< 0",
-                "    arg1 < arg2, arg2 > 0",
-                "    arg2 =< arg1, arg2 =< 0",
-                "    arg2 =< arg1, arg2 > 0",
-                "  proved: mod(i,i,f) where arg2 =< arg1, arg2 > 0"
-                " by decreasing function arg1 (bound 0)",
+                "    arg1 < arg2",
+                "    arg2 =< arg1",
+                "  proved: mod(i,i,f) where arg2 =< arg1"
+                " by decreasing function arg1 - arg2 (bound 0)",
             ]
         )
 
@@ -874,10 +979,10 @@ class TestReports:
         plain = render_report(verdict)
         traced = render_report(verdict, trace=True)
         assert traced.startswith(plain)
-        assert "pair mod(i,i,f) where arg2 =< arg1, arg2 > 0" in traced
+        assert "pair mod(i,i,f) where arg2 =< arg1\n" in traced
         assert "  edges: d2 = r2" in traced
         assert "  arcs: d1 > r1, d1 > r2" in traced
-        assert "  proof: decreasing function arg1 (bound 0)" in traced
+        assert "  proof: decreasing function arg1 - arg2 (bound 0)" in traced
 
     def test_rendered_queries_parse_back(self):
         tasks = [(corpus_program(name), query) for name, query, _, _ in VERDICTS]

@@ -183,7 +183,7 @@ class TestGeneration:
 
     @pytest.mark.parametrize(
         "task,checks",
-        [("gcd", [41, 55]), ("guard-6", [90]), ("nest-10", [95]), ("chain-5", [65])],
+        [("gcd", [35, 49]), ("guard-6", [90]), ("nest-10", [95]), ("chain-5", [9])],
         ids=["gcd", "guard-6", "nest-10", "chain-5"],
     )
     def test_walk_checks_per_generation(self, monkeypatch, task, checks):
