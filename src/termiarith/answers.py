@@ -1,9 +1,10 @@
 """Abstract answer tables for numerical loops.
 
-A loop's answers are summarized by elements of a finite partition of its
-integer argument space, which `build_answer_domain` builds from the loop
-and its modes alone.  The table is the least set of elements closed
-under the loop's clauses: each clause body is read as a linear
+A loop's answers are summarized by pieces of a finite partition of its
+integer argument space: the leaves of the sign tree over a set of
+answer atoms (`domain.sign_tree`), which `build_answer_domain` reads
+off the loop and its modes alone.  The table is the least set of pieces
+closed under the loop's clauses: each clause body is read as a linear
 constraint, calls are replaced by table entries, and every satisfiable
 combination, a pick of `satisfiable_choices` with one level per call, is
 widened back into the partition.  The fixpoint is semi-naive.  A round
@@ -14,11 +15,29 @@ calls after it all of them, so no combination is read twice.  A clause
 without calls into the loop is read in the first round only.  Each
 call's option for an entry, the entry instantiated on the call's
 arguments, is built once per fixpoint and read in every round.
-Elements mention only the argument positions, so a combination is
-projected onto them (`eliminate_outside`) before the elements not yet in
-the table are tested against it, and not read at all once every element
-is in.  Loops are solved callee-first, so a published table stands in
-for the calls an outer loop makes into an inner one."""
+
+Widening is lazy: the partition is never built.  A combination is
+projected onto the argument positions (`eliminate_outside`), the answer
+A, and the sign tree is walked under A.  The leaves reached are exactly
+the pieces A meets, since the walk enters only satisfiable prefixes and
+adding atoms never makes an unsatisfiable conjunction satisfiable.  A
+piece entering the table is simplified once, from its signed atoms
+without A, so it is the piece `build_domain` makes for that leaf, and
+each predicate's entries are published in leaf order, which is
+`build_domain`'s piece order.
+
+The walk under A shares `PARTITION_BUDGET` with the walk of the whole
+tree, and no answer rung that completes with the whole partition is
+lost.  The walk under A checks A, then a node only when its parent
+prefix with A is satisfiable, so its parent prefix is satisfiable and
+the whole walk checks that node too.  So it makes at most as many
+checks as the whole walk, A standing in for the whole walk's first
+check of the empty conjunction, and aborts only when the whole
+partition passes the budget too.  The reverse does not hold: a
+partition past the budget can still be widened into answer by answer.
+
+Loops are solved callee-first, so a published table stands in for the
+calls an outer loop makes into an inner one."""
 
 from __future__ import annotations
 
@@ -30,21 +49,23 @@ from .constraints import (
     LinAtom,
     conjunction,
     eliminate_outside,
-    is_satisfiable,
     make_atom,
+    negate_atom,
+    simplify,
     substitute,
 )
 from .domain import (
     Domain,
     answer_positions,
     applicable_clauses,
-    build_domain,
     clause_constraint,
     collect_answer_comparisons,
     infer_comparisons,
     linear_term,
     position_var,
     satisfiable_choices,
+    sign_atoms,
+    sign_tree,
 )
 from .graph import LoopInfo
 from .modes import ModeAssignment
@@ -54,19 +75,21 @@ from .syntax import PredKey, Term, UserAtom
 #: calls can succeed with, in partition order.
 AnswerTable = Domain
 
+#: Per predicate, the atoms whose sign tree partitions its answers.
+AnswerAtoms = dict[PredKey, tuple[LinAtom, ...]]
 
-def build_answer_domain(loop: LoopInfo, modes: ModeAssignment) -> Domain:
-    """The partition the loop's answers are widened into: `build_domain`
-    over the collected answer comparisons and those inferred on the
-    integer-typed positions.
+
+def build_answer_domain(loop: LoopInfo, modes: ModeAssignment) -> AnswerAtoms:
+    """The `sign_atoms` of each loop predicate's answer comparisons: the
+    collected answer comparisons and those inferred on the integer-typed
+    positions.  Their sign tree's leaves partition the answers.
 
     Any partition that covers the answer space is a sound widening
-    target, and `build_domain`'s satisfiable sign assignments cover it:
-    every integer answer satisfies one sign of each comparison.  May
-    raise `DomainTooLarge` like `build_domain`."""
+    target, and the satisfiable sign assignments cover it: every integer
+    answer satisfies one sign of each comparison."""
     collected = collect_answer_comparisons(loop, modes)
     inferred = infer_comparisons(loop, modes, positions=answer_positions(loop, modes))
-    return build_domain({key: atoms | inferred[key] for key, atoms in collected.items()})
+    return {key: sign_atoms(atoms | inferred[key]) for key, atoms in collected.items()}
 
 
 def instantiate_element(element: Conjunction, args: Sequence[Term]) -> list[LinAtom]:
@@ -93,21 +116,31 @@ def call_option(element: Conjunction, args: Sequence[Term]) -> CallOption:
 def compute_abstract_answers(
     loops: Sequence[LoopInfo],
     modes: ModeAssignment,
-    domains: Sequence[Domain],
+    domains: Sequence[AnswerAtoms],
 ) -> AnswerTable:
     """Answer tables for the given loops, which must come callee-first
-    (as `find_integer_loops` returns them) and carry one answer domain
-    per loop between them."""
-    pieces: Domain = {}
-    for answer_domain in domains:
-        pieces.update(answer_domain)
+    (as `find_integer_loops` returns them) and carry one
+    `build_answer_domain` per loop between them.  Raises DomainTooLarge,
+    naming the predicate, when widening one answer passes
+    `domain.PARTITION_BUDGET` (see the module docstring)."""
+    atoms: AnswerAtoms = {}
+    for answer_atoms in domains:
+        atoms.update(answer_atoms)
     published: AnswerTable = {}
     # Each answer element instantiated on each call's arguments, once.
     option = cache(call_option)
     for loop in loops:
         positions = answer_positions(loop, modes)
-        table: dict[PredKey, dict[Conjunction, None]] = {key: {} for key in loop.predicates}
+        # Per predicate, the pieces reached, by their leaf labels, in the
+        # order they were reached.
+        table: dict[PredKey, dict[tuple[bool, ...], Conjunction]] = {
+            key: {} for key in loop.predicates
+        }
         arguments = {key: [position_var(j) for j in range(key[1])] for key in loop.predicates}
+        described = {
+            key: f"answer comparison set of {key[0]}/{key[1]} has {len(atoms[key])} atoms"
+            for key in loop.predicates
+        }
         # Per clause: its key, its base constraint and its calls into this
         # loop or a published one, one level each.
         known = table.keys() | published.keys()
@@ -118,7 +151,7 @@ def compute_abstract_answers(
             clauses.append((clause.key, base, calls))
         older = None
         while True:
-            entries = {key: tuple(found) for key, found in table.items()}
+            entries = {key: tuple(found.values()) for key, found in table.items()}
             if entries == older:
                 break
             for key, base, calls in clauses:
@@ -139,14 +172,17 @@ def compute_abstract_answers(
                             chosen = entries[lit.key]
                         levels.append([option(element, lit.args) for element in chosen])
                     for _, candidate in satisfiable_choices(base, levels):
-                        unseen = [piece for piece in pieces[key] if piece not in table[key]]
-                        if not unseen:
-                            break
                         answer = eliminate_outside(candidate, arguments[key])
-                        for piece in unseen:
-                            if is_satisfiable(conjunction(answer | piece)):
-                                table[key][piece] = None
+                        for labels, _ in sign_tree(atoms[key], answer, described[key]):
+                            if labels not in table[key]:
+                                signed = (
+                                    atom if sign else negate_atom(atom)
+                                    for atom, sign in zip(atoms[key], labels)
+                                )
+                                table[key][labels] = simplify(signed)
             older = entries
         for key in sorted(loop.predicates):
-            published[key] = tuple(piece for piece in pieces[key] if piece in table[key])
+            # In leaf order: the atom (True) before its negation at every level.
+            leaves = sorted(table[key].items(), key=lambda leaf: [not sign for sign in leaf[0]])
+            published[key] = tuple(piece for _, piece in leaves)
     return published

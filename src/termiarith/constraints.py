@@ -421,6 +421,15 @@ def _tighten(atom: LinAtom) -> LinAtom:
     return _canonical(expr.terms, expr.const + 1, LE)
 
 
+def tightened(conj: Iterable[LinAtom]) -> Conjunction:
+    """The conjunction with every strict atom sharpened (`_tighten`):
+    the atoms both solver routes decide, with the same integer points.
+    A conjunction mixed with `eliminate_outside` results, which come
+    tightened, then holds no strict atom next to its sharpened twin,
+    which would split the verdict cache's keys."""
+    return frozenset([_tighten(a) for a in conj])
+
+
 #: ``(u, v, w)``: the constraint ``v - u =< w``, an edge from u to v.
 #: The node ``""`` is the zero node, the value every constant is
 #: measured from.

@@ -14,7 +14,8 @@ comparison set:
   head integer positions, which subsumes collection;
 * `unfold_once` performs one resolution step, typically splitting a
   clause so that a later inference pass finds sharper guards;
-* `build_domain` turns a comparison set into the partition;
+* `build_domain` turns a comparison set into the partition, the leaves
+  of the sign tree over its `sign_atoms` (`sign_tree`);
 * `extend_domain` spreads a partition across argument positions that
   exchange values (the prover does not call it; see its section);
 * `satisfiable_choices` is the one walk over a finite product of
@@ -449,33 +450,54 @@ def sign_levels(atoms: Sequence[LinAtom]) -> list[tuple[tuple[bool, Conjunction]
     ]
 
 
+def sign_atoms(comparisons: frozenset[LinAtom]) -> tuple[LinAtom, ...]:
+    """The atoms of a comparison set that get a level of its sign tree,
+    in canonical order.  Of an atom and its negation only the first in
+    canonical order gets one: the other's level would keep one branch,
+    the same conjunction, so the pieces are those of the whole set.
+    Raises ValueError on an equality."""
+    if any(a.rel == EQ for a in comparisons):
+        raise ValueError("comparison sets hold inequalities only")
+    return tuple(
+        sorted(a for a in comparisons if negate_atom(a) not in comparisons or a < negate_atom(a))
+    )
+
+
+def sign_tree(
+    atoms: Sequence[LinAtom], within: Conjunction, described: str
+) -> Iterator[tuple[tuple[bool, ...], Conjunction]]:
+    """The leaves of the sign tree of `atoms` that meet `within`: the
+    `satisfiable_choices` of `sign_levels(atoms)` from `within`.  A
+    leaf's labels, one sign per atom, name its piece of the partition.
+    Raises DomainTooLarge, saying that the partition of the set
+    `described` needs more than `PARTITION_BUDGET` solver checks (read
+    when the walk starts), before it makes check `PARTITION_BUDGET` + 1.
+    Under `within` the walk checks `within` and then only nodes the walk
+    of the whole tree checks, so the message holds for every `within`."""
+    budget = PARTITION_BUDGET
+    try:
+        yield from satisfiable_choices(within, sign_levels(atoms), budget)
+    except DomainTooLarge:
+        raise DomainTooLarge(
+            f"{described}; its partition needs more than {budget} solver checks"
+        ) from None
+
+
 def build_domain(comparisons: ComparisonSet) -> Domain:
     """All satisfiable sign assignments of each predicate's comparison
-    set, as simplified conjunctions.  The result is a partition: elements
-    are satisfiable, pairwise disjoint, and every assignment of the
-    comparisons lands in exactly one element.  Of an atom and its
-    negation only the first in canonical order gets a level of the sign
-    tree: the other's level would keep one branch, the same conjunction,
-    so the pieces are those of the whole set.  Raises DomainTooLarge,
+    set, as simplified conjunctions, in the order of the sign tree over
+    its `sign_atoms`.  The result is a partition: elements are
+    satisfiable, pairwise disjoint, and every assignment of the
+    comparisons lands in exactly one element.  Raises DomainTooLarge,
     naming the predicate, when a set's sign tree needs more than
-    `PARTITION_BUDGET` solver checks (read when it runs)."""
+    `PARTITION_BUDGET` solver checks (`sign_tree`)."""
     out: Domain = {}
     for key in sorted(comparisons):
         collected = comparisons[key]
-        if any(a.rel == EQ for a in collected):
-            raise ValueError("comparison sets hold inequalities only")
-        atoms = sorted(
-            a for a in collected if negate_atom(a) not in collected or a < negate_atom(a)
-        )
-        try:
-            pieces = list(satisfiable_choices(frozenset(), sign_levels(atoms), PARTITION_BUDGET))
-        except DomainTooLarge:
-            name, arity = key
-            raise DomainTooLarge(
-                f"comparison set of {name}/{arity} has {len(collected)} atoms; its"
-                f" partition needs more than {PARTITION_BUDGET} solver checks"
-            ) from None
-        out[key] = tuple(simplify(p) for _, p in pieces)
+        name, arity = key
+        described = f"comparison set of {name}/{arity} has {len(collected)} atoms"
+        leaves = list(sign_tree(sign_atoms(collected), frozenset(), described))
+        out[key] = tuple(simplify(p) for _, p in leaves)
     return out
 
 

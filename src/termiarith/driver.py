@@ -43,7 +43,7 @@ program's size table is built only if pair generation asks for it.
 Its comparison sets and their partitions are stages of it, so its
 collected rungs share one collection and rungs with equal sets one
 partition.  Its answer table is a stage of the program too: a loop's answer
-partition depends only on the loop and its modes, so the collected and
+atoms depend only on the loop and its modes, so the collected and
 inferred rungs share one table, built when the first answer attempt
 asks for it.
 
@@ -75,7 +75,6 @@ SLD tree of the query has an infinite branch.  With no cut, nothing
 prunes a branch, so some query of the pattern does not terminate, and
 a sound rung could never prove YES."""
 
-import json
 from functools import cached_property
 from itertools import takewhile
 from typing import NamedTuple, Optional, Union
@@ -110,6 +109,8 @@ from .norms import infer_size_relations
 from .pairs import (
     PAIR_CAP,
     PairCapExceeded,
+    PairProof,
+    QueryMappingPair,
     compose_until_fixpoint,
     generate_pairs,
     is_circular,
@@ -172,13 +173,21 @@ class AnalysisOptions(_OptionFields):
 
 
 class PairEvidence(NamedTuple):
-    """One circular pair of the final run: its query in report form and
-    either the discharging proof or None."""
+    """One circular pair of the final run: its query in report form,
+    either the discharging proof or None, and the pair and proof its
+    trace is rendered from."""
 
     query: str
     constraint: str
     proof: Optional[str]
-    trace: str
+    pair: QueryMappingPair
+    found: Optional[PairProof]
+
+    @property
+    def trace(self) -> str:
+        """The pair's trace block (`render_pair`), rendered when read:
+        only a NO report's first unproven pair and `--trace` read it."""
+        return render_pair(self.pair, self.found)
 
 
 class LoopReport(NamedTuple):
@@ -224,7 +233,8 @@ def _loop_reports(
                 query=render_query_pattern(pair.query.key[0], pair.query.modes),
                 constraint=render_conjunction(pair.query.constraint),
                 proof=found.describe() if found is not None else None,
-                trace=render_pair(pair, found),
+                pair=pair,
+                found=found,
             )
             for pair, found in proofs
             if pair.query.key in loop.predicates
@@ -305,7 +315,7 @@ class _ProgramStages:
     def answer_table(self) -> AnswerTable:
         """The answer tables of the loops of the `answer_reads` predicates
         and of all they call, callee-first; no other table is read.
-        Raises DomainTooLarge if an answer partition passes
+        Raises DomainTooLarge if widening an answer passes
         `domain.PARTITION_BUDGET`, and raises it again when read again."""
         table = self._answer_table
         if isinstance(table, DomainTooLarge):
@@ -316,11 +326,13 @@ class _ProgramStages:
     def _answer_table(self) -> Union[AnswerTable, DomainTooLarge]:
         called = reachable_from(self.program.callees, self.answer_reads)
         tabled = [loop for loop in self.loops if loop.predicates & called]
+        if not tabled:
+            return {}
+        domains = [build_answer_domain(loop, self.modes) for loop in tabled]
         try:
-            domains = [build_answer_domain(loop, self.modes) for loop in tabled]
+            return compute_abstract_answers(tabled, self.modes, domains)
         except DomainTooLarge as exc:
             return exc
-        return compute_abstract_answers(tabled, self.modes, domains) if tabled else {}
 
     def unfolded(self) -> Optional["_ProgramStages"]:
         """The program with the first in-loop body atom of each recursive
@@ -667,6 +679,10 @@ def render_report(verdict: Verdict, format: str = "text", trace: bool = False) -
     """Human-readable text or the stable JSON document.  Diagnostics are
     part of the JSON payload only; text callers emit them separately."""
     if format == "json":
+        # Imported here: only this branch reads it, and importing it
+        # costs every command-line run start-up time.
+        import json
+
         return json.dumps(verdict_payload(verdict), indent=2)
     if format != "text":
         raise ValueError("format must be text or json")

@@ -47,6 +47,7 @@ from .constraints import (
     render_conjunction,
     render_expr,
     substitute,
+    tightened,
 )
 from .domain import (
     Domain,
@@ -324,9 +325,11 @@ def generate_pairs(
     @cache
     def row_options(key: PredKey, row: str) -> dict[Conjunction, Conjunction]:
         """Each element of the key's partition mapped to its copy renamed
-        onto `row`, renamed once per call of `generate_pairs`."""
+        onto `row` and `tightened`, like the step constraints it meets,
+        built once per call of `generate_pairs`.  Both solver routes
+        tighten, so no verdict or relation changes."""
         names = _row_names(key[1], _PREFIX[row])
-        return {e: rename(e, names) for e in partition(key)}
+        return {e: tightened(rename(e, names)) for e in partition(key)}
 
     @cache
     def skeletons(key: PredKey, query_modes: tuple[str, ...]) -> list[tuple]:

@@ -1,12 +1,13 @@
 """Small readers over the prover's values that only the tests need:
 the true conjunction, the variables and equivalence of conjunctions,
 widening a constraint into a partition, the brute-force filtered
-product, the composition of two pairs, the naive composition closure
-and answer fixpoint, the arguments the driver hands a stage, the mode
-order, the modes and integer positions of a predicate, and program
-text that round-trips through `parse_program`."""
+product, the composition of two pairs, the naive composition closure,
+the whole answer partition and the answer fixpoint over it, the
+arguments the driver hands a stage, the mode order, the modes and
+integer positions of a predicate, and program text that round-trips
+through `parse_program`."""
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from termiarith import driver
 from termiarith.answers import AnswerTable, call_option
@@ -17,7 +18,13 @@ from termiarith.constraints import (
     implies_all,
     is_satisfiable,
 )
-from termiarith.domain import Domain, answer_positions, applicable_clauses, clause_constraint
+from termiarith.domain import (
+    Domain,
+    answer_positions,
+    applicable_clauses,
+    build_domain,
+    clause_constraint,
+)
 from termiarith.graph import LoopInfo
 from termiarith.modes import ModeAssignment
 from termiarith.pairs import QueryMappingPair, _composition, _satisfiable_through
@@ -100,18 +107,25 @@ def closure_reference(pairs: Iterable[QueryMappingPair]) -> frozenset[QueryMappi
         closure |= found
 
 
+def answer_partition(answer_atoms: Mapping[PredKey, Sequence[LinAtom]]) -> Domain:
+    """The whole partition of each predicate's answer atoms
+    (`answers.build_answer_domain`), built by `build_domain`."""
+    return build_domain({key: frozenset(atoms) for key, atoms in answer_atoms.items()})
+
+
 def answers_reference(
-    loops: Sequence[LoopInfo], modes: ModeAssignment, domains: Sequence[Domain]
+    loops: Sequence[LoopInfo], modes: ModeAssignment, domains: Sequence[Mapping]
 ) -> AnswerTable:
-    """`compute_abstract_answers` by naive rounds, without projection or
-    pruning: each round reads every clause against a snapshot of the
-    whole table, the candidates are the unpruned `product_reference` of
-    the calls' entries, and each piece is tested against the whole
+    """`compute_abstract_answers` by naive rounds over whole partitions,
+    without projection or pruning: each loop's `answer_partition` is
+    built first, each round reads every clause against a snapshot of
+    the whole table, the candidates are the unpruned `product_reference`
+    of the calls' entries, and every piece is tested against the whole
     candidate, clause variables included.  Tables are published in
     partition order."""
     pieces: Domain = {}
-    for answer_domain in domains:
-        pieces.update(answer_domain)
+    for answer_atoms in domains:
+        pieces.update(answer_partition(answer_atoms))
     published: AnswerTable = {}
     for loop in loops:
         positions = answer_positions(loop, modes)

@@ -1,15 +1,20 @@
 """Abstract answer-table tests: widening targets, the fixpoint, and the
-published tables for the corpus loops."""
+published tables for the corpus loops.  The prover widens into the
+partition of each loop's answer atoms without building it; the tests
+build it (`helpers.answer_partition`) to check its properties and the
+tables against it."""
 
+import json
 from itertools import combinations, product
 
 import pytest
 
 from conftest import corpus_program
+from family_digests import FAMILY_DIGESTS
 from test_acceptance import CORPUS
-from helpers import answers_reference, driver_calls, widen
+from helpers import answer_partition, answers_reference, driver_calls, widen
 
-from termiarith import answers, driver
+from termiarith import answers, constraints, driver
 from termiarith.answers import (
     build_answer_domain,
     call_option,
@@ -38,6 +43,7 @@ from termiarith.domain import (
     infer_comparisons,
     position_var,
     satisfiable_choices,
+    sign_atoms,
 )
 from termiarith.driver import analyse_termination
 from termiarith.graph import find_integer_loops
@@ -57,8 +63,8 @@ A3 = LinExpr.var("arg3")
 
 
 def analysis(name, query, answer_domain=build_answer_domain):
-    """Every loop's answer table over the partitions `answer_domain`
-    builds, with those partitions, the loops and the modes."""
+    """Every loop's answer table over the answer atoms `answer_domain`
+    reads off it, with those atoms, the loops and the modes."""
     program = corpus_program(name)
     pattern = parse_query_pattern(query)
     modes = infer_argument_modes(program, pattern)
@@ -69,8 +75,8 @@ def analysis(name, query, answer_domain=build_answer_domain):
 
 
 def collected_answer_domain(loop, modes):
-    """The partition of the collected answer comparisons alone."""
-    return build_domain(collect_answer_comparisons(loop, modes))
+    """The sign atoms of the collected answer comparisons alone."""
+    return {k: sign_atoms(v) for k, v in collect_answer_comparisons(loop, modes).items()}
 
 
 def holds(atom, env):
@@ -102,13 +108,17 @@ def assert_partition(pieces, names):
 
 class TestAnswerDomain:
     def test_mod_widens_into_the_answer_partition(self):
-        _, domains, _, _ = analysis("mod", "mod(i,i,f)")
-        (domain,) = domains
-        assert len(domain[("mod", 3)]) == 24
+        # The 6 sign atoms of mod/3 partition its answers into 24 pieces;
+        # 2 of them are answers.
+        table, domains, _, _ = analysis("mod", "mod(i,i,f)")
+        (atoms,) = domains
+        assert len(atoms[("mod", 3)]) == 6
+        assert len(answer_partition(atoms)[("mod", 3)]) == 24
+        assert len(table[("mod", 3)]) == 2
 
     def test_mod_partition_is_exhaustive_and_disjoint(self):
         _, domains, _, _ = analysis("mod", "mod(i,i,f)")
-        assert_partition(domains[0][("mod", 3)], ["arg1", "arg2", "arg3"])
+        assert_partition(answer_partition(domains[0])[("mod", 3)], ["arg1", "arg2", "arg3"])
 
     # Every other corpus task with integer loops.  The driver builds the
     # answer domains of mod/3 (under gcd), mc91 and q_mixed; the others
@@ -119,15 +129,16 @@ class TestAnswerDomain:
     )
     def test_every_answer_partition_is_exhaustive_and_disjoint(self, name, query):
         _, domains, loops, modes = analysis(name, query)
-        for loop, domain in zip(loops, domains):
+        for loop, atoms in zip(loops, domains):
+            pieces = answer_partition(atoms)
             for key, positions in answer_positions(loop, modes).items():
-                assert_partition(domain[key], [position_var(j) for j in positions])
+                assert_partition(pieces[key], [position_var(j) for j in positions])
 
     def test_mc91_output_is_bounded_by_its_input(self):
         # No comparison mentions mc91's output; the inferred difference
         # atoms of its base clause relate it to the input.
         _, domains, _, _ = analysis("mc91", "mc_carthy_91(i,f)")
-        assert set(domains[0][("mc_carthy_91", 2)]) == {
+        assert set(answer_partition(domains[0])[("mc_carthy_91", 2)]) == {
             conjunction([atom_gt(A1, 100), atom_le(A2 + 10, A1), atom_le(A1, A2 + 10)]),
             conjunction([atom_gt(A1, 100), atom_lt(A2 + 10, A1)]),
             conjunction([atom_gt(A1, 100), atom_lt(A1, A2 + 10)]),
@@ -141,40 +152,50 @@ class TestAnswerDomain:
         # comparisons are among the inferred ones: the answer partition
         # is the inferred query partition.
         _, domains, (loop,), modes = analysis("p_difficult", "p(i,i)")
-        (domain,) = domains
-        assert len(domain[("p", 2)]) == 6
-        assert domain == build_domain(infer_comparisons(loop, modes))
+        (atoms,) = domains
+        assert atoms[("p", 2)] == sign_atoms(infer_comparisons(loop, modes)[("p", 2)])
+        assert len(answer_partition(atoms)[("p", 2)]) == 6
+        assert answer_partition(atoms) == build_domain(infer_comparisons(loop, modes))
 
     def test_refine_cap_leaves_widening_unrefined(self, monkeypatch):
-        # gcd/3's collected answer comparisons are partitioned in 7
-        # checks, with the inferred ones in 51 (87 with arg2 > 0 and its
-        # negation both in the sign tree).  Past the budget the builder
-        # raises; it never falls back to the coarser partition.
+        # Widening one answer of gcd/3 takes at most 5 checks over its 2
+        # collected answer atoms and at most 21 over the 5 atoms with the
+        # inferred ones, whose whole partition takes 51 (one answer of
+        # mod/3 takes 13).  Past the budget the widening raises; it never
+        # falls back to the coarser partition.
         program = corpus_program("gcd")
         pattern = parse_query_pattern("gcd(i,i,f)")
         modes = infer_argument_modes(program, pattern)
         loops = find_integer_loops(program, pattern, modes)
-        (loop,) = [loop for loop in loops if ("gcd", 3) in loop.predicates]
-        monkeypatch.setattr("termiarith.domain.PARTITION_BUDGET", 50)
-        assert len(collected_answer_domain(loop, modes)[("gcd", 3)]) == 4
+        monkeypatch.setattr("termiarith.domain.PARTITION_BUDGET", 21)
+        refined = [build_answer_domain(loop, modes) for loop in loops]
+        assert len(refined[-1][("gcd", 3)]) == 5
+        assert len(compute_abstract_answers(loops, modes, refined)[("gcd", 3)]) == 5
+        monkeypatch.setattr("termiarith.domain.PARTITION_BUDGET", 20)
+        coarse = [collected_answer_domain(loop, modes) for loop in loops]
+        assert len(compute_abstract_answers(loops, modes, coarse)[("gcd", 3)]) == 3
         with pytest.raises(DomainTooLarge) as raised:
-            build_answer_domain(loop, modes)
+            compute_abstract_answers(loops, modes, refined)
         assert str(raised.value) == (
-            "comparison set of gcd/3 has 6 atoms; its partition needs more than 50 solver checks"
+            "answer comparison set of gcd/3 has 5 atoms; its partition needs more than 20"
+            " solver checks"
         )
 
     def test_product_cap_leaves_widening_unrefined(self, monkeypatch):
-        # The budget bounds the one sign tree of mc91's 4 answer atoms,
-        # which takes 15 checks (arg1 > 100 and its negation share one
-        # level); no product of partitions is walked on top of it.
-        monkeypatch.setattr("termiarith.domain.PARTITION_BUDGET", 15)
-        _, domains, _, _ = analysis("mc91", "mc_carthy_91(i,f)")
-        assert len(domains[0][("mc_carthy_91", 2)]) == 6
-        monkeypatch.setattr("termiarith.domain.PARTITION_BUDGET", 14)
+        # The budget bounds each walk of the one sign tree of mc91's 3
+        # answer atoms (arg1 > 100 and its negation share one level):
+        # each of its answers is widened in 7 checks, its whole
+        # partition would take 15.  No product of partitions is walked
+        # on top of it.
+        monkeypatch.setattr("termiarith.domain.PARTITION_BUDGET", 7)
+        table, domains, _, _ = analysis("mc91", "mc_carthy_91(i,f)")
+        assert len(domains[0][("mc_carthy_91", 2)]) == 3
+        assert len(table[("mc_carthy_91", 2)]) == 2
+        monkeypatch.setattr("termiarith.domain.PARTITION_BUDGET", 6)
         with pytest.raises(DomainTooLarge) as raised:
             analysis("mc91", "mc_carthy_91(i,f)")
         assert str(raised.value) == (
-            "comparison set of mc_carthy_91/2 has 4 atoms; its partition needs more than 14"
+            "answer comparison set of mc_carthy_91/2 has 3 atoms; its partition needs more than 6"
             " solver checks"
         )
 
@@ -182,7 +203,7 @@ class TestAnswerDomain:
 class TestWiden:
     def pieces(self):
         _, domains, _, _ = analysis("mc91", "mc_carthy_91(i,f)")
-        return domains[0][("mc_carthy_91", 2)]
+        return answer_partition(domains[0])[("mc_carthy_91", 2)]
 
     def test_point_lands_in_one_piece(self):
         hits = widen([atom_eq(A1, 100), atom_eq(A2, 91)], self.pieces())
@@ -315,8 +336,8 @@ class TestTables:
         builder = build_answer_domain if inferred else collected_answer_domain
         table, domains, _, _ = analysis(name, query, answer_domain=builder)
         assert domains
-        for answer_domain in domains:
-            for key, pieces in answer_domain.items():
+        for atoms in domains:
+            for key, pieces in answer_partition(atoms).items():
                 entries = table[key]
                 assert list(entries) == [piece for piece in pieces if piece in entries], key
 
@@ -353,9 +374,36 @@ MUTUAL = (
 )
 
 
+def driver_tables(monkeypatch, program, query, options=None) -> list[tuple]:
+    """The arguments of each answer table the driver computes while it
+    analyses the task under `options`: one `(loops, modes, answer atoms)` per rung
+    program whose answers are read, with the answer atoms the driver
+    read off each loop whose answers are read or that such a loop
+    calls, in loop order."""
+    built = []
+
+    def record(loop, modes):
+        built.append((loop, modes, build_answer_domain(loop, modes)))
+        return built[-1][2]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(driver, "build_answer_domain", record)
+        analyse_termination(program, parse_query_pattern(query), options or driver.AnalysisOptions())
+    calls = []
+    for loop, modes, atoms in built:
+        if not calls or loop in calls[-1][0] or modes is not calls[-1][1]:
+            calls.append(([], modes, []))
+        calls[-1][0].append(loop)
+        calls[-1][2].append(atoms)
+    return calls
+
+
 class TestAnswerReference:
-    """On every answer rung the driver reaches, the tables equal the
-    fixpoint that tests each piece against the unprojected candidate."""
+    """The tables widened answer by answer equal the fixpoint that
+    builds the whole partition and tests each piece against the
+    unprojected candidate: on every answer rung the driver reaches, on
+    every loop of the corpus, and on the seed-7 family rows that read
+    answers."""
 
     @pytest.mark.parametrize(
         "program,query,rungs",
@@ -381,28 +429,42 @@ class TestAnswerReference:
     )
     def test_tables_match_unprojected_reference(self, monkeypatch, program, query, rungs):
         # The driver computes no table that no clause reads, so each
-        # rung program's table is computed here from the answer domains
-        # the driver built: one per loop whose answers are read or that
-        # such a loop calls, in loop order, with the program's modes.
-        built = []
-
-        def record(loop, modes):
-            built.append((loop, modes, build_answer_domain(loop, modes)))
-            return built[-1][2]
-
-        monkeypatch.setattr(driver, "build_answer_domain", record)
-        analyse_termination(program, parse_query_pattern(query))
-        calls = []
-        for loop, modes, answer_domain in built:
-            if not calls or loop in calls[-1][0] or modes is not calls[-1][1]:
-                calls.append(([], modes, []))
-            calls[-1][0].append(loop)
-            calls[-1][2].append(answer_domain)
+        # rung program's table is computed here from the answer atoms
+        # the driver read, with the program's modes.
+        calls = driver_tables(monkeypatch, program, query)
         assert len(calls) == rungs
         for args in calls:
             table = compute_abstract_answers(*args)
             assert any(table.values())
             assert table == answers_reference(*args)
+
+    # Every corpus task but the acyclic `facts` ones, every loop tabled.
+    @pytest.mark.parametrize(
+        "name,query", [(name, query) for name, query, _ in CORPUS if name != "facts"]
+    )
+    def test_every_corpus_table_matches_the_whole_partition(self, name, query):
+        table, domains, loops, modes = analysis(name, query)
+        assert table == answers_reference(loops, modes, domains)
+
+    def test_family_tables_match_the_whole_partition(self, monkeypatch):
+        # Under the default options no seed-7 family row reaches an
+        # answer attempt: the YES rows are proved on the first rung, the
+        # divergent ones stop at a looping query.  Under `--answers on`
+        # the nest rows read answers on their first rung, since l1 calls
+        # l2 before itself; each chain and guard clause makes one call.
+        rows = json.loads(FAMILY_DIGESTS.read_text())
+        options = driver.AnalysisOptions(answer_abstraction="on")
+        tabled = {}
+        for task_id, row in rows.items():
+            program = normalize_program(parse_program(row["source"]))
+            assert not driver_tables(monkeypatch, program, row["query"])
+            for args in driver_tables(monkeypatch, program, row["query"], options):
+                assert compute_abstract_answers(*args) == answers_reference(*args), task_id
+                tabled[task_id] = tabled.get(task_id, 0) + 1
+        assert len(rows) == 76
+        # One answer table per nest row: the YES rows are proved and the
+        # divergent ones stop at a looping query after the first rung.
+        assert tabled == {f"nest{div}-{k}": 1 for k in range(2, 17) for div in ("", "-div")}
 
 
 def test_each_rung_is_tried_plain_then_with_answers():
@@ -473,6 +535,20 @@ def test_each_rung_program_tables_its_answers_once(monkeypatch, program, query, 
     calls = driver_calls(monkeypatch, "compute_abstract_answers", program, pattern, options)
     assert calls
     assert len({id(modes) for _, modes, _ in calls}) == len(calls)
+
+
+def test_gcd_answer_stage_solver_checks(monkeypatch):
+    # Widening an answer walks only the leaves it meets, and a piece is
+    # simplified when it enters the table: gcd's answer stage makes 66
+    # solver checks on 59 distinct conjunctions.  Building the whole
+    # partitions, mod/3's 24 pieces and gcd/3's 18, and testing each
+    # piece against every answer took 341 checks on 270.
+    stages = driver._ProgramStages(corpus_program("gcd"), parse_query_pattern("gcd(i,i,f)"))
+    checks = []
+    solve = constraints._solve_sat
+    monkeypatch.setattr(constraints, "_solve_sat", lambda conj: checks.append(conj) or solve(conj))
+    assert stages.answer_table[("mod", 3)]
+    assert (len(checks), len(set(checks))) == (66, 59)
 
 
 class TestSemiNaive:

@@ -51,6 +51,7 @@ from termiarith.domain import (
     query_positions,
     resolvents,
     satisfiable_choices,
+    sign_atoms,
     sign_levels,
     unfold_once,
 )
@@ -368,6 +369,15 @@ class TestBuildDomain:
     def test_equalities_rejected(self):
         with pytest.raises(ValueError):
             build_domain({("p", 1): frozenset({atom_eq(A1, 0)})})
+        with pytest.raises(ValueError):
+            sign_atoms(frozenset({atom_eq(A1, 0)}))
+
+    def test_sign_atoms_keep_one_atom_of_each_negation_pair(self):
+        # arg1 > 0, that is -arg1 < 0, comes before its negation
+        # arg1 =< 0 in canonical order, so it alone gets a level.
+        atoms = frozenset({atom_gt(A1, 0), atom_le(A1, 0), atom_lt(A1, A2)})
+        assert atom_gt(A1, 0) < atom_le(A1, 0)
+        assert sign_atoms(atoms) == (atom_gt(A1, 0), atom_lt(A1, A2))
 
     def test_an_atom_and_its_negation_share_one_level(self, monkeypatch):
         # guard-6's 11 collected atoms hold 5 pairs X =< c, X > c: its

@@ -675,34 +675,43 @@ class TestResourceCaps:
     def test_answer_domain_notes_are_logged(self, monkeypatch):
         # mc91's answers are read (its recursive clause calls itself
         # twice).  Its collected and inferred query partitions take 3
-        # checks each, its 4-atom answer partition 15 and the unfolded
-        # program's 4-atom query partition 7, both more than 6.
+        # checks each, widening each answer into the sign tree of its 3
+        # answer atoms 7 and the unfolded program's 4-atom query
+        # partition 7, both more than 6.
         monkeypatch.setattr(domain, "PARTITION_BUDGET", 6)
         verdict = analyse("mc91", "mc_carthy_91(i, f)")
         assert verdict.answer == NO
-        cap = (
+        answer_cap = (
+            "resource cap: answer comparison set of mc_carthy_91/2 has 3 atoms; "
+            "its partition needs more than 6 solver checks"
+        )
+        query_cap = (
             "resource cap: comparison set of mc_carthy_91/2 has 4 atoms; "
             "its partition needs more than 6 solver checks"
         )
         assert verdict.diagnostics == (
             "rung collected comparisons: 1 of 2 circular pairs proved",
-            cap,
+            answer_cap,
             "rung collected comparisons + answer abstraction: aborted by resource cap",
             "rung inferred comparisons: 1 of 2 circular pairs proved",
-            cap,
+            answer_cap,
             "rung inferred comparisons + answer abstraction: aborted by resource cap",
-            cap,
+            query_cap,
             "rung unfold x1 + inferred comparisons: aborted by resource cap",
         )
 
     def test_capped_answer_table_is_built_once(self, monkeypatch):
         # The collected and inferred rungs share one program, so the cap
-        # the collected rung's answer domain hit is raised again on the
-        # inferred rung without building that domain again.  The
-        # unfolded rung's query partition passes the budget too.
+        # the collected rung's answer table hit is raised again on the
+        # inferred rung without reading the answer atoms or widening
+        # again.  The unfolded rung's query partition passes the budget
+        # too.
         monkeypatch.setattr(domain, "PARTITION_BUDGET", 6)
         program, pattern = corpus_program("mc91"), parse_query_pattern("mc_carthy_91(i, f)")
         assert len(driver_calls(monkeypatch, "build_answer_domain", program, pattern)) == 1
+        monkeypatch.undo()
+        monkeypatch.setattr(domain, "PARTITION_BUDGET", 6)
+        assert len(driver_calls(monkeypatch, "compute_abstract_answers", program, pattern)) == 1
 
     def test_unread_loop_does_not_abort_the_answer_pass(self, monkeypatch):
         # Only mod/3's answers are read, so outer/2's answer domain,
@@ -983,6 +992,23 @@ class TestReports:
         assert "  edges: d2 = r2" in traced
         assert "  arcs: d1 > r1, d1 > r2" in traced
         assert "  proof: decreasing function arg1 - arg2 (bound 0)" in traced
+
+    def test_traces_are_rendered_when_read(self, monkeypatch):
+        # The analysis renders no pair.  A text report renders the first
+        # unproven pair of a NO verdict, none of a YES one, and a traced
+        # report every pair once more.
+        rendered = []
+        render_pair = driver.render_pair
+        monkeypatch.setattr(driver, "render_pair", lambda *a: rendered.append(a) or render_pair(*a))
+        proved, unproved = analyse("gcd", "gcd(i, i, f)"), analyse("s", "s(i)")
+        assert rendered == []
+        render_report(proved)
+        assert rendered == []
+        render_report(proved, trace=True)
+        assert len(rendered) == sum(len(loop.pairs) for loop in proved.loops) == 5
+        rendered.clear()
+        render_report(unproved)
+        assert len(rendered) == 1
 
     def test_rendered_queries_parse_back(self):
         tasks = [(corpus_program(name), query) for name, query, _, _ in VERDICTS]

@@ -97,3 +97,15 @@ def test_cli_run_loads_no_argparse_getopt_or_locale():
         "print(code, sorted({'argparse', 'getopt', 'gettext', 'locale'} & set(sys.modules)))"
     )
     assert probe(code) == "0 []"
+
+
+def test_text_report_run_loads_no_json():
+    # Only the JSON report reads `json`, so a text-format verdict does
+    # not pay for importing it.
+    program = str(ROOT / "tests" / "corpus" / "gcd.pl")
+    code = (
+        "import sys, termiarith.cli as cli\n"
+        f"code = cli.main([{program!r}, '--query', 'gcd(i,i,f)', '--trace'])\n"
+        "print(code, 'json' in sys.modules)"
+    )
+    assert probe(code) == "0 False"

@@ -31,6 +31,7 @@ from termiarith.constraints import (
     make_atom,
     rename,
     render_expr,
+    tightened,
 )
 from termiarith.domain import (
     build_domain,
@@ -366,6 +367,40 @@ class TestGeneration:
             if isinstance(lit, UserAtom)
         }
         assert len(earlier) == 1 and built == earlier
+
+
+def _twins(conj):
+    """The strict atoms of `conj` held next to their tightened form."""
+    return [a for a in conj if (t := tightened([a])) != {a} and t <= conj]
+
+
+def test_no_step_context_holds_a_strict_atom_and_its_tightened_twin(monkeypatch):
+    # Step constraints come out of `eliminate_outside` tightened, so the
+    # row copies of partition elements are tightened too: no solver key
+    # of pair generation holds, say, d2 > 0 next to d2 >= 1, over the
+    # corpus and the seed-7 family rows.
+    contexts, labels = [], []
+    orders, choices = pairs.implied_orders, pairs.satisfiable_choices
+
+    def walk(base, levels, *budget):
+        contexts.append(base)
+        for picked, conj in choices(base, levels, *budget):
+            contexts.append(conj)
+            labels.extend(picked)
+            yield picked, conj
+
+    monkeypatch.setattr(pairs, "implied_orders", lambda c, p: contexts.append(c) or orders(c, p))
+    monkeypatch.setattr(pairs, "satisfiable_choices", walk)
+    tasks = [(corpus_program(name), query) for name, query, _ in CORPUS]
+    tasks += [
+        (normalize_program(parse_program(row["source"])), row["query"])
+        for row in json.loads(FAMILY_DIGESTS.read_text()).values()
+    ]
+    for program, query in tasks:
+        driver.analyse_termination(program, parse_query_pattern(query))
+    assert contexts and not any(_twins(conj) for conj in contexts)
+    # The partition elements picked still hold strict atoms.
+    assert any(atom.rel == LT for label in labels if isinstance(label, frozenset) for atom in label)
 
 
 def _implied_relations(context, mode, domain_modes, range_modes):
