@@ -35,7 +35,10 @@ implies an integer one and the rational and integer answers coincide.
 `LinExpr` and `LinAtom` are tuples, so hashing, equality and ordering
 run in C: the prover makes thousands of small solver calls, each
 building and hashing atoms by the dozen.  Their field order fixes the
-canonical order of atoms.
+canonical order of atoms.  An atom is built canonical in one step:
+both sides of a relation are summed into one coefficient dict, with
+the signs of `SIGNED_RELATIONS`, and `atom_from_coeffs` sorts and
+divides it once, as `_combine` does for an elimination's rows.
 
 Every variable ranges over the integers, so strict atoms are tightened
 before either route runs and ``0 < X, X < 1`` is unsatisfiable.  The
@@ -136,15 +139,16 @@ class LinExpr(NamedTuple):
             return LinExpr()
         return _new(LinExpr, (tuple((v, c * k) for v, c in self.terms), self.const * k))
 
-    def __add__(self, other: ExprLike) -> "LinExpr":
+    def __add__(self, other: ExprLike, sign: int = 1) -> "LinExpr":
+        """``self + sign * other``, the terms of both summed in one dict."""
         other = to_expr(other)
         coeffs = dict(self.terms)
         for v, c in other.terms:
-            coeffs[v] = coeffs.get(v, 0) + c
-        return LinExpr.build(coeffs, self.const + other.const)
+            coeffs[v] = coeffs.get(v, 0) + sign * c
+        return LinExpr.build(coeffs, self.const + sign * other.const)
 
     def __sub__(self, other: ExprLike) -> "LinExpr":
-        return self + to_expr(other).scale(-1)
+        return self.__add__(other, -1)
 
     def __neg__(self) -> "LinExpr":
         return self.scale(-1)
@@ -197,6 +201,12 @@ def _canonical(terms: Iterable[tuple[str, int]], const: int, rel: str) -> LinAto
     return _new(LinAtom, (_new(LinExpr, (terms, const)), rel))
 
 
+def atom_from_coeffs(coeffs: Mapping[str, int], const: int, rel: str) -> LinAtom:
+    """The atom ``sum(c*v for v, c in coeffs) + const rel 0``, zero
+    coefficients dropped, canonicalized once."""
+    return _canonical([vc for vc in sorted(coeffs.items()) if vc[1]], const, rel)
+
+
 def make_atom(expr: ExprLike, rel: str) -> LinAtom:
     if rel not in (LT, LE, EQ):
         raise ValueError(f"unknown relation {rel!r}")
@@ -210,8 +220,7 @@ def _combine(x: LinExpr, kx: int, y: LinExpr, ky: int, rel: str) -> LinAtom:
     coeffs = {v: c * kx for v, c in x.terms}
     for v, c in y.terms:
         coeffs[v] = coeffs.get(v, 0) + c * ky
-    terms = [vc for vc in sorted(coeffs.items()) if vc[1]]
-    return _canonical(terms, x.const * kx + y.const * ky, rel)
+    return atom_from_coeffs(coeffs, x.const * kx + y.const * ky, rel)
 
 
 def atom_lt(lhs: ExprLike, rhs: ExprLike) -> LinAtom:
@@ -594,6 +603,10 @@ def implies_all(conj: Iterable[LinAtom], atoms: Iterable[LinAtom]) -> bool:
 #: Each relation between two expressions as a constraint, by its
 #: spelling in programs and pair relations.
 RELATIONS = {"=": atom_eq, ">": atom_gt, "<": atom_lt, ">=": atom_ge, "=<": atom_le}
+
+#: The same relations as the relation of their atom and the sign the
+#: left side takes in it: ``x > y`` is ``y - x < 0``.
+SIGNED_RELATIONS = {"=": (EQ, 1), "<": (LT, 1), "=<": (LE, 1), ">": (LT, -1), ">=": (LE, -1)}
 
 
 def implied_orders(

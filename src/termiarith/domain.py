@@ -42,11 +42,11 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 from .constraints import (
     EQ,
     FALSE,
-    RELATIONS,
+    SIGNED_RELATIONS,
     Conjunction,
     LinAtom,
     LinExpr,
-    atom_eq,
+    atom_from_coeffs,
     conjunction,
     is_satisfiable,
     negate_atom,
@@ -140,30 +140,58 @@ def applicable_clauses(loop: LoopInfo, modes: ModeAssignment) -> list[Clause]:
 # Terms as linear expressions.
 
 
+def _add_linear(coeffs: dict[str, int], term: Term, k: int) -> Optional[int]:
+    """Add k times the term's variable coefficients into `coeffs` and
+    return k times its constant, in one pass with no expression per
+    subterm; None when the term is not linear integer arithmetic, and
+    `coeffs` is then partly filled."""
+    if isinstance(term, Var):
+        coeffs[term.name] = coeffs.get(term.name, 0) + k
+        return 0
+    if isinstance(term, IntConst):
+        return k * term.value
+    if not isinstance(term, Compound):
+        return None
+    functor, args = term
+    if functor == "-" and len(args) == 1:
+        return _add_linear(coeffs, args[0], -k)
+    if len(args) != 2:
+        return None
+    lhs, rhs = args
+    if functor in ("+", "-"):
+        const = _add_linear(coeffs, lhs, k)
+        rest = None if const is None else _add_linear(coeffs, rhs, k if functor == "+" else -k)
+        return None if rest is None else const + rest
+    if functor == "*":
+        # A product is linear when a factor is variable-free: the other
+        # factor is scaled by its value.
+        for factor, scaled in ((lhs, rhs), (rhs, lhs)):
+            inner: dict[str, int] = {}
+            value = _add_linear(inner, factor, 1)
+            if value is None:
+                return None
+            if not any(inner.values()):
+                return _add_linear(coeffs, scaled, k * value)
+    return None
+
+
 def linear_term(term: Term) -> Optional[LinExpr]:
     """The term as a linear expression over its variable names, or None
     when it is not linear integer arithmetic."""
-    if isinstance(term, Var):
-        return LinExpr.var(term.name)
-    if isinstance(term, IntConst):
-        return LinExpr.of(term.value)
-    if isinstance(term, Compound):
-        parts = [linear_term(a) for a in term.args]
-        if any(p is None for p in parts):
-            return None
-        if term.functor == "+" and len(parts) == 2:
-            return parts[0] + parts[1]
-        if term.functor == "-" and len(parts) == 2:
-            return parts[0] - parts[1]
-        if term.functor == "-" and len(parts) == 1:
-            return -parts[0]
-        if term.functor == "*" and len(parts) == 2:
-            lhs, rhs = parts
-            if not lhs.variables():
-                return rhs.scale(lhs.const)
-            if not rhs.variables():
-                return lhs.scale(rhs.const)
-    return None
+    coeffs: dict[str, int] = {}
+    const = _add_linear(coeffs, term, 1)
+    return None if const is None else LinExpr.build(coeffs, const)
+
+
+def linear_atom(lhs: Term, op: str, rhs: Term) -> Optional[LinAtom]:
+    """``RELATIONS[op](linear_term(lhs), linear_term(rhs))``, built from
+    one dict that both sides add into with opposite signs; None when a
+    side is not linear."""
+    rel, sign = SIGNED_RELATIONS[op]
+    coeffs: dict[str, int] = {}
+    const = _add_linear(coeffs, lhs, sign)
+    rest = None if const is None else _add_linear(coeffs, rhs, -sign)
+    return None if rest is None else atom_from_coeffs(coeffs, const + rest, rel)
 
 
 def literal_atoms(lit: Literal) -> list[LinAtom]:
@@ -171,9 +199,8 @@ def literal_atoms(lit: Literal) -> list[LinAtom]:
     ``is/2`` whose expression is linear read as an equality.  Literals
     outside linear integer arithmetic impose nothing."""
     if isinstance(lit, (Comparison, Is)):
-        lhs, rhs = linear_term(lit.lhs), linear_term(lit.rhs)
-        if lhs is not None and rhs is not None:
-            return [RELATIONS["=" if isinstance(lit, Is) else lit.op](lhs, rhs)]
+        atom = linear_atom(lit.lhs, "=" if isinstance(lit, Is) else lit.op, lit.rhs)
+        return [] if atom is None else [atom]
     return []
 
 
@@ -181,13 +208,11 @@ def clause_constraint(clause: Clause, positions: Iterable[int]) -> list[LinAtom]
     """The clause read as a linear constraint: equalities tying position
     variables to the head terms at `positions` that are variables or
     integer constants, then the `literal_atoms` of the body."""
-    atoms: list[LinAtom] = []
-    for j in positions:
-        arg = clause.head.args[j]
-        if isinstance(arg, Var):
-            atoms.append(atom_eq(LinExpr.var(position_var(j)), LinExpr.var(arg.name)))
-        elif isinstance(arg, IntConst):
-            atoms.append(atom_eq(LinExpr.var(position_var(j)), arg.value))
+    atoms = [
+        linear_atom(Var(position_var(j)), "=", arg)
+        for j in positions
+        if isinstance(arg := clause.head.args[j], (Var, IntConst))
+    ]
     return atoms + [atom for lit in clause.body for atom in literal_atoms(lit)]
 
 

@@ -75,7 +75,7 @@ SLD tree of the query has an infinite branch.  With no cut, nothing
 prunes a branch, so some query of the pattern does not terminate, and
 a sound rung could never prove YES."""
 
-from functools import cached_property
+from functools import cache, cached_property, partial
 from itertools import takewhile
 from typing import NamedTuple, Optional, Union
 
@@ -84,7 +84,6 @@ from .constraints import (
     RELATIONS,
     Conjunction,
     LinAtom,
-    atom_eq,
     atom_is_true,
     difference_point,
     is_satisfiable,
@@ -98,6 +97,7 @@ from .domain import (
     build_domain,
     collect_comparisons,
     infer_comparisons,
+    linear_atom,
     linear_term,
     literal_atoms,
     resolvents,
@@ -217,21 +217,20 @@ def _loop_reports(
     loops: list[LoopInfo],
     domains: dict,
     proofs: list,
+    render=render_conjunction,
 ) -> tuple[LoopReport, ...]:
     reports = []
     for loop in loops:
         names = tuple(_pred_name(k) for k in sorted(loop.predicates))
         rendered_domain = {
-            _pred_name(key): tuple(
-                sorted(render_conjunction(piece) for piece in domains[key])
-            )
+            _pred_name(key): tuple(sorted(render(piece) for piece in domains[key]))
             for key in sorted(loop.predicates)
             if key in domains
         }
         pairs = tuple(
             PairEvidence(
                 query=render_query_pattern(pair.query.key[0], pair.query.modes),
-                constraint=render_conjunction(pair.query.constraint),
+                constraint=render(pair.query.constraint),
                 proof=found.describe() if found is not None else None,
                 pair=pair,
                 found=found,
@@ -405,12 +404,15 @@ def _attempt(stages, options, domains, table, numeric=True):
         numeric=numeric,
         size_table=lambda: stages.size_table,
     )
-    closure = compose_until_fixpoint(base, cap=options.pair_cap)
-    circular = sorted((p for p in closure if is_circular(p)), key=pair_sort_key)
+    # Renders each distinct constraint once for this attempt's sorts and reports.
+    render = cache(render_conjunction)
+    closure = compose_until_fixpoint(base, cap=options.pair_cap, render=render)
+    by_key = partial(pair_sort_key, render=render)
+    circular = sorted((p for p in closure if is_circular(p)), key=by_key)
     proofs = [(p, prove_pair(p)) for p in circular]
     proved = sum(1 for _, found in proofs if found is not None)
     tally = f"{proved} of {len(proofs)} circular pairs proved"
-    return tally, proved == len(proofs), _loop_reports(stages.loops, domains, proofs)
+    return tally, proved == len(proofs), _loop_reports(stages.loops, domains, proofs, render)
 
 
 def _ladder(top: _ProgramStages, options: AnalysisOptions, reports, log):
@@ -557,7 +559,7 @@ def _looping_query(program: Program, pattern: QueryPattern) -> Optional[str]:
                 links += zip(call.args, renamed.head.args)
             elif any(call.key == c.key for c, _ in path):
                 continue
-            conj = atoms + [atom_eq(linear_term(a), linear_term(b)) for a, b in links]
+            conj = atoms + [linear_atom(a, "=", b) for a, b in links]
             conj += [atom for lit in renamed.body[:j] for atom in literal_atoms(lit)]
             budget -= 1
             point = difference_point(conj)

@@ -32,11 +32,11 @@ from .answers import AnswerTable, CallOption, call_option
 from .constraints import (
     LE,
     LT,
-    RELATIONS,
+    SIGNED_RELATIONS,
     Conjunction,
     LinAtom,
     LinExpr,
-    atom_eq,
+    atom_from_coeffs,
     conjunction,
     eliminate_outside,
     implied_orders,
@@ -52,7 +52,7 @@ from .constraints import (
 from .domain import (
     Domain,
     effective_call_modes,
-    linear_term,
+    linear_atom,
     literal_atoms,
     position_var,
     satisfiable_choices,
@@ -69,6 +69,7 @@ from .syntax import (
     QueryPattern,
     Term,
     UserAtom,
+    Var,
     mode_meet,
     render_query_pattern,
     term_vars,
@@ -116,32 +117,36 @@ class Mapping(_MappingRows):
     """Domain and range rows with the relations between them.  A
     relation (i, rel, j) states value(d_i) rel value(r_j) when both
     positions are integer and norm(d_i) rel norm(r_j) when both are
-    instantiated; each position's mode is read from its row.  The
-    fields are a tuple; the instance dict holds `chain_blocks`."""
+    instantiated; each position's mode is read from its row.
+
+    The fields are a tuple; the instance dict holds two blocks, each
+    built when first read: the row constraints and integer relations on
+    the names of a composition through the middle row m1, m2, ...  The
+    first step's block (domain on d*, relations and range on m*) is also
+    read by `verify_decrease`; the second step's has domain and
+    relations on m* and range on r*.  Relation atoms are built on these
+    names directly, in the canonical form renaming would give."""
 
     @cached_property
-    def chain_blocks(self) -> tuple[Conjunction, Conjunction]:
-        """The row constraints and integer relations renamed for a
-        composition through the shared middle row m1, m2, ...: as the
-        first step (domain on d*, relations and range on m*) and as the
-        second step (domain and relations on m*, range on r*).  Built
-        once, when the mapping is first composed or checked."""
-        domain_arity = self.domain_atom.key[1]
-        range_arity = self.range_atom.key[1]
-        relations = conjunction(_relation_atoms(self))
-        range_middle = {_row_var(ROW_RANGE, j): f"{_MIDDLE}{j + 1}" for j in range(range_arity)}
-        domain_middle = {_row_var(ROW_DOMAIN, j): f"{_MIDDLE}{j + 1}" for j in range(domain_arity)}
-        as_first = (
-            rename(self.domain_atom.constraint, _row_names(domain_arity, _PREFIX[ROW_DOMAIN]))
-            | rename(relations, range_middle)
-            | rename(self.range_atom.constraint, _row_names(range_arity, _MIDDLE))
-        )
-        as_second = (
-            rename(self.domain_atom.constraint, _row_names(domain_arity, _MIDDLE))
-            | rename(relations, domain_middle)
-            | rename(self.range_atom.constraint, _row_names(range_arity, _PREFIX[ROW_RANGE]))
-        )
-        return conjunction(as_first), conjunction(as_second)
+    def first_block(self) -> Conjunction:
+        return self._block(_PREFIX[ROW_DOMAIN], _MIDDLE)
+
+    @cached_property
+    def second_block(self) -> Conjunction:
+        return self._block(_MIDDLE, _PREFIX[ROW_RANGE])
+
+    def _block(self, domain_prefix: str, range_prefix: str) -> Conjunction:
+        domain, range_ = self.domain_atom, self.range_atom
+        domain_names = _row_names(domain.key[1], domain_prefix)
+        range_names = _row_names(range_.key[1], range_prefix)
+        atoms = [*rename(domain.constraint, domain_names), *rename(range_.constraint, range_names)]
+        domain_vars, range_vars = list(domain_names.values()), list(range_names.values())
+        for i, rel, j in self.relations:
+            if domain.modes[i] == MODE_INT and range_.modes[j] == MODE_INT:
+                rel, sign = SIGNED_RELATIONS[rel]
+                coeffs = {domain_vars[i]: sign, range_vars[j]: -sign}
+                atoms.append(atom_from_coeffs(coeffs, 0, rel))
+        return conjunction(atoms)
 
 
 class QueryMappingPair(NamedTuple):
@@ -185,30 +190,17 @@ def _theta_modes(modes: Sequence[str], args: Sequence[Term]) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _relation_atoms(mapping: Mapping) -> list[LinAtom]:
-    """The mapping's integer relations as constraints over the d1../r1..
-    row variables (norm relations carry no value atoms)."""
-    domain_modes, range_modes = mapping.domain_atom.modes, mapping.range_atom.modes
-    return [
-        RELATIONS[rel](_row_var(ROW_DOMAIN, i), _row_var(ROW_RANGE, j))
-        for i, rel, j in mapping.relations
-        if domain_modes[i] == MODE_INT and range_modes[j] == MODE_INT
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Generation.
 
 
 def _value_bindings(modes: Sequence[str], args: Sequence[Term], row: str) -> list[LinAtom]:
-    atoms: list[LinAtom] = []
-    for j, (mode, arg) in enumerate(zip(modes, args)):
-        if mode != MODE_INT:
-            continue
-        expr = linear_term(arg)
-        if expr is not None:
-            atoms.append(atom_eq(LinExpr.var(_row_var(row, j)), expr))
-    return atoms
+    bindings = [
+        linear_atom(Var(_row_var(row, j)), "=", arg)
+        for j, (mode, arg) in enumerate(zip(modes, args))
+        if mode == MODE_INT
+    ]
+    return [atom for atom in bindings if atom is not None]
 
 
 def _relations(
@@ -438,7 +430,7 @@ _COMPOSE = {
 def _satisfiable_through(first: QueryMappingPair, second: QueryMappingPair) -> bool:
     """Whether the constraints of two chaining pairs are satisfiable
     together through their shared middle row."""
-    combined = conjunction(first.mapping.chain_blocks[0] | second.mapping.chain_blocks[1])
+    combined = conjunction(first.mapping.first_block | second.mapping.second_block)
     return is_satisfiable(combined)
 
 
@@ -470,27 +462,27 @@ def _arc_key(relation: Relation) -> tuple[tuple[str, int], tuple[str, int]]:
     return (range_, domain) if rel == "<" else (domain, range_)
 
 
-def pair_sort_key(pair: QueryMappingPair) -> tuple:
-    """Query, rows, then the equalities by position and the strict
-    relations by `_arc_key`."""
+def pair_sort_key(pair: QueryMappingPair, render=render_conjunction) -> tuple:
+    """Query, rows as `render_conjunction` (or `render`) writes them, then
+    the equalities by position and the strict relations by `_arc_key`."""
     relations = pair.mapping.relations
     return (
         pair.query.key,
         pair.query.modes,
-        render_conjunction(pair.query.constraint),
+        render(pair.query.constraint),
         pair.mapping.range_atom.key,
-        render_conjunction(pair.mapping.domain_atom.constraint),
-        render_conjunction(pair.mapping.range_atom.constraint),
+        render(pair.mapping.domain_atom.constraint),
+        render(pair.mapping.range_atom.constraint),
         tuple(sorted((i, j) for i, rel, j in relations if rel == "=")),
         tuple(sorted(_arc_key(r) for r in relations if r[1] != "=")),
     )
 
 
 def compose_until_fixpoint(
-    pairs: Iterable[QueryMappingPair], cap: int = PAIR_CAP
+    pairs: Iterable[QueryMappingPair], cap: int = PAIR_CAP, render=render_conjunction
 ) -> frozenset[QueryMappingPair]:
-    """Closure of the pairs under composition.  Raises PairCapExceeded
-    past `cap` pairs.
+    """Closure of the pairs under composition, sorted first with
+    `pair_sort_key`.  Raises PairCapExceeded past `cap` pairs.
 
     A given-pair loop: each pending pair in turn is filed and composed
     only with the pairs filed before it, as the first step and as the
@@ -499,7 +491,7 @@ def compose_until_fixpoint(
     is filed.  A composition's identity needs no solver, so one already
     in the closure is skipped before its constraints are checked; only a
     new one costs a satisfiability check."""
-    pending = deque(sorted(pairs, key=pair_sort_key))
+    pending = deque(sorted(pairs, key=partial(pair_sort_key, render=render)))
     closure = set(pending)
     # Filed pairs by their query, where they chain as a second step, and
     # by their range, where they chain as a first step.
@@ -608,7 +600,7 @@ def verify_decrease(pair: QueryMappingPair, function: LinExpr) -> bool:
     strict decrease of the function from domain to range and its bound
     0 on the domain."""
     mapping = pair.mapping
-    collection = mapping.chain_blocks[0]
+    collection = mapping.first_block
     f_domain = substitute(
         function, _row_names(mapping.domain_atom.key[1], _PREFIX[ROW_DOMAIN])
     )

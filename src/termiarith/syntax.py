@@ -205,10 +205,19 @@ class ParseError(Exception):
         self.line = line
         self.col = col
 
+    @classmethod
+    def at(cls, message: str, source: str, offset: int) -> "ParseError":
+        """The error at `offset` in `source`, located by 1-based line and
+        column, a tab or a carriage return counting as one column."""
+        line_start = source.rfind("\n", 0, offset) + 1
+        return cls(message, source.count("\n", 0, line_start) + 1, offset - line_start + 1)
 
+
+# Whitespace and comments match the one unnamed alternative, so their
+# `lastgroup` is None.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+|%[^\n]*)
+    \s+|%[^\n]*
   | (?P<float>\d+\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)
   | (?P<int>\d+)
   | (?P<punct>:-|=<|>=|\\=|[()\[\],|.<>=+\-*/])
@@ -219,63 +228,50 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-
-class _Token(NamedTuple):
-    kind: str  # float | int | punct | var | atom | end
-    text: str
-    line: int
-    col: int
+#: A token is ``(kind, text, offset)``: kind is float, int, punct, var,
+#: atom or end, and offset is where its text starts in the source.
+_Token = tuple[str, str, int]
 
 
 def _tokenize(source: str) -> list[_Token]:
     tokens = []
-    line = 1
-    col = 1
     for match in _TOKEN_RE.finditer(source):
         kind = match.lastgroup
+        if kind is None:
+            continue
         text = match.group()
         if kind == "bad":
-            if text == "!":
-                raise ParseError("cut is not supported", line, col)
-            raise ParseError(f"unexpected character {text!r}", line, col)
-        if kind != "ws":
-            tokens.append(_Token(kind, text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-    tokens.append(_Token("end", "", line, col))
+            message = "cut is not supported" if text == "!" else f"unexpected character {text!r}"
+            raise ParseError.at(message, source, match.start())
+        tokens.append((kind, text, match.start()))
+    tokens.append(("end", "", len(source)))
     return tokens
 
 
 class _Parser:
     def __init__(self, source: str):
+        self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.clause_start = 0
         self.fresh = 0
-        self.clause_vars: set[str] = set()
+        self.clause_vars: Optional[set[str]] = None
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek_text(self) -> str:
+        return self.tokens[self.pos][1]
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def expect(self, text: str) -> None:
+        kind, found, _ = self.tokens[self.pos]
+        if found != text or kind == "end":
+            self.fail(f"expected {text!r}, found {found!r}")
         self.pos += 1
-        return tok
-
-    def expect(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.text != text or tok.kind == "end":
-            self.fail(f"expected {text!r}, found {tok.text!r}")
-        return self.next()
 
     def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
+        raise ParseError.at(message, self.source, self.tokens[self.pos][2])
 
     def fresh_var(self) -> Var:
+        if self.clause_vars is None:
+            self.clause_vars = self._scan_clause_vars()
         while True:
             self.fresh += 1
             name = f"_G{self.fresh}"
@@ -285,38 +281,38 @@ class _Parser:
 
     def parse_program(self) -> Program:
         clauses = []
-        while self.peek().kind != "end":
+        while self.tokens[self.pos][0] != "end":
             clauses.append(self.parse_clause())
         return Program(tuple(clauses))
 
     def parse_clause(self) -> Clause:
-        self.clause_vars = set()
+        self.clause_start = self.pos
+        self.clause_vars = None
         self.fresh = 0
-        self._scan_clause_vars()
         head_term = self.parse_term()
         head = self._as_user_atom(head_term, "clause head")
         body: tuple[Literal, ...] = ()
-        if self.peek().text == ":-":
-            self.next()
+        if self.peek_text() == ":-":
+            self.pos += 1
             literals = [self.parse_literal()]
-            while self.peek().text == ",":
-                self.next()
+            while self.peek_text() == ",":
+                self.pos += 1
                 literals.append(self.parse_literal())
             body = tuple(literals)
         self.expect(".")
         return Clause(head, body)
 
-    def _scan_clause_vars(self):
-        # Collect named variables up to the terminating dot, so fresh
-        # names for `_` never collide with user names.
-        depth = self.pos
-        while depth < len(self.tokens):
-            tok = self.tokens[depth]
-            if tok.kind == "end" or tok.text == ".":
-                break
-            if tok.kind == "var" and tok.text != "_":
-                self.clause_vars.add(tok.text)
-            depth += 1
+    def _scan_clause_vars(self) -> set[str]:
+        # The named variables of the clause up to its terminating dot,
+        # so fresh names for `_` never collide with user names.  Only a
+        # clause with a `_` scans them, when it reaches its first one.
+        names = set()
+        pos = self.clause_start
+        while (tok := self.tokens[pos])[0] != "end" and tok[1] != ".":
+            if tok[0] == "var" and tok[1] != "_":
+                names.add(tok[1])
+            pos += 1
+        return names
 
     def _as_user_atom(self, term: Term, where: str) -> UserAtom:
         if isinstance(term, AtomConst):
@@ -328,57 +324,51 @@ class _Parser:
         self.fail(f"{where} must be a predicate atom")
 
     def parse_literal(self) -> Literal:
-        tok = self.peek()
-        if tok.kind == "atom" and tok.text == "true":
-            after = self.tokens[self.pos + 1]
-            if after.text != "(":
-                self.next()
-                return TrueLit()
+        if self.tokens[self.pos][:2] == ("atom", "true") and self.tokens[self.pos + 1][1] != "(":
+            self.pos += 1
+            return TrueLit()
         lhs = self.parse_arith_expr()
-        tok = self.peek()
-        if tok.kind == "atom" and tok.text == "is":
-            self.next()
-            rhs = self.parse_arith_expr()
-            return Is(lhs, rhs)
-        if tok.text in COMPARISON_OPS and tok.kind == "punct":
-            self.next()
-            rhs = self.parse_arith_expr()
-            return Comparison(lhs, tok.text, rhs)
-        if tok.text == "=" and tok.kind == "punct":
-            self.next()
-            return Unify(lhs, self.parse_term())
-        if tok.text == "\\=" and tok.kind == "punct":
-            self.next()
-            return Disunify(lhs, self.parse_term())
+        kind, text, _ = self.tokens[self.pos]
+        if kind == "atom" and text == "is":
+            self.pos += 1
+            return Is(lhs, self.parse_arith_expr())
+        if kind == "punct":
+            if text in COMPARISON_OPS:
+                self.pos += 1
+                return Comparison(lhs, text, self.parse_arith_expr())
+            if text == "=":
+                self.pos += 1
+                return Unify(lhs, self.parse_term())
+            if text == "\\=":
+                self.pos += 1
+                return Disunify(lhs, self.parse_term())
         if _contains_operators(lhs):
             self.fail("arithmetic expression is not a goal")
         return self._as_user_atom(lhs, "body literal")
 
     def parse_arith_expr(self) -> Term:
         term = self.parse_arith_product()
-        while self.peek().text in ("+", "-") and self.peek().kind == "punct":
-            op = self.next().text
-            rhs = self.parse_arith_product()
-            term = Compound(op, (term, rhs))
+        while (tok := self.tokens[self.pos])[0] == "punct" and tok[1] in ("+", "-"):
+            self.pos += 1
+            term = Compound(tok[1], (term, self.parse_arith_product()))
         return term
 
     def parse_arith_product(self) -> Term:
         term = self.parse_arith_primary()
-        while self.peek().text in ("*", "/") and self.peek().kind == "punct":
-            op = self.next().text
-            rhs = self.parse_arith_primary()
-            term = Compound(op, (term, rhs))
+        while (tok := self.tokens[self.pos])[0] == "punct" and tok[1] in ("*", "/"):
+            self.pos += 1
+            term = Compound(tok[1], (term, self.parse_arith_primary()))
         return term
 
     def parse_arith_primary(self) -> Term:
-        tok = self.peek()
-        if tok.text == "(":
-            self.next()
+        text = self.peek_text()
+        if text == "(":
+            self.pos += 1
             inner = self.parse_arith_expr()
             self.expect(")")
             return inner
-        if tok.text == "-" and tok.kind == "punct":
-            self.next()
+        if text == "-" and self.tokens[self.pos][0] == "punct":
+            self.pos += 1
             inner = self.parse_arith_primary()
             if isinstance(inner, IntConst):
                 return IntConst(-inner.value)
@@ -388,46 +378,44 @@ class _Parser:
         return self.parse_term()
 
     def parse_term(self) -> Term:
-        tok = self.next()
-        if tok.kind == "int":
-            return IntConst(int(tok.text))
-        if tok.kind == "float":
-            return FloatConst(tok.text)
-        if tok.kind == "var":
-            if tok.text == "_":
-                return self.fresh_var()
-            return Var(tok.text)
-        if tok.kind == "atom":
-            if self.peek().text == "(":
-                self.next()
-                args = [self.parse_term()]
-                while self.peek().text == ",":
-                    self.next()
-                    args.append(self.parse_term())
-                self.expect(")")
-                return Compound(tok.text, tuple(args))
-            return AtomConst(tok.text)
-        if tok.text == "[":
+        kind, text, _ = self.tokens[self.pos]
+        self.pos += 1
+        if kind == "var":
+            return self.fresh_var() if text == "_" else Var(text)
+        if kind == "int":
+            return IntConst(int(text))
+        if kind == "float":
+            return FloatConst(text)
+        if kind == "atom":
+            if self.peek_text() != "(":
+                return AtomConst(text)
+            self.pos += 1
+            args = [self.parse_term()]
+            while self.peek_text() == ",":
+                self.pos += 1
+                args.append(self.parse_term())
+            self.expect(")")
+            return Compound(text, tuple(args))
+        if text == "[":
             return self.parse_list()
-        if tok.text == "-" and self.peek().kind in ("int", "float"):
-            inner = self.next()
-            if inner.kind == "int":
-                return IntConst(-int(inner.text))
-            return FloatConst("-" + inner.text)
+        if text == "-" and self.tokens[self.pos][0] in ("int", "float"):
+            kind, text, _ = self.tokens[self.pos]
+            self.pos += 1
+            return IntConst(-int(text)) if kind == "int" else FloatConst("-" + text)
         self.pos -= 1
-        self.fail(f"expected a term, found {tok.text!r}")
+        self.fail(f"expected a term, found {text!r}")
 
     def parse_list(self) -> Term:
-        if self.peek().text == "]":
-            self.next()
+        if self.peek_text() == "]":
+            self.pos += 1
             return AtomConst("[]")
         items = [self.parse_term()]
-        while self.peek().text == ",":
-            self.next()
+        while self.peek_text() == ",":
+            self.pos += 1
             items.append(self.parse_term())
         tail: Term = AtomConst("[]")
-        if self.peek().text == "|":
-            self.next()
+        if self.peek_text() == "|":
+            self.pos += 1
             tail = self.parse_term()
         self.expect("]")
         for item in reversed(items):

@@ -4,19 +4,27 @@ widening a constraint into a partition, the brute-force filtered
 product, the composition of two pairs, the naive composition closure,
 the whole answer partition and the answer fixpoint over it, the
 arguments the driver hands a stage, the mode order, the modes and
-integer positions of a predicate, and program text that round-trips
-through `parse_program`."""
+integer positions of a predicate, program text that round-trips
+through `parse_program`, and the generic builds of linear terms, atoms
+and a mapping's blocks that the one-pass builders must equal."""
 
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from termiarith import driver
 from termiarith.answers import AnswerTable, call_option
 from termiarith.constraints import (
+    EQ,
+    LE,
+    LT,
     Conjunction,
     LinAtom,
+    LinExpr,
+    RELATIONS,
     conjunction,
     implies_all,
     is_satisfiable,
+    make_atom,
+    rename,
 )
 from termiarith.domain import (
     Domain,
@@ -27,13 +35,17 @@ from termiarith.domain import (
 )
 from termiarith.graph import LoopInfo
 from termiarith.modes import ModeAssignment
-from termiarith.pairs import QueryMappingPair, _composition, _satisfiable_through
+from termiarith.pairs import Mapping, QueryMappingPair, _composition, _satisfiable_through
 from termiarith.syntax import (
     MODE_INT,
     Clause,
+    Compound,
+    IntConst,
     PredKey,
     Program,
+    Term,
     UserAtom,
+    Var,
     literal_text,
     mode_meet,
 )
@@ -201,3 +213,66 @@ def clause_text(clause: Clause) -> str:
 
 def program_text(program: Program) -> str:
     return "\n".join(clause_text(c) for c in program.clauses) + "\n"
+
+
+def linear_term_reference(term: Term) -> Optional[LinExpr]:
+    """`domain.linear_term` built generically: one `LinExpr` per
+    subterm, combined by the expression algebra."""
+    if isinstance(term, Var):
+        return LinExpr.var(term.name)
+    if isinstance(term, IntConst):
+        return LinExpr.of(term.value)
+    if isinstance(term, Compound):
+        parts = [linear_term_reference(a) for a in term.args]
+        if any(p is None for p in parts):
+            return None
+        if term.functor == "+" and len(parts) == 2:
+            return parts[0] + parts[1]
+        if term.functor == "-" and len(parts) == 2:
+            return parts[0] + parts[1].scale(-1)
+        if term.functor == "-" and len(parts) == 1:
+            return parts[0].scale(-1)
+        if term.functor == "*" and len(parts) == 2:
+            lhs, rhs = parts
+            if not lhs.variables():
+                return rhs.scale(lhs.const)
+            if not rhs.variables():
+                return lhs.scale(rhs.const)
+    return None
+
+
+def atom_reference(lhs: Term, op: str, rhs: Term) -> Optional[LinAtom]:
+    """The atom ``lhs op rhs`` as ``make_atom(linear_term(lhs) -
+    linear_term(rhs), rel)`` over `linear_term_reference`, with the sides
+    swapped for ``>`` and ``>=``; None when a side is not linear."""
+    if op in (">", ">="):
+        lhs, rhs, op = rhs, lhs, {">": "<", ">=": "=<"}[op]
+    left, right = linear_term_reference(lhs), linear_term_reference(rhs)
+    if left is None or right is None:
+        return None
+    return make_atom(left - right, {"=": EQ, "<": LT, "=<": LE}[op])
+
+
+def blocks_reference(mapping: Mapping) -> tuple[Conjunction, Conjunction]:
+    """A mapping's first and second blocks built by renaming: the
+    integer relations as `RELATIONS` atoms on the d1../r1.. row names,
+    then the rows and relations renamed onto each step's names."""
+    domain, range_ = mapping.domain_atom, mapping.range_atom
+    relations = conjunction(
+        RELATIONS[rel](f"d{i + 1}", f"r{j + 1}")
+        for i, rel, j in mapping.relations
+        if domain.modes[i] == MODE_INT and range_.modes[j] == MODE_INT
+    )
+
+    def names(row: str, arity: int, prefix: str) -> dict[str, str]:
+        return {f"{row}{j + 1}": f"{prefix}{j + 1}" for j in range(arity)}
+
+    def block(domain_prefix: str, range_prefix: str) -> Conjunction:
+        rows = {**names("d", domain.key[1], domain_prefix), **names("r", range_.key[1], range_prefix)}
+        return conjunction(
+            rename(domain.constraint, names("arg", domain.key[1], domain_prefix))
+            | rename(relations, rows)
+            | rename(range_.constraint, names("arg", range_.key[1], range_prefix))
+        )
+
+    return block("d", "m"), block("m", "r")

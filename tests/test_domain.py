@@ -9,12 +9,12 @@ import json
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import corpus_program
 from family_digests import FAMILY_DIGESTS
-from helpers import product_reference, program_text
+from helpers import atom_reference, linear_term_reference, product_reference, program_text
 from test_acceptance import CORPUS
 
 from termiarith import domain as domain_module
@@ -22,6 +22,7 @@ from termiarith.constraints import (
     EQ,
     LE,
     LT,
+    RELATIONS,
     LinExpr,
     atom_eq,
     atom_ge,
@@ -41,12 +42,15 @@ from termiarith.domain import (
     without_pass_through,
     answer_positions,
     build_domain,
+    clause_constraint,
     collect_answer_comparisons,
     collect_comparisons,
     extend_domain,
     infer_comparisons,
     influence_components,
+    linear_atom,
     linear_term,
+    literal_atoms,
     position_var,
     query_positions,
     resolvents,
@@ -57,9 +61,17 @@ from termiarith.domain import (
 )
 from termiarith.graph import find_integer_loops
 from termiarith.modes import infer_argument_modes
+from termiarith.pairs import ROW_DOMAIN, _value_bindings
 from termiarith.syntax import (
+    MODE_INT,
+    AtomConst,
+    Clause,
+    Comparison,
     Compound,
+    FloatConst,
     IntConst,
+    Is,
+    UserAtom,
     Var,
     normalize_program,
     parse_program,
@@ -118,6 +130,20 @@ class TestPositions:
         assert answer_positions(loop, modes) == {("q", 3): (2,)}
 
 
+_terms = st.recursive(
+    st.one_of(
+        st.builds(Var, st.sampled_from(["X", "Y", "Z"])),
+        st.builds(IntConst, st.integers(min_value=-6, max_value=6)),
+        st.sampled_from([FloatConst("1.5"), AtomConst("a")]),
+    ),
+    lambda inner: st.one_of(
+        st.builds(lambda op, a, b: Compound(op, (a, b)), st.sampled_from("+-*/"), inner, inner),
+        st.builds(lambda a: Compound("-", (a,)), inner),
+    ),
+    max_leaves=8,
+)
+
+
 class TestLinearTerm:
     def test_plus_and_minus(self):
         term = Compound("-", (Compound("+", (Var("X"), IntConst(1))), Var("Y")))
@@ -135,6 +161,27 @@ class TestLinearTerm:
 
     def test_division_rejected(self):
         assert linear_term(Compound("/", (Var("X"), IntConst(2)))) is None
+
+    @settings(deadline=None)
+    @given(_terms, st.sampled_from(sorted(RELATIONS)), _terms)
+    @example(Compound("*", (Var("X"), IntConst(3))), ">=", Compound("-", (Var("X"),)))
+    @example(Compound("*", (Compound("-", (Var("X"), Var("X"))), Var("Y"))), "<", IntConst(0))
+    @example(Compound("*", (Var("X"), Var("Y"))), "=", Var("X"))
+    @example(Var("X"), ">", Compound("/", (Var("X"), IntConst(2))))
+    def test_one_pass_builders_match_the_generic_reference(self, lhs, op, rhs):
+        expected = atom_reference(lhs, op, rhs)
+        assert linear_term(lhs) == linear_term_reference(lhs)
+        assert linear_atom(lhs, op, rhs) == expected
+        literal = Is(lhs, rhs) if op == "=" else Comparison(lhs, op, rhs)
+        assert literal_atoms(literal) == ([] if expected is None else [expected])
+        binding = atom_reference(Var("d1"), "=", rhs)
+        assert _value_bindings((MODE_INT,), (rhs,), ROW_DOMAIN) == ([] if binding is None else [binding])
+        if isinstance(rhs, (Var, IntConst)):
+            head = Clause(UserAtom("p", (rhs,)))
+            assert clause_constraint(head, (0,)) == [atom_reference(Var("arg1"), "=", rhs)]
+        left, right = linear_term(lhs), linear_term(rhs)
+        if left is not None and right is not None:
+            assert left - right == left + right.scale(-1)
 
 
 class TestCollect:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import corpus_program
 from family_digests import FAMILY_DIGESTS
-from helpers import closure_reference, compose_pair, driver_calls
+from helpers import blocks_reference, closure_reference, compose_pair, driver_calls
 from test_acceptance import CORPUS
 
 from termiarith import constraints, domain, driver, pairs
@@ -538,6 +538,30 @@ def _true_relations(draw, left, right):
 _ROW = st.lists(st.integers(-3, 3), min_size=1, max_size=3)
 
 
+@st.composite
+def _mappings(draw):
+    """Mappings between rows of up to 11 positions, so row names such
+    as d10 and d9 sort apart from their numbers, with i and b modes,
+    difference constraints and any relations."""
+
+    def row(name):
+        arity = draw(st.integers(1, 11))
+        modes = draw(st.tuples(*[st.sampled_from([MODE_INT, MODE_BOUND])] * arity))
+        positions = st.sampled_from([f"arg{j + 1}" for j in range(arity)])
+        atom = st.tuples(positions, positions, st.integers(-3, 3), st.sampled_from([LT, LE, EQ]))
+        atoms = [
+            make_atom(LinExpr.build({x: 1} if x == y else {x: 1, y: -1}, c), rel)
+            for x, y, c, rel in draw(st.lists(atom, max_size=3))
+        ]
+        return AbstractQuery((name, arity), modes, frozenset(atoms))
+
+    domain, range_ = row("p"), row("q")
+    relation = st.tuples(
+        st.integers(0, domain.key[1] - 1), st.sampled_from("=<>"), st.integers(0, range_.key[1] - 1)
+    )
+    return Mapping(domain, range_, draw(st.frozensets(relation, max_size=6)))
+
+
 class TestComposition:
     def test_relation_chaining(self):
         expected = {
@@ -570,6 +594,11 @@ class TestComposition:
         composed = pairs._composition(step(d, m), step(m, r))
         for i, rel, j in composed.mapping.relations:
             assert _HOLDS[rel](d[i], r[j]), (i, rel, j)
+
+    @settings(deadline=None)
+    @given(_mappings())
+    def test_blocks_match_the_renamed_relation_atoms(self, mapping):
+        assert (mapping.first_block, mapping.second_block) == blocks_reference(mapping)
 
     def test_mismatched_interface_does_not_chain(self):
         p = _single_pair("=")

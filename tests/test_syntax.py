@@ -94,6 +94,20 @@ class TestParseProgram:
         assert isinstance(a, Var) and isinstance(b, Var)
         assert a != b
 
+    @pytest.mark.parametrize(
+        "source, body, name",
+        [
+            ("p(_, _G1) :- q(_G1).", None, "_G2"),
+            ("p(X) :- q(X, _), r(_G1, _G2).", 0, "_G3"),
+            ("p(_G1) :- q(_), r(_G2).", 0, "_G3"),
+        ],
+    )
+    def test_anonymous_variable_avoids_user_names(self, source, body, name):
+        clause = parse_program(source).clauses[0]
+        literal = clause.head if body is None else clause.body[body]
+        fresh = [arg for arg in literal.args if arg.name not in source]
+        assert fresh == [Var(name)]
+
     def test_cut_is_a_parse_error(self):
         with pytest.raises(ParseError):
             parse_program("p(0) :- !.")
@@ -102,6 +116,25 @@ class TestParseProgram:
         with pytest.raises(ParseError) as err:
             parse_program("p(X) :- q(X)\nr(X).")
         assert "line" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "source, message, line, col",
+        [
+            ("p(X) :- q(X)\nr(X).", "expected '.', found 'r'", 2, 1),
+            ("% head\np(X) :- X > 0, % guard\n  q(X) ).", "expected '.', found ')'", 3, 8),
+            ("p(0).\r\np(X) :- !.\r\n", "cut is not supported", 2, 9),
+            ("p(X) :-\tq(X) @.", "unexpected character '@'", 1, 14),
+            ("p(0).\n\np(X) :- X # 2.", "unexpected character '#'", 3, 11),
+            ("p(0).\r\n\tq(X) :- X > .", "expected a term, found '.'", 2, 14),
+            ("p(X) :- q(X", "expected ')', found ''", 1, 12),
+            ("p(X) :-\n", "expected a term, found ''", 2, 1),
+        ],
+    )
+    def test_syntax_error_reports_line_and_column(self, source, message, line, col):
+        with pytest.raises(ParseError) as err:
+            parse_program(source)
+        assert (err.value.line, err.value.col) == (line, col)
+        assert str(err.value) == f"{message} at line {line}, column {col}"
 
     def test_zero_arity_clauses(self):
         program = parse_program("main :- go.\ngo.")
